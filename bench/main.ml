@@ -1383,6 +1383,31 @@ let micro () =
              ignore
                (Explorer.verify ~config:Explorer.default_config ~np:3
                   Workloads.Patterns.fig3)));
+      (* A warm prefix-cache hit as the explorer serves one: the item's
+         schedule key, then the keyed lookup, in a cache of adlb2's size
+         (32,118 entries of 16 decisions; ranks and epoch ids below 100,
+         as in adlb2's keys). *)
+      (let schedule i =
+         List.init 16 (fun k ->
+             {
+               Dampi.Decisions.owner = k mod 6;
+               epoch_id = k + 1;
+               src = i / int_of_float (6.0 ** float_of_int (k mod 6)) mod 6;
+               kind = Dampi.Epoch.Wildcard_recv;
+             })
+       in
+       let pc = Dampi.Prefix_cache.create ~budget_bytes:max_int () in
+       let entry =
+         { Dampi.Prefix_cache.vtime = 0.0; wildcards = 0; errors = []; epochs = [] }
+       in
+       for i = 0 to 32_117 do
+         Dampi.Prefix_cache.add pc (schedule i) entry
+       done;
+       let probe = schedule 12_345 in
+       Test.make ~name:"warm hit: schedule key + keyed lookup"
+         (Staged.stage (fun () ->
+              let key = Dampi.Checkpoint.schedule_key probe in
+              ignore (Dampi.Prefix_cache.find pc ~key probe))));
       Test.make ~name:"lamport tick+merge x1000"
         (Staged.stage (fun () ->
              let c = ref (Clocks.Lamport.make ~np:64) in
@@ -1424,7 +1449,13 @@ let usage () =
     "usage: main.exe [all|fig5|fig6|fig8|fig9|table1|table2|ablation-clocks|\n\
     \                 ablation-piggyback|ablation-mixing|parallel|\
      distributed|fault-soak|prune|prune-gate|hotpath|hotpath-matmult|\
-     hotpath-gate|trace-overhead|micro] [--np N]\n"
+     hotpath-gate|trace-overhead|micro] [--np N]\n\n\
+     A change that touches the hot path appends one row to the perf ledger\n\
+     bench/history.tsv: commit (a change's own row: its parent and a +),\n\
+     nproc, CPU model, and the effective replays/s of each [prune] scenario\n\
+     (adlb2 and matmult, each unpruned, pruned and warm), measured back to\n\
+     back with the row before it. Rows compare only at the same nproc and\n\
+     CPU model.\n"
 
 let () =
   let args = Array.to_list Sys.argv in

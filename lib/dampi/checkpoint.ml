@@ -50,13 +50,22 @@ let unreserved c =
   || (c >= '0' && c <= '9')
   || c = '-' || c = '_' || c = '.' || c = '~'
 
-let enc s =
-  let b = Buffer.create (String.length s) in
+let hex_digits = "0123456789ABCDEF"
+
+let add_enc b s =
   String.iter
     (fun c ->
       if unreserved c then Buffer.add_char b c
-      else Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
+      else begin
+        Buffer.add_char b '%';
+        Buffer.add_char b hex_digits.[Char.code c lsr 4];
+        Buffer.add_char b hex_digits.[Char.code c land 15]
+      end)
+    s
+
+let enc s =
+  let b = Buffer.create (String.length s) in
+  add_enc b s;
   Buffer.contents b
 
 let dec s =
@@ -80,10 +89,108 @@ let dec s =
 
 (* ---- schedule keys ---- *)
 
-let decision_to_key (d : Decisions.decision) =
-  Printf.sprintf "%s:%d:%d:%d"
-    (Decisions.kind_to_string d.Decisions.kind)
-    d.Decisions.owner d.Decisions.epoch_id d.Decisions.src
+(* The encoders append into a caller's buffer: keys are built once per
+   frontier item and once per cache entry, so they avoid Printf and
+   intermediate lists. Their output is persisted (checkpoints, sidecars) and
+   framed on the wire, so it must not change by a byte. *)
+
+(* Ranks, epoch ids and sources are almost always below 100, and a warm
+   re-run encodes millions of them: writing their digits directly skips
+   [string_of_int]'s C-format call, which cost a third of that run. *)
+let add_int b n =
+  if n >= 0 && n < 100 then begin
+    if n >= 10 then Buffer.add_char b (Char.unsafe_chr (48 + (n / 10)));
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+  else Buffer.add_string b (string_of_int n)
+
+(* What [Printf "%h"] prints (the runtime primitive behind it, at its
+   default precision): hex floats round-trip exactly. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
+
+let add_hex_float b f = Buffer.add_string b (hexstring_of_float f (-6) '-')
+
+let add_joined b sep add_one = function
+  | [] -> ()
+  | x :: tl ->
+      add_one b x;
+      List.iter
+        (fun x ->
+          Buffer.add_char b sep;
+          add_one b x)
+        tl
+
+let add_decision b (d : Decisions.decision) =
+  Buffer.add_string b (Decisions.kind_to_string d.Decisions.kind);
+  Buffer.add_char b ':';
+  add_int b d.Decisions.owner;
+  Buffer.add_char b ':';
+  add_int b d.Decisions.epoch_id;
+  Buffer.add_char b ':';
+  add_int b d.Decisions.src
+
+let decision_to_key d =
+  let b = Buffer.create 16 in
+  add_decision b d;
+  Buffer.contents b
+
+let add_schedule_key b = function
+  | [] -> Buffer.add_char b '-'
+  | ds -> add_joined b ',' add_decision ds
+
+let schedule_key ds =
+  let b = Buffer.create 128 in
+  add_schedule_key b ds;
+  Buffer.contents b
+
+let item_key it =
+  let b = Buffer.create 128 in
+  if it.prefix <> [] then begin
+    add_schedule_key b it.prefix;
+    Buffer.add_char b ','
+  end;
+  add_decision b it.choice;
+  Buffer.contents b
+
+(* ---- epoch summaries (sleep sets) ----
+
+   One summary per colon-joined token; a sleep set joins summaries with
+   [;]. Alternatives are [.]-joined inside their field ([~] when empty) so
+   a summary never contains whitespace and survives the space-delimited
+   item grammar. *)
+
+let add_summary b (s : Epoch.summary) =
+  let field n =
+    Buffer.add_char b ':';
+    add_int b n
+  in
+  Buffer.add_string b (Decisions.kind_to_string s.Epoch.s_kind);
+  field s.Epoch.s_owner;
+  field s.Epoch.s_id;
+  field s.Epoch.s_ctx;
+  field s.Epoch.s_tag;
+  field s.Epoch.s_matched;
+  Buffer.add_string b (if s.Epoch.s_expandable then ":1:" else ":0:");
+  match s.Epoch.s_alternatives with
+  | [] -> Buffer.add_char b '~'
+  | alts -> add_joined b '.' add_int alts
+
+let summary_to_key s =
+  let b = Buffer.create 32 in
+  add_summary b s;
+  Buffer.contents b
+
+let add_sleep_key b = function
+  | [] -> Buffer.add_char b '-'
+  | ss -> add_joined b ';' add_summary ss
+
+let sleep_key ss =
+  let b = Buffer.create 64 in
+  add_sleep_key b ss;
+  Buffer.contents b
+
+(* ---- key parsers ---- *)
 
 let decision_of_key s =
   match String.split_on_char ':' s with
@@ -99,10 +206,6 @@ let decision_of_key s =
       | _ -> None)
   | _ -> None
 
-let schedule_key = function
-  | [] -> "-"
-  | ds -> String.concat "," (List.map decision_to_key ds)
-
 let schedule_of_key = function
   | "-" -> Some []
   | s ->
@@ -110,24 +213,6 @@ let schedule_of_key = function
       let ds = List.map decision_of_key parts in
       if List.exists Option.is_none ds then None
       else Some (List.filter_map Fun.id ds)
-
-let item_key it = schedule_key (it.prefix @ [ it.choice ])
-
-(* ---- epoch summaries (sleep sets) ----
-
-   One summary per colon-joined token; a sleep set joins summaries with
-   [;]. Alternatives are [.]-joined inside their field ([~] when empty) so
-   a summary never contains whitespace and survives the space-delimited
-   item grammar. *)
-
-let summary_to_key (s : Epoch.summary) =
-  Printf.sprintf "%s:%d:%d:%d:%d:%d:%d:%s"
-    (Decisions.kind_to_string s.Epoch.s_kind)
-    s.Epoch.s_owner s.Epoch.s_id s.Epoch.s_ctx s.Epoch.s_tag s.Epoch.s_matched
-    (if s.Epoch.s_expandable then 1 else 0)
-    (match s.Epoch.s_alternatives with
-    | [] -> "~"
-    | alts -> String.concat "." (List.map string_of_int alts))
 
 let summary_of_key key =
   match String.split_on_char ':' key with
@@ -170,10 +255,6 @@ let summary_of_key key =
             }
       | _ -> None)
   | _ -> None
-
-let sleep_key = function
-  | [] -> "-"
-  | ss -> String.concat ";" (List.map summary_to_key ss)
 
 let sleep_of_key = function
   | "-" -> Some []
@@ -314,14 +395,23 @@ let to_string t =
         (schedule_key f.Report.schedule)
         (error_to_line f.Report.error))
     t.findings;
-  List.iter (fun k -> line "done %s" k) t.completed;
+  List.iter
+    (fun k ->
+      Buffer.add_string b "done ";
+      Buffer.add_string b k;
+      Buffer.add_char b '\n')
+    t.completed;
   List.iter
     (fun it ->
-      if it.sleep = [] then
-        line "item %s %s" (schedule_key it.prefix) (decision_to_key it.choice)
-      else
-        line "item %s %s %s" (schedule_key it.prefix)
-          (decision_to_key it.choice) (sleep_key it.sleep))
+      Buffer.add_string b "item ";
+      add_schedule_key b it.prefix;
+      Buffer.add_char b ' ';
+      add_decision b it.choice;
+      if it.sleep <> [] then begin
+        Buffer.add_char b ' ';
+        add_sleep_key b it.sleep
+      end;
+      Buffer.add_char b '\n')
     t.frontier;
   Buffer.contents b
 

@@ -79,8 +79,15 @@ val enc : string -> string
 (** Percent-encode (RFC 3986 unreserved set): the result contains no
     whitespace, newlines, or delimiter characters, whatever the input. *)
 
+val add_enc : Buffer.t -> string -> unit
+(** Append {!enc} to a buffer. *)
+
 val dec : string -> string
 (** Inverse of {!enc}. *)
+
+val add_hex_float : Buffer.t -> float -> unit
+(** Append the float as [Printf "%h"] prints it (exact round trip through
+    [float_of_string]). *)
 
 val decision_to_key : Decisions.decision -> string
 val decision_of_key : string -> Decisions.decision option
@@ -92,6 +99,10 @@ val summary_of_key : string -> Epoch.summary option
 
 val sleep_key : Epoch.summary list -> string
 (** [;]-joined {!summary_to_key}s, ["-"] for the empty set. *)
+
+val add_sleep_key : Buffer.t -> Epoch.summary list -> unit
+(** Append {!sleep_key} to a buffer. Like every key encoder here it avoids
+    Printf: keys are built per frontier item and per cache entry. *)
 
 val sleep_of_key : string -> Epoch.summary list option
 

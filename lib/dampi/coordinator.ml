@@ -821,19 +821,8 @@ let drive t ~on_run ~should_stop ~tick =
   if t.ran then invalid_arg "Coordinator.drive: already ran";
   t.ran <- true;
   (* EPIPE must surface as an exception on write, not kill the process. *)
-  let old_pipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (match old_pipe with
-      | Some h -> (
-          try Sys.set_signal Sys.sigpipe h
-          with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ());
-      close_all t)
-  @@ fun () ->
+  Wire.with_sigpipe_ignored @@ fun () ->
+  Fun.protect ~finally:(fun () -> close_all t) @@ fun () ->
   (match t.setup.attach with
   | Fds fds -> List.iter (fun fd -> ignore (add_conn t fd)) fds
   | Listen _ -> ()

@@ -634,9 +634,10 @@ let explore ?(config = default_config) ?resume ?distribute
      expand-only re-runs during a resume: the replay executes (to
      regenerate its children deterministically) but contributes nothing to
      counters or findings — its contribution is already in the
-     checkpoint. *)
-  let run_one plan ~fork_index ~schedule ~worker ~name ~count =
-    let key = Checkpoint.schedule_key schedule in
+     checkpoint. [key] is the schedule's {!Checkpoint.schedule_key}, built
+     once by the caller; the replay plan is built only on a cache miss. *)
+  let run_one ~key ~schedule ~worker ~name ~count =
+    let fork_index = List.length schedule - 1 in
     (* Span args carry only run-set-determined values (fork, depth), never
        wall times, so jobs=1 span trees reproduce exactly. *)
     let wrap ~attempt f =
@@ -693,7 +694,9 @@ let explore ?(config = default_config) ?resume ?distribute
        expand-only re-runs of a warm resume become pure lookups) and still
        feeds the counting path, so the canonical report cannot tell. *)
     let cached =
-      match cache with Some pc -> Prefix_cache.find pc schedule | None -> None
+      match cache with
+      | Some pc -> Prefix_cache.find pc ~key schedule
+      | None -> None
     in
     match cached with
     | Some entry ->
@@ -711,7 +714,9 @@ let explore ?(config = default_config) ?resume ?distribute
               Atomic.get interrupt_requested
               || (config.stop_on_first_error && Atomic.get error_found))
             ~abort_retries:(fun () -> Atomic.get interrupt_requested)
-            ~wrap ~on_event ~key plan ~fork_index
+            ~wrap ~on_event ~key
+            (Decisions.of_decisions ~np schedule)
+            ~fork_index
         with
         | Executor.Gave_up -> Gave_up
         | Executor.Poisoned ->
@@ -764,24 +769,19 @@ let explore ?(config = default_config) ?resume ?distribute
           (* A raising replay is a harness failure, not a pool teardown:
              record it (with the backtrace from the catch site) and keep the
              sibling workers draining. *)
+          let decisions = it.prefix @ [ it.choice ] in
           match
-            let decisions = it.prefix @ [ it.choice ] in
-            let plan = Decisions.of_decisions ~np decisions in
-            let count =
-              not
-                (Hashtbl.mem resume_completed
-                   (Checkpoint.schedule_key decisions))
-            in
-            run_one plan
-              ~fork_index:(List.length decisions - 1)
-              ~schedule:decisions ~worker ~name:"replay" ~count
+            (* The item's one key: the resume check, the cache lookup and
+               the completed-run record all share it. *)
+            let key = Checkpoint.schedule_key decisions in
+            run_one ~key ~schedule:decisions ~worker ~name:"replay"
+              ~count:(not (Hashtbl.mem resume_completed key))
           with
           | Counted entry ->
               maybe_periodic_checkpoint ();
               let children =
                 expand_children ~worker ~sleep:it.sleep
-                  ~plan_decisions:(it.prefix @ [ it.choice ])
-                  entry
+                  ~plan_decisions:decisions entry
               in
               if
                 Atomic.get interrupt_requested
@@ -991,8 +991,8 @@ let explore ?(config = default_config) ?resume ?distribute
     | Some c -> c.Checkpoint.frontier
     | None -> (
         match
-          run_one (Decisions.empty ~np) ~fork_index:(-1) ~schedule:[]
-            ~worker:0 ~name:"self-run" ~count:true
+          run_one ~key:(Checkpoint.schedule_key []) ~schedule:[] ~worker:0
+            ~name:"self-run" ~count:true
         with
         | Counted entry ->
             wildcards_analyzed := entry.Prefix_cache.wildcards;

@@ -28,14 +28,29 @@ let bounded e =
    whitespace-delimited. The byte cost charged against the budget is the
    serialized line length — the honest size of what a sidecar persists. *)
 
+let add_entry_line b ~key e =
+  Buffer.add_string b "entry ";
+  Buffer.add_string b key;
+  Buffer.add_char b ' ';
+  Checkpoint.add_hex_float b e.vtime;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (string_of_int e.wildcards);
+  Buffer.add_char b ' ';
+  Checkpoint.add_sleep_key b e.epochs;
+  Buffer.add_char b ' ';
+  match e.errors with
+  | [] -> Buffer.add_char b '-'
+  | errs ->
+      List.iteri
+        (fun i er ->
+          if i > 0 then Buffer.add_char b ';';
+          Checkpoint.add_enc b (Checkpoint.error_to_line er))
+        errs
+
 let entry_line ~key e =
-  Printf.sprintf "entry %s %h %d %s %s" key e.vtime e.wildcards
-    (Checkpoint.sleep_key e.epochs)
-    (match e.errors with
-    | [] -> "-"
-    | errs ->
-        String.concat ";"
-          (List.map (fun er -> Checkpoint.enc (Checkpoint.error_to_line er)) errs))
+  let b = Buffer.create 256 in
+  add_entry_line b ~key e;
+  Buffer.contents b
 
 let entry_of_line line =
   match String.split_on_char ' ' line with
@@ -98,6 +113,7 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   m : Mutex.t;
+  line : Buffer.t;  (* [add]'s scratch for sizing an entry, under [m] *)
   metrics : metrics option;
 }
 
@@ -115,6 +131,7 @@ let create ?metrics ?(label = "") ~budget_bytes () =
     misses = 0;
     evictions = 0;
     m = Mutex.create ();
+    line = Buffer.create 256;
     metrics =
       (* Resolved eagerly so the series exist even for a run with no
          cache traffic; all writes happen under [m], keeping the shard
@@ -165,26 +182,27 @@ let evict_over_budget t =
     | None -> ()
   done
 
-let keys_of_prefixes decisions =
-  (* Keys of every proper prefix plus the full schedule, shallow first. *)
-  let rec go acc rev_prefix = function
-    | [] -> List.rev acc
-    | d :: tl ->
-        let rev_prefix = d :: rev_prefix in
-        go (Checkpoint.schedule_key (List.rev rev_prefix) :: acc) rev_prefix tl
-  in
-  go [ Checkpoint.schedule_key [] ] [] decisions
+(* Depth of the longest cached prefix of the schedule [key] spells: each
+   [,] in a key ends the key of a proper prefix, so one scan of the key
+   yields every prefix key without re-encoding a decision. *)
+let deepest_prefix_locked t key =
+  if key = "-" then 0
+  else begin
+    let best = ref 0 and depth = ref 0 in
+    String.iteri
+      (fun i c ->
+        if c = ',' then begin
+          incr depth;
+          if Hashtbl.mem t.tbl (String.sub key 0 i) then best := !depth
+        end)
+      key;
+    if Hashtbl.mem t.tbl key then !depth + 1 else !best
+  end
 
-let deepest_prefix_locked t decisions =
-  let rec deepest best depth = function
-    | [] -> best
-    | k :: tl ->
-        deepest (if Hashtbl.mem t.tbl k then depth else best) (depth + 1) tl
+let find t ?key decisions =
+  let key =
+    match key with Some k -> k | None -> Checkpoint.schedule_key decisions
   in
-  deepest 0 0 (keys_of_prefixes decisions)
-
-let find t decisions =
-  let key = Checkpoint.schedule_key decisions in
   Mutex.lock t.m;
   let r =
     match Hashtbl.find_opt t.tbl key with
@@ -207,24 +225,21 @@ let find t decisions =
             (* How deep a cached prefix this guided run shares — the
                resumed-depth a mid-run snapshot scheme would start from. *)
             Obs.Metrics.observe ms.m_depth
-              (float_of_int (deepest_prefix_locked t decisions))
+              (float_of_int (deepest_prefix_locked t key))
         | None -> ());
         None
   in
   Mutex.unlock t.m;
   r
 
-let add t decisions entry =
-  let key = Checkpoint.schedule_key decisions in
-  Mutex.lock t.m;
-  (match Hashtbl.find_opt t.tbl key with
+(* Caller holds [t.m]. A present key only refreshes recency: replays are
+   deterministic, so a re-add carries the same artifact. *)
+let insert_locked t key entry ~cost =
+  match Hashtbl.find_opt t.tbl key with
   | Some n ->
-      (* Replays are deterministic: a re-add carries the same artifact.
-         Just refresh recency. *)
       unlink t n;
       push_front t n
   | None ->
-      let cost = String.length (entry_line ~key entry) + 1 in
       if cost <= t.budget then begin
         let n =
           { n_key = key; n_entry = entry; n_cost = cost; prev = None; next = None }
@@ -233,13 +248,21 @@ let add t decisions entry =
         push_front t n;
         t.bytes <- t.bytes + cost;
         evict_over_budget t
-      end);
+      end
+
+let add t decisions entry =
+  let key = Checkpoint.schedule_key decisions in
+  Mutex.lock t.m;
+  Buffer.clear t.line;
+  add_entry_line t.line ~key entry;
+  insert_locked t key entry ~cost:(Buffer.length t.line + 1);
   set_bytes_gauge t;
   Mutex.unlock t.m
 
 let deepest_prefix t decisions =
+  let key = Checkpoint.schedule_key decisions in
   Mutex.lock t.m;
-  let d = deepest_prefix_locked t decisions in
+  let d = deepest_prefix_locked t key in
   Mutex.unlock t.m;
   d
 
@@ -251,16 +274,19 @@ let stats t =
 
 (* ---- sidecar persistence ---- *)
 
+let header = "# DAMPI prefix cache\nversion 1\n"
+
 let to_string t =
   Mutex.lock t.m;
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "# DAMPI prefix cache\nversion 1\n";
-  Buffer.add_string b ("label " ^ Checkpoint.enc t.label ^ "\n");
+  let label = "label " ^ Checkpoint.enc t.label ^ "\n" in
+  let b = Buffer.create (String.length header + String.length label + t.bytes) in
+  Buffer.add_string b header;
+  Buffer.add_string b label;
   (* Least-recent first, so re-adding in file order restores recency. *)
   let rec emit = function
     | None -> ()
     | Some n ->
-        Buffer.add_string b (entry_line ~key:n.n_key n.n_entry);
+        add_entry_line b ~key:n.n_key n.n_entry;
         Buffer.add_char b '\n';
         emit n.prev
   in
@@ -268,25 +294,49 @@ let to_string t =
   Mutex.unlock t.m;
   Buffer.contents b
 
+(* The lines are taken as read: a line this code wrote costs exactly what
+   [add] charged for it ([entry_line]'s length plus the newline), so the
+   key and the cost need no re-encoding. A line whose key or entry does
+   not parse is skipped. *)
+let load_lines t text pos =
+  let n = String.length text in
+  let rec go pos =
+    if pos < n then begin
+      let stop =
+        match String.index_from_opt text pos '\n' with Some i -> i | None -> n
+      in
+      (if stop > pos then
+         let line = String.sub text pos (stop - pos) in
+         match entry_of_line line with
+         | Some (key, e) when Checkpoint.schedule_of_key key <> None ->
+             insert_locked t key e ~cost:(String.length line + 1)
+         | _ -> ());
+      go (stop + 1)
+    end
+  in
+  Mutex.lock t.m;
+  go pos;
+  set_bytes_gauge t;
+  Mutex.unlock t.m
+
 let load_into t text =
-  match String.split_on_char '\n' text with
-  | "# DAMPI prefix cache" :: "version 1" :: label_line :: rest
-    when label_line = "label " ^ Checkpoint.enc t.label ->
-      List.iter
-        (fun line ->
-          if line <> "" then
-            match entry_of_line line with
-            | Some (key, e) -> (
-                match Checkpoint.schedule_of_key key with
-                | Some decisions -> add t decisions e
-                | None -> ())
-            | None -> ())
-        rest;
-      Ok ()
-  | "# DAMPI prefix cache" :: "version 1" :: line :: _
-    when String.length line >= 6 && String.sub line 0 6 = "label " ->
-      Error "prefix-cache label mismatch (different workload or config)"
-  | _ -> Error "not a DAMPI prefix-cache file"
+  let starts_at pos prefix =
+    String.length text - pos >= String.length prefix
+    && String.sub text pos (String.length prefix) = prefix
+  in
+  let label = "label " ^ Checkpoint.enc t.label in
+  let entries = String.length header + String.length label in
+  if not (starts_at 0 header) then Error "not a DAMPI prefix-cache file"
+  else if
+    starts_at (String.length header) label
+    && (entries = String.length text || text.[entries] = '\n')
+  then begin
+    load_lines t text entries;
+    Ok ()
+  end
+  else if starts_at (String.length header) "label " then
+    Error "prefix-cache label mismatch (different workload or config)"
+  else Error "not a DAMPI prefix-cache file"
 
 let save ?fault t path = Checkpoint.atomic_write ?fault path (to_string t)
 

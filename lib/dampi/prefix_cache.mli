@@ -47,15 +47,21 @@ val create :
     refused unless the stored label matches: a stale sidecar from another
     workload must cost warmth, never correctness. *)
 
-val find : t -> Decisions.decision list -> entry option
-(** Lookup by full schedule; refreshes LRU recency and records hit/miss
-    plus the resumed-depth observation. *)
+val find : t -> ?key:string -> Decisions.decision list -> entry option
+(** [find t ~key decisions] looks up the schedule whose
+    {!Checkpoint.schedule_key} is [key] (computed from [decisions] when
+    omitted); a caller that already holds the key passes it, so a hit is a
+    hash lookup with no encoding. Refreshes LRU recency and records
+    hit/miss plus the resumed-depth observation: the schedule's length on
+    a hit, the deepest cached prefix on a miss (found by scanning [key]
+    for its prefix keys, one pass). *)
 
 val add : t -> Decisions.decision list -> entry -> unit
 (** Insert (refreshes recency if present — replays are deterministic, so
     a re-add carries the same artifact). An entry's cost is its serialized
-    line length; entries are evicted least-recently-used until the budget
-    holds, and an entry larger than the whole budget is not admitted. *)
+    line length plus the newline ([String.length (entry_line ~key e) + 1]);
+    entries are evicted least-recently-used until the budget holds, and an
+    entry larger than the whole budget is not admitted. *)
 
 val deepest_prefix : t -> Decisions.decision list -> int
 (** Length of the longest cached prefix of [decisions] (0 when none, the
@@ -71,8 +77,20 @@ val stats : t -> int * int * int * int
     [checkpoint_path ^ ".cache"]) on every checkpoint write and reloads it
     on resume. *)
 
+val entry_line : key:string -> entry -> string
+(** The sidecar line of one entry, without its newline. *)
+
 val to_string : t -> string
+(** The sidecar text: header, label, then one {!entry_line} per entry,
+    least-recently-used first (so loading it back restores recency). *)
+
 val load_into : t -> string -> (unit, string) result
+(** Insert every entry of a sidecar text. Each line is taken as read: its
+    key is the stored key and its cost is the line's own length plus the
+    newline — for any line {!to_string} wrote, exactly what {!add} charged,
+    so eviction under a budget is unchanged by a save/load cycle. A line
+    whose key or entry does not parse is skipped; a foreign header or a
+    label other than the cache's is refused with [Error]. *)
 
 val save : ?fault:(unit -> bool) -> t -> string -> Checkpoint.write_outcome
 (** {!Checkpoint.atomic_write} of {!to_string}: tempfile + fsync + rename,

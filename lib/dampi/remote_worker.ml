@@ -239,16 +239,8 @@ let serve ?auth ?session ?telemetry:tele ~resolve fd =
     | Some t -> t
     | None -> telemetry (Obs.Metrics.create ~shards:1 ())
   in
-  let old_pipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
+  Wire.with_sigpipe_ignored @@ fun () ->
   Fun.protect ~finally:(fun () ->
-      (match old_pipe with
-      | Some h -> (
-          try Sys.set_signal Sys.sigpipe h
-          with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ());
       try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   let ic = Unix.in_channel_of_descr fd in

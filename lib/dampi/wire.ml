@@ -257,6 +257,35 @@ let to_coord_string msg =
       Buffer.add_string b "end\n");
   Buffer.contents b
 
+(* SIGPIPE's disposition is process-wide, but a coordinator and its workers
+   may run on different domains of one process. Each saving and restoring
+   it around its own connection let the first to finish restore the
+   default while another still wrote to a closed peer, which killed the
+   whole process. Holders now share one ignore: the first sets it, the last
+   restores what the first found. *)
+let sigpipe_m = Mutex.create ()
+let sigpipe_holders = ref 0
+let sigpipe_saved = ref None
+
+let with_sigpipe_ignored f =
+  Mutex.lock sigpipe_m;
+  if !sigpipe_holders = 0 then
+    sigpipe_saved :=
+      (try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+       with Invalid_argument _ | Sys_error _ -> None);
+  incr sigpipe_holders;
+  Mutex.unlock sigpipe_m;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock sigpipe_m;
+      decr sigpipe_holders;
+      (if !sigpipe_holders = 0 then
+         match !sigpipe_saved with
+         | Some h -> (
+             try Sys.set_signal Sys.sigpipe h
+             with Invalid_argument _ | Sys_error _ -> ())
+         | None -> ());
+      Mutex.unlock sigpipe_m)
+
 let write_to_worker oc msg =
   output_string oc (to_worker_string msg);
   flush oc

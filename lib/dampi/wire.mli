@@ -172,6 +172,12 @@ val write_to_worker : out_channel -> to_worker -> unit
 
 val write_to_coord : out_channel -> to_coord -> unit
 
+val with_sigpipe_ignored : (unit -> 'a) -> 'a
+(** Run [f] with SIGPIPE ignored, so a write to a closed peer raises
+    [EPIPE] instead of killing the process. Nested and concurrent holders
+    (a coordinator and in-process worker domains) share one ignore; the
+    last to leave restores the disposition the first one found. *)
+
 (** {2 Reading}
 
     The worker side blocks on a single coordinator connection and reads

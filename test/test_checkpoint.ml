@@ -384,6 +384,172 @@ let test_resume_complete () =
   in
   Alcotest.(check int) "no replay re-executed" 0 (executed again)
 
+(* ---- codec identity: the Buffer encoders against the Printf originals ----
+
+   Keys are persisted (checkpoint [done] lines, sidecars) and framed on the
+   wire, so the Buffer encoders must print exactly what the Printf ones
+   printed. The originals are kept here as the reference. *)
+
+module Prefix_cache = Dampi.Prefix_cache
+module Epoch = Dampi.Epoch
+
+module Reference = struct
+  let enc s =
+    let b = Buffer.create (String.length s) in
+    String.iter
+      (fun c ->
+        if
+          (c >= 'a' && c <= 'z')
+          || (c >= 'A' && c <= 'Z')
+          || (c >= '0' && c <= '9')
+          || c = '-' || c = '_' || c = '.' || c = '~'
+        then Buffer.add_char b c
+        else Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c)))
+      s;
+    Buffer.contents b
+
+  let decision_to_key (d : Decisions.decision) =
+    Printf.sprintf "%s:%d:%d:%d"
+      (Decisions.kind_to_string d.Decisions.kind)
+      d.Decisions.owner d.Decisions.epoch_id d.Decisions.src
+
+  let schedule_key = function
+    | [] -> "-"
+    | ds -> String.concat "," (List.map decision_to_key ds)
+
+  let item_key (it : Checkpoint.item) =
+    schedule_key (it.Checkpoint.prefix @ [ it.Checkpoint.choice ])
+
+  let summary_to_key (s : Epoch.summary) =
+    Printf.sprintf "%s:%d:%d:%d:%d:%d:%d:%s"
+      (Decisions.kind_to_string s.Epoch.s_kind)
+      s.Epoch.s_owner s.Epoch.s_id s.Epoch.s_ctx s.Epoch.s_tag
+      s.Epoch.s_matched
+      (if s.Epoch.s_expandable then 1 else 0)
+      (match s.Epoch.s_alternatives with
+      | [] -> "~"
+      | alts -> String.concat "." (List.map string_of_int alts))
+
+  let sleep_key = function
+    | [] -> "-"
+    | ss -> String.concat ";" (List.map summary_to_key ss)
+
+  let error_to_line = function
+    | Report.Deadlock { blocked } ->
+        Printf.sprintf "deadlock %s"
+          (String.concat ";"
+             (List.map (fun (pid, r) -> Printf.sprintf "%d:%s" pid (enc r)) blocked))
+    | Report.Crash { pid; message } -> Printf.sprintf "crash %d:%s" pid (enc message)
+    | Report.Comm_leak { pid; labels } ->
+        Printf.sprintf "commleak %d:%s" pid (String.concat ";" (List.map enc labels))
+    | Report.Request_leak { pid; count } -> Printf.sprintf "reqleak %d:%d" pid count
+    | Report.Monitor_alert { pid; epoch_id; op } ->
+        Printf.sprintf "monitor %d:%d:%s" pid epoch_id (enc op)
+    | Report.Replay_divergence { count } -> Printf.sprintf "divergence %d" count
+
+  let entry_line ~key (e : Prefix_cache.entry) =
+    Printf.sprintf "entry %s %h %d %s %s" key e.Prefix_cache.vtime
+      e.Prefix_cache.wildcards
+      (sleep_key e.Prefix_cache.epochs)
+      (match e.Prefix_cache.errors with
+      | [] -> "-"
+      | errs -> String.concat ";" (List.map (fun er -> enc (error_to_line er)) errs))
+
+end
+
+(* Mostly small numbers, as ranks and epoch ids are, with the edges the
+   digit fast path must hand back to [string_of_int]. *)
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, 0 -- 120);
+        (1, int_range (-200) (-1));
+        (1, oneofl [ 9; 10; 99; 100; 101; 999_999; max_int; min_int ]);
+        (1, int);
+      ])
+
+let gen_kind = QCheck.Gen.oneofl [ Epoch.Wildcard_recv; Epoch.Wildcard_probe ]
+
+let gen_decision =
+  QCheck.Gen.(
+    map
+      (fun (owner, epoch_id, src, kind) -> { Decisions.owner; epoch_id; src; kind })
+      (quad gen_int gen_int gen_int gen_kind))
+
+let gen_summary =
+  QCheck.Gen.(
+    map
+      (fun ((s_owner, s_id, s_kind, s_ctx), (s_tag, s_matched, s_alternatives, s_expandable)) ->
+        { Epoch.s_owner; s_id; s_kind; s_ctx; s_tag; s_matched; s_alternatives; s_expandable })
+      (pair
+         (quad gen_int gen_int gen_kind gen_int)
+         (quad gen_int gen_int (list_size (0 -- 4) gen_int) bool)))
+
+let gen_text =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:printable (0 -- 12);
+        string_size ~gen:char (0 -- 12);
+        oneofl [ ""; "a b"; "x;y:z"; "100%"; "line\nbreak"; "\xe2\x80\x94" ];
+      ])
+
+let gen_error =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun blocked -> Report.Deadlock { blocked })
+          (list_size (0 -- 3) (pair gen_int gen_text));
+        map2 (fun pid message -> Report.Crash { pid; message }) gen_int gen_text;
+        map2
+          (fun pid labels -> Report.Comm_leak { pid; labels })
+          gen_int
+          (list_size (0 -- 3) gen_text);
+        map2 (fun pid count -> Report.Request_leak { pid; count }) gen_int gen_int;
+        map3
+          (fun pid epoch_id op -> Report.Monitor_alert { pid; epoch_id; op })
+          gen_int gen_int gen_text;
+        map (fun count -> Report.Replay_divergence { count }) gen_int;
+      ])
+
+let gen_entry =
+  QCheck.Gen.(
+    map
+      (fun (vtime, wildcards, errors, epochs) ->
+        { Prefix_cache.vtime; wildcards; errors; epochs })
+      (quad
+         (oneof [ float; float_range 0.0 1.0; oneofl [ 0.0; -0.0; nan; infinity; 5e-324 ] ])
+         gen_int
+         (list_size (0 -- 2) gen_error)
+         (list_size (0 -- 4) gen_summary)))
+
+let gen_schedule = QCheck.Gen.(list_size (0 -- 24) gen_decision)
+
+let prop_encoders_match_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"schedule_key, item_key, sleep_key, entry_line: byte-equal to Printf"
+    (QCheck.make
+       QCheck.Gen.(
+         quad gen_schedule gen_decision (list_size (0 -- 5) gen_summary) gen_entry))
+    (fun (ds, choice, sleep, entry) ->
+      let it = { Checkpoint.prefix = ds; choice; sleep } in
+      let key = Checkpoint.schedule_key ds in
+      key = Reference.schedule_key ds
+      && Checkpoint.item_key it = Reference.item_key it
+      && Checkpoint.decision_to_key choice = Reference.decision_to_key choice
+      && Checkpoint.sleep_key sleep = Reference.sleep_key sleep
+      && List.for_all
+           (fun s -> Checkpoint.summary_to_key s = Reference.summary_to_key s)
+           sleep
+      && List.for_all
+           (fun e -> Checkpoint.error_to_line e = Reference.error_to_line e)
+           entry.Prefix_cache.errors
+      && Prefix_cache.entry_line ~key entry = Reference.entry_line ~key entry
+      && Checkpoint.schedule_of_key key = Some ds
+      && Checkpoint.sleep_of_key (Checkpoint.sleep_key sleep) = Some sleep)
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -394,6 +560,10 @@ let () =
             test_hostile_text_roundtrip;
           Alcotest.test_case "atomic save/load" `Quick test_save_load;
           Alcotest.test_case "load errors" `Quick test_load_errors;
+        ] );
+      ( "codec",
+        [
+          QCheck_alcotest.to_alcotest prop_encoders_match_reference;
         ] );
       ( "resume",
         List.map

@@ -945,6 +945,31 @@ let test_assembler_byte_at_a_time () =
     "messages survive the wire intact" true
     (List.rev !out = msgs)
 
+(* SIGPIPE holders on different domains overlap without nesting: the first
+   to enter leaves while the second still writes. The ignore must outlive
+   the first holder, or the write to a closed peer kills the process. *)
+let test_sigpipe_outlives_first_holder () =
+  let entered = Atomic.make false and leave = Atomic.make false in
+  let first =
+    Domain.spawn (fun () ->
+        Wire.with_sigpipe_ignored (fun () ->
+            Atomic.set entered true;
+            while not (Atomic.get leave) do Domain.cpu_relax () done))
+  in
+  while not (Atomic.get entered) do Domain.cpu_relax () done;
+  Wire.with_sigpipe_ignored (fun () ->
+      Atomic.set leave true;
+      Domain.join first;
+      let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.close r;
+      let epipe =
+        match Unix.write_substring w "x" 0 1 with
+        | _ -> false
+        | exception Unix.Unix_error (Unix.EPIPE, _, _) -> true
+      in
+      Unix.close w;
+      Alcotest.(check bool) "write to a closed peer raises EPIPE" true epipe)
+
 let test_assembler_rejects_garbage () =
   let a = Wire.assembler () in
   let b = Bytes.of_string "definitely not a frame\n" in
@@ -985,6 +1010,8 @@ let () =
             test_assembler_byte_at_a_time;
           Alcotest.test_case "garbage rejected" `Quick
             test_assembler_rejects_garbage;
+          Alcotest.test_case "SIGPIPE ignore outlives its first holder" `Quick
+            test_sigpipe_outlives_first_holder;
         ] );
       ( "jobs=1 vs distribute=2",
         List.map

@@ -425,6 +425,137 @@ let test_lru_and_deepest_prefix () =
   let _, _, _, evictions = Prefix_cache.stats t in
   Alcotest.(check bool) "eviction counted" true (evictions >= 1)
 
+(* The sidecar round trip: save, load into a fresh cache, save again —
+   byte-identical text, and the loaded cache charges exactly the bytes the
+   original adds did, so a budget evicts the same entries either way. *)
+let sidecar_entries =
+  List.init 40 (fun i ->
+      let schedule =
+        if i = 0 then []
+        else
+          List.init (1 + (i mod 6)) (fun k ->
+              {
+                Decisions.owner = k mod 3;
+                epoch_id = (100 * k) + i;
+                src = (i + k) mod 4;
+                kind = (if (i + k) mod 3 = 0 then Epoch.Wildcard_probe else Epoch.Wildcard_recv);
+              })
+      in
+      let summary j =
+        {
+          Epoch.s_owner = j mod 4;
+          s_id = i + j;
+          s_kind = Epoch.Wildcard_recv;
+          s_ctx = j;
+          s_tag = j - 1;
+          s_matched = (i + j) mod 4;
+          s_alternatives = List.init (j mod 3) (fun a -> a + 1);
+          s_expandable = j mod 2 = 0;
+        }
+      in
+      ( schedule,
+        {
+          Prefix_cache.vtime = float_of_int i /. 7.0;
+          wildcards = i;
+          errors =
+            (if i mod 9 = 0 then
+               [ Report.Crash { pid = i mod 4; message = "boom; 100% \"bad\"\nline" } ]
+             else []);
+          epochs = List.init (i mod 4) summary;
+        } ))
+
+let test_sidecar_roundtrip () =
+  let label = "roundtrip np=4" in
+  let fill budget_bytes =
+    let c = Prefix_cache.create ~label ~budget_bytes () in
+    List.iter (fun (d, e) -> Prefix_cache.add c d e) sidecar_entries;
+    c
+  in
+  let a = fill max_int in
+  let text = Prefix_cache.to_string a in
+  let b = Prefix_cache.create ~label ~budget_bytes:max_int () in
+  (match Prefix_cache.load_into b text with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check string) "save, load, save is byte-identical" text
+    (Prefix_cache.to_string b);
+  let bytes c = let _, _, bytes, _ = Prefix_cache.stats c in bytes in
+  Alcotest.(check int) "loaded bytes equal the adds' bytes" (bytes a) (bytes b);
+  List.iter
+    (fun (d, e) ->
+      Alcotest.(check bool)
+        (Checkpoint.schedule_key d ^ " hits with its artifact") true
+        (Prefix_cache.find b ~key:(Checkpoint.schedule_key d) d = Some e))
+    sidecar_entries;
+  (* A budget a third of the total: loading evicts what adding evicted. *)
+  let budget = bytes a / 3 in
+  let added = fill budget in
+  let loaded = Prefix_cache.create ~label ~budget_bytes:budget () in
+  ignore (Prefix_cache.load_into loaded text);
+  let _, _, added_bytes, added_evictions = Prefix_cache.stats added in
+  let _, _, loaded_bytes, loaded_evictions = Prefix_cache.stats loaded in
+  Alcotest.(check (pair int int))
+    "tiny budget: same bytes and evictions" (added_bytes, added_evictions)
+    (loaded_bytes, loaded_evictions);
+  Alcotest.(check string) "tiny budget: same survivors"
+    (Prefix_cache.to_string added) (Prefix_cache.to_string loaded)
+
+(* A line whose key or entry does not parse is skipped; its neighbours
+   still load. *)
+let test_sidecar_skips_malformed_lines () =
+  let label = "malformed np=4" in
+  let good = "entry recv:0:1:2 0x1p-3 1 - -" in
+  let text =
+    String.concat "\n"
+      [
+        "# DAMPI prefix cache";
+        "version 1";
+        "label " ^ Checkpoint.enc label;
+        "entry recv:0:x:2 0x1p-3 1 - -";
+        "entry recv:0:1:2,recv:1 0x1p-3 1 - -";
+        "entry recv:0:1:3 0x1p-3 zz - -";
+        "entry recv:0:1:4 0x1p-3 1 recv:0:1 -";
+        "entry recv:0:1:5 0x1p-3 1 - %ZZbogus";
+        "entry recv:0:1:6 0x1p-3 1 -";
+        good;
+        "";
+      ]
+  in
+  let c = Prefix_cache.create ~label ~budget_bytes:max_int () in
+  (match Prefix_cache.load_into c text with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let _, _, bytes, _ = Prefix_cache.stats c in
+  Alcotest.(check int) "only the good line is charged" (String.length good + 1) bytes;
+  let d = { Decisions.owner = 0; epoch_id = 1; src = 2; kind = Epoch.Wildcard_recv } in
+  Alcotest.(check bool) "the good line hits" true (Prefix_cache.find c [ d ] <> None)
+
+(* A sidecar as the previous Printf-based encoder wrote it (a fig3 run with
+   its crash finding): it loads, hits, and re-saves byte for byte. *)
+let test_sidecar_previous_format () =
+  let label = "dampi fig3 np=3 clock=lamport k=-1 dual=false prune=true" in
+  let text =
+    "# DAMPI prefix cache\n\
+     version 1\n\
+     label dampi%20fig3%20np%3D3%20clock%3Dlamport%20k%3D-1%20dual%3Dfalse%20prune%3Dtrue\n\
+     entry - 0x1.f5979a0f9e74cp-15 1 recv:1:0:0:-1:0:1:2 -\n\
+     entry recv:1:0:2 0x1.bbbbecbffb663p-15 0 - \
+     crash%201%3AFailure%2528%2522fig3%253A%2520received%252033%2520%255C226%255C128%255C148%2520the%2520interleaving-dependent%2520bug%2522%2529\n"
+  in
+  let c = Prefix_cache.create ~label ~budget_bytes:max_int () in
+  (match Prefix_cache.load_into c text with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  (match Prefix_cache.find c [] with
+  | Some e -> Alcotest.(check int) "self run's epochs" 1 (List.length e.Prefix_cache.epochs)
+  | None -> Alcotest.fail "self run missed");
+  let d = { Decisions.owner = 1; epoch_id = 0; src = 2; kind = Epoch.Wildcard_recv } in
+  (match Prefix_cache.find c ~key:"recv:1:0:2" [ d ] with
+  | Some { Prefix_cache.errors = [ Report.Crash { pid = 1; _ } ]; _ } -> ()
+  | Some _ -> Alcotest.fail "finding run lost its crash"
+  | None -> Alcotest.fail "finding run missed");
+  Alcotest.(check string) "re-saved byte for byte" text (Prefix_cache.to_string c)
+
 (* ---- QCheck: the independence layer ---- *)
 
 let gen_decision =
@@ -596,6 +727,11 @@ let () =
              test_sidecar_label_guard;
            Alcotest.test_case "LRU recency and deepest prefix" `Quick
              test_lru_and_deepest_prefix;
+           Alcotest.test_case "sidecar round trip" `Quick test_sidecar_roundtrip;
+           Alcotest.test_case "sidecar skips malformed lines" `Quick
+             test_sidecar_skips_malformed_lines;
+           Alcotest.test_case "sidecar of the previous encoder" `Quick
+             test_sidecar_previous_format;
          ] );
        ( "independence-properties",
          [

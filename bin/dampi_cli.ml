@@ -11,95 +11,54 @@ open Cmdliner
 
 module Explorer = Dampi.Explorer
 module Report = Dampi.Report
-module State = Dampi.State
+module Registry = Workloads.Registry
 
-(* ---- workload registry ---- *)
+(* A usage-class failure: one line on stderr, exit 2. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
-type entry = {
-  key : string;
-  doc : string;
-  default_np : int;
-  build : unit -> Mpi.Mpi_intf.program;
-}
+let or_fail = function Ok v -> v | Error msg -> fail "%s" msg
 
-let skeleton_entry shape doc =
-  {
-    key = String.lowercase_ascii shape.Workloads.Skeleton.name;
-    doc;
-    default_np = 16;
-    build = (fun () -> Workloads.Skeleton.program shape);
-  }
+let find_workload workload =
+  match Registry.find workload with
+  | Some e -> e
+  | None -> fail "unknown workload %S" workload
 
-let registry =
-  [
-    {
-      key = "fig3";
-      doc = "paper Fig. 3: wildcard race, bug on the alternate match";
-      default_np = 3;
-      build = (fun () -> Workloads.Patterns.fig3);
-    };
-    {
-      key = "fig4";
-      doc = "paper Fig. 4: cross-coupled wildcards (Lamport imprecision)";
-      default_np = 4;
-      build = (fun () -> Workloads.Patterns.fig4);
-    };
-    {
-      key = "fig10";
-      doc = "paper Fig. 10: clock escape before wait (monitor alert)";
-      default_np = 3;
-      build = (fun () -> Workloads.Patterns.fig10);
-    };
-    {
-      key = "deadlock";
-      doc = "deterministic head-to-head deadlock";
-      default_np = 2;
-      build = (fun () -> Workloads.Patterns.head_to_head);
-    };
-    {
-      key = "matmult";
-      doc = "master/slave matrix multiplication (Figs. 6, 8)";
-      default_np = 5;
-      build =
-        (fun () ->
-          Workloads.Matmult.program
-            ~params:
-              { Workloads.Matmult.default_params with n = 8; rows_per_task = 2 }
-            ());
-    };
-    {
-      key = "samplesort";
-      doc = "parallel sample sort (deterministic collective pipeline)";
-      default_np = 6;
-      build = (fun () -> Workloads.Samplesort.program ());
-    };
-    {
-      key = "adlb";
-      doc = "mini-ADLB work-sharing library (Fig. 9)";
-      default_np = 6;
-      build = (fun () -> Workloads.Adlb.program ());
-    };
-    {
-      key = "parmetis";
-      doc = "ParMETIS-3.1 communication skeleton, 1% scale (Fig. 5, Tables I-II)";
-      default_np = 8;
-      build =
-        (fun () ->
-          Workloads.Parmetis.program
-            ~params:{ Workloads.Parmetis.default_params with scale = 0.01 }
-            ());
-    };
-  ]
-  @ List.map
-      (fun s -> skeleton_entry s ("NAS-PB skeleton " ^ s.Workloads.Skeleton.name))
-      Workloads.Nas.all
-  @ List.map
-      (fun s ->
-        skeleton_entry s ("SpecMPI skeleton " ^ s.Workloads.Skeleton.name))
-      Workloads.Specmpi.all
+let set_log_level level =
+  match Obs.Log.level_of_string level with
+  | Ok lvl -> Obs.Log.set_level lvl
+  | Error msg -> fail "bad --log-level: %s" msg
 
-let find_entry key =
-  List.find_opt (fun e -> String.equal e.key (String.lowercase_ascii key)) registry
+let parse_addr ?(what = "address") s =
+  match Dampi.Wire.addr_of_string s with
+  | Ok a -> a
+  | Error msg -> fail "bad %s %S: %s" what s msg
+
+let load_token file =
+  match Dampi.Wire.load_token file with
+  | Ok secret -> secret
+  | Error msg -> fail "cannot read --auth-token %s: %s" file msg
+
+(* Dial a listening address; a peer that never listened (wrong path, run
+   already over, DNS miss) is one readable line and exit 2, not a raw
+   backtrace. *)
+let dial ~peer connect =
+  let addr = parse_addr connect in
+  let sa =
+    try Dampi.Wire.sockaddr_of_addr addr
+    with Not_found | Failure _ | Unix.Unix_error _ ->
+      fail "cannot resolve %s: no such host or address" connect
+  in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sa
+   with Unix.Unix_error (e, _, _) ->
+     fail "cannot connect to %s: %s (is the %s running?)" connect
+       (Unix.error_message e) peer);
+  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
 let write_file path contents =
   let oc = open_out path in
@@ -119,136 +78,26 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
 
-(* ---- distributed mode: job parameters and the worker's resolve ----
+(* The --progress ticker of verify and submit: one stderr line, redrawn in
+   place, never mixed into the report on stdout. *)
+let draw_progress workload kvs =
+  let v k = Option.value (List.assoc_opt k kvs) ~default:"-" in
+  let cache =
+    match List.assoc_opt "cache.hits" kvs with
+    | Some h -> Printf.sprintf "  cache %s/%s" h (v "cache.misses")
+    | None -> ""
+  in
+  safe_eprintf "\r%-76s"
+    (Printf.sprintf
+       "%s: runs %s  %s replays/s  frontier %s  pruned %s  findings %s%s"
+       workload (v "runs") (v "replays_per_s") (v "frontier") (v "pruned")
+       (v "findings") cache)
 
-   A distributed verify ships its configuration to the workers as free-form
-   job parameters; each worker rebuilds the identical runner from its own
-   copy of the registry. Encoding and decoding live side by side so they
-   cannot drift. *)
+let log_level_flag doc =
+  Arg.(value & opt string "warn" & info [ "log-level" ] ~docv:"LEVEL" ~doc)
 
-let job_params ~clock_name ~mixing_bound ~dual ~prune ~profile ~replay_timeout
-    ~max_replay_steps ~max_retries ~retry_backoff ~fault_seed ~fault_spec
-    ~net_fault_seed ~net_fault_spec =
-  [
-    ("clock", clock_name);
-    ("dual", string_of_bool dual);
-    ("prune", string_of_bool prune);
-    ("profile", string_of_bool profile);
-    ("max-retries", string_of_int max_retries);
-    ("retry-backoff", string_of_float retry_backoff);
-  ]
-  @ (match mixing_bound with Some k -> [ ("k", string_of_int k) ] | None -> [])
-  @ (match replay_timeout with
-    | Some t -> [ ("replay-timeout", string_of_float t) ]
-    | None -> [])
-  @ (match max_replay_steps with
-    | Some n -> [ ("max-replay-steps", string_of_int n) ]
-    | None -> [])
-  @ (match fault_seed with
-    | Some s -> [ ("fault-seed", string_of_int s) ]
-    | None -> [])
-  @ (match fault_spec with Some s -> [ ("fault-spec", s) ] | None -> [])
-  @ (match net_fault_seed with
-    | Some s -> [ ("net-fault-seed", string_of_int s) ]
-    | None -> [])
-  @
-  match net_fault_spec with Some s -> [ ("net-fault-spec", s) ] | None -> []
-
-exception Bad_job of string
-
-let cli_resolve (job : Dampi.Wire.job) =
-  match find_entry job.Dampi.Wire.workload with
-  | None ->
-      Error (Printf.sprintf "unknown workload %S" job.Dampi.Wire.workload)
-  | Some entry -> (
-      try
-        let p key = List.assoc_opt key job.Dampi.Wire.params in
-        let int_p key =
-          Option.map
-            (fun v ->
-              try int_of_string v
-              with Failure _ ->
-                raise (Bad_job (Printf.sprintf "bad %s=%S" key v)))
-            (p key)
-        in
-        let float_p key =
-          Option.map
-            (fun v ->
-              try float_of_string v
-              with Failure _ ->
-                raise (Bad_job (Printf.sprintf "bad %s=%S" key v)))
-            (p key)
-        in
-        let clock =
-          match p "clock" with
-          | Some "vector" -> (module Clocks.Vector : Clocks.Clock_intf.S)
-          | Some "lamport" | None -> (module Clocks.Lamport)
-          | Some other ->
-              raise (Bad_job (Printf.sprintf "unknown clock %S" other))
-        in
-        let dual = p "dual" = Some "true" in
-        let state_config =
-          State.make_config ~clock ?mixing_bound:(int_p "k") ~dual_clock:dual
-            ()
-        in
-        let fault =
-          match (int_p "fault-seed", p "fault-spec") with
-          | None, None -> None
-          | seed, text -> (
-              match
-                Mpi.Fault.of_string ?seed (Option.value text ~default:"")
-              with
-              | Ok spec -> Some spec
-              | Error msg -> raise (Bad_job ("bad fault spec: " ^ msg)))
-        in
-        let net_fault =
-          match (int_p "net-fault-seed", p "net-fault-spec") with
-          | None, None -> None
-          | seed, text -> (
-              match
-                Mpi.Fault.Net.of_string ?seed (Option.value text ~default:"")
-              with
-              | Ok spec -> Some spec
-              | Error msg -> raise (Bad_job ("bad net-fault spec: " ^ msg)))
-        in
-        let d = Explorer.default_robustness in
-        let rb =
-          {
-            Explorer.replay_timeout = float_p "replay-timeout";
-            max_replay_steps = int_p "max-replay-steps";
-            max_retries =
-              Option.value (int_p "max-retries") ~default:d.Explorer.max_retries;
-            retry_backoff =
-              Option.value (float_p "retry-backoff")
-                ~default:d.Explorer.retry_backoff;
-            fault;
-            net_fault;
-            checkpoint = None;
-            interrupt_after = None;
-          }
-        in
-        let config =
-          {
-            Explorer.default_config with
-            state_config;
-            robustness = rb;
-            (* Rides in the job params so remote replays carry the same
-               profile.* histograms a local run would. *)
-            profile = p "profile" = Some "true";
-          }
-        in
-        Ok
-          {
-            Dampi.Remote_worker.np = job.Dampi.Wire.np;
-            runner =
-              Explorer.dampi_runner config ~np:job.Dampi.Wire.np
-                (entry.build ());
-            rb;
-            (* Must match the coordinator's setting so both sides suppress
-               identically — which is why it rides in the job params. *)
-            prune = p "prune" = Some "true";
-          }
-      with Bad_job msg -> Error msg)
+let auth_token_flag doc =
+  Arg.(value & opt (some string) None & info [ "auth-token" ] ~docv:"FILE" ~doc)
 
 (* Children spawned by [verify --distribute] exit on the coordinator's
    shutdown; reap them, escalating to SIGKILL only if one wedges. *)
@@ -283,7 +132,9 @@ let hist_count snap name =
 let list_cmd =
   let run () =
     Printf.printf "%-14s %s\n" "WORKLOAD" "DESCRIPTION";
-    List.iter (fun e -> Printf.printf "%-14s %s\n" e.key e.doc) registry
+    List.iter
+      (fun (e : Registry.entry) -> Printf.printf "%-14s %s\n" e.key e.doc)
+      Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List the bundled workloads.")
     Term.(const run $ const ())
@@ -346,421 +197,50 @@ let supervise_respawns ~budget =
   in
   go 0
 
-let verify_run workload np clock_name mixing_bound max_runs engine dual
-    no_prune prefix_cache stop_first quiet dump_schedule jobs distribute
-    workers trace_out metrics_out
-    (progress, profile, metrics_format, log_level)
-    (checkpoint_path, checkpoint_every, replay_timeout, max_replay_steps,
-     max_retries, retry_backoff, fault_seed, fault_spec, net_fault_seed,
-     net_fault_spec)
-    (auth_token, fallback_local, join_timeout, heartbeat_timeout, rejoin_grace,
-     coordinator_respawn) =
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be at least 1\n";
-    exit 2
-  end;
-  (match Obs.Log.level_of_string log_level with
-  | Ok lvl -> Obs.Log.set_level lvl
-  | Error msg ->
-      Printf.eprintf "bad --log-level: %s\n" msg;
-      exit 2);
-  (match metrics_format with
-  | "json" | "openmetrics" -> ()
-  | other ->
-      Printf.eprintf "unknown --metrics-format %S (json|openmetrics)\n" other;
-      exit 2);
-  (match prefix_cache with
-  | Some n when n <= 0 ->
-      Printf.eprintf "--prefix-cache needs a positive byte budget\n";
-      exit 2
-  | _ -> ());
-  if engine <> "dampi" && (no_prune || prefix_cache <> None) then begin
-    Printf.eprintf
-      "--no-prune and --prefix-cache only apply to the dampi engine (the \
-       isp baseline explores unpruned by construction)\n";
-    exit 2
-  end;
-  if engine <> "dampi" && (profile || progress) then begin
-    Printf.eprintf "--profile and --progress only apply to the dampi engine\n";
-    exit 2
-  end;
-  (* The CLI explores pruned by default: the differential harness proves
-     the canonical report equal, and the library default stays off. *)
-  let prune = engine = "dampi" && not no_prune in
-  (match distribute with
-  | Some n when n < 1 ->
-      Printf.eprintf "--distribute needs at least 1 worker\n";
-      exit 2
-  | _ -> ());
-  (match (distribute, workers) with
-  | Some _, Some _ ->
-      Printf.eprintf
-        "--distribute and --workers cannot be combined (spawn workers or \
-         dial already-running ones, not both)\n";
-      exit 2
-  | _ -> ());
-  let distributed = distribute <> None || workers <> None in
-  if distributed && jobs > 1 then begin
-    Printf.eprintf
-      "--jobs does not combine with a distributed run (worker processes \
-       replace the in-process pool)\n";
-    exit 2
-  end;
-  if distributed && stop_first then begin
-    Printf.eprintf "--stop-first is not supported in distributed mode\n";
-    exit 2
-  end;
-  if distributed && engine <> "dampi" then begin
-    Printf.eprintf "distributed mode supports only the dampi engine\n";
-    exit 2
-  end;
-  if fallback_local && not distributed then begin
-    Printf.eprintf "--fallback-local only applies to a distributed run\n";
-    exit 2
-  end;
-  (match auth_token with
-  | Some _ when not distributed ->
-      Printf.eprintf "--auth-token only applies to a distributed run\n";
-      exit 2
-  | _ -> ());
-  let auth =
-    match auth_token with
-    | None -> None
-    | Some file -> (
-        match Dampi.Wire.load_token file with
-        | Ok secret -> Some secret
-        | Error msg ->
-            Printf.eprintf "cannot read --auth-token %s: %s\n" file msg;
-            exit 2)
-  in
-  (match coordinator_respawn with
-  | Some n ->
-      if checkpoint_path = None then begin
-        Printf.eprintf
-          "--coordinator-respawn requires --checkpoint (a respawned \
-           coordinator resumes from it)\n";
-        exit 2
-      end;
-      if n < 1 then begin
-        Printf.eprintf "--coordinator-respawn needs at least 1 restart\n";
-        exit 2
-      end;
-      supervise_respawns ~budget:n
-  | None -> ());
-  let worker_addrs =
-    match workers with
-    | None -> []
-    | Some addrs ->
-        List.map
-          (fun a ->
-            match Dampi.Wire.addr_of_string a with
-            | Ok addr -> addr
-            | Error msg ->
-                Printf.eprintf "bad worker address %S: %s\n" a msg;
-                exit 2)
-          addrs
-  in
-  match find_entry workload with
-  | None ->
-      Printf.eprintf
-        "unknown workload %S (try `dampi list` for the available ones)\n"
-        workload;
-      exit 2
-  | Some entry ->
-      let np = match np with Some np -> np | None -> entry.default_np in
-      let clock =
-        match clock_name with
-        | "lamport" -> (module Clocks.Lamport : Clocks.Clock_intf.S)
-        | "vector" -> (module Clocks.Vector : Clocks.Clock_intf.S)
-        | other ->
-            Printf.eprintf "unknown clock %S (lamport|vector)\n" other;
-            exit 2
-      in
-      let state_config =
-        State.make_config ~clock ?mixing_bound ~dual_clock:dual ()
-      in
-      let fault =
-        match (fault_seed, fault_spec) with
-        | None, None -> None
-        | seed, text -> (
-            match
-              Mpi.Fault.of_string ?seed (Option.value text ~default:"")
-            with
-            | Ok spec -> Some spec
-            | Error msg ->
-                Printf.eprintf "bad fault spec: %s\n" msg;
-                exit 2)
-      in
-      let net_fault =
-        match (net_fault_seed, net_fault_spec) with
-        | None, None -> None
-        | seed, text -> (
-            match
-              Mpi.Fault.Net.of_string ?seed (Option.value text ~default:"")
-            with
-            | Ok spec -> Some spec
-            | Error msg ->
-                Printf.eprintf "bad net-fault spec: %s\n" msg;
-                exit 2)
-      in
-      (* The label pins everything that shapes the exploration; resuming
-         under a different configuration would silently diverge, so it is
-         rejected instead. *)
-      (* prune is pinned too: a pruned frontier's sleep sets are only
-         meaningful to a resume that prunes the same way. *)
-      let label =
-        Printf.sprintf "%s %s np=%d clock=%s k=%d dual=%b prune=%b" engine
-          entry.key np clock_name
-          (Option.value mixing_bound ~default:(-1))
-          dual prune
-      in
-      let resume =
-        match checkpoint_path with
-        | Some path when Sys.file_exists path -> (
-            match Dampi.Checkpoint.load path with
-            | Error msg ->
-                Printf.eprintf "cannot resume from %s: %s\n" path msg;
-                exit 2
-            | Ok c ->
-                if c.Dampi.Checkpoint.label <> label then begin
-                  Printf.eprintf
-                    "cannot resume from %s: it belongs to a different \
-                     configuration (%s, this run is %s)\n"
-                    path c.Dampi.Checkpoint.label label;
-                  exit 2
-                end;
-                if c.Dampi.Checkpoint.np <> np then begin
-                  Printf.eprintf
-                    "cannot resume from %s: np mismatch (checkpoint %d, this \
-                     run %d)\n"
-                    path c.Dampi.Checkpoint.np np;
-                  exit 2
-                end;
-                Printf.printf
-                  "resuming from %s: %d interleavings already explored, %d \
-                   frontier item(s)\n"
-                  path c.Dampi.Checkpoint.runs
-                  (List.length c.Dampi.Checkpoint.frontier);
-                Some c)
-        | _ -> None
-      in
-      let robustness =
-        {
-          Explorer.replay_timeout;
-          max_replay_steps;
-          max_retries;
-          retry_backoff;
-          fault;
-          net_fault;
-          checkpoint =
-            Option.map
-              (fun path -> { Explorer.path; every = checkpoint_every; label })
-              checkpoint_path;
-          interrupt_after = None;
-        }
-      in
-      let program = entry.build () in
-      let trace = trace_out <> None in
-      (* The --progress ticker: one stderr line, redrawn in place (~2 Hz,
-         throttled by the explorer), never mixed into the report on
-         stdout. *)
-      let progress_cb =
-        if not progress then None
-        else begin
-          (* a vanished ticker consumer must surface as Sys_error (ignored
-             by safe_eprintf), not as a fatal SIGPIPE *)
-          ignore_sigpipe ();
-          Some
-            (fun kvs ->
-              let v k = Option.value (List.assoc_opt k kvs) ~default:"-" in
-              let cache =
-                match List.assoc_opt "cache.hits" kvs with
-                | Some h -> Printf.sprintf "  cache %s/%s" h (v "cache.misses")
-                | None -> ""
-              in
-              safe_eprintf "\r%-76s"
-                (Printf.sprintf
-                   "%s: runs %s  %s replays/s  frontier %s  pruned %s  \
-                    findings %s%s"
-                   entry.key (v "runs") (v "replays_per_s") (v "frontier")
-                   (v "pruned") (v "findings") cache))
-        end
-      in
-      let children = ref [] in
-      let distribute_setup =
-        if not distributed then None
-        else begin
-          let job =
-            {
-              Dampi.Wire.workload = entry.key;
-              np;
-              params =
-                job_params ~clock_name ~mixing_bound ~dual ~prune ~profile
-                  ~replay_timeout ~max_replay_steps ~max_retries
-                  ~retry_backoff ~fault_seed ~fault_spec ~net_fault_seed
-                  ~net_fault_spec;
-            }
-          in
-          let attach =
-            match distribute with
-            | Some n ->
-                (* Coordinator binds an ephemeral unix socket; [ready]
-                   fires once it is listening, so the spawned children
-                   never race the bind. *)
-                let path = Filename.temp_file "dampi-coord" ".sock" in
-                let ready addr =
-                  let connect = Dampi.Wire.addr_to_string addr in
-                  let argv =
-                    [ "dampi"; "worker"; "--connect"; connect ]
-                    @ (match auth_token with
-                      | Some file -> [ "--auth-token"; file ]
-                      | None -> [])
-                  in
-                  for _ = 1 to n do
-                    children :=
-                      Unix.create_process Sys.executable_name
-                        (Array.of_list argv) Unix.stdin Unix.stdout Unix.stderr
-                      :: !children
-                  done
-                in
-                Dampi.Coordinator.Listen
-                  { addr = Dampi.Wire.Unix_sock path; ready }
-            | None -> Dampi.Coordinator.Dial worker_addrs
-          in
-          Some
-            {
-              Dampi.Coordinator.attach;
-              job;
-              lease_size = Dampi.Coordinator.default_lease_size;
-              heartbeat_timeout;
-              join_timeout;
-              rejoin_grace;
-              auth;
-              net_fault;
-              outq_budget = Dampi.Coordinator.default_outq_budget;
-            }
-        end
-      in
-      let report =
-        match engine with
-        | "dampi" ->
-            let r =
-              Explorer.verify
-                ~config:
-                  {
-                    Explorer.default_config with
-                    state_config;
-                    max_runs;
-                    stop_on_first_error = stop_first;
-                    jobs;
-                    trace;
-                    prune;
-                    prefix_cache;
-                    profile;
-                    progress = progress_cb;
-                    robustness;
-                  }
-                ?resume ?distribute:distribute_setup ~fallback_local ~np
-                program
-            in
-            reap_children !children;
-            (* leave the redrawn ticker line behind before the report *)
-            if progress then safe_eprintf "\n";
-            r
-        | "isp" ->
-            Isp.Engine.verify
-              ~config:
-                {
-                  Isp.Engine.default_config with
-                  state_config;
-                  max_runs;
-                  jobs;
-                  trace;
-                  robustness;
-                }
-              ?resume ~np program
-        | other ->
-            Printf.eprintf "unknown engine %S (dampi|isp)\n" other;
-            exit 2
-      in
-      if quiet then
-        Printf.printf "%s np=%d: %d interleavings, %d findings\n" entry.key np
-          report.Report.interleavings
-          (List.length report.Report.findings)
-      else Format.printf "%a@." Report.pp report;
-      (match trace_out with
-      | Some path ->
-          write_file path (Report.trace_json report);
-          Printf.printf "trace written to %s\n" path
-      | None -> ());
-      (match metrics_out with
-      | Some path ->
-          let body =
-            if metrics_format = "openmetrics" then
-              Report.metrics_openmetrics report
-            else Report.metrics_json report
-          in
-          write_file path body;
-          Printf.printf "metrics written to %s\n" path
-      | None -> ());
-      (match (dump_schedule, report.Report.findings) with
-      | Some path, f :: _ ->
-          Dampi.Decisions.save
-            (Dampi.Decisions.of_decisions ~np f.Report.schedule)
-            path;
-          Printf.printf "schedule of the first finding written to %s\n" path
-      | Some path, [] ->
-          Printf.printf "no findings; nothing written to %s\n" path
-      | None, _ -> ());
-      (match (report.Report.interrupted, checkpoint_path) with
-      | true, Some path ->
-          Printf.printf
-            "interrupted; frontier checkpointed to %s (rerun with the same \
-             --checkpoint to resume)\n"
-            path;
-          exit 3
-      | true, None -> exit 3
-      | false, _ -> ());
-      if Report.has_errors report then exit 1
+(* ---- the job flags, shared by verify and submit ---- *)
 
-let verify_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to verify (see $(b,list)).")
-  in
-  let np =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
-  in
+let workload_arg doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
+
+let np_flag =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
+
+let mixing_flag =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "k"; "mixing-bound" ] ~docv:"K"
+        ~doc:"Bounded-mixing window (default: unbounded).")
+
+let max_runs_flag =
+  Arg.(
+    value
+    & opt int Job.defaults.max_runs
+    & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget.")
+
+let job_term =
+  let d = Job.defaults in
   let clock =
     Arg.(
-      value & opt string "lamport"
-      & info [ "clock" ] ~docv:"CLOCK"
-          ~doc:"Clock algebra: $(b,lamport) (scalable) or $(b,vector) (precise).")
-  in
-  let mixing =
-    Arg.(
       value
-      & opt (some int) None
-      & info [ "k"; "mixing-bound" ] ~docv:"K"
-          ~doc:"Bounded-mixing window (default: unbounded).")
-  in
-  let max_runs =
-    Arg.(
-      value & opt int 100_000
-      & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget.")
+      & opt (some string) None
+      & info [ "clock" ] ~docv:"CLOCK"
+          ~doc:
+            "Clock algebra: $(b,lamport) (scalable, the default) or \
+             $(b,vector) (precise).")
   in
   let engine =
     Arg.(
-      value & opt string "dampi"
+      value
+      & opt (some string) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Verification engine: $(b,dampi) (decentralized) or $(b,isp) \
-             (centralized baseline; same coverage, different virtual cost).")
+            "Verification engine: $(b,dampi) (decentralized, the default) or \
+             $(b,isp) (centralized baseline; same coverage, different \
+             virtual cost).")
   in
   let dual =
     Arg.(
@@ -794,7 +274,9 @@ let verify_cmd =
              bare). Re-discovered schedules — chiefly the expand-only \
              re-runs of a $(b,--checkpoint) resume, warmed from the \
              checkpoint's $(b,.cache) sidecar — then skip execution \
-             entirely; replay determinism keeps the report identical.")
+             entirely; replay determinism keeps the report identical. A \
+             submitted job's sidecar lives in the daemon's state dir, so a \
+             repeat submission of the same configuration starts warm.")
   in
   let stop_first =
     Arg.(
@@ -805,83 +287,25 @@ let verify_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"One-line summary only.")
   in
-  let dump_schedule =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dump-schedule" ] ~docv:"FILE"
-          ~doc:
-            "Write the first finding's reproduction schedule (an \
-             Epoch-Decisions file) to $(docv); replay it with $(b,replay).")
-  in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt int d.jobs
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains exploring interleavings in parallel (guided \
              replays are independent re-executions, so any $(docv) finds \
              the same interleavings and findings on an exhaustive search).")
   in
-  let distribute =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "distribute" ] ~docv:"N"
-          ~doc:
-            "Distributed exploration: spawn $(docv) local worker processes \
-             ($(b,dampi worker --connect)) over an ephemeral unix socket \
-             and lease them the frontier. The canonical report of an \
-             exhaustive run is identical to a single-process one.")
-  in
-  let workers =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "workers" ] ~docv:"ADDR,..."
-          ~doc:
-            "Distributed exploration against already-running workers \
-             ($(b,dampi worker --listen ADDR)): comma-separated \
-             $(b,unix:PATH) or $(b,tcp:HOST:PORT) addresses the \
-             coordinator dials.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Collect a span timeline of the exploration and write it as \
-             Chrome trace_event JSON to $(docv) (open in ui.perfetto.dev).")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the run's metrics (merged and per-worker-shard) as JSON \
-             to $(docv).")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Checkpoint the exploration frontier to $(docv) (atomically, \
-             periodically and on SIGINT/SIGTERM). If $(docv) already exists, \
-             resume from it: the resumed exploration reaches the same \
-             canonical report as an uninterrupted one. Exits 3 when \
-             interrupted.")
-  in
   let checkpoint_every =
     Arg.(
-      value & opt int 25
+      value & opt int d.checkpoint_every
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
             "Completed replays between periodic checkpoint writes (0 writes \
-             only on interrupt and completion).")
+             only on interrupt and completion). The serve daemon always \
+             checkpoints its jobs, and a drain flushes the frontier \
+             regardless, so there the cadence only bounds what a hard kill \
+             can lose.")
   in
   let replay_timeout =
     Arg.(
@@ -904,7 +328,7 @@ let verify_cmd =
   in
   let max_retries =
     Arg.(
-      value & opt int 2
+      value & opt int d.max_retries
       & info [ "max-retries" ] ~docv:"N"
           ~doc:
             "Retries per replay after a timeout or an injected transient \
@@ -912,7 +336,7 @@ let verify_cmd =
   in
   let retry_backoff =
     Arg.(
-      value & opt float 0.0
+      value & opt float d.retry_backoff
       & info [ "retry-backoff" ] ~docv:"SECONDS"
           ~doc:
             "Base of the capped exponential backoff between retry attempts \
@@ -966,22 +390,268 @@ let verify_cmd =
              $(b,--heartbeat-timeout) low enough that recovery beats your \
              patience.")
   in
-  let robustness_opts =
-    Term.(
-      const (fun a b c d e f g h i j -> (a, b, c, d, e, f, g, h, i, j))
-      $ checkpoint $ checkpoint_every $ replay_timeout $ max_replay_steps
-      $ max_retries $ retry_backoff $ fault_seed $ fault_spec $ net_fault_seed
-      $ net_fault_spec)
+  let build workload np engine clock k dual no_prune prefix_cache max_runs
+      jobs stop_first quiet checkpoint_every replay_timeout max_replay_steps
+      max_retries retry_backoff fault_seed fault_spec net_fault_seed
+      net_fault_spec =
+    let ( let* ) = Result.bind in
+    let parse of_string = function
+      | None -> Ok None
+      | Some s -> Result.map Option.some (of_string s)
+    in
+    let* d = Job.default workload in
+    let* engine = parse Job.engine_of_string engine in
+    let* clock = parse Job.clock_of_string clock in
+    Job.check
+      {
+        d with
+        np = Option.value np ~default:d.np;
+        engine = Option.value engine ~default:d.engine;
+        clock = Option.value clock ~default:d.clock;
+        k;
+        dual;
+        prune = not no_prune;
+        prefix_cache;
+        max_runs;
+        jobs;
+        stop_first;
+        quiet;
+        checkpoint_every;
+        replay_timeout;
+        max_replay_steps;
+        max_retries;
+        retry_backoff;
+        fault_seed;
+        fault_spec;
+        net_fault_seed;
+        net_fault_spec;
+      }
+  in
+  Term.(
+    const build
+    $ workload_arg "Workload to verify (see $(b,list))."
+    $ np_flag $ engine $ clock $ mixing_flag $ dual $ no_prune $ prefix_cache
+    $ max_runs_flag $ jobs $ stop_first $ quiet $ checkpoint_every
+    $ replay_timeout $ max_replay_steps $ max_retries $ retry_backoff
+    $ fault_seed $ fault_spec $ net_fault_seed $ net_fault_spec)
+
+let progress_flag doc = Arg.(value & flag & info [ "progress" ] ~doc)
+
+let verify_run job profile progress dump_schedule distribute workers trace_out
+    metrics_out metrics_format log_level checkpoint auth_token fallback_local
+    join_timeout heartbeat_timeout rejoin_grace coordinator_respawn =
+  let job = { (or_fail job) with Job.profile } in
+  set_log_level log_level;
+  (match metrics_format with
+  | "json" | "openmetrics" -> ()
+  | other -> fail "unknown --metrics-format %S (json|openmetrics)" other);
+  if job.engine = Job.Isp && (profile || progress) then
+    fail "--profile and --progress only apply to the dampi engine";
+  (match distribute with
+  | Some n when n < 1 -> fail "--distribute needs at least 1 worker"
+  | _ -> ());
+  if distribute <> None && workers <> None then
+    fail
+      "--distribute and --workers cannot be combined (spawn workers or dial \
+       already-running ones, not both)";
+  let distributed = distribute <> None || workers <> None in
+  if distributed && job.jobs > 1 then
+    fail
+      "--jobs does not combine with a distributed run (worker processes \
+       replace the in-process pool)";
+  if distributed && job.stop_first then
+    fail "--stop-first is not supported in distributed mode";
+  if distributed && job.engine <> Job.Dampi then
+    fail "distributed mode supports only the dampi engine";
+  if fallback_local && not distributed then
+    fail "--fallback-local only applies to a distributed run";
+  if auth_token <> None && not distributed then
+    fail "--auth-token only applies to a distributed run";
+  let auth = Option.map load_token auth_token in
+  (match coordinator_respawn with
+  | Some n ->
+      if checkpoint = None then
+        fail
+          "--coordinator-respawn requires --checkpoint (a respawned \
+           coordinator resumes from it)";
+      if n < 1 then fail "--coordinator-respawn needs at least 1 restart";
+      supervise_respawns ~budget:n
+  | None -> ());
+  let worker_addrs =
+    List.map (parse_addr ~what:"worker address") (Option.value workers ~default:[])
+  in
+  let resume =
+    Option.bind checkpoint (fun path ->
+        Option.map
+          (fun (c : Dampi.Checkpoint.t) ->
+            Printf.printf
+              "resuming from %s: %d interleavings already explored, %d \
+               frontier item(s)\n"
+              path c.runs (List.length c.frontier);
+            c)
+          (or_fail (Job.resume job path)))
+  in
+  let progress_cb =
+    if not progress then None
+    else begin
+      (* a vanished ticker consumer must surface as Sys_error (ignored by
+         safe_eprintf), not as a fatal SIGPIPE *)
+      ignore_sigpipe ();
+      Some (draw_progress job.workload)
+    end
+  in
+  let children = ref [] in
+  let distribute_setup =
+    if not distributed then None
+    else begin
+      let attach =
+        match distribute with
+        | Some n ->
+            (* Coordinator binds an ephemeral unix socket; [ready] fires
+               once it is listening, so the spawned children never race the
+               bind. *)
+            let path = Filename.temp_file "dampi-coord" ".sock" in
+            let ready addr =
+              let connect = Dampi.Wire.addr_to_string addr in
+              let argv =
+                [ "dampi"; "worker"; "--connect"; connect ]
+                @
+                match auth_token with
+                | Some file -> [ "--auth-token"; file ]
+                | None -> []
+              in
+              for _ = 1 to n do
+                children :=
+                  Unix.create_process Sys.executable_name (Array.of_list argv)
+                    Unix.stdin Unix.stdout Unix.stderr
+                  :: !children
+              done
+            in
+            Dampi.Coordinator.Listen { addr = Dampi.Wire.Unix_sock path; ready }
+        | None -> Dampi.Coordinator.Dial worker_addrs
+      in
+      Some
+        {
+          Dampi.Coordinator.attach;
+          job = Job.to_wire job;
+          lease_size = Dampi.Coordinator.default_lease_size;
+          heartbeat_timeout;
+          join_timeout;
+          rejoin_grace;
+          auth;
+          net_fault = (Job.to_config job).robustness.net_fault;
+          outq_budget = Dampi.Coordinator.default_outq_budget;
+        }
+    end
+  in
+  let report, text =
+    Job.run ?progress:progress_cb ~trace:(trace_out <> None) ?checkpoint
+      ?resume ?distribute:distribute_setup ~fallback_local job
+  in
+  reap_children !children;
+  (* leave the redrawn ticker line behind before the report *)
+  if progress then safe_eprintf "\n";
+  print_string text;
+  (match trace_out with
+  | Some path ->
+      write_file path (Report.trace_json report);
+      Printf.printf "trace written to %s\n" path
+  | None -> ());
+  (match metrics_out with
+  | Some path ->
+      let body =
+        if metrics_format = "openmetrics" then Report.metrics_openmetrics report
+        else Report.metrics_json report
+      in
+      write_file path body;
+      Printf.printf "metrics written to %s\n" path
+  | None -> ());
+  (match (dump_schedule, report.Report.findings) with
+  | Some path, f :: _ ->
+      Dampi.Decisions.save
+        (Dampi.Decisions.of_decisions ~np:job.np f.Report.schedule)
+        path;
+      Printf.printf "schedule of the first finding written to %s\n" path
+  | Some path, [] -> Printf.printf "no findings; nothing written to %s\n" path
+  | None, _ -> ());
+  (match (report.Report.interrupted, checkpoint) with
+  | true, Some path ->
+      Printf.printf
+        "interrupted; frontier checkpointed to %s (rerun with the same \
+         --checkpoint to resume)\n"
+        path;
+      exit 3
+  | true, None -> exit 3
+  | false, _ -> ());
+  if Report.has_errors report then exit 1
+
+let verify_cmd =
+  let dump_schedule =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "dump-schedule" ] ~docv:"FILE"
+          ~doc:
+            "Write the first finding's reproduction schedule (an \
+             Epoch-Decisions file) to $(docv); replay it with $(b,replay).")
+  in
+  let distribute =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "distribute" ] ~docv:"N"
+          ~doc:
+            "Distributed exploration: spawn $(docv) local worker processes \
+             ($(b,dampi worker --connect)) over an ephemeral unix socket \
+             and lease them the frontier. The canonical report of an \
+             exhaustive run is identical to a single-process one.")
+  in
+  let workers =
+    Arg.(
+      value
+      & opt (some (list string)) None
+      & info [ "workers" ] ~docv:"ADDR,..."
+          ~doc:
+            "Distributed exploration against already-running workers \
+             ($(b,dampi worker --listen ADDR)): comma-separated \
+             $(b,unix:PATH) or $(b,tcp:HOST:PORT) addresses the \
+             coordinator dials.")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Collect a span timeline of the exploration and write it as \
+             Chrome trace_event JSON to $(docv) (open in ui.perfetto.dev).")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the run's metrics (merged and per-worker-shard) as JSON \
+             to $(docv).")
+  in
+  let checkpoint =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ] ~docv:"FILE"
+          ~doc:
+            "Checkpoint the exploration frontier to $(docv) (atomically, \
+             periodically and on SIGINT/SIGTERM). If $(docv) already exists, \
+             resume from it: the resumed exploration reaches the same \
+             canonical report as an uninterrupted one. Exits 3 when \
+             interrupted.")
   in
   let progress =
-    Arg.(
-      value & flag
-      & info [ "progress" ]
-          ~doc:
-            "Stream a live one-line progress ticker to stderr (runs, \
-             replays/s, frontier depth, pruned, findings; redrawn in place \
-             about twice a second). The canonical report on stdout is \
-             unchanged.")
+    progress_flag
+      "Stream a live one-line progress ticker to stderr (runs, replays/s, \
+       frontier depth, pruned, findings, cache hits/misses; redrawn in place \
+       about twice a second). The canonical report on stdout is unchanged."
   in
   let profile =
     Arg.(
@@ -1005,32 +675,19 @@ let verify_cmd =
              histogram).")
   in
   let log_level =
-    Arg.(
-      value & opt string "warn"
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:
-            "Structured-log verbosity on stderr: $(b,quiet), $(b,error), \
-             $(b,warn) (default), $(b,info) or $(b,debug). The default keeps \
-             today's loud behaviour for operational warnings (worker loss, \
-             fallback).")
-  in
-  let observability_opts =
-    Term.(
-      const (fun a b c d -> (a, b, c, d))
-      $ progress $ profile $ metrics_format $ log_level)
+    log_level_flag
+      "Structured-log verbosity on stderr: $(b,quiet), $(b,error), \
+       $(b,warn) (default), $(b,info) or $(b,debug). The default keeps \
+       today's loud behaviour for operational warnings (worker loss, \
+       fallback)."
   in
   let auth_token =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "auth-token" ] ~docv:"FILE"
-          ~doc:
-            "Require workers to authenticate: $(docv) holds a shared secret \
-             (trailing whitespace trimmed), and every joining worker must \
-             answer an HMAC challenge over it before receiving work. Pass \
-             the same file to $(b,dampi worker); mismatches are refused with \
-             a one-line reject. Spawned $(b,--distribute) workers inherit \
-             the flag automatically.")
+    auth_token_flag
+      "Require workers to authenticate: $(docv) holds a shared secret \
+       (trailing whitespace trimmed), and every joining worker must answer \
+       an HMAC challenge over it before receiving work. Pass the same file \
+       to $(b,dampi worker); mismatches are refused with a one-line reject. \
+       Spawned $(b,--distribute) workers inherit the flag automatically."
   in
   let fallback_local =
     Arg.(
@@ -1086,12 +743,6 @@ let verify_cmd =
              $(b,--listen) workers redial and rejoin the restarted \
              coordinator.")
   in
-  let distributed_opts =
-    Term.(
-      const (fun a b c d e f -> (a, b, c, d, e, f))
-      $ auth_token $ fallback_local $ join_timeout $ heartbeat_timeout
-      $ rejoin_grace $ coordinator_respawn)
-  in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
@@ -1099,45 +750,24 @@ let verify_cmd =
           matches. Exits 1 if errors were found, 3 if interrupted (after \
           checkpointing the frontier when $(b,--checkpoint) is set).")
     Term.(
-      const verify_run $ workload $ np $ clock $ mixing $ max_runs $ engine
-      $ dual $ no_prune $ prefix_cache $ stop_first $ quiet $ dump_schedule
-      $ jobs $ distribute $ workers $ trace_out $ metrics_out
-      $ observability_opts $ robustness_opts $ distributed_opts)
+      const verify_run $ job_term $ profile $ progress $ dump_schedule
+      $ distribute $ workers $ trace_out $ metrics_out $ metrics_format
+      $ log_level $ checkpoint $ auth_token $ fallback_local $ join_timeout
+      $ heartbeat_timeout $ rejoin_grace $ coordinator_respawn)
 
 (* ---- worker command ---- *)
 
 let worker_run connect listen auth_token max_redials redial_backoff
     metrics_out trace_out log_level =
-  (match Obs.Log.level_of_string log_level with
-  | Ok lvl -> Obs.Log.set_level lvl
-  | Error msg ->
-      Printf.eprintf "bad --log-level: %s\n" msg;
-      exit 2);
-  let parse s =
-    match Dampi.Wire.addr_of_string s with
-    | Ok a -> a
-    | Error msg ->
-        Printf.eprintf "bad address %S: %s\n" s msg;
-        exit 2
-  in
+  set_log_level log_level;
   let mode =
     match (connect, listen) with
-    | Some c, None -> `Connect (parse c)
-    | None, Some l -> `Listen (parse l)
+    | Some c, None -> `Connect (parse_addr c)
+    | None, Some l -> `Listen (parse_addr l)
     | Some _, Some _ | None, None ->
-        Printf.eprintf "worker needs exactly one of --connect or --listen\n";
-        exit 2
+        fail "worker needs exactly one of --connect or --listen"
   in
-  let auth =
-    match auth_token with
-    | None -> None
-    | Some file -> (
-        match Dampi.Wire.load_token file with
-        | Ok secret -> Some secret
-        | Error msg ->
-            Printf.eprintf "cannot read --auth-token %s: %s\n" file msg;
-            exit 2)
-  in
+  let auth = Option.map load_token auth_token in
   let reconnect =
     {
       Dampi.Remote_worker.default_reconnect with
@@ -1154,20 +784,17 @@ let worker_run connect listen auth_token max_redials redial_backoff
     if trace_out = None then None else Some (Obs.Trace.create ~shards:1 ())
   in
   let resolve job =
-    match cli_resolve job with
-    | Error _ as e -> e
-    | Ok resolved -> (
-        match tracer with
-        | None -> Ok resolved
-        | Some t ->
-            let sink = Obs.Trace.sink t 0 in
-            let inner = resolved.Dampi.Remote_worker.runner in
-            let runner ~ctx plan ~fork_index =
-              Obs.Trace.with_span sink "replay"
-                ~args:[ ("fork", Obs.Trace.Int fork_index) ]
-                (fun () -> inner ~ctx plan ~fork_index)
-            in
-            Ok { resolved with Dampi.Remote_worker.runner })
+    match (Job.resolve job, tracer) with
+    | (Error _ as e), _ | (Ok _ as e), None -> e
+    | Ok resolved, Some t ->
+        let sink = Obs.Trace.sink t 0 in
+        let inner = resolved.Dampi.Remote_worker.runner in
+        let runner ~ctx plan ~fork_index =
+          Obs.Trace.with_span sink "replay"
+            ~args:[ ("fork", Obs.Trace.Int fork_index) ]
+            (fun () -> inner ~ctx plan ~fork_index)
+        in
+        Ok { resolved with Dampi.Remote_worker.runner }
   in
   (* Written on every exit path — a worker that lost its coordinator still
      leaves its metrics behind. *)
@@ -1212,13 +839,9 @@ let worker_cmd =
              complete or on SIGTERM.")
   in
   let auth_token =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "auth-token" ] ~docv:"FILE"
-          ~doc:
-            "Shared-secret file matching the coordinator's \
-             $(b,--auth-token); used to answer its HMAC challenge on join.")
+    auth_token_flag
+      "Shared-secret file matching the coordinator's $(b,--auth-token); \
+       used to answer its HMAC challenge on join."
   in
   let max_redials =
     Arg.(
@@ -1260,12 +883,9 @@ let worker_cmd =
              ui.perfetto.dev).")
   in
   let log_level =
-    Arg.(
-      value & opt string "warn"
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:
-            "Structured-log verbosity on stderr: $(b,quiet), $(b,error), \
-             $(b,warn) (default), $(b,info) or $(b,debug).")
+    log_level_flag
+      "Structured-log verbosity on stderr: $(b,quiet), $(b,error), \
+       $(b,warn) (default), $(b,info) or $(b,debug)."
   in
   Cmd.v
     (Cmd.info "worker"
@@ -1285,39 +905,8 @@ let worker_cmd =
    coordinator-side, so attaching and detaching cannot perturb the
    exploration or its canonical report. *)
 let top_run connect auth_token once =
-  let addr =
-    match Dampi.Wire.addr_of_string connect with
-    | Ok a -> a
-    | Error msg ->
-        Printf.eprintf "bad address %S: %s\n" connect msg;
-        exit 2
-  in
-  let secret =
-    match auth_token with
-    | None -> ""
-    | Some file -> (
-        match Dampi.Wire.load_token file with
-        | Ok s -> s
-        | Error msg ->
-            Printf.eprintf "cannot read --auth-token %s: %s\n" file msg;
-            exit 2)
-  in
-  (* A coordinator that never listened (wrong path, run already over, DNS
-     miss) must be one readable line and exit 2, not a raw backtrace. *)
-  let sa =
-    try Dampi.Wire.sockaddr_of_addr addr
-    with Not_found | Failure _ | Unix.Unix_error _ ->
-      Printf.eprintf "cannot resolve %s: no such host or address\n" connect;
-      exit 2
-  in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd sa
-   with Unix.Unix_error (e, _, _) ->
-     Printf.eprintf "cannot connect to %s: %s (is the coordinator running?)\n"
-       connect (Unix.error_message e);
-     exit 2);
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+  let secret = Option.fold ~none:"" ~some:load_token auth_token in
+  let ic, oc = dial ~peer:"coordinator" connect in
   let session = Printf.sprintf "top-%d" (Unix.getpid ()) in
   Dampi.Wire.write_to_coord oc
     (Dampi.Wire.Hello
@@ -1399,13 +988,9 @@ let top_cmd =
              listens on.")
   in
   let auth_token =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "auth-token" ] ~docv:"FILE"
-          ~doc:
-            "Shared-secret file matching the coordinator's \
-             $(b,--auth-token), used to answer its HMAC challenge.")
+    auth_token_flag
+      "Shared-secret file matching the coordinator's $(b,--auth-token), \
+       used to answer its HMAC challenge."
   in
   let once =
     Arg.(
@@ -1428,56 +1013,50 @@ let top_cmd =
 (* ---- replay command ---- *)
 
 let replay_run workload np file trace_out metrics_out =
-  match find_entry workload with
-  | None ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 2
-  | Some entry -> (
-      match Dampi.Decisions.load file with
-      | Error msg ->
-          Printf.eprintf "cannot load %s: %s\n" file msg;
-          exit 2
-      | Ok plan ->
-          let np =
-            match np with
-            | Some np -> np
-            | None -> Array.length plan.Dampi.Decisions.guided_epoch
-          in
-          Format.printf "replaying %d forced decision(s):@.%a@.@."
-            (Dampi.Decisions.length plan)
-            Dampi.Decisions.pp plan;
-          let registry = Obs.Metrics.create ~shards:1 () in
-          let tracer = Obs.Trace.create ~shards:1 () in
-          let sink = Obs.Trace.sink tracer 0 in
-          let record =
-            Obs.Trace.with_span sink "replay"
-              ~args:
-                [ ("workload", Obs.Trace.Str entry.key);
-                  ("np", Obs.Trace.Int np) ]
-              (fun () ->
-                Explorer.replay ~config:Explorer.default_config
-                  ~metrics:(Obs.Metrics.shard registry 0)
-                  ~np (entry.build ()) plan)
-          in
-          (match record.Report.outcome with
-          | Sim.Coroutine.All_finished ->
-              print_endline "run finished without deadlock or crash"
-          | Sim.Coroutine.Deadlock _ -> print_endline "run deadlocked"
-          | Sim.Coroutine.Crashed _ -> print_endline "run crashed");
-          List.iter
-            (fun e -> Format.printf "  %a@." Report.pp_error e)
-            record.Report.run_errors;
-          (match trace_out with
-          | Some path ->
-              write_file path (Obs.Trace.to_chrome (Obs.Trace.events tracer));
-              Printf.printf "trace written to %s\n" path
-          | None -> ());
-          (match metrics_out with
-          | Some path ->
-              write_file path
-                (Obs.Metrics.to_json (Obs.Metrics.snapshot registry));
-              Printf.printf "metrics written to %s\n" path
-          | None -> ()))
+  let entry = find_workload workload in
+  match Dampi.Decisions.load file with
+  | Error msg -> fail "cannot load %s: %s" file msg
+  | Ok plan ->
+    let np =
+      match np with
+      | Some np -> np
+      | None -> Array.length plan.Dampi.Decisions.guided_epoch
+    in
+    Format.printf "replaying %d forced decision(s):@.%a@.@."
+      (Dampi.Decisions.length plan)
+      Dampi.Decisions.pp plan;
+    let registry = Obs.Metrics.create ~shards:1 () in
+    let tracer = Obs.Trace.create ~shards:1 () in
+    let sink = Obs.Trace.sink tracer 0 in
+    let record =
+      Obs.Trace.with_span sink "replay"
+        ~args:
+          [ ("workload", Obs.Trace.Str entry.key);
+            ("np", Obs.Trace.Int np) ]
+        (fun () ->
+          Explorer.replay ~config:Explorer.default_config
+            ~metrics:(Obs.Metrics.shard registry 0)
+            ~np (entry.build ()) plan)
+    in
+    (match record.Report.outcome with
+    | Sim.Coroutine.All_finished ->
+        print_endline "run finished without deadlock or crash"
+    | Sim.Coroutine.Deadlock _ -> print_endline "run deadlocked"
+    | Sim.Coroutine.Crashed _ -> print_endline "run crashed");
+    List.iter
+      (fun e -> Format.printf "  %a@." Report.pp_error e)
+      record.Report.run_errors;
+    (match trace_out with
+    | Some path ->
+        write_file path (Obs.Trace.to_chrome (Obs.Trace.events tracer));
+        Printf.printf "trace written to %s\n" path
+    | None -> ());
+    (match metrics_out with
+    | Some path ->
+        write_file path
+          (Obs.Metrics.to_json (Obs.Metrics.snapshot registry));
+        Printf.printf "metrics written to %s\n" path
+    | None -> ())
 
 let replay_cmd =
   let workload =
@@ -1523,50 +1102,34 @@ let replay_cmd =
 (* ---- trace command ---- *)
 
 let trace_run workload np limit =
-  match find_entry workload with
-  | None ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 2
-  | Some entry ->
-      let np = match np with Some np -> np | None -> entry.default_np in
-      let rt = Mpi.Runtime.create ~trace:true ~np () in
-      let module B = Mpi.Bind.Make (struct
-        let rt = rt
-      end) in
-      let module P = (val entry.build ()) in
-      let module Prog = P (B) in
-      Mpi.Runtime.spawn_ranks rt (fun _ -> Prog.main ());
-      let outcome = Mpi.Runtime.run rt in
-      let events = Mpi.Runtime.trace rt in
-      let shown = ref 0 in
-      List.iter
-        (fun ev ->
-          if !shown < limit then begin
-            incr shown;
-            Format.printf "%a@." Mpi.Runtime.pp_event ev
-          end)
-        events;
-      if List.length events > limit then
-        Printf.printf "... (%d more events)\n" (List.length events - limit);
-      (match outcome with
-      | Sim.Coroutine.All_finished -> ()
-      | Sim.Coroutine.Deadlock _ -> print_endline "(run deadlocked)"
-      | Sim.Coroutine.Crashed (pid, e, _) ->
-          Printf.printf "(rank %d crashed: %s)\n" pid (Printexc.to_string e))
+  let entry = find_workload workload in
+  let np = Option.value np ~default:entry.default_np in
+  let rt = Mpi.Runtime.create ~trace:true ~np () in
+  let module B = Mpi.Bind.Make (struct
+    let rt = rt
+  end) in
+  let module P = (val entry.build ()) in
+  let module Prog = P (B) in
+  Mpi.Runtime.spawn_ranks rt (fun _ -> Prog.main ());
+  let outcome = Mpi.Runtime.run rt in
+  let events = Mpi.Runtime.trace rt in
+  let shown = ref 0 in
+  List.iter
+    (fun ev ->
+      if !shown < limit then begin
+        incr shown;
+        Format.printf "%a@." Mpi.Runtime.pp_event ev
+      end)
+    events;
+  if List.length events > limit then
+    Printf.printf "... (%d more events)\n" (List.length events - limit);
+  (match outcome with
+  | Sim.Coroutine.All_finished -> ()
+  | Sim.Coroutine.Deadlock _ -> print_endline "(run deadlocked)"
+  | Sim.Coroutine.Crashed (pid, e, _) ->
+      Printf.printf "(rank %d crashed: %s)\n" pid (Printexc.to_string e))
 
 let trace_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to trace (see $(b,list)).")
-  in
-  let np =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
-  in
   let limit =
     Arg.(
       value & opt int 200
@@ -1575,123 +1138,95 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run a workload natively and print its message-flow trace.")
-    Term.(const trace_run $ workload $ np $ limit)
+    Term.(
+      const trace_run
+      $ workload_arg "Workload to trace (see $(b,list))."
+      $ np_flag $ limit)
 
 (* ---- bench command: parallel-exploration scaling ---- *)
 
 let bench_run workload np mixing_bound max_runs jobs_list output trace_out
     metrics_out =
-  match find_entry workload with
-  | None ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 2
-  | Some entry ->
-      let np = match np with Some np -> np | None -> entry.default_np in
-      let state_config = State.make_config ?mixing_bound () in
-      let trace = trace_out <> None in
-      let measure jobs =
-        let program = entry.build () in
-        let report =
-          Explorer.verify
-            ~config:
-              {
-                Explorer.default_config with
-                state_config;
-                max_runs;
-                jobs;
-                trace;
-              }
-            ~np program
-        in
-        (jobs, report)
-      in
-      let results = List.map measure jobs_list in
-      let base_wall =
-        match results with
-        | (_, r) :: _ -> r.Report.host_seconds
-        | [] -> 0.0
-      in
-      Printf.printf "parallel exploration scaling: %s np=%d max-runs=%d\n"
-        entry.key np max_runs;
-      Printf.printf "%6s %14s %10s %12s %9s\n" "jobs" "interleavings"
-        "findings" "wall-s" "speedup";
-      List.iter
-        (fun (jobs, (r : Report.t)) ->
-          Printf.printf "%6d %14d %10d %12.3f %8.2fx\n%!" jobs
-            r.Report.interleavings
-            (List.length r.Report.findings)
-            r.Report.host_seconds
-            (base_wall /. Float.max 1e-9 r.Report.host_seconds))
-        results;
-      (match output with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
+  (* the sweep explores unpruned: it measures raw replay scaling *)
+  let job =
+    or_fail
+      (Result.bind (Job.default workload) (fun d ->
+           Job.check
+             {
+               d with
+               np = Option.value np ~default:d.np;
+               k = mixing_bound;
+               max_runs;
+               prune = false;
+             }))
+  in
+  let trace = trace_out <> None in
+  let measure jobs =
+    (jobs, fst (Job.run ~trace (or_fail (Job.check { job with jobs }))))
+  in
+  let results = List.map measure jobs_list in
+  let base_wall =
+    match results with
+    | (_, r) :: _ -> r.Report.host_seconds
+    | [] -> 0.0
+  in
+  Printf.printf "parallel exploration scaling: %s np=%d max-runs=%d\n"
+    job.workload job.np max_runs;
+  Printf.printf "%6s %14s %10s %12s %9s\n" "jobs" "interleavings"
+    "findings" "wall-s" "speedup";
+  List.iter
+    (fun (jobs, (r : Report.t)) ->
+      Printf.printf "%6d %14d %10d %12.3f %8.2fx\n%!" jobs
+        r.Report.interleavings
+        (List.length r.Report.findings)
+        r.Report.host_seconds
+        (base_wall /. Float.max 1e-9 r.Report.host_seconds))
+    results;
+  (match output with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      Printf.fprintf oc
+        "{\n  \"bench\": \"parallel_explore\",\n  \"workload\": %S,\n\
+        \  \"np\": %d,\n  \"max_runs\": %d,\n  \"results\": [\n"
+        job.workload job.np max_runs;
+      let n = List.length results in
+      List.iteri
+        (fun i (jobs, (r : Report.t)) ->
           Printf.fprintf oc
-            "{\n  \"bench\": \"parallel_explore\",\n  \"workload\": %S,\n\
-            \  \"np\": %d,\n  \"max_runs\": %d,\n  \"results\": [\n" entry.key
-            np max_runs;
-          let n = List.length results in
-          List.iteri
-            (fun i (jobs, (r : Report.t)) ->
-              Printf.fprintf oc
-                "    {\"jobs\": %d, \"interleavings\": %d, \"findings\": %d, \
-                 \"wall_seconds\": %.6f, \"total_virtual_seconds\": %.6f, \
-                 \"speedup\": %.4f, \"match_attempts\": %d, \
-                 \"piggyback_bytes\": %d, \"queue_waits\": %d}%s\n"
-                jobs r.Report.interleavings
-                (List.length r.Report.findings)
-                r.Report.host_seconds r.Report.total_virtual_time
-                (base_wall /. Float.max 1e-9 r.Report.host_seconds)
-                (Obs.Metrics.counter_value r.Report.metrics
-                   "mpi.match_attempts")
-                (Obs.Metrics.counter_value r.Report.metrics
-                   "dampi.piggyback_bytes")
-                (hist_count r.Report.metrics "sched.queue_wait_s")
-                (if i = n - 1 then "" else ","))
-            results;
-          Printf.fprintf oc "  ]\n}\n";
-          close_out oc;
-          Printf.printf "results written to %s\n" path);
-      let last_report =
-        match List.rev results with (_, r) :: _ -> Some r | [] -> None
-      in
-      (match (trace_out, last_report) with
-      | Some path, Some r ->
-          write_file path (Report.trace_json r);
-          Printf.printf "trace of the last sweep point written to %s\n" path
-      | _ -> ());
-      (match (metrics_out, last_report) with
-      | Some path, Some r ->
-          write_file path (Report.metrics_json r);
-          Printf.printf "metrics of the last sweep point written to %s\n" path
-      | _ -> ())
+            "    {\"jobs\": %d, \"interleavings\": %d, \"findings\": %d, \
+             \"wall_seconds\": %.6f, \"total_virtual_seconds\": %.6f, \
+             \"speedup\": %.4f, \"match_attempts\": %d, \
+             \"piggyback_bytes\": %d, \"queue_waits\": %d}%s\n"
+            jobs r.Report.interleavings
+            (List.length r.Report.findings)
+            r.Report.host_seconds r.Report.total_virtual_time
+            (base_wall /. Float.max 1e-9 r.Report.host_seconds)
+            (Obs.Metrics.counter_value r.Report.metrics
+               "mpi.match_attempts")
+            (Obs.Metrics.counter_value r.Report.metrics
+               "dampi.piggyback_bytes")
+            (hist_count r.Report.metrics "sched.queue_wait_s")
+            (if i = n - 1 then "" else ","))
+        results;
+      Printf.fprintf oc "  ]\n}\n";
+      close_out oc;
+      Printf.printf "results written to %s\n" path);
+  let last_report =
+    match List.rev results with (_, r) :: _ -> Some r | [] -> None
+  in
+  (match (trace_out, last_report) with
+  | Some path, Some r ->
+      write_file path (Report.trace_json r);
+      Printf.printf "trace of the last sweep point written to %s\n" path
+  | _ -> ());
+  (match (metrics_out, last_report) with
+  | Some path, Some r ->
+      write_file path (Report.metrics_json r);
+      Printf.printf "metrics of the last sweep point written to %s\n" path
+  | _ -> ())
 
 let bench_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to benchmark (see $(b,list)).")
-  in
-  let np =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
-  in
-  let mixing =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "k"; "mixing-bound" ] ~docv:"K"
-          ~doc:"Bounded-mixing window (default: unbounded).")
-  in
-  let max_runs =
-    Arg.(
-      value & opt int 100_000
-      & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget.")
-  in
   let jobs_list =
     Arg.(
       value
@@ -1728,69 +1263,55 @@ let bench_cmd =
          "Measure wall-clock scaling of parallel interleaving exploration \
           over a sweep of worker-domain counts.")
     Term.(
-      const bench_run $ workload $ np $ mixing $ max_runs $ jobs_list $ output
-      $ trace_out $ metrics_out)
+      const bench_run
+      $ workload_arg "Workload to benchmark (see $(b,list))."
+      $ np_flag $ mixing_flag $ max_runs_flag $ jobs_list $ output $ trace_out
+      $ metrics_out)
 
 (* ---- stats command: one native run, operation + metric counters ---- *)
 
 let stats_run workload np explore =
-  match find_entry workload with
-  | None ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 2
-  | Some entry when explore ->
-      (* A small pruned + cached exploration, so the cache.* and prune.*
-         series carry real traffic (a single native run never populates
-         them). *)
-      let np = match np with Some np -> np | None -> entry.default_np in
-      let report =
-        Explorer.verify
-          ~config:
-            {
-              Explorer.default_config with
-              max_runs = 500;
-              prune = true;
-              prefix_cache = Some Dampi.Prefix_cache.default_budget_bytes;
-            }
-          ~np (entry.build ())
-      in
-      Printf.printf "%s np=%d (exploration: %d interleavings, %d pruned)\n\n"
-        entry.key np report.Report.interleavings report.Report.runs_pruned;
-      Format.printf "%a" Obs.Metrics.pp report.Report.metrics;
-      if Report.has_errors report then exit 1
-  | Some entry ->
-      let np = match np with Some np -> np | None -> entry.default_np in
-      let registry = Obs.Metrics.create ~shards:1 () in
-      let rt, outcome =
-        Mpi.Bind.exec
-          ~metrics:(Obs.Metrics.shard registry 0)
-          ~np (entry.build ())
-      in
-      Printf.printf "%s np=%d (one native run)\n\n" entry.key np;
-      Format.printf "%a@." Mpi.Stats.pp (Mpi.Runtime.stats rt);
-      Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
-      match outcome with
-      | Sim.Coroutine.All_finished -> ()
-      | Sim.Coroutine.Deadlock _ ->
-          print_endline "\n(run deadlocked)";
-          exit 1
-      | Sim.Coroutine.Crashed (pid, e, _) ->
-          Printf.printf "\n(rank %d crashed: %s)\n" pid (Printexc.to_string e);
-          exit 1
+  let entry = find_workload workload in
+  let np = Option.value np ~default:entry.default_np in
+  if explore then begin
+    (* A small pruned + cached exploration, so the cache.* and prune.*
+       series carry real traffic (a single native run never populates
+       them). *)
+    let report =
+      Explorer.verify
+        ~config:
+          {
+            Explorer.default_config with
+            max_runs = 500;
+            prune = true;
+            prefix_cache = Some Dampi.Prefix_cache.default_budget_bytes;
+          }
+        ~np (entry.build ())
+    in
+    Printf.printf "%s np=%d (exploration: %d interleavings, %d pruned)\n\n"
+      entry.key np report.Report.interleavings report.Report.runs_pruned;
+    Format.printf "%a" Obs.Metrics.pp report.Report.metrics;
+    if Report.has_errors report then exit 1
+  end
+  else begin
+    let registry = Obs.Metrics.create ~shards:1 () in
+    let rt, outcome =
+      Mpi.Bind.exec ~metrics:(Obs.Metrics.shard registry 0) ~np (entry.build ())
+    in
+    Printf.printf "%s np=%d (one native run)\n\n" entry.key np;
+    Format.printf "%a@." Mpi.Stats.pp (Mpi.Runtime.stats rt);
+    Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
+    match outcome with
+    | Sim.Coroutine.All_finished -> ()
+    | Sim.Coroutine.Deadlock _ ->
+        print_endline "\n(run deadlocked)";
+        exit 1
+    | Sim.Coroutine.Crashed (pid, e, _) ->
+        Printf.printf "\n(rank %d crashed: %s)\n" pid (Printexc.to_string e);
+        exit 1
+  end
 
 let stats_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to profile (see $(b,list)).")
-  in
-  let np =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
-  in
   let explore =
     Arg.(
       value & flag
@@ -1805,184 +1326,26 @@ let stats_cmd =
        ~doc:
          "Run a workload natively once and print its MPI operation counts \
           and runtime metrics.")
-    Term.(const stats_run $ workload $ np $ explore)
+    Term.(
+      const stats_run
+      $ workload_arg "Workload to profile (see $(b,list))."
+      $ np_flag $ explore)
 
 (* ---- serve / submit / fetch: verification as a service ---- *)
 
-let serve_known_params =
-  [ "workload"; "np"; "clock"; "k"; "dual"; "prune"; "prefix-cache";
-    "max-runs"; "jobs"; "quiet"; "checkpoint-every" ]
-
-(* Admission-time validation of a submit's parameters, run inside the
-   daemon before queueing. Returns the canonical label — the same format
-   verify pins its checkpoints with, so serve-side resumes and prefix
-   caches line up with standalone runs of the same configuration. *)
-let serve_validate params =
-  match List.assoc_opt "workload" params with
-  | None -> Error "submit needs workload=<key>"
-  | Some w -> (
-      match find_entry w with
-      | None -> Error (Printf.sprintf "unknown workload %S" w)
-      | Some entry -> (
-          try
-            List.iter
-              (fun (k, _) ->
-                if not (List.mem k serve_known_params) then
-                  raise (Bad_job (Printf.sprintf "unknown submit parameter %S" k)))
-              params;
-            let int_p key =
-              Option.map
-                (fun v ->
-                  match int_of_string_opt v with
-                  | Some n -> n
-                  | None -> raise (Bad_job (Printf.sprintf "bad %s=%S" key v)))
-                (List.assoc_opt key params)
-            in
-            let bool_p key default =
-              match List.assoc_opt key params with
-              | None -> default
-              | Some "true" -> true
-              | Some "false" -> false
-              | Some v -> raise (Bad_job (Printf.sprintf "bad %s=%S" key v))
-            in
-            let np = Option.value (int_p "np") ~default:entry.default_np in
-            if np < 1 then raise (Bad_job (Printf.sprintf "bad np=%d" np));
-            let clock_name =
-              Option.value (List.assoc_opt "clock" params) ~default:"lamport"
-            in
-            (match clock_name with
-            | "lamport" | "vector" -> ()
-            | other -> raise (Bad_job (Printf.sprintf "unknown clock %S" other)));
-            (match int_p "prefix-cache" with
-            | Some b when b < 1 ->
-                raise (Bad_job "prefix-cache needs a positive byte budget")
-            | _ -> ());
-            (match int_p "max-runs" with
-            | Some n when n < 1 -> raise (Bad_job "max-runs needs at least 1")
-            | _ -> ());
-            (match int_p "jobs" with
-            | Some n when n < 1 -> raise (Bad_job "jobs needs at least 1")
-            | _ -> ());
-            (match int_p "checkpoint-every" with
-            | Some n when n < 1 ->
-                raise (Bad_job "checkpoint-every needs at least 1")
-            | _ -> ());
-            ignore (bool_p "quiet" false);
-            Ok
-              (Printf.sprintf "dampi %s np=%d clock=%s k=%d dual=%b prune=%b"
-                 entry.key np clock_name
-                 (Option.value (int_p "k") ~default:(-1))
-                 (bool_p "dual" false) (bool_p "prune" true))
-          with Bad_job msg -> Error msg))
-
-(* One admitted job, executed inside the daemon's forked child. Always
-   checkpointed into the state dir (that is what lets a daemon drain
-   snapshot it) and resumed from that checkpoint when one exists; the
-   rendered text is byte-identical to standalone [dampi verify] output. *)
-let serve_run_job ~ckpt ~label ~params ~progress =
-  let entry =
-    match Option.bind (List.assoc_opt "workload" params) find_entry with
-    | Some e -> e
-    | None -> failwith "job params lost their workload (validate admitted it)"
-  in
-  let int_p key = Option.bind (List.assoc_opt key params) int_of_string_opt in
-  let bool_p key default =
-    match List.assoc_opt key params with
-    | Some "true" -> true
-    | Some "false" -> false
-    | _ -> default
-  in
-  let np = Option.value (int_p "np") ~default:entry.default_np in
-  let clock =
-    match List.assoc_opt "clock" params with
-    | Some "vector" -> (module Clocks.Vector : Clocks.Clock_intf.S)
-    | _ -> (module Clocks.Lamport)
-  in
-  let state_config =
-    State.make_config ~clock ?mixing_bound:(int_p "k")
-      ~dual_clock:(bool_p "dual" false) ()
-  in
-  let robustness =
-    {
-      Explorer.default_robustness with
-      checkpoint =
-        Some
-          {
-            Explorer.path = ckpt;
-            (* cadence only bounds SIGKILL-loss: a drain SIGTERM flushes
-               the frontier regardless, so default coarse and cheap *)
-            every = Option.value (int_p "checkpoint-every") ~default:100;
-            label;
-          };
-    }
-  in
-  let resume =
-    if not (Sys.file_exists ckpt) then None
-    else
-      match Dampi.Checkpoint.load ckpt with
-      | Ok c
-        when c.Dampi.Checkpoint.label = label && c.Dampi.Checkpoint.np = np ->
-          Some c
-      | Ok _ | Error _ -> None
-  in
-  let report =
-    Explorer.verify
-      ~config:
-        {
-          Explorer.default_config with
-          state_config;
-          max_runs =
-            Option.value (int_p "max-runs")
-              ~default:Explorer.default_config.Explorer.max_runs;
-          jobs = Option.value (int_p "jobs") ~default:1;
-          prune = bool_p "prune" true;
-          prefix_cache = int_p "prefix-cache";
-          progress = Some progress;
-          robustness;
-        }
-      ?resume ~np (entry.build ())
-  in
-  if report.Report.interrupted then Dampi.Serve.Checkpointed
-  else
-    let text =
-      if bool_p "quiet" false then
-        Printf.sprintf "%s np=%d: %d interleavings, %d findings\n" entry.key np
-          report.Report.interleavings
-          (List.length report.Report.findings)
-      else Format.asprintf "%a@." Report.pp report
-    in
-    Dampi.Serve.Completed
-      { report = text; code = (if Report.has_errors report then 1 else 0) }
-
 let serve_run listen state_dir parallel max_queue max_queue_bytes max_inflight
     metrics_out log_level =
-  (match Obs.Log.level_of_string log_level with
-  | Ok lvl -> Obs.Log.set_level lvl
-  | Error msg ->
-      Printf.eprintf "bad --log-level: %s\n" msg;
-      exit 2);
+  set_log_level log_level;
   let addr =
     match listen with
-    | None ->
-        Printf.eprintf "serve needs --listen ADDR\n";
-        exit 2
-    | Some s -> (
-        match Dampi.Wire.addr_of_string s with
-        | Ok a -> a
-        | Error msg ->
-            Printf.eprintf "bad address %S: %s\n" s msg;
-            exit 2)
+    | None -> fail "serve needs --listen ADDR"
+    | Some s -> parse_addr s
   in
-  if parallel < 1 then begin
-    Printf.eprintf "--parallel needs at least 1 job slot\n";
-    exit 2
-  end;
-  if max_queue < 1 || max_queue_bytes < 1 || max_inflight < 1 then begin
-    Printf.eprintf
+  if parallel < 1 then fail "--parallel needs at least 1 job slot";
+  if max_queue < 1 || max_queue_bytes < 1 || max_inflight < 1 then
+    fail
       "--max-queue, --max-queue-bytes and --max-client-inflight need \
-       positive values\n";
-    exit 2
-  end;
+       positive values";
   let registry = Obs.Metrics.create ~shards:1 () in
   let finish () =
     match metrics_out with
@@ -2002,8 +1365,8 @@ let serve_run listen state_dir parallel max_queue max_queue_bytes max_inflight
           max_queue_bytes;
           max_client_inflight = max_inflight;
         };
-      validate = serve_validate;
-      run = serve_run_job;
+      validate = Job.admit;
+      run = Job.serve_job;
       metrics = Some (Obs.Metrics.shard registry 0);
       ready =
         Some
@@ -2080,11 +1443,9 @@ let serve_cmd =
              depth, per-job wall histograms) as JSON on exit.")
   in
   let log_level =
-    Arg.(
-      value & opt string "warn"
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:"Stderr log level: $(b,quiet), $(b,error), $(b,warn), \
-                $(b,info) or $(b,debug).")
+    log_level_flag
+      "Stderr log level: $(b,quiet), $(b,error), $(b,warn), $(b,info) or \
+       $(b,debug)."
   in
   Cmd.v
     (Cmd.info "serve"
@@ -2097,28 +1458,6 @@ let serve_cmd =
     Term.(
       const serve_run $ listen $ state_dir $ parallel $ max_queue
       $ max_queue_bytes $ max_inflight $ metrics_out $ log_level)
-
-let dial_daemon connect =
-  let addr =
-    match Dampi.Wire.addr_of_string connect with
-    | Ok a -> a
-    | Error msg ->
-        Printf.eprintf "bad address %S: %s\n" connect msg;
-        exit 2
-  in
-  let sa =
-    try Dampi.Wire.sockaddr_of_addr addr
-    with Not_found | Failure _ | Unix.Unix_error _ ->
-      Printf.eprintf "cannot resolve %s: no such host or address\n" connect;
-      exit 2
-  in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd sa
-   with Unix.Unix_error (e, _, _) ->
-     Printf.eprintf "cannot connect to %s: %s (is the daemon running?)\n"
-       connect (Unix.error_message e);
-     exit 2);
-  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
 (* Shared tail of submit and fetch: print the report, surface a crashed
    job's classification, exit with the job's code. *)
@@ -2134,54 +1473,24 @@ let finish_job ~report_lines ~status ~code ~msg ~backtrace =
   | _ -> ());
   if code <> 0 then exit code
 
-let submit_run connect workload np clock_name mixing_bound dual no_prune
-    prefix_cache max_runs jobs ckpt_every quiet on_disconnect detach progress =
+let submit_run job connect on_disconnect detach progress =
   let connect =
-    match connect with
-    | Some c -> c
-    | None ->
-        Printf.eprintf "submit needs --connect ADDR\n";
-        exit 2
+    match connect with Some c -> c | None -> fail "submit needs --connect ADDR"
   in
   let ondisc =
     match Dampi.Serve.on_disconnect_of_string on_disconnect with
     | Ok _ when detach -> Dampi.Serve.Detach
     | Ok o -> o
-    | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
+    | Error msg -> fail "%s" msg
   in
-  (match prefix_cache with
-  | Some b when b < 1 ->
-      Printf.eprintf "--prefix-cache needs a positive byte budget\n";
-      exit 2
-  | _ -> ());
+  let job = or_fail job in
   ignore_sigpipe ();
-  let params =
-    [ ("workload", workload) ]
-    @ (match np with Some n -> [ ("np", string_of_int n) ] | None -> [])
-    @ (if clock_name = "lamport" then [] else [ ("clock", clock_name) ])
-    @ (match mixing_bound with
-      | Some k -> [ ("k", string_of_int k) ]
-      | None -> [])
-    @ (if dual then [ ("dual", "true") ] else [])
-    @ (if no_prune then [ ("prune", "false") ] else [])
-    @ (match prefix_cache with
-      | Some b -> [ ("prefix-cache", string_of_int b) ]
-      | None -> [])
-    @ (match max_runs with
-      | Some n -> [ ("max-runs", string_of_int n) ]
-      | None -> [])
-    @ (match jobs with Some n -> [ ("jobs", string_of_int n) ] | None -> [])
-    @ (match ckpt_every with
-      | Some n -> [ ("checkpoint-every", string_of_int n) ]
-      | None -> [])
-    @ if quiet then [ ("quiet", "true") ] else []
-  in
-  let ic, oc = dial_daemon connect in
+  let ic, oc = dial ~peer:"daemon" connect in
   (try
      output_string oc
-       (Dampi.Serve.submit_line ~params ~on_disconnect:ondisc ^ "\n");
+       (Dampi.Serve.submit_line ~params:(Job.to_params job)
+          ~on_disconnect:ondisc
+       ^ "\n");
      flush oc
    with Sys_error _ ->
      Printf.eprintf "connection closed by daemon\n";
@@ -2203,19 +1512,11 @@ let submit_run connect workload np clock_name mixing_bound dual no_prune
     | Ok (Dampi.Serve.Rejected r) ->
         Printf.printf "reject %s\n" r;
         exit 1
-    | Ok (Dampi.Serve.Errored { reason; _ }) ->
-        Printf.eprintf "%s\n" reason;
-        exit 2
+    | Ok (Dampi.Serve.Errored { reason; _ }) -> fail "%s" reason
     | Ok (Dampi.Serve.Progress (_, kvs)) ->
         if progress then begin
           ticking := true;
-          let v k = Option.value (List.assoc_opt k kvs) ~default:"-" in
-          safe_eprintf "\r%-76s"
-            (Printf.sprintf
-               "%s: runs %s  %s replays/s  frontier %s  pruned %s  findings \
-                %s"
-               workload (v "runs") (v "replays_per_s") (v "frontier")
-               (v "pruned") (v "findings"))
+          draw_progress job.workload kvs
         end;
         loop ()
     | Ok (Dampi.Serve.Report (_, lines)) ->
@@ -2229,12 +1530,6 @@ let submit_run connect workload np clock_name mixing_bound dual no_prune
   loop ()
 
 let submit_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to verify (see $(b,list)).")
-  in
   let connect =
     Arg.(
       value
@@ -2243,68 +1538,6 @@ let submit_cmd =
           ~doc:
             "Daemon address ($(b,unix:PATH) or $(b,tcp:HOST:PORT)) — what \
              $(b,dampi serve --listen) was given. Required.")
-  in
-  let np =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
-  in
-  let clock =
-    Arg.(
-      value & opt string "lamport"
-      & info [ "clock" ] ~docv:"CLOCK"
-          ~doc:"Clock algebra: $(b,lamport) or $(b,vector).")
-  in
-  let mixing_bound =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "k"; "mixing-bound" ] ~docv:"K" ~doc:"Mixing bound.")
-  in
-  let dual =
-    Arg.(
-      value & flag
-      & info [ "dual-clock" ] ~doc:"Run both clock algebras and compare.")
-  in
-  let no_prune =
-    Arg.(value & flag & info [ "no-prune" ] ~doc:"Disable sleep-set pruning.")
-  in
-  let prefix_cache =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "prefix-cache" ] ~docv:"BYTES"
-          ~doc:
-            "Replay memoization byte budget. The cache sidecar lives in \
-             the daemon's state dir, so a repeat submission of the same \
-             configuration starts warm.")
-  in
-  let max_runs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains inside the job's child process.")
-  in
-  let ckpt_every =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-every" ] ~docv:"RUNS"
-          ~doc:
-            "Checkpoint cadence inside the daemon (default 100 runs); a \
-             drain SIGTERM flushes the frontier regardless, so the \
-             cadence only bounds what a hard kill can lose.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"One-line summary only.")
   in
   let on_disconnect =
     Arg.(
@@ -2325,32 +1558,25 @@ let submit_cmd =
              report later with $(b,dampi fetch).")
   in
   let progress =
-    Arg.(
-      value & flag
-      & info [ "progress" ]
-          ~doc:"Redraw the daemon's streamed progress on stderr.")
+    progress_flag "Redraw the daemon's streamed progress on stderr."
   in
   Cmd.v
     (Cmd.info "submit"
        ~doc:
          "Submit a verification job to a running $(b,dampi serve) daemon, \
-          stream its progress, and print its report. Exit code mirrors \
-          $(b,verify): 0 clean, 1 findings, 3 interrupted.")
+          stream its progress, and print its report. Takes $(b,verify)'s job \
+          flags; the report is the one $(b,verify) would print. Exit code \
+          mirrors $(b,verify): 0 clean, 1 findings, 3 interrupted.")
     Term.(
-      const submit_run $ connect $ workload $ np $ clock $ mixing_bound
-      $ dual $ no_prune $ prefix_cache $ max_runs $ jobs $ ckpt_every
-      $ quiet $ on_disconnect $ detach $ progress)
+      const submit_run $ job_term $ connect $ on_disconnect $ detach
+      $ progress)
 
 let fetch_run connect id =
   let connect =
-    match connect with
-    | Some c -> c
-    | None ->
-        Printf.eprintf "fetch needs --connect ADDR\n";
-        exit 2
+    match connect with Some c -> c | None -> fail "fetch needs --connect ADDR"
   in
   ignore_sigpipe ();
-  let ic, oc = dial_daemon connect in
+  let ic, oc = dial ~peer:"daemon" connect in
   (try
      output_string oc (Dampi.Serve.fetch_line id ^ "\n");
      flush oc
@@ -2369,9 +1595,7 @@ let fetch_run connect id =
     | Ok (Dampi.Serve.Pending { state; _ }) ->
         Printf.eprintf "job %d is still %s\n" id state;
         exit 3
-    | Ok (Dampi.Serve.Errored { reason; _ }) ->
-        Printf.eprintf "%s\n" reason;
-        exit 2
+    | Ok (Dampi.Serve.Errored { reason; _ }) -> fail "%s" reason
     | Ok (Dampi.Serve.Done { status; code; msg; backtrace; _ }) ->
         finish_job ~report_lines:!report_lines ~status ~code ~msg ~backtrace
     | Ok _ -> loop ()

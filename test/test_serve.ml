@@ -103,7 +103,8 @@ let fresh_dir () =
 
 let metrics_file state_dir = Filename.concat state_dir "metrics.json"
 
-let start_daemon ?(limits = Serve.default_limits) ~state_dir () =
+let start_daemon ?(limits = Serve.default_limits) ?(validate = test_validate)
+    ?(run = test_run) ~state_dir () =
   let sock = Filename.concat state_dir "serve.sock" in
   flush stdout;
   flush stderr;
@@ -117,8 +118,8 @@ let start_daemon ?(limits = Serve.default_limits) ~state_dir () =
               Serve.addr = Wire.Unix_sock sock;
               state_dir;
               limits;
-              validate = test_validate;
-              run = test_run;
+              validate;
+              run;
               metrics = Some (Obs.Metrics.shard registry 0);
               ready = None;
             }
@@ -226,6 +227,24 @@ let await_progress c =
     | _ -> Alcotest.fail "expected a progress frame"
   in
   go ()
+
+(* Poll a detached job until its parked report can be fetched. *)
+let rec fetch_parked c id =
+  send c (Serve.fetch_line id);
+  match event c with
+  | Serve.Pending _ ->
+      Unix.sleepf 0.1;
+      fetch_parked c id
+  | Serve.Report (_, lines) -> (
+      match event c with
+      | Serve.Done { status; _ } -> (lines, status)
+      | _ -> Alcotest.fail "report without done")
+  | Serve.Done { status; _ } -> ([], status)
+  | Serve.Errored { reason; _ } ->
+      (* a recovered job's id is never unknown: that would be a job lost
+         in recovery *)
+      Alcotest.failf "job %d lost: %s" id reason
+  | _ -> Alcotest.fail "unexpected fetch answer"
 
 let report_text f = String.concat "" (List.map (fun l -> l ^ "\n") f.report)
 
@@ -423,20 +442,7 @@ let test_detach_and_fetch () =
       await_progress a;
       disconnect a;
       let b = connect sock in
-      let rec fetch_done () =
-        send b (Serve.fetch_line id);
-        match event b with
-        | Serve.Pending _ ->
-            Unix.sleepf 0.1;
-            fetch_done ()
-        | Serve.Report (_, lines) -> (
-            match event b with
-            | Serve.Done { status; _ } -> (lines, status)
-            | _ -> Alcotest.fail "report without done")
-        | Serve.Done { status; _ } -> ([], status)
-        | _ -> Alcotest.fail "unexpected fetch answer"
-      in
-      let lines, status = fetch_done () in
+      let lines, status = fetch_parked b id in
       Alcotest.(check string) "parked status" "completed" status;
       Alcotest.(check (list string)) "parked report" [ "slow done" ] lines;
       send b (Serve.fetch_line id);
@@ -481,28 +487,11 @@ let test_drain_and_recovery () =
     ~finally:(fun () -> ignore (stop_daemon pid2))
     (fun () ->
       let c = connect sock2 in
-      let rec fetch_done id =
-        send c (Serve.fetch_line id);
-        match event c with
-        | Serve.Pending _ ->
-            Unix.sleepf 0.1;
-            fetch_done id
-        | Serve.Errored { reason; _ } ->
-            (* between restart and re-admission the id is briefly
-               unknown only if recovery dropped it — that is a failure *)
-            Alcotest.failf "job %d lost in recovery: %s" id reason
-        | Serve.Report (_, lines) -> (
-            match event c with
-            | Serve.Done { status; _ } -> (lines, status)
-            | _ -> Alcotest.fail "report without done")
-        | Serve.Done { status; _ } -> ([], status)
-        | _ -> Alcotest.fail "unexpected fetch answer"
-      in
-      let park_lines, park_status = fetch_done park_id in
+      let park_lines, park_status = fetch_parked c park_id in
       Alcotest.(check string) "park resumed to completion" "completed"
         park_status;
       Alcotest.(check (list string)) "park report" [ "parked done" ] park_lines;
-      let fig_lines, fig_status = fetch_done fig_id in
+      let fig_lines, fig_status = fetch_parked c fig_id in
       Alcotest.(check string) "fig3 recovered" "completed" fig_status;
       Alcotest.(check string)
         "recovered fig3 report equals standalone verify"
@@ -514,6 +503,81 @@ let test_drain_and_recovery () =
       | Serve.Errored _ -> ()
       | _ -> Alcotest.fail "re-fetch of a consumed job must fail");
       disconnect c)
+
+(* ---- the CLI's job spec behind the daemon ---- *)
+
+let start_job_daemon ~state_dir =
+  start_daemon ~validate:Job.admit ~run:Job.serve_job ~state_dir ()
+
+let without_host_time text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         not (String.length l >= 10 && String.sub l 0 10 = "host time:"))
+  |> String.concat "\n"
+
+(* A job with flags the daemon once refused (fault injection, bounded
+   mixing) reports exactly what [dampi verify] prints for it: quiet
+   byte-equal, the full report equal but for its wall-clock line. *)
+let test_submitted_job_reports_as_verify () =
+  let state_dir = fresh_dir () in
+  let pid, sock = start_job_daemon ~state_dir in
+  Fun.protect
+    ~finally:(fun () -> ignore (stop_daemon pid))
+    (fun () ->
+      let base =
+        match Job.default "adlb" with
+        | Ok d -> { d with np = 6; k = Some 0; fault_seed = Some 7 }
+        | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun quiet ->
+          let job = { base with quiet } in
+          let c = connect sock in
+          submit c (Job.to_params job);
+          let f = await_done c in
+          disconnect c;
+          Alcotest.(check string) "status" "completed" f.status;
+          let report, text = Job.run job in
+          Alcotest.(check int) "exit code"
+            (if Report.has_errors report then 1 else 0)
+            f.code;
+          if quiet then
+            Alcotest.(check string) "quiet report byte-equal" text
+              (report_text f)
+          else
+            Alcotest.(check string) "full report equal"
+              (without_host_time text)
+              (without_host_time (report_text f)))
+        [ true; false ])
+
+(* A journal written before the job spec existed (sparse submit params,
+   no engine key) is re-admitted under the label earlier builds gave it:
+   the job's cache sidecar lands at that label's path. *)
+let test_earlier_journal_readmitted () =
+  let state_dir = fresh_dir () in
+  ignore
+    (Checkpoint.atomic_write
+       (Filename.concat state_dir "journal")
+       "# DAMPI serve journal\nversion 1\nnext 2\njob 1 detach \
+        workload=matmult k=0 prefix-cache=1048576 quiet=true\n");
+  let pid, sock = start_job_daemon ~state_dir in
+  Fun.protect
+    ~finally:(fun () -> ignore (stop_daemon pid))
+    (fun () ->
+      let c = connect sock in
+      let lines, status = fetch_parked c 1 in
+      disconnect c;
+      Alcotest.(check string) "recovered" "completed" status;
+      Alcotest.(check (list string)) "report"
+        [ "matmult np=5: 7 interleavings, 0 findings" ]
+        lines;
+      let label =
+        "dampi matmult np=5 clock=lamport k=0 dual=false prune=true"
+      in
+      Alcotest.(check bool) "sidecar under the earlier label" true
+        (Sys.file_exists
+           (Filename.concat state_dir
+              ("job-" ^ Digest.to_hex (Digest.string label) ^ ".ck.cache"))))
 
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -531,5 +595,12 @@ let () =
             test_detach_and_fetch;
           Alcotest.test_case "drain journals, restart recovers" `Quick
             test_drain_and_recovery;
+        ] );
+      ( "job spec",
+        [
+          Alcotest.test_case "a submitted job reports as verify does" `Quick
+            test_submitted_job_reports_as_verify;
+          Alcotest.test_case "an earlier journal keeps its labels" `Quick
+            test_earlier_journal_readmitted;
         ] );
     ]

@@ -47,18 +47,23 @@ let load_token file =
    already over, DNS miss) is one readable line and exit 2, not a raw
    backtrace. *)
 let dial ~peer connect =
-  let addr = parse_addr connect in
-  let sa =
-    try Dampi.Wire.sockaddr_of_addr addr
-    with Not_found | Failure _ | Unix.Unix_error _ ->
+  match Dampi.Wire.dial (parse_addr connect) with
+  | Ok fd -> (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+  | Error `Unresolved ->
       fail "cannot resolve %s: no such host or address" connect
-  in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd sa
-   with Unix.Unix_error (e, _, _) ->
-     fail "cannot connect to %s: %s (is the %s running?)" connect
-       (Unix.error_message e) peer);
-  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+  | Error e ->
+      fail "cannot connect to %s: %s (is the %s running?)" connect
+        (Dampi.Wire.dial_error_message e) peer
+
+(* Send one request line to a serve daemon; its answers arrive on the
+   returned channel. *)
+let request connect line =
+  let ic, oc = dial ~peer:"daemon" connect in
+  if not (Dampi.Wire.send oc (line ^ "\n")) then begin
+    Printf.eprintf "connection closed by daemon\n";
+    exit 1
+  end;
+  ic
 
 let write_file path contents =
   let oc = open_out path in
@@ -73,10 +78,6 @@ let safe_eprintf fmt =
   Printf.ksprintf
     (fun s -> try Printf.eprintf "%s%!" s with Sys_error _ -> ())
     fmt
-
-let ignore_sigpipe () =
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ | Sys_error _ -> ()
 
 (* The --progress ticker of verify and submit: one stderr line, redrawn in
    place, never mixed into the report on stdout. *)
@@ -492,14 +493,12 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
           (or_fail (Job.resume job path)))
   in
   let progress_cb =
-    if not progress then None
-    else begin
-      (* a vanished ticker consumer must surface as Sys_error (ignored by
-         safe_eprintf), not as a fatal SIGPIPE *)
-      ignore_sigpipe ();
-      Some (draw_progress job.workload)
-    end
+    if progress then Some (draw_progress job.workload) else None
   in
+  (* a vanished ticker consumer must surface as Sys_error (ignored by
+     safe_eprintf), not as a fatal SIGPIPE *)
+  (if progress then Dampi.Wire.with_sigpipe_ignored else fun f -> f ())
+  @@ fun () ->
   let children = ref [] in
   let distribute_setup =
     if not distributed then None
@@ -511,6 +510,10 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
                once it is listening, so the spawned children never race the
                bind. *)
             let path = Filename.temp_file "dampi-coord" ".sock" in
+            (* A path the kernel cannot bind (an over-long $TMPDIR) is a
+               usage error, reported before any worker is spawned. *)
+            Dampi.Wire.close_listener
+              (or_fail (Dampi.Wire.listen (Dampi.Wire.Unix_sock path)));
             let ready addr =
               let connect = Dampi.Wire.addr_to_string addr in
               let argv =
@@ -906,6 +909,7 @@ let worker_cmd =
    exploration or its canonical report. *)
 let top_run connect auth_token once =
   let secret = Option.fold ~none:"" ~some:load_token auth_token in
+  Dampi.Wire.with_sigpipe_ignored @@ fun () ->
   let ic, oc = dial ~peer:"coordinator" connect in
   let session = Printf.sprintf "top-%d" (Unix.getpid ()) in
   Dampi.Wire.write_to_coord oc
@@ -918,7 +922,6 @@ let top_run connect auth_token once =
          pending = None;
          role = Some "observer";
        });
-  ignore_sigpipe ();
   let ticking = ref false in
   let finish msg =
     if !ticking && not once then safe_eprintf "\n";
@@ -1484,17 +1487,12 @@ let submit_run job connect on_disconnect detach progress =
     | Error msg -> fail "%s" msg
   in
   let job = or_fail job in
-  ignore_sigpipe ();
-  let ic, oc = dial ~peer:"daemon" connect in
-  (try
-     output_string oc
-       (Dampi.Serve.submit_line ~params:(Job.to_params job)
-          ~on_disconnect:ondisc
-       ^ "\n");
-     flush oc
-   with Sys_error _ ->
-     Printf.eprintf "connection closed by daemon\n";
-     exit 1);
+  Dampi.Wire.with_sigpipe_ignored @@ fun () ->
+  let ic =
+    request connect
+      (Dampi.Serve.submit_line ~params:(Job.to_params job)
+         ~on_disconnect:ondisc)
+  in
   let report_lines = ref [] in
   let ticking = ref false in
   let rec loop () =
@@ -1575,14 +1573,8 @@ let fetch_run connect id =
   let connect =
     match connect with Some c -> c | None -> fail "fetch needs --connect ADDR"
   in
-  ignore_sigpipe ();
-  let ic, oc = dial ~peer:"daemon" connect in
-  (try
-     output_string oc (Dampi.Serve.fetch_line id ^ "\n");
-     flush oc
-   with Sys_error _ ->
-     Printf.eprintf "connection closed by daemon\n";
-     exit 1);
+  Dampi.Wire.with_sigpipe_ignored @@ fun () ->
+  let ic = request connect (Dampi.Serve.fetch_line id) in
   let report_lines = ref [] in
   let rec loop () =
     match Dampi.Serve.read_event ic with

@@ -130,8 +130,7 @@ type t = {
   sessions : (string, sess) Hashtbl.t;
   mutable next_epoch : int;
   mutable anon : int;  (* synthetic ids for proto peers without a session *)
-  listen_fd : Unix.file_descr option;
-  listen_path : string option;  (* unix socket to unlink on close *)
+  mutable listener : Wire.listener option;  (* bound by [drive] *)
   started : float;
   mutable next_lease : int;
   mutable st : stats;
@@ -149,28 +148,8 @@ type t = {
   mutable last_progress : float;
 }
 
-let mkdirs_socket_fd addr =
-  let sa = Wire.sockaddr_of_addr addr in
-  let domain = Unix.domain_of_sockaddr sa in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (match addr with
-  | Wire.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-  | Wire.Unix_sock p -> ( try Unix.unlink p with Unix.Unix_error _ -> ()));
-  (fd, sa)
-
 let create ?metrics ?(profile = false) ?(first_epoch = 1)
     ?(admit = fun _ -> true) ?(progress = fun () -> []) ~budget setup =
-  let listen_fd, listen_path =
-    match setup.attach with
-    | Listen { addr; ready } ->
-        let fd, sa = mkdirs_socket_fd addr in
-        Unix.bind fd sa;
-        Unix.listen fd 16;
-        ready addr;
-        ( Some fd,
-          match addr with Wire.Unix_sock p -> Some p | Wire.Tcp _ -> None )
-    | Fds _ | Dial _ -> (None, None)
-  in
   {
     setup;
     budget = max 0 budget;
@@ -186,8 +165,7 @@ let create ?metrics ?(profile = false) ?(first_epoch = 1)
     sessions = Hashtbl.create 16;
     next_epoch = max 1 first_epoch;
     anon = 0;
-    listen_fd;
-    listen_path;
+    listener = None;
     started = Unix.gettimeofday ();
     next_lease = 0;
     st =
@@ -301,7 +279,7 @@ let drop_conn t c ~reason =
   if c.alive then begin
     c.alive <- false;
     Log.info (fun m -> m "dropping connection %s: %s" c.name reason);
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
+    Wire.close_quietly c.fd
   end
 
 (* A worker connection died. Its session keeps the lease for the rejoin
@@ -326,24 +304,19 @@ let lose t c ~reason =
         | _ -> Log.warn (fun m -> m "worker %s lost (%s)" c.name reason));
         t.st <- { t.st with workers_lost = t.st.workers_lost + 1 };
         c.alive <- false;
-        (try Unix.close c.fd with Unix.Unix_error _ -> ())
+        Wire.close_quietly c.fd
 
 let raw_write t c data =
-  match t.metrics with
-  | Some { m_wire_io = Some h; _ } -> (
-      let t0 = Unix.gettimeofday () in
-      match
-        output_string c.oc data;
-        flush c.oc
-      with
-      | () -> Obs.Metrics.observe h (Unix.gettimeofday () -. t0)
-      | exception (Sys_error _ | Unix.Unix_error _) ->
-          lose t c ~reason:"write failed")
-  | _ -> (
-      try
-        output_string c.oc data;
-        flush c.oc
-      with Sys_error _ | Unix.Unix_error _ -> lose t c ~reason:"write failed")
+  let sent =
+    match t.metrics with
+    | Some { m_wire_io = Some h; _ } ->
+        let t0 = Unix.gettimeofday () in
+        let sent = Wire.send c.oc data in
+        if sent then Obs.Metrics.observe h (Unix.gettimeofday () -. t0);
+        sent
+    | _ -> Wire.send c.oc data
+  in
+  if not sent then lose t c ~reason:"write failed"
 
 (* Write every due frame, oldest first. A delayed head holds back the rest:
    only an injected Hold_back reorders, the queue itself models a slow pipe.
@@ -807,15 +780,36 @@ let close_all t =
         if c.outq <> [] then flush_outq t c infinity;
         if c.alive then raw_write t c (Wire.to_worker_string farewell);
         c.alive <- false;
-        try Unix.close c.fd with Unix.Unix_error _ -> ()
+        Wire.close_quietly c.fd
       end)
     t.conns;
-  (match t.listen_fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  match t.listen_path with
-  | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-  | None -> ()
+  Option.iter Wire.close_listener t.listener
+
+(* Bring up the connections [setup.attach] describes. A listen failure
+   ends the run; an unreachable worker address is only a warning, and
+   the run fails later if no worker ever joins. *)
+let attach t =
+  match t.setup.attach with
+  | Fds fds ->
+      List.iter (fun fd -> ignore (add_conn t fd)) fds;
+      Ok ()
+  | Listen { addr; ready } ->
+      Result.map
+        (fun l ->
+          t.listener <- Some l;
+          ready addr)
+        (Wire.listen addr)
+  | Dial addrs ->
+      List.iter
+        (fun addr ->
+          match Wire.dial addr with
+          | Ok fd -> ignore (add_conn t fd)
+          | Error e ->
+              Log.warn (fun m ->
+                  m "cannot dial %s: %s" (Wire.addr_to_string addr)
+                    (Wire.dial_error_message e)))
+        addrs;
+      Ok ()
 
 let drive t ~on_run ~should_stop ~tick =
   if t.ran then invalid_arg "Coordinator.drive: already ran";
@@ -823,24 +817,6 @@ let drive t ~on_run ~should_stop ~tick =
   (* EPIPE must surface as an exception on write, not kill the process. *)
   Wire.with_sigpipe_ignored @@ fun () ->
   Fun.protect ~finally:(fun () -> close_all t) @@ fun () ->
-  (match t.setup.attach with
-  | Fds fds -> List.iter (fun fd -> ignore (add_conn t fd)) fds
-  | Listen _ -> ()
-  | Dial addrs ->
-      List.iter
-        (fun addr ->
-          let sa = Wire.sockaddr_of_addr addr in
-          let fd =
-            Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0
-          in
-          match Unix.connect fd sa with
-          | () -> ignore (add_conn t fd)
-          | exception Unix.Unix_error (e, _, _) ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Log.warn (fun m ->
-                  m "cannot dial %s: %s" (Wire.addr_to_string addr)
-                    (Unix.error_message e)))
-        addrs);
   let buf = Bytes.create 65536 in
   let rec loop () =
     if should_stop () then Ok ()
@@ -861,7 +837,7 @@ let drive t ~on_run ~should_stop ~tick =
       if
         live = []
         && (not (any_in_grace t now))
-        && (t.st.workers_seen > 0 || t.listen_fd = None
+        && (t.st.workers_seen > 0 || t.listener = None
            || now -. t.started > t.setup.join_timeout)
       then
         Error
@@ -878,21 +854,16 @@ let drive t ~on_run ~should_stop ~tick =
             if c.outq <> [] || c.held <> None || c.sever then
               pump_out t c now)
           (live_conns t);
+        let lfd = Option.map Wire.listener_fd t.listener in
         let fds =
-          (match t.listen_fd with Some fd -> [ fd ] | None -> [])
-          @ List.map (fun c -> c.fd) (live_conns t)
-        in
-        let readable, _, _ =
-          try Unix.select fds [] [] 0.2
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+          Option.to_list lfd @ List.map (fun c -> c.fd) (live_conns t)
         in
         List.iter
           (fun fd ->
-            if Some fd = t.listen_fd then begin
-              match Unix.accept fd with
-              | afd, _ -> ignore (add_conn t afd)
-              | exception Unix.Unix_error _ -> ()
-            end
+            if Some fd = lfd then
+              Option.iter
+                (fun afd -> ignore (add_conn t afd))
+                (Option.bind t.listener Wire.accept)
             else
               match List.find_opt (fun c -> c.fd = fd && c.alive) t.conns with
               | None -> ()
@@ -916,7 +887,7 @@ let drive t ~on_run ~should_stop ~tick =
                       ()
                   | exception Unix.Unix_error (e, _, _) ->
                       lose t c ~reason:(Unix.error_message e)))
-          readable;
+          (Wire.readable fds 0.2);
         (* Heartbeat scan: a worker silent past the timeout is dead even if
            its socket is technically open (wedged process, dead host). The
            timeout adapts to the link: a peer whose frames already arrive
@@ -953,4 +924,4 @@ let drive t ~on_run ~should_stop ~tick =
       end
     end
   in
-  loop ()
+  Result.bind (attach t) loop

@@ -39,21 +39,24 @@
     explorer merges into the final report so distributed metric totals
     match an in-process run.
 
-    The event loop is single-threaded ([Unix.select]); every callback runs
-    on the calling thread, which is what makes periodic checkpointing from
-    [tick] race-free. *)
+    The event loop is single-threaded ({!Wire.readable}); every callback
+    runs on the calling thread, which is what makes periodic checkpointing
+    from [tick] race-free. *)
 
 (** How worker connections come to exist. *)
 type attach =
   | Fds of Unix.file_descr list
       (** pre-connected sockets (tests and bench use socketpairs) *)
   | Listen of { addr : Wire.addr; ready : Wire.addr -> unit }
-      (** bind + listen, then call [ready] (the CLI spawns
-          [dampi worker --connect] children there); workers may also join
-          later, any time before the frontier drains — including workers
-          rejoining a coordinator restarted from a checkpoint *)
+      (** {!Wire.listen} when {!drive} starts, then call [ready] (the CLI
+          spawns [dampi worker --connect] children there); workers may
+          also join later, any time before the frontier drains —
+          including workers rejoining a coordinator restarted from a
+          checkpoint *)
   | Dial of Wire.addr list
-      (** connect to workers already listening ([dampi worker --listen]) *)
+      (** {!Wire.dial} workers already listening ([dampi worker --listen])
+          when {!drive} starts; an address that cannot be dialled is
+          logged and skipped *)
 
 type setup = {
   attach : attach;
@@ -117,8 +120,8 @@ val create :
   budget:int ->
   setup ->
   t
-(** Binds/listens or dials according to [setup.attach] (deferring accepts
-    and handshakes to {!drive}). [budget] caps the total number of items
+(** A coordinator for [setup]; {!drive} opens the connections
+    [setup.attach] describes. [budget] caps the total number of items
     ever leased; items beyond it stay in the frontier (mirroring
     {!Scheduler}'s claim budget). [first_epoch] (default 1) is the first
     fencing epoch this coordinator will grant — a restart passes the
@@ -179,8 +182,9 @@ val drive :
     redialling or listening). [on_run] fires once per leased item as its
     result frame is ingested, with the original item; [tick] fires about
     once per select timeout (for periodic checkpoints). [Error] is
-    returned when every worker is gone — and none is inside its rejoin
-    grace — while work remains (or none ever appeared within
+    returned when a [Listen] address cannot be bound (the {!Wire.listen}
+    message), or when every worker is gone — and none is inside its
+    rejoin grace — while work remains (or none ever appeared within
     [join_timeout]); the frontier still holds that work, so a checkpoint
     taken afterwards can resume it, and {!Explorer} can optionally drain
     it in-process instead. May be called only once. *)

@@ -125,14 +125,9 @@ let send_frame snd msg =
 let flush_held snd =
   match snd.s_held with
   | None -> true
-  | Some h -> (
+  | Some h ->
       snd.s_held <- None;
-      match
-        output_string snd.s_oc h;
-        flush snd.s_oc
-      with
-      | () -> true
-      | exception (Sys_error _ | Unix.Unix_error _) -> false)
+      Wire.send snd.s_oc h
 
 (* Ship the metric delta since the last successful ship. Best-effort by
    design: a failed write leaves [t_prev] alone so the increments travel
@@ -240,9 +235,7 @@ let serve ?auth ?session ?telemetry:tele ~resolve fd =
     | None -> telemetry (Obs.Metrics.create ~shards:1 ())
   in
   Wire.with_sigpipe_ignored @@ fun () ->
-  Fun.protect ~finally:(fun () ->
-      try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Wire.close_quietly fd) @@ fun () ->
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   sess.conns <- sess.conns + 1;
@@ -388,17 +381,6 @@ let serve ?auth ?session ?telemetry:tele ~resolve fd =
 
 let sigterm_seen = Atomic.make false
 
-let dial sa =
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  match Unix.connect fd sa with
-  | () -> `Connected fd
-  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED) as e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      `Gone e
-  | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      `Err (Unix.error_message e)
-
 let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
     ?stop ~resolve mode =
   let sess = match session with Some s -> s | None -> make_session () in
@@ -423,13 +405,12 @@ let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
     min 5.0 base *. (0.5 +. Sim.Splitmix.float rng 1.0)
   in
   match mode with
-  | `Connect addr -> (
-      let sa = Wire.sockaddr_of_addr addr in
+  | `Connect addr ->
       let rec go attempt ever_connected =
         if stopping () then Ok ()
         else
-          match dial sa with
-          | `Connected fd -> (
+          match Wire.dial addr with
+          | Ok fd -> (
               match serve ?auth ~session:sess ~telemetry:tele ~resolve fd with
               | `Shutdown -> Ok ()
               | `Rejected reason ->
@@ -442,7 +423,7 @@ let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
                     Unix.sleepf (delay 0);
                     go 1 true
                   end)
-          | `Gone e ->
+          | Error (`Gone e) ->
               if (not ever_connected) && attempt = 0 then begin
                 (* A coordinator that already drained its frontier closes
                    and unlinks its socket before late workers arrive;
@@ -462,18 +443,15 @@ let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
                 Unix.sleepf (delay attempt);
                 go (attempt + 1) ever_connected
               end
-          | `Err msg ->
+          | Error e ->
               Error
-                (Printf.sprintf "cannot connect to %s: %s"
-                   (Wire.addr_to_string addr) msg)
+                (Printf.sprintf "cannot %s %s: %s"
+                   (if e = `Unresolved then "resolve" else "connect to")
+                   (Wire.addr_to_string addr) (Wire.dial_error_message e))
       in
-      go 0 false)
-  | `Listen addr -> (
-      let sa = Wire.sockaddr_of_addr addr in
-      let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-      (match addr with
-      | Wire.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-      | Wire.Unix_sock p -> ( try Unix.unlink p with Unix.Unix_error _ -> ()));
+      go 0 false
+  | `Listen addr ->
+      Result.bind (Wire.listen addr) @@ fun l ->
       (* The CLI worker runs standalone, so claiming the process SIGTERM
          handler is fine there; embedded callers pass [stop] instead and
          keep their handlers. *)
@@ -487,54 +465,33 @@ let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
                    (Sys.Signal_handle (fun _ -> Atomic.set sigterm_seen true)))
             with Invalid_argument _ | Sys_error _ -> None)
       in
-      let cleanup () =
-        (match old_term with
-        | Some h -> (
-            try Sys.set_signal Sys.sigterm h
-            with Invalid_argument _ | Sys_error _ -> ())
-        | None -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        match addr with
-        | Wire.Unix_sock p -> (
-            try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-        | Wire.Tcp _ -> ()
+      Fun.protect ~finally:(fun () ->
+          (match old_term with
+          | Some h -> (
+              try Sys.set_signal Sys.sigterm h
+              with Invalid_argument _ | Sys_error _ -> ())
+          | None -> ());
+          Wire.close_listener l)
+      @@ fun () ->
+      (* Serve successive coordinator sessions on one persistent session
+         identity — a coordinator restarted from a checkpoint dials back
+         in, and the carried-over pending/epoch state is exactly what
+         exercises lease resumption and fencing. *)
+      let rec accept_loop () =
+        if stopping () then Ok ()
+        else
+          match Wire.readable [ Wire.listener_fd l ] 0.2 with
+          | [] -> accept_loop ()
+          | _ -> (
+              match Wire.accept l with
+              | None -> accept_loop ()
+              | Some afd -> (
+                  match
+                    serve ?auth ~session:sess ~telemetry:tele ~resolve afd
+                  with
+                  | `Shutdown -> Ok ()
+                  | `Rejected reason ->
+                      Error ("rejected by coordinator: " ^ reason)
+                  | `Disconnected -> accept_loop ()))
       in
-      match
-        Unix.bind fd sa;
-        Unix.listen fd 4
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-          cleanup ();
-          Error
-            (Printf.sprintf "cannot listen on %s: %s"
-               (Wire.addr_to_string addr) (Unix.error_message e))
-      | () ->
-          (* Serve successive coordinator sessions on one persistent
-             session identity — a coordinator restarted from a checkpoint
-             dials back in, and the carried-over pending/epoch state is
-             exactly what exercises lease resumption and fencing. *)
-          let rec accept_loop () =
-            if stopping () then Ok ()
-            else begin
-              let readable, _, _ =
-                try Unix.select [ fd ] [] [] 0.2
-                with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-              in
-              if readable = [] then accept_loop ()
-              else
-                match Unix.accept fd with
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-                | exception Unix.Unix_error _ -> accept_loop ()
-                | afd, _ -> (
-                    match
-                      serve ?auth ~session:sess ~telemetry:tele ~resolve afd
-                    with
-                    | `Shutdown -> Ok ()
-                    | `Rejected reason ->
-                        Error ("rejected by coordinator: " ^ reason)
-                    | `Disconnected -> accept_loop ())
-            end
-          in
-          let r = accept_loop () in
-          cleanup ();
-          r)
+      accept_loop ()

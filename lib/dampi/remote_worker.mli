@@ -98,7 +98,8 @@ val serve_addr :
     few backoff sleeps, not its life. A first dial that finds the
     coordinator already gone (socket unlinked or refusing) is still [Ok]:
     the run finished before this worker joined. Exhausting [max_redials]
-    is also [Ok] (logged): the coordinator never came back.
+    is also [Ok] (logged): the coordinator never came back. A host that
+    does not resolve, or any other dial failure, is [Error].
 
     [`Listen] binds and serves {e successive} sessions on one persistent
     session identity ([dampi worker --listen]) — after a disconnect or a
@@ -108,6 +109,6 @@ val serve_addr :
     worker installs a handler unless [stop] is given — embedded callers
     poll their own flag via [stop]), or when [stop] answers true; it ends
     with [Error] if this worker is rejected or the address cannot be
-    bound.
+    resolved or bound ({!Wire.listen}'s message).
 
     Both modes answer HMAC challenges with [auth]. *)

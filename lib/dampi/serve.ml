@@ -56,35 +56,12 @@ type config = {
 
 (* ---- encoding ---- *)
 
-let enc = Checkpoint.enc
-let dec = Checkpoint.dec
-let fields = String.split_on_char ' '
-
-(* Both sides of '=' travel percent-encoded (submit params are
-   client-chosen free text, keys included). *)
-let kv_fields parts =
-  List.filter_map
-    (fun p ->
-      match String.index_opt p '=' with
-      | Some i ->
-          Some
-            ( dec (String.sub p 0 i),
-              dec (String.sub p (i + 1) (String.length p - i - 1)) )
-      | None -> None)
-    parts
-
-let fmt_kvs kvs =
-  String.concat " " (List.map (fun (k, v) -> enc k ^ "=" ^ enc v) kvs)
-
 let submit_line ~params ~on_disconnect =
   "submit "
-  ^ fmt_kvs (params @ [ ("on-disconnect", on_disconnect_to_string on_disconnect) ])
+  ^ Wire.kvs_line
+      (params @ [ ("on-disconnect", on_disconnect_to_string on_disconnect) ])
 
 let fetch_line id = Printf.sprintf "fetch %d" id
-
-let error_line reason = Printf.sprintf "error proto=%d %s" proto (enc reason)
-
-(* ---- client side ---- *)
 
 type event =
   | Accepted of int
@@ -101,62 +78,73 @@ type event =
     }
   | Pending of { id : int; state : string }
 
-let read_line_opt ic =
-  try Some (input_line ic) with End_of_file | Sys_error _ -> None
+let event_to_string ev =
+  (match ev with
+  | Accepted id -> Printf.sprintf "accepted id=%d" id
+  | Rejected what -> "reject " ^ what
+  | Errored { proto; reason } ->
+      Printf.sprintf "error proto=%d %s" proto (Checkpoint.enc reason)
+  | Progress (id, kvs) ->
+      Printf.sprintf "progress id=%d %s" id (Wire.kvs_line kvs)
+  | Report (id, lines) ->
+      String.concat "\n"
+        ((Printf.sprintf "report id=%d %d" id (List.length lines)
+         :: List.map (fun l -> "l " ^ Checkpoint.enc l) lines)
+        @ [ "end" ])
+  | Done { id; status; code; msg; backtrace } ->
+      Printf.sprintf "done id=%d %s" id
+        (Wire.kvs_line
+           [ ("status", status); ("code", string_of_int code); ("msg", msg);
+             ("backtrace", backtrace) ])
+  | Pending { id; state } ->
+      Printf.sprintf "pending id=%d %s" id (Wire.kvs_line [ ("state", state) ]))
+  ^ "\n"
 
-let assoc_int k kvs = Option.bind (List.assoc_opt k kvs) int_of_string_opt
+(* ---- client side ---- *)
 
 let read_event ic =
-  match read_line_opt ic with
+  match Wire.read_line_opt ic with
   | None -> Error "connection closed"
   | Some line -> (
-      match fields line with
+      let id_of tok = Wire.int_field "id" (Wire.kv_fields [ tok ]) in
+      match Wire.fields line with
       | [ "accepted"; idkv ] -> (
-          match assoc_int "id" (kv_fields [ idkv ]) with
+          match id_of idkv with
           | Some id -> Ok (Accepted id)
           | None -> Error (Printf.sprintf "malformed accepted %S" line))
       | "reject" :: rest -> Ok (Rejected (String.concat " " rest))
       | "error" :: protokv :: rest -> (
-          match assoc_int "proto" (kv_fields [ protokv ]) with
+          match Wire.int_field "proto" (Wire.kv_fields [ protokv ]) with
           | Some proto ->
-              Ok (Errored { proto; reason = dec (String.concat " " rest) })
+              Ok
+                (Errored
+                   { proto; reason = Checkpoint.dec (String.concat " " rest) })
           | None -> Error (Printf.sprintf "malformed error %S" line))
       | "progress" :: idkv :: rest -> (
-          match assoc_int "id" (kv_fields [ idkv ]) with
-          | Some id -> Ok (Progress (id, kv_fields rest))
+          match id_of idkv with
+          | Some id -> Ok (Progress (id, Wire.kv_fields rest))
           | None -> Error (Printf.sprintf "malformed progress %S" line))
       | [ "pending"; idkv; statekv ] -> (
           match
-            (assoc_int "id" (kv_fields [ idkv ]),
-             List.assoc_opt "state" (kv_fields [ statekv ]))
+            (id_of idkv, List.assoc_opt "state" (Wire.kv_fields [ statekv ]))
           with
           | Some id, Some state -> Ok (Pending { id; state })
           | _ -> Error (Printf.sprintf "malformed pending %S" line))
       | [ "report"; idkv; n ] -> (
-          match (assoc_int "id" (kv_fields [ idkv ]), int_of_string_opt n) with
-          | Some id, Some n when n >= 0 -> (
-              let rec lines acc k =
-                if k = 0 then
-                  match read_line_opt ic with
-                  | Some "end" -> Ok (List.rev acc)
-                  | _ -> Error "report frame not closed by end"
-                else
-                  match read_line_opt ic with
-                  | None -> Error "connection closed mid-report"
-                  | Some l -> (
-                      match fields l with
-                      | [ "l"; e ] -> lines (dec e :: acc) (k - 1)
-                      | [ "l" ] -> lines ("" :: acc) (k - 1)
-                      | _ -> Error (Printf.sprintf "malformed report line %S" l))
-              in
-              match lines [] n with
-              | Ok ls -> Ok (Report (id, ls))
-              | Error e -> Error e)
-          | _ -> Error (Printf.sprintf "malformed report header %S" line))
+          match id_of idkv with
+          | Some id ->
+              Wire.read_block ic ~what:"report" n (fun l ->
+                  match Wire.fields l with
+                  | [ "l"; e ] -> Ok (Checkpoint.dec e)
+                  | _ -> Error (Printf.sprintf "malformed report line %S" l))
+              |> Result.map (fun ls -> Report (id, ls))
+          | None -> Error (Printf.sprintf "malformed report header %S" line))
       | "done" :: rest -> (
-          let kvs = kv_fields rest in
-          match (assoc_int "id" kvs, List.assoc_opt "status" kvs,
-                 assoc_int "code" kvs)
+          let kvs = Wire.kv_fields rest in
+          let text k = Option.value (List.assoc_opt k kvs) ~default:"" in
+          match
+            (Wire.int_field "id" kvs, List.assoc_opt "status" kvs,
+             Wire.int_field "code" kvs)
           with
           | Some id, Some status, Some code ->
               Ok
@@ -165,9 +153,8 @@ let read_event ic =
                      id;
                      status;
                      code;
-                     msg = Option.value (List.assoc_opt "msg" kvs) ~default:"";
-                     backtrace =
-                       Option.value (List.assoc_opt "backtrace" kvs) ~default:"";
+                     msg = text "msg";
+                     backtrace = text "backtrace";
                    })
           | _ -> Error (Printf.sprintf "malformed done %S" line))
       | _ -> Error (Printf.sprintf "unexpected daemon line %S" line))
@@ -189,6 +176,17 @@ type final = {
   f_msg : string;
   f_bt : string;
 }
+
+(* A finished job, from the child's [done] line or a parked report. *)
+let final_of_kvs kvs =
+  let text k = Option.value (List.assoc_opt k kvs) ~default:"" in
+  {
+    f_status = Option.value (List.assoc_opt "status" kvs) ~default:"crashed";
+    f_code = Option.value (Wire.int_field "code" kvs) ~default:2;
+    f_report = text "report";
+    f_msg = text "msg";
+    f_bt = text "backtrace";
+  }
 
 type child = {
   pid : int;
@@ -224,8 +222,7 @@ type jmetrics = {
 
 type t = {
   cfg : config;
-  lfd : Unix.file_descr;
-  lpath : string option;  (* unix socket to unlink on close *)
+  listener : Wire.listener;
   rbuf : Bytes.t;
   m : jmetrics option;
   mutable clients : client list;
@@ -257,6 +254,12 @@ let report_path state_dir id = Filename.concat state_dir (Printf.sprintf "report
 let ckpt_path state_dir label =
   Filename.concat state_dir ("job-" ^ Digest.to_hex (Digest.string label) ^ ".ck")
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 (* ---- journal ---- *)
 
 let write_journal t =
@@ -265,11 +268,10 @@ let write_journal t =
   Buffer.add_string b (Printf.sprintf "next %d\n" t.next_id);
   let add_job j =
     Buffer.add_string b
-      (Printf.sprintf "job %d %s%s\n" j.jid
-         (on_disconnect_to_string j.ondisc)
-         (List.fold_left
-            (fun acc (k, v) -> acc ^ " " ^ enc k ^ "=" ^ enc v)
-            "" j.params))
+      (String.concat " "
+         ("job" :: string_of_int j.jid :: on_disconnect_to_string j.ondisc
+         :: List.map (fun kv -> Wire.kvs_line [ kv ]) j.params)
+      ^ "\n")
   in
   List.iter add_job t.queue;
   List.iter add_job t.running;
@@ -285,13 +287,7 @@ let load_journal state_dir =
   let path = journal_path state_dir in
   if not (Sys.file_exists path) then Ok (1, [], [])
   else
-    match
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      text
-    with
+    match read_file path with
     | exception Sys_error e -> Error (Printf.sprintf "cannot read %s: %s" path e)
     | text -> (
         match String.split_on_char '\n' text with
@@ -301,7 +297,7 @@ let load_journal state_dir =
             List.iter
               (fun line ->
                 if !bad = None && line <> "" then
-                  match fields line with
+                  match Wire.fields line with
                   | [ "next"; n ] -> (
                       match int_of_string_opt n with
                       | Some n when n >= 1 -> next := n
@@ -311,7 +307,7 @@ let load_journal state_dir =
                         (int_of_string_opt id, on_disconnect_of_string ondisc)
                       with
                       | Some id, Ok ondisc ->
-                          jobs := (id, ondisc, kv_fields params) :: !jobs
+                          jobs := (id, ondisc, Wire.kv_fields params) :: !jobs
                       | _ -> bad := Some line)
                   | [ "parked"; id ] -> (
                       match int_of_string_opt id with
@@ -327,8 +323,6 @@ let load_journal state_dir =
 
 (* ---- client plumbing ---- *)
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let kill_quietly pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
 (* Disconnect (or first failed write): apply each owned job's policy.
@@ -337,7 +331,7 @@ let kill_quietly pid signal = try Unix.kill pid signal with Unix.Unix_error _ ->
 let client_gone t c =
   if c.calive then begin
     c.calive <- false;
-    close_quietly c.cfd;
+    Wire.close_quietly c.cfd;
     t.clients <- List.filter (fun c' -> c'.cid <> c.cid) t.clients;
     let owned j = match j.owner with Some o -> o.cid = c.cid | None -> false in
     let mine_q = List.filter owned t.queue in
@@ -365,37 +359,36 @@ let client_gone t c =
     gauge t
   end
 
-let send_client t c line =
-  if not c.calive then false
-  else
-    try
-      output_string c.coc line;
-      output_char c.coc '\n';
-      flush c.coc;
-      true
-    with Sys_error _ | Unix.Unix_error _ ->
-      client_gone t c;
-      false
+let send t c ev =
+  c.calive
+  && (Wire.send c.coc (event_to_string ev)
+     || begin
+          client_gone t c;
+          false
+        end)
 
-let send_report_frame t c ~id text =
-  let lines = String.split_on_char '\n' text in
-  let lines =
-    match List.rev lines with "" :: r -> List.rev r | _ -> lines
-  in
-  send_client t c (Printf.sprintf "report id=%d %d" id (List.length lines))
-  && List.for_all (fun l -> send_client t c ("l " ^ enc l)) lines
-  && send_client t c "end"
+let error_event reason = Errored { proto; reason }
 
-let done_line id f =
-  Printf.sprintf "done id=%d status=%s code=%d msg=%s backtrace=%s" id
-    f.f_status f.f_code (enc f.f_msg) (enc f.f_bt)
+let done_event id f =
+  Done
+    { id; status = f.f_status; code = f.f_code; msg = f.f_msg;
+      backtrace = f.f_bt }
+
+(* A job's report and terminal line; the report frame carries the text's
+   lines without its final newline. *)
+let send_final t c id f =
+  let lines = String.split_on_char '\n' f.f_report in
+  let lines = match List.rev lines with "" :: r -> List.rev r | _ -> lines in
+  (f.f_report = "" || send t c (Report (id, lines)))
+  && send t c (done_event id f)
 
 (* ---- parked reports ---- *)
 
 let park t job f =
   let text =
     Printf.sprintf "status %s\ncode %d\nmsg %s\nbacktrace %s\nreport %s\n"
-      f.f_status f.f_code (enc f.f_msg) (enc f.f_bt) (enc f.f_report)
+      f.f_status f.f_code (Checkpoint.enc f.f_msg) (Checkpoint.enc f.f_bt)
+      (Checkpoint.enc f.f_report)
   in
   (match Checkpoint.atomic_write (report_path t.cfg.state_dir job.jid) text with
   | Checkpoint.Written -> Hashtbl.replace t.parked job.jid ()
@@ -403,44 +396,21 @@ let park t job f =
       Log.warn (fun m -> m "could not park report for job %d: %s" job.jid e))
 
 let load_parked t id =
-  match
-    let ic = open_in_bin (report_path t.cfg.state_dir id) in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    text
-  with
+  match read_file (report_path t.cfg.state_dir id) with
   | exception Sys_error _ -> None
   | text ->
-      let kv = ref [] in
-      List.iter
-        (fun line ->
-          match String.index_opt line ' ' with
-          | Some i ->
-              kv :=
-                ( String.sub line 0 i,
-                  String.sub line (i + 1) (String.length line - i - 1) )
-                :: !kv
-          | None -> ())
-        (String.split_on_char '\n' text);
-      let get k = Option.value (List.assoc_opt k !kv) ~default:"" in
       Some
-        {
-          f_status = get "status";
-          f_code = Option.value (int_of_string_opt (get "code")) ~default:2;
-          f_report = dec (get "report");
-          f_msg = dec (get "msg");
-          f_bt = dec (get "backtrace");
-        }
+        (final_of_kvs
+           (List.filter_map
+              (fun line ->
+                match Wire.fields line with
+                | [ k; v ] -> Some (k, Checkpoint.dec v)
+                | _ -> None)
+              (String.split_on_char '\n' text)))
 
 let deliver t job f =
   match job.owner with
-  | Some c when c.calive ->
-      let ok =
-        (f.f_report = "" || send_report_frame t c ~id:job.jid f.f_report)
-        && send_client t c (done_line job.jid f)
-      in
-      if not ok then park t job f
+  | Some c when c.calive -> if not (send_final t c job.jid f) then park t job f
   | _ -> park t job f
 
 (* ---- running jobs ---- *)
@@ -476,32 +446,29 @@ let start t job =
       (* Job child. Sever every daemon fd and restore default signal
          disposition so Explorer's own checkpoint handlers see a clean
          slate (the daemon's handlers are inherited otherwise). *)
-      close_quietly rfd;
-      close_quietly t.lfd;
-      List.iter (fun c -> close_quietly c.cfd) t.clients;
+      Wire.close_quietly rfd;
+      Wire.close_quietly (Wire.listener_fd t.listener);
+      List.iter (fun c -> Wire.close_quietly c.cfd) t.clients;
       List.iter
         (fun j ->
           match running_child j with
-          | Some ch -> close_quietly ch.rfd
+          | Some ch -> Wire.close_quietly ch.rfd
           | None -> ())
         t.running;
       Sys.set_signal Sys.sigterm Sys.Signal_default;
       Sys.set_signal Sys.sigint Sys.Signal_default;
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      (* SIGPIPE stays ignored, as the daemon left it: a write to a dead
+         pipe is an error here, not a signal. *)
       Printexc.record_backtrace true;
       let oc = Unix.out_channel_of_descr wfd in
-      let send line =
-        try
-          output_string oc line;
-          output_char oc '\n';
-          flush oc
-        with Sys_error _ | Unix.Unix_error _ -> ()
-      in
-      let progress kvs = send ("p " ^ fmt_kvs kvs) in
+      let send line = ignore (Wire.send oc (line ^ "\n")) in
+      let progress kvs = send ("p " ^ Wire.kvs_line kvs) in
       let finish status code ?(report = "") ?(msg = "") ?(bt = "") () =
         send
-          (Printf.sprintf "done status=%s code=%d report=%s msg=%s backtrace=%s"
-             status code (enc report) (enc msg) (enc bt))
+          ("done "
+          ^ Wire.kvs_line
+              [ ("status", status); ("code", string_of_int code);
+                ("report", report); ("msg", msg); ("backtrace", bt) ])
       in
       let code =
         match
@@ -541,31 +508,14 @@ let start t job =
       Log.info (fun m -> m "job %d started (pid %d): %s" job.jid pid job.label)
 
 let handle_child_line t job line =
-  match fields line with
+  match Wire.fields line with
   | "p" :: rest -> (
-      (* progress tokens are already percent-encoded k=v pairs; forward
-         verbatim *)
       match job.owner with
-      | Some c when c.calive ->
-          ignore
-            (send_client t c
-               (Printf.sprintf "progress id=%d %s" job.jid
-                  (String.concat " " rest)))
-      | _ -> ())
+      | Some c -> ignore (send t c (Progress (job.jid, Wire.kv_fields rest)))
+      | None -> ())
   | "done" :: rest -> (
-      let kvs = kv_fields rest in
       match running_child job with
-      | Some ch ->
-          ch.final <-
-            Some
-              {
-                f_status =
-                  Option.value (List.assoc_opt "status" kvs) ~default:"crashed";
-                f_code = Option.value (assoc_int "code" kvs) ~default:2;
-                f_report = Option.value (List.assoc_opt "report" kvs) ~default:"";
-                f_msg = Option.value (List.assoc_opt "msg" kvs) ~default:"";
-                f_bt = Option.value (List.assoc_opt "backtrace" kvs) ~default:"";
-              }
+      | Some ch -> ch.final <- Some (final_of_kvs (Wire.kv_fields rest))
       | None -> ())
   | _ -> Log.debug (fun m -> m "job %d: stray pipe line %S" job.jid line)
 
@@ -573,7 +523,7 @@ let handle_child_line t job line =
 let settle t job ch =
   if ch.live then begin
     ch.live <- false;
-    close_quietly ch.rfd;
+    Wire.close_quietly ch.rfd;
     let wstatus =
       try snd (Unix.waitpid [] ch.pid)
       with Unix.Unix_error _ -> Unix.WEXITED 0
@@ -607,13 +557,13 @@ let settle t job ch =
         jincr t (fun m -> m.m_cancelled);
         drop_ckpt ();
         Log.info (fun m -> m "job %d cancelled" job.jid);
-        (match job.owner with
-        | Some c when c.calive ->
+        Option.iter
+          (fun c ->
             ignore
-              (send_client t c
-                 (done_line job.jid
-                    { f with f_status = "cancelled"; f_code = 3 }))
-        | _ -> ())
+              (send t c
+                 (done_event job.jid
+                    { f with f_status = "cancelled"; f_code = 3 })))
+          job.owner
     | "completed" ->
         jincr t (fun m -> m.m_completed);
         (* the .cache prefix sidecar stays: that is the daemon-resident
@@ -630,12 +580,12 @@ let settle t job ch =
         t.queue <- t.queue @ [ job ];
         Log.info (fun m -> m "job %d checkpointed" job.jid);
         if t.draining then begin
-          (match job.owner with
-          | Some c when c.calive ->
+          Option.iter
+            (fun c ->
               ignore
-                (send_client t c
-                   (done_line job.jid { f with f_status = "checkpointed" }))
-          | _ -> ());
+                (send t c
+                   (done_event job.jid { f with f_status = "checkpointed" })))
+            job.owner;
           job.owner <- None
         end
     | _ ->
@@ -656,12 +606,12 @@ let inflight t c =
   List.length (List.filter owned t.queue)
   + List.length (List.filter owned t.running)
 
-let reject t c what =
+let reject t c ev =
   jincr t (fun m -> m.m_rejected);
-  ignore (send_client t c ("reject " ^ what))
+  ignore (send t c ev)
 
 let handle_submit t c rest =
-  let kvs = kv_fields rest in
+  let kvs = Wire.kv_fields rest in
   let ondisc =
     match List.assoc_opt "on-disconnect" kvs with
     | None -> Ok Cancel
@@ -669,24 +619,20 @@ let handle_submit t c rest =
   in
   let params = List.filter (fun (k, _) -> k <> "on-disconnect") kvs in
   match ondisc with
-  | Error e ->
-      jincr t (fun m -> m.m_rejected);
-      ignore (send_client t c (error_line e))
+  | Error e -> reject t c (error_event e)
   | Ok ondisc -> (
-      if t.draining then reject t c "draining"
+      if t.draining then reject t c (Rejected "draining")
       else
         match t.cfg.validate params with
-        | Error e ->
-            jincr t (fun m -> m.m_rejected);
-            ignore (send_client t c (error_line e))
+        | Error e -> reject t c (error_event e)
         | Ok label ->
-            let spec_bytes = String.length (fmt_kvs params) in
+            let spec_bytes = String.length (Wire.kvs_line params) in
             if
               List.length t.queue >= t.cfg.limits.max_queue
               || queue_bytes t + spec_bytes > t.cfg.limits.max_queue_bytes
-            then reject t c "queue-full"
+            then reject t c (Rejected "queue-full")
             else if inflight t c >= t.cfg.limits.max_client_inflight then
-              reject t c "client-cap"
+              reject t c (Rejected "client-cap")
             else begin
               let jid = t.next_id in
               t.next_id <- jid + 1;
@@ -708,18 +654,14 @@ let handle_submit t c rest =
               (* journal before acknowledging: "accepted" must imply the
                  job survives a daemon restart *)
               write_journal t;
-              ignore (send_client t c (Printf.sprintf "accepted id=%d" jid))
+              ignore (send t c (Accepted jid))
             end)
 
 let handle_fetch t c id =
   if Hashtbl.mem t.parked id then begin
     match load_parked t id with
     | Some f ->
-        let ok =
-          (f.f_report = "" || send_report_frame t c ~id f.f_report)
-          && send_client t c (done_line id f)
-        in
-        if ok then begin
+        if send_final t c id f then begin
           Hashtbl.remove t.parked id;
           (try Sys.remove (report_path t.cfg.state_dir id)
            with Sys_error _ -> ());
@@ -729,38 +671,37 @@ let handle_fetch t c id =
         Hashtbl.remove t.parked id;
         write_journal t;
         ignore
-          (send_client t c
-             (error_line (Printf.sprintf "parked report for job %d is gone" id)))
+          (send t c
+             (error_event
+                (Printf.sprintf "parked report for job %d is gone" id)))
   end
-  else if List.exists (fun x -> x.jid = id) t.queue then
-    ignore (send_client t c (Printf.sprintf "pending id=%d state=queued" id))
-  else if List.exists (fun x -> x.jid = id) t.running then
-    ignore (send_client t c (Printf.sprintf "pending id=%d state=running" id))
   else
-    ignore (send_client t c (error_line (Printf.sprintf "unknown job %d" id)))
+    let pending state = ignore (send t c (Pending { id; state })) in
+    if List.exists (fun x -> x.jid = id) t.queue then pending "queued"
+    else if List.exists (fun x -> x.jid = id) t.running then pending "running"
+    else ignore (send t c (error_event (Printf.sprintf "unknown job %d" id)))
 
 let handle_line t c line =
   if c.calive && line <> "" then
-    match fields line with
+    let err fmt =
+      Printf.ksprintf (fun e -> ignore (send t c (error_event e))) fmt
+    in
+    match Wire.fields line with
     | "submit" :: rest -> handle_submit t c rest
     | [ "fetch"; n ] -> (
         match int_of_string_opt n with
         | Some id -> handle_fetch t c id
-        | None ->
-            ignore
-              (send_client t c (error_line (Printf.sprintf "bad fetch id %S" n))))
+        | None -> err "bad fetch id %S" n)
     | _ ->
         (* garbage gets a versioned error, never a crash or a close *)
-        ignore
-          (send_client t c
-             (error_line (Printf.sprintf "unexpected request line %S" line)))
+        err "unexpected request line %S" line
 
 (* ---- the select loop ---- *)
 
 let accept_client t =
-  match Unix.accept t.lfd with
-  | exception Unix.Unix_error _ -> ()
-  | fd, _ ->
+  match Wire.accept t.listener with
+  | None -> ()
+  | Some fd ->
       let c =
         {
           cid = t.next_cid;
@@ -783,8 +724,8 @@ let read_client t c =
         List.iter (handle_line t c) lines;
         if overflow && c.calive then begin
           ignore
-            (send_client t c
-               (error_line
+            (send t c
+               (error_event
                   (Printf.sprintf "request line exceeds %d bytes"
                      t.cfg.limits.max_line)));
           client_gone t c
@@ -834,19 +775,14 @@ let drive t =
            their submitters now *)
         List.iter
           (fun j ->
-            (match j.owner with
-            | Some c when c.calive ->
+            Option.iter
+              (fun c ->
                 ignore
-                  (send_client t c
-                     (done_line j.jid
-                        {
-                          f_status = "checkpointed";
-                          f_code = 3;
-                          f_report = "";
-                          f_msg = "daemon draining";
-                          f_bt = "";
-                        }))
-            | _ -> ());
+                  (send t c
+                     (Done
+                        { id = j.jid; status = "checkpointed"; code = 3;
+                          msg = "daemon draining"; backtrace = "" })))
+              j.owner;
             j.owner <- None)
           t.queue
       end;
@@ -876,17 +812,14 @@ let drive t =
               | None -> None)
             t.running
         in
+        let lfd = Wire.listener_fd t.listener in
         let watch =
-          (if t.draining then [] else [ t.lfd ])
+          (if t.draining then [] else [ lfd ])
           @ List.map fst cmap @ List.map fst jmap
-        in
-        let readable, _, _ =
-          try Unix.select watch [] [] 0.2
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
         List.iter
           (fun fd ->
-            if fd = t.lfd && not t.draining then accept_client t
+            if fd = lfd && not t.draining then accept_client t
             else
               match List.assq_opt fd cmap with
               | Some c -> read_client t c
@@ -894,7 +827,7 @@ let drive t =
                   match List.assq_opt fd jmap with
                   | Some (j, ch) -> read_child t j ch
                   | None -> ()))
-          readable;
+          (Wire.readable watch 0.2);
         loop ()
       end
     end
@@ -920,99 +853,68 @@ let make_metrics = function
 let serve cfg =
   (try Unix.mkdir cfg.state_dir 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  match load_journal cfg.state_dir with
-  | Error e -> Error e
-  | Ok (next, jobs, parked) -> (
-      match
-        let sa = Wire.sockaddr_of_addr cfg.addr in
-        let domain = Unix.domain_of_sockaddr sa in
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        (match cfg.addr with
-        | Wire.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
-        | Wire.Unix_sock p -> (
-            try Unix.unlink p with Unix.Unix_error _ -> ()));
-        Unix.bind fd sa;
-        Unix.listen fd 16;
-        fd
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-          Error
-            (Printf.sprintf "cannot listen on %s: %s"
-               (Wire.addr_to_string cfg.addr)
-               (Unix.error_message e))
-      | lfd ->
-          let t =
-            {
-              cfg;
-              lfd;
-              lpath =
-                (match cfg.addr with
-                | Wire.Unix_sock p -> Some p
-                | Wire.Tcp _ -> None);
-              rbuf = Bytes.create 65536;
-              m = make_metrics cfg.metrics;
-              clients = [];
-              queue = [];
-              running = [];
-              parked = Hashtbl.create 16;
-              next_id = next;
-              next_cid = 1;
-              draining = false;
-              term = Atomic.make false;
-              ints = Atomic.make 0;
-            }
-          in
-          (* journal recovery: re-admit every lost job exactly once. The
-             submitters are gone, so the jobs run detached and park. *)
-          List.iter
-            (fun (jid, ondisc, params) ->
-              match cfg.validate params with
-              | Ok label ->
-                  t.queue <-
-                    t.queue
-                    @ [
-                        {
-                          jid;
-                          label;
-                          params;
-                          spec_bytes = String.length (fmt_kvs params);
-                          ondisc;
-                          owner = None;
-                          phase = Queued;
-                          cancelling = false;
-                        };
-                      ];
-                  t.next_id <- max t.next_id (jid + 1);
-                  Log.info (fun m -> m "re-admitted job %d from journal" jid)
-              | Error e ->
-                  Log.warn (fun m ->
-                      m "dropping journaled job %d: %s" jid e))
-            jobs;
-          List.iter
-            (fun id ->
-              t.next_id <- max t.next_id (id + 1);
-              Hashtbl.replace t.parked id ())
-            parked;
-          gauge t;
-          write_journal t;
-          (match cfg.ready with Some f -> f cfg.addr | None -> ());
-          let old_term =
-            Sys.signal Sys.sigterm
-              (Sys.Signal_handle (fun _ -> Atomic.set t.term true))
-          in
-          let old_int =
-            Sys.signal Sys.sigint
-              (Sys.Signal_handle (fun _ -> Atomic.incr t.ints))
-          in
-          let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-          Fun.protect
-            ~finally:(fun () ->
-              Sys.set_signal Sys.sigterm old_term;
-              Sys.set_signal Sys.sigint old_int;
-              Sys.set_signal Sys.sigpipe old_pipe;
-              close_quietly t.lfd;
-              List.iter (fun c -> close_quietly c.cfd) t.clients;
-              (match t.lpath with
-              | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-              | None -> ()))
-            (fun () -> Ok (drive t)))
+  Result.bind (load_journal cfg.state_dir) @@ fun (next, jobs, parked) ->
+  Result.bind (Wire.listen cfg.addr) @@ fun listener ->
+  let t =
+    {
+      cfg;
+      listener;
+      rbuf = Bytes.create 65536;
+      m = make_metrics cfg.metrics;
+      clients = [];
+      queue = [];
+      running = [];
+      parked = Hashtbl.create 16;
+      next_id = next;
+      next_cid = 1;
+      draining = false;
+      term = Atomic.make false;
+      ints = Atomic.make 0;
+    }
+  in
+  (* journal recovery: re-admit every lost job exactly once. The
+     submitters are gone, so the jobs run detached and park. *)
+  List.iter
+    (fun (jid, ondisc, params) ->
+      match cfg.validate params with
+      | Ok label ->
+          t.queue <-
+            t.queue
+            @ [
+                {
+                  jid;
+                  label;
+                  params;
+                  spec_bytes = String.length (Wire.kvs_line params);
+                  ondisc;
+                  owner = None;
+                  phase = Queued;
+                  cancelling = false;
+                };
+              ];
+          t.next_id <- max t.next_id (jid + 1);
+          Log.info (fun m -> m "re-admitted job %d from journal" jid)
+      | Error e -> Log.warn (fun m -> m "dropping journaled job %d: %s" jid e))
+    jobs;
+  List.iter
+    (fun id ->
+      t.next_id <- max t.next_id (id + 1);
+      Hashtbl.replace t.parked id ())
+    parked;
+  gauge t;
+  write_journal t;
+  (match cfg.ready with Some f -> f cfg.addr | None -> ());
+  let old_term =
+    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set t.term true))
+  in
+  let old_int =
+    Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.incr t.ints))
+  in
+  Wire.with_sigpipe_ignored @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigterm old_term;
+      Sys.set_signal Sys.sigint old_int;
+      Wire.close_listener t.listener;
+      List.iter (fun c -> Wire.close_quietly c.cfd) t.clients)
+    (fun () -> Ok (drive t))

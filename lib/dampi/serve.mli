@@ -1,10 +1,13 @@
 (** Verification as a service: a crash-isolated, backpressured job daemon.
 
     [dampi serve] turns the one-shot CLI into a resident verifier: a
-    single-threaded select loop (the {!Coordinator} event-loop pattern
-    over the {!Wire.Lines} bounded assembler) accepts line-oriented job
-    requests from many clients, queues them FIFO with per-client
-    fairness, and runs each admitted job in a {e forked child process}.
+    single-threaded select loop accepts line-oriented job requests from
+    many clients, queues them FIFO with per-client fairness, and runs each
+    admitted job in a {e forked child process}. Its transport is
+    {!Wire}'s, as the coordinator's is: {!Wire.listen}, {!Wire.accept},
+    the {!Wire.readable} select step, {!Wire.Lines} bounded line
+    splitting, and the {!Wire} line codec for requests, events, the
+    daemon's pipe to each job child and the journal.
     Fork-per-job is the crash-isolation mechanism: a job whose replay
     raises — or segfaults, or is OOM-killed — takes down only its child;
     the daemon classifies the death from the exit status plus whatever
@@ -12,7 +15,8 @@
     client with the backtrace, and keeps serving.
 
     Client protocol (serve proto=1, one request per line, free-form text
-    percent-encoded via {!Checkpoint.enc}):
+    percent-encoded via {!Checkpoint.enc}; every daemon line is
+    {!event_to_string} of one {!event}):
     {v
       client: submit workload=<enc> [np=<n>] [k=<enc>] ... [on-disconnect=cancel|detach]
       serve:  accepted id=<n>
@@ -120,8 +124,8 @@ val serve : config -> (int, string) result
 (** Runs the daemon until drained. [Ok 0]: graceful drain (SIGTERM or
     SIGINT) with every in-flight job finished or checkpointed; [Ok 130]:
     forced shutdown (second SIGINT). [Error] on bind/journal failures.
-    Ignores SIGPIPE and installs SIGTERM/SIGINT handlers for the
-    duration (restored on return). *)
+    Ignores SIGPIPE ({!Wire.with_sigpipe_ignored}) and installs
+    SIGTERM/SIGINT handlers for the duration (restored on return). *)
 
 (** {2 Client side}
 
@@ -149,6 +153,10 @@ val submit_line :
 
 val fetch_line : int -> string
 
+val event_to_string : event -> string
+(** The daemon's encoding of an event: one newline-terminated line, or
+    the [report] frame's lines. *)
+
 val read_event : in_channel -> (event, string) result
-(** Blocking read of one daemon frame. [Error] on EOF or malformed
-    input. *)
+(** Blocking read of one daemon frame: the inverse of {!event_to_string}.
+    [Error] on EOF or malformed input. *)

@@ -41,14 +41,126 @@ let addr_to_string = function
   | Unix_sock p -> "unix:" ^ p
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
 
+(* ---- transport: resolve, listen, dial, wait ----
+
+   Every socket the coordinator, the workers, the serve daemon and the CLI
+   open goes through here, so address resolution, stale-socket cleanup
+   and error text are the same everywhere. *)
+
 let sockaddr_of_addr = function
-  | Unix_sock p -> Unix.ADDR_UNIX p
-  | Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      Unix.ADDR_INET (ip, port)
+  | Unix_sock p -> Some (Unix.ADDR_UNIX p)
+  | Tcp (host, port) -> (
+      let inet ip = Some (Unix.ADDR_INET (ip, port)) in
+      match (Unix.gethostbyname host).Unix.h_addr_list with
+      | [||] -> None
+      | ips -> inet ips.(0)
+      | exception Not_found -> (
+          match Unix.inet_addr_of_string host with
+          | ip -> inet ip
+          | exception Failure _ -> None))
+
+let socket sa = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let unlink_quietly path =
+  try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()
+
+type listener = { lfd : Unix.file_descr; lpath : string option }
+
+let listen addr =
+  let failed e =
+    Error
+      (Printf.sprintf "cannot listen on %s: %s" (addr_to_string addr)
+         (Unix.error_message e))
+  in
+  match sockaddr_of_addr addr with
+  | None ->
+      Error
+        (Printf.sprintf "cannot resolve %s: no such host or address"
+           (addr_to_string addr))
+  | Some sa -> (
+      match socket sa with
+      | exception Unix.Unix_error (e, _, _) -> failed e
+      | fd -> (
+          let lpath = match addr with Unix_sock p -> Some p | Tcp _ -> None in
+          match
+            (match lpath with
+            | Some p -> unlink_quietly p
+            | None -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+            Unix.bind fd sa;
+            Unix.listen fd 16
+          with
+          | () -> Ok { lfd = fd; lpath }
+          | exception Unix.Unix_error (e, _, _) ->
+              close_quietly fd;
+              failed e))
+
+let listener_fd l = l.lfd
+
+let accept l =
+  match Unix.accept l.lfd with
+  | fd, _ -> Some fd
+  | exception Unix.Unix_error _ -> None
+
+let close_listener l =
+  close_quietly l.lfd;
+  Option.iter unlink_quietly l.lpath
+
+type dial_error = [ `Unresolved | `Gone of Unix.error | `Failed of Unix.error ]
+
+let dial addr =
+  match sockaddr_of_addr addr with
+  | None -> Error `Unresolved
+  | Some sa -> (
+      match socket sa with
+      | exception Unix.Unix_error (e, _, _) -> Error (`Failed e)
+      | fd -> (
+          match Unix.connect fd sa with
+          | () -> Ok fd
+          | exception Unix.Unix_error (e, _, _) ->
+              close_quietly fd;
+              Error
+                (match e with
+                | Unix.ENOENT | Unix.ECONNREFUSED -> `Gone e
+                | e -> `Failed e)))
+
+let dial_error_message = function
+  | `Unresolved -> "no such host or address"
+  | `Gone e | `Failed e -> Unix.error_message e
+
+let readable fds timeout =
+  match Unix.select fds [] [] timeout with
+  | r, _, _ -> r
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+
+(* SIGPIPE's disposition is process-wide, but a coordinator and its workers
+   may run on different domains of one process. Each saving and restoring
+   it around its own connection let the first to finish restore the
+   default while another still wrote to a closed peer, which killed the
+   whole process. Holders now share one ignore: the first sets it, the last
+   restores what the first found. *)
+let sigpipe_m = Mutex.create ()
+let sigpipe_holders = ref 0
+let sigpipe_saved = ref None
+
+let with_sigpipe_ignored f =
+  Mutex.lock sigpipe_m;
+  if !sigpipe_holders = 0 then
+    sigpipe_saved :=
+      (try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+       with Invalid_argument _ | Sys_error _ -> None);
+  incr sigpipe_holders;
+  Mutex.unlock sigpipe_m;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock sigpipe_m;
+      decr sigpipe_holders;
+      (if !sigpipe_holders = 0 then
+         match !sigpipe_saved with
+         | Some h -> (
+             try Sys.set_signal Sys.sigpipe h
+             with Invalid_argument _ | Sys_error _ -> ())
+         | None -> ());
+      Mutex.unlock sigpipe_m)
 
 (* ---- authentication ---- *)
 
@@ -140,6 +252,48 @@ type to_coord =
   | Results of { epoch : int; lease_id : int; runs : run_result list }
   | Failed of string
 
+(* ---- the line codec, shared by proto=2 and serve proto=1 ---- *)
+
+let fields = String.split_on_char ' '
+
+(* [k=v] tokens, both sides percent-encoded; tokens without '=' are
+   skipped. *)
+let kv_fields parts =
+  List.filter_map
+    (fun p ->
+      match String.index_opt p '=' with
+      | Some i ->
+          Some
+            ( Checkpoint.dec (String.sub p 0 i),
+              Checkpoint.dec (String.sub p (i + 1) (String.length p - i - 1)) )
+      | None -> None)
+    parts
+
+let kvs_line kvs =
+  String.concat " "
+    (List.map (fun (k, v) -> Checkpoint.enc k ^ "=" ^ Checkpoint.enc v) kvs)
+
+let int_field k kvs = Option.bind (List.assoc_opt k kvs) int_of_string_opt
+
+(* A SIGKILLed peer surfaces as ECONNRESET ([Sys_error] through the
+   channel layer), not a clean EOF; both just mean the session is over. *)
+let read_line_opt ic =
+  try Some (input_line ic)
+  with End_of_file | Sys_error _ -> None
+
+let read_block ic ~what count line =
+  let rec go acc k =
+    match read_line_opt ic with
+    | None -> Error ("connection closed mid-" ^ what)
+    | Some "end" when k = 0 -> Ok (List.rev acc)
+    | Some _ when k = 0 -> Error (what ^ " frame not closed by end")
+    | Some l -> (
+        match line l with Ok x -> go (x :: acc) (k - 1) | Error e -> Error e)
+  in
+  match int_of_string_opt count with
+  | Some n when n >= 0 -> go [] n
+  | _ -> Error (Printf.sprintf "bad %s count %S" what count)
+
 (* ---- line building ---- *)
 
 let item_line (it : Checkpoint.item) =
@@ -177,16 +331,11 @@ let to_worker_string msg =
       Buffer.add_string b
         (Printf.sprintf "reject proto=%d %s\n" proto (Checkpoint.enc reason))
   | Job j ->
-      let params =
-        String.concat " "
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s=%s" k (Checkpoint.enc v))
-             j.params)
-      in
       Buffer.add_string b
-        (Printf.sprintf "job workload=%s np=%d%s\n" (Checkpoint.enc j.workload)
-           j.np
-           (if params = "" then "" else " " ^ params))
+        ("job "
+        ^ kvs_line
+            (("workload", j.workload) :: ("np", string_of_int j.np) :: j.params)
+        ^ "\n")
   | Lease { lease_id; items } ->
       Buffer.add_string b (Printf.sprintf "lease %d %d\n" lease_id (List.length items));
       List.iter (fun it -> Buffer.add_string b (item_line it ^ "\n")) items;
@@ -207,15 +356,15 @@ let to_coord_string msg =
   let b = Buffer.create 256 in
   (match msg with
   | Hello { proto; id; session; epoch; pending; role } ->
-      Buffer.add_string b
-        (Printf.sprintf "hello proto=%d id=%s session=%s epoch=%d%s%s\n" proto
-           (Checkpoint.enc id) (Checkpoint.enc session) epoch
-           (match pending with
-           | Some l -> Printf.sprintf " pending=%d" l
-           | None -> "")
-           (match role with
-           | Some r -> Printf.sprintf " role=%s" (Checkpoint.enc r)
-           | None -> ""))
+      let kvs =
+        [ ("proto", string_of_int proto); ("id", id); ("session", session);
+          ("epoch", string_of_int epoch) ]
+        @ (match pending with
+          | Some l -> [ ("pending", string_of_int l) ]
+          | None -> [])
+        @ match role with Some r -> [ ("role", r) ] | None -> []
+      in
+      Buffer.add_string b ("hello " ^ kvs_line kvs ^ "\n")
   | Auth mac -> Buffer.add_string b (Printf.sprintf "auth %s\n" (Checkpoint.enc mac))
   | Ready -> Buffer.add_string b "ready\n"
   | Heartbeat -> Buffer.add_string b "hb\n"
@@ -257,38 +406,13 @@ let to_coord_string msg =
       Buffer.add_string b "end\n");
   Buffer.contents b
 
-(* SIGPIPE's disposition is process-wide, but a coordinator and its workers
-   may run on different domains of one process. Each saving and restoring
-   it around its own connection let the first to finish restore the
-   default while another still wrote to a closed peer, which killed the
-   whole process. Holders now share one ignore: the first sets it, the last
-   restores what the first found. *)
-let sigpipe_m = Mutex.create ()
-let sigpipe_holders = ref 0
-let sigpipe_saved = ref None
-
-let with_sigpipe_ignored f =
-  Mutex.lock sigpipe_m;
-  if !sigpipe_holders = 0 then
-    sigpipe_saved :=
-      (try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-       with Invalid_argument _ | Sys_error _ -> None);
-  incr sigpipe_holders;
-  Mutex.unlock sigpipe_m;
-  Fun.protect f ~finally:(fun () ->
-      Mutex.lock sigpipe_m;
-      decr sigpipe_holders;
-      (if !sigpipe_holders = 0 then
-         match !sigpipe_saved with
-         | Some h -> (
-             try Sys.set_signal Sys.sigpipe h
-             with Invalid_argument _ | Sys_error _ -> ())
-         | None -> ());
-      Mutex.unlock sigpipe_m)
-
-let write_to_worker oc msg =
-  output_string oc (to_worker_string msg);
-  flush oc
+let send oc data =
+  match
+    output_string oc data;
+    flush oc
+  with
+  | () -> true
+  | exception (Sys_error _ | Unix.Unix_error _) -> false
 
 let write_to_coord oc msg =
   output_string oc (to_coord_string msg);
@@ -296,21 +420,8 @@ let write_to_coord oc msg =
 
 (* ---- parsing helpers ---- *)
 
-let fields = String.split_on_char ' '
-
-let kv_fields parts =
-  List.filter_map
-    (fun p ->
-      match String.index_opt p '=' with
-      | Some i ->
-          Some
-            ( String.sub p 0 i,
-              Checkpoint.dec (String.sub p (i + 1) (String.length p - i - 1)) )
-      | None -> None)
-    parts
-
 let parse_job rest =
-  let kvs = kv_fields (fields rest) in
+  let kvs = kv_fields rest in
   match (List.assoc_opt "workload" kvs, List.assoc_opt "np" kvs) with
   | Some workload, Some np_s -> (
       match int_of_string_opt np_s with
@@ -405,12 +516,6 @@ let parse_run_line line =
 
 (* ---- worker side: blocking frame reads ---- *)
 
-(* A SIGKILLed peer surfaces as ECONNRESET ([Sys_error] through the
-   channel layer), not a clean EOF; both just mean the session is over. *)
-let read_line_opt ic =
-  try Some (input_line ic)
-  with End_of_file | Sys_error _ -> None
-
 let read_to_worker ic =
   match read_line_opt ic with
   | None -> Error "connection closed"
@@ -418,67 +523,26 @@ let read_to_worker ic =
       match fields line with
       | [ "challenge"; nonce ] -> Ok (Challenge (Checkpoint.dec nonce))
       | "welcome" :: rest -> (
-          match
-            Option.bind
-              (List.assoc_opt "epoch" (kv_fields rest))
-              int_of_string_opt
-          with
+          match int_field "epoch" (kv_fields rest) with
           | Some epoch -> Ok (Welcome { epoch })
           | None -> Error (Printf.sprintf "malformed welcome %S" line))
       | [ "reject"; proto_kv; reason ] -> (
-          match
-            Option.bind
-              (List.assoc_opt "proto" (kv_fields [ proto_kv ]))
-              int_of_string_opt
-          with
+          match int_field "proto" (kv_fields [ proto_kv ]) with
           | Some proto -> Ok (Reject { proto; reason = Checkpoint.dec reason })
           | None -> Error (Printf.sprintf "malformed reject %S" line))
-      | "job" :: _ ->
-          parse_job (String.sub line 4 (String.length line - 4))
-          |> Result.map (fun j -> Job j)
+      | "job" :: rest -> parse_job rest |> Result.map (fun j -> Job j)
       | [ "lease"; id; n ] -> (
-          match (int_of_string_opt id, int_of_string_opt n) with
-          | Some lease_id, Some n when n >= 0 -> (
-              let rec items acc k =
-                if k = 0 then
-                  match read_line_opt ic with
-                  | Some "end" -> Ok (List.rev acc)
-                  | _ -> Error "lease frame not closed by end"
-                else
-                  match read_line_opt ic with
-                  | None -> Error "connection closed mid-lease"
-                  | Some l -> (
-                      match parse_item_line l with
-                      | Ok it -> items (it :: acc) (k - 1)
-                      | Error e -> Error e)
-              in
-              match items [] n with
-              | Ok items -> Ok (Lease { lease_id; items })
-              | Error e -> Error e)
-          | _ -> Error (Printf.sprintf "malformed lease line %S" line))
-      | [ "top"; n ] -> (
-          match int_of_string_opt n with
-          | Some n when n >= 0 -> (
-              let rec kvs acc k =
-                if k = 0 then
-                  match read_line_opt ic with
-                  | Some "end" -> Ok (List.rev acc)
-                  | _ -> Error "top frame not closed by end"
-                else
-                  match read_line_opt ic with
-                  | None -> Error "connection closed mid-frame"
-                  | Some l -> (
-                      match fields l with
-                      | [ "s"; key; v ] ->
-                          kvs
-                            ((Checkpoint.dec key, Checkpoint.dec v) :: acc)
-                            (k - 1)
-                      | _ -> Error (Printf.sprintf "malformed top line %S" l))
-              in
-              match kvs [] n with
-              | Ok kvs -> Ok (Progress kvs)
-              | Error e -> Error e)
-          | _ -> Error (Printf.sprintf "malformed top line %S" line))
+          match int_of_string_opt id with
+          | Some lease_id ->
+              read_block ic ~what:"lease" n parse_item_line
+              |> Result.map (fun items -> Lease { lease_id; items })
+          | None -> Error (Printf.sprintf "malformed lease line %S" line))
+      | [ "top"; n ] ->
+          read_block ic ~what:"top" n (fun l ->
+              match fields l with
+              | [ "s"; key; v ] -> Ok (Checkpoint.dec key, Checkpoint.dec v)
+              | _ -> Error (Printf.sprintf "malformed top line %S" l))
+          |> Result.map (fun kvs -> Progress kvs)
       | [ "detach" ] -> Ok Detach
       | [ "shutdown" ] -> Ok Shutdown
       | _ -> Error (Printf.sprintf "unexpected coordinator line %S" line))
@@ -667,10 +731,7 @@ let rec line_msg a line =
       match fields line with
       | "hello" :: rest -> (
           let kvs = kv_fields rest in
-          match
-            (Option.bind (List.assoc_opt "proto" kvs) int_of_string_opt,
-             List.assoc_opt "id" kvs)
-          with
+          match (int_field "proto" kvs, List.assoc_opt "id" kvs) with
           | Some proto, Some id ->
               (* session/epoch/pending are proto>=2 fields; a proto=1 hello
                  still parses so the coordinator can answer with a versioned
@@ -678,14 +739,8 @@ let rec line_msg a line =
               let session =
                 Option.value (List.assoc_opt "session" kvs) ~default:""
               in
-              let epoch =
-                Option.value
-                  (Option.bind (List.assoc_opt "epoch" kvs) int_of_string_opt)
-                  ~default:0
-              in
-              let pending =
-                Option.bind (List.assoc_opt "pending" kvs) int_of_string_opt
-              in
+              let epoch = Option.value (int_field "epoch" kvs) ~default:0 in
+              let pending = int_field "pending" kvs in
               let role = List.assoc_opt "role" kvs in
               Some (Ok (Hello { proto; id; session; epoch; pending; role }))
           | _ -> Some (Error (Printf.sprintf "malformed hello %S" line)))

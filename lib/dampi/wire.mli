@@ -1,12 +1,18 @@
-(** The distributed mode's line-oriented wire protocol (proto=2).
+(** The transport of both line protocols, and the distributed mode's own
+    protocol (proto=2).
 
-    A coordinator (the process running {!Explorer.explore}) speaks to
-    worker processes ({!Remote_worker}) over Unix-domain or TCP sockets.
-    Every message is one line of whitespace-delimited fields — free-form
-    text travels percent-encoded via {!Checkpoint.enc} — except leases and
-    result deltas, which are multi-line frames with a declared element
-    count and a closing [end] line, reusing {!Checkpoint}'s item, schedule,
-    and error encodings verbatim.
+    {b Transport.} The coordinator, the workers, the serve daemon and the
+    CLI open every socket, wait on select and handle SIGPIPE through
+    here; the {!Lines} splitter and the line codec serve proto=2 and the
+    serve daemon's proto=1 ({!Serve}) alike.
+
+    {b Proto=2.} A coordinator (the process running {!Explorer.explore})
+    speaks to worker processes ({!Remote_worker}) over Unix-domain or TCP
+    sockets. Every message is one line of whitespace-delimited fields —
+    free-form text travels percent-encoded via {!Checkpoint.enc} — except
+    leases and result deltas, which are multi-line frames with a declared
+    element count and a closing [end] line, reusing {!Checkpoint}'s item,
+    schedule, and error encodings verbatim.
 
     Conversation, worker-initiated after connect:
     {v
@@ -59,7 +65,66 @@ type addr =
 
 val addr_of_string : string -> (addr, string) result
 val addr_to_string : addr -> string
-val sockaddr_of_addr : addr -> Unix.sockaddr
+
+(** {2 Transport} *)
+
+type listener
+
+val listen : addr -> (listener, string) result
+(** Resolve, remove a stale unix socket file (or set [SO_REUSEADDR]),
+    bind and listen. [Error] is one [cannot resolve ADDR: …] or
+    [cannot listen on ADDR: …] line, with no descriptor left open. *)
+
+val listener_fd : listener -> Unix.file_descr
+val accept : listener -> Unix.file_descr option
+val close_quietly : Unix.file_descr -> unit
+
+val close_listener : listener -> unit
+(** Close, and unlink the unix socket path. *)
+
+type dial_error =
+  [ `Unresolved
+  | `Gone of Unix.error
+    (** nobody listens there ([ENOENT], [ECONNREFUSED]): the peer never
+        started, or already finished *)
+  | `Failed of Unix.error ]
+
+val dial : addr -> (Unix.file_descr, dial_error) result
+(** Never raises; no descriptor is left open on [Error]. *)
+
+val dial_error_message : dial_error -> string
+
+val readable : Unix.file_descr list -> float -> Unix.file_descr list
+(** The select step: which of [fds] are readable within [timeout]
+    seconds; [[]] when a signal interrupts the wait. *)
+
+val with_sigpipe_ignored : (unit -> 'a) -> 'a
+(** Run [f] with SIGPIPE ignored, so a write to a closed peer raises
+    [EPIPE] instead of killing the process. Nested and concurrent holders
+    (a coordinator and in-process worker domains) share one ignore; the
+    last to leave restores the disposition the first one found. *)
+
+(** {2 Line codec} *)
+
+val fields : string -> string list
+
+val kv_fields : string list -> (string * string) list
+(** The [k=v] tokens, key and value percent-decoded. *)
+
+val kvs_line : (string * string) list -> string
+(** The inverse of {!kv_fields}. *)
+
+val int_field : string -> (string * string) list -> int option
+val read_line_opt : in_channel -> string option
+
+val read_block :
+  in_channel ->
+  what:string ->
+  string ->
+  (string -> ('a, string) result) ->
+  ('a list, string) result
+(** [read_block ic ~what count line]: the [count] lines of a counted
+    frame, each parsed by [line], then its closing [end]. *)
 
 (** {2 Authentication}
 
@@ -167,16 +232,11 @@ val to_worker_string : to_worker -> string
 
 val to_coord_string : to_coord -> string
 
-val write_to_worker : out_channel -> to_worker -> unit
-(** Writes the full frame and flushes. *)
+val send : out_channel -> string -> bool
+(** Write and flush; [false] when the peer is gone. *)
 
 val write_to_coord : out_channel -> to_coord -> unit
-
-val with_sigpipe_ignored : (unit -> 'a) -> 'a
-(** Run [f] with SIGPIPE ignored, so a write to a closed peer raises
-    [EPIPE] instead of killing the process. Nested and concurrent holders
-    (a coordinator and in-process worker domains) share one ignore; the
-    last to leave restores the disposition the first one found. *)
+(** Writes the full frame and flushes; raises when the peer is gone. *)
 
 (** {2 Reading}
 

@@ -587,8 +587,7 @@ let test_zombie_fenced () =
   in
   let zombie addr () =
     let dial () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Wire.sockaddr_of_addr addr);
+      let fd = Result.get_ok (Wire.dial addr) in
       (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd, fd)
     in
     let expect what = function

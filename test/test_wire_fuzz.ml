@@ -1,5 +1,9 @@
-(* QCheck fuzz of the wire assembler (the coordinator's parser of
-   worker-controlled bytes). Three properties:
+(* The transport and line codecs of both protocols. Golden bytes pin the
+   exact text of every proto=2 frame, serve request, serve event, journal
+   and parked report; a QCheck round trip checks the daemon's event
+   encoder against [Serve.read_event]; the shared listen and dial helpers
+   are tested directly. And a QCheck fuzz of the wire assembler (the
+   coordinator's parser of worker-controlled bytes), three properties:
 
    - a valid proto=2 conversation survives ANY byte-boundary split of its
      serialization — the assembler is framing-agnostic;
@@ -395,6 +399,496 @@ let prop_unterminated_flood_is_bounded =
          swallowed without output *)
       && Wire.feed a (Bytes.of_string "hb\n") 3 = [])
 
+(* ---- golden bytes: the exact text of every frame, line and file ----
+
+   Literal expectations for both protocols, so a change to any encoder
+   or to the code that calls it shows up as a diff here: every proto=2
+   frame kind, every serve request and event line, the daemon's journal
+   and a parked report. The daemon's child-pipe lines are pinned through
+   what the daemon makes of them: progress tokens are forwarded verbatim
+   into [progress] events, and the final line becomes the [report] frame
+   and [done] line (and the parked file) below. *)
+
+module Serve = Dampi.Serve
+
+let dec owner epoch_id src kind =
+  { Decisions.owner; epoch_id; src; kind }
+
+let golden_item1 =
+  {
+    Checkpoint.prefix = [ dec 0 1 2 Dampi.Epoch.Wildcard_recv ];
+    choice = dec 1 3 0 Dampi.Epoch.Wildcard_probe;
+    sleep = [];
+  }
+
+let golden_item2 =
+  {
+    Checkpoint.prefix = [];
+    choice = dec 2 0 1 Dampi.Epoch.Wildcard_recv;
+    sleep =
+      [
+        {
+          Dampi.Epoch.s_owner = 3;
+          s_id = 4;
+          s_kind = Dampi.Epoch.Wildcard_recv;
+          s_ctx = 1;
+          s_tag = -1;
+          s_matched = 2;
+          s_alternatives = [ 0; 5 ];
+          s_expandable = true;
+        };
+      ];
+  }
+
+(* Every field off its default, so [to_params] emits every key. *)
+let golden_job =
+  {
+    Job.workload = "adlb";
+    np = 7;
+    engine = Job.Isp;
+    clock = Job.Vector;
+    k = Some 2;
+    dual = true;
+    prune = false;
+    prefix_cache = Some 4096;
+    max_runs = 99;
+    jobs = 3;
+    stop_first = true;
+    quiet = true;
+    profile = true;
+    checkpoint_every = 5;
+    replay_timeout = Some 1.5;
+    max_replay_steps = Some 1000;
+    max_retries = 4;
+    retry_backoff = 0.25;
+    fault_seed = Some 7;
+    fault_spec = Some "seed=5,wedge=1.0";
+    net_fault_seed = Some 9;
+    net_fault_spec = Some "delay=1.0,max-delay=0.02";
+  }
+
+let golden_to_worker =
+  [
+    ("challenge", Wire.Challenge "n0 nce%", "challenge n0%20nce%25\n");
+    ("welcome", Wire.Welcome { epoch = 3 }, "welcome epoch=3\n");
+    ( "reject",
+      Wire.Reject { proto = 2; reason = "bad auth token" },
+      "reject proto=2 bad%20auth%20token\n" );
+    ( "job",
+      Wire.Job
+        {
+          workload = "fig 3";
+          np = 6;
+          params = [ ("k", "0"); ("fault-spec", "seed=5,wedge=1.0") ];
+        },
+      "job workload=fig%203 np=6 k=0 fault-spec=seed%3D5%2Cwedge%3D1.0\n" );
+    ( "job, no params",
+      Wire.Job { workload = "fig3"; np = 3; params = [] },
+      "job workload=fig3 np=3\n" );
+    ( "job, every key",
+      Wire.Job (Job.to_wire golden_job),
+      "job workload=adlb np=7 engine=isp clock=vector k=2 dual=true prune=false prefix-cache=4096 max-runs=99 jobs=3 stop-first=true quiet=true profile=true checkpoint-every=5 replay-timeout=1.5 max-replay-steps=1000 max-retries=4 retry-backoff=0.25 fault-seed=7 fault-spec=seed%3D5%2Cwedge%3D1.0 net-fault-seed=9 net-fault-spec=delay%3D1.0%2Cmax-delay%3D0.02\n" );
+    ( "lease",
+      Wire.Lease { lease_id = 7; items = [ golden_item1; golden_item2 ] },
+      "lease 7 2\nitem recv:0:1:2 probe:1:3:0\nitem - recv:2:0:1 recv:3:4:1:-1:2:1:0.5\nend\n" );
+    ( "lease, empty",
+      Wire.Lease { lease_id = 8; items = [] },
+      "lease 8 0\nend\n" );
+    ( "top",
+      Wire.Progress [ ("frontier", "12"); ("hb_age.w 1", "0.250") ],
+      "top 2\ns frontier 12\ns hb_age.w%201 0.250\nend\n" );
+    ("top, empty", Wire.Progress [], "top 0\nend\n");
+    ("detach", Wire.Detach, "detach\n");
+    ("shutdown", Wire.Shutdown, "shutdown\n");
+  ]
+
+let golden_to_coord =
+  [
+    ( "hello",
+      Wire.Hello
+        {
+          proto = 2;
+          id = "pid 1";
+          session = "w1-abc";
+          epoch = 4;
+          pending = Some 7;
+          role = None;
+        },
+      "hello proto=2 id=pid%201 session=w1-abc epoch=4 pending=7\n" );
+    ( "hello, observer",
+      Wire.Hello
+        {
+          proto = 2;
+          id = "top-9";
+          session = "top-9";
+          epoch = 0;
+          pending = None;
+          role = Some "observer";
+        },
+      "hello proto=2 id=top-9 session=top-9 epoch=0 role=observer\n" );
+    ("auth", Wire.Auth "dead beef", "auth dead%20beef\n");
+    ("ready", Wire.Ready, "ready\n");
+    ("hb", Wire.Heartbeat, "hb\n");
+    ( "telemetry",
+      Wire.Telemetry
+        [
+          ("mpi.match_attempts", Obs.Metrics.Counter 3);
+          ("queue depth", Obs.Metrics.Gauge 0.5);
+        ],
+      "telemetry 2\nt mpi.match_attempts c:3\nt queue%20depth g:0x1p-1\nend\n" );
+    ("telemetry, empty", Wire.Telemetry [], "telemetry 0\nend\n");
+    ( "results",
+      Wire.Results
+        {
+          epoch = 4;
+          lease_id = 7;
+          runs =
+            [
+              {
+                Wire.key = Checkpoint.item_key golden_item1;
+                payload =
+                  Some
+                    {
+                      Wire.vtime = 0.75;
+                      bounded = 1;
+                      pruned = 2;
+                      errors =
+                        [
+                          Dampi.Report.Crash { pid = 1; message = "boom at x=1" };
+                          Dampi.Report.Deadlock
+                            { blocked = [ (0, "recv from *") ] };
+                        ];
+                      children = [ golden_item2 ];
+                    };
+                timeouts = 0;
+                retries = 1;
+                transients = 0;
+              };
+              {
+                Wire.key = Checkpoint.item_key golden_item2;
+                payload = None;
+                timeouts = 2;
+                retries = 2;
+                transients = 1;
+              };
+            ];
+        },
+      "results 4 7 2\nrun recv:0:1:2,probe:1:3:0 counted 0x1.8p-1 1 2 0 1 0 2 1\nerr crash 1:boom%20at%20x%3D1\nerr deadlock 0:recv%20from%20%2A\nitem - recv:2:0:1 recv:3:4:1:-1:2:1:0.5\nrun recv:2:0:1 gaveup 2 2 1\nend\n" );
+    ( "results, empty",
+      Wire.Results { epoch = 1; lease_id = 0; runs = [] },
+      "results 1 0 0\nend\n" );
+    ( "fail",
+      Wire.Failed "cannot resolve job: x",
+      "fail cannot%20resolve%20job%3A%20x\n" );
+  ]
+
+let check_golden name want got = Alcotest.(check string) name want got
+
+let test_golden_frames () =
+  List.iter
+    (fun (name, msg, want) ->
+      check_golden ("to_worker " ^ name) want (Wire.to_worker_string msg))
+    golden_to_worker;
+  List.iter
+    (fun (name, msg, want) ->
+      check_golden ("to_coord " ^ name) want (Wire.to_coord_string msg))
+    golden_to_coord;
+  (* The job line writes parameter keys raw while the serve codec
+     percent-encodes them: the two agree because every key the job codec
+     emits is made of unreserved characters. *)
+  List.iter
+    (fun (k, _) ->
+      Alcotest.(check string) ("job key " ^ k ^ " encodes to itself") k
+        (Checkpoint.enc k))
+    (Job.to_params golden_job)
+
+let test_golden_requests () =
+  check_golden "submit"
+        "submit workload=adlb np=6 fault%20spec=a%3Db%25 on-disconnect=detach"
+    (Serve.submit_line
+       ~params:[ ("workload", "adlb"); ("np", "6"); ("fault spec", "a=b%") ]
+       ~on_disconnect:Serve.Detach);
+  check_golden "submit, no params"
+        "submit on-disconnect=cancel"
+    (Serve.submit_line ~params:[] ~on_disconnect:Serve.Cancel);
+  check_golden "fetch"
+        "fetch 12" (Serve.fetch_line 12)
+
+(* The daemon for the event-line goldens: [g] streams one progress frame
+   with awkward text and completes with a multi-line report; [hold] runs
+   until the test drops a release file into the state directory. *)
+let golden_validate params =
+  match List.assoc_opt "workload" params with
+  | Some (("g" | "hold") as w) -> Ok ("golden " ^ w)
+  | Some w -> Error (Printf.sprintf "unknown workload %S" w)
+  | None -> Error "submit needs workload=<key>"
+
+let golden_run ~ckpt ~label:_ ~params ~progress =
+  match List.assoc_opt "workload" params with
+  | Some "hold" ->
+      progress [ ("phase", "hold") ];
+      let release = Filename.concat (Filename.dirname ckpt) "release" in
+      while not (Sys.file_exists release) do
+        Unix.sleepf 0.02
+      done;
+      Serve.Completed { report = "held\n"; code = 0 }
+  | _ ->
+      progress [ ("runs", "1"); ("a b", "x=y%\nz") ];
+      Serve.Completed { report = "line one\nline %two\n\nlast\n"; code = 1 }
+
+let read_text path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_golden_daemon () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dampi-golden-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  List.iter
+    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    [ "journal"; "release"; "report-2" ];
+  let sock = Filename.concat dir "serve.sock" in
+  flush stdout;
+  flush stderr;
+  let pid =
+    match Unix.fork () with
+    | 0 ->
+        let code =
+          match
+            Serve.serve
+              {
+                Serve.addr = Wire.Unix_sock sock;
+                state_dir = dir;
+                limits = { Serve.default_limits with parallel = 1; max_queue = 1 };
+                validate = golden_validate;
+                run = golden_run;
+                metrics = None;
+                ready = None;
+              }
+          with
+          | Ok c -> c
+          | Error _ -> 1
+        in
+        Unix._exit code
+    | pid -> pid
+  in
+  let connect () =
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec go () =
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect fd (Unix.ADDR_UNIX sock) with
+      | () -> (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+      | exception Unix.Unix_error _ ->
+          Unix.close fd;
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "daemon socket never came up";
+          Unix.sleepf 0.05;
+          go ()
+    in
+    go ()
+  in
+  let send oc line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc
+  in
+  (* The next [n] lines the daemon sends, newline-terminated. *)
+  let lines ic n =
+    String.concat "" (List.init n (fun _ -> input_line ic ^ "\n"))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      let ic, oc = connect () in
+      send oc "bogus line";
+      check_golden "error, bad request"
+        "error proto=1 unexpected%20request%20line%20%22bogus%20line%22\n" (lines ic 1);
+      send oc "fetch x";
+      check_golden "error, bad fetch id"
+        "error proto=1 bad%20fetch%20id%20%22x%22\n" (lines ic 1);
+      send oc "fetch 99";
+      check_golden "error, unknown job"
+        "error proto=1 unknown%20job%2099\n" (lines ic 1);
+      send oc (Serve.submit_line ~params:[ ("workload", "nope") ]
+                 ~on_disconnect:Serve.Cancel);
+      check_golden "error, refused job"
+        "error proto=1 unknown%20workload%20%22nope%22\n" (lines ic 1);
+      send oc "submit workload=g on-disconnect=bogus";
+      check_golden "error, bad policy"
+        "error proto=1 bad%20on-disconnect%20%22bogus%22%20%28cancel%7Cdetach%29\n" (lines ic 1);
+      send oc (Serve.submit_line ~params:[ ("workload", "g") ]
+                 ~on_disconnect:Serve.Cancel);
+      check_golden "job 1: accepted, progress, report, done"
+        "accepted id=1\nprogress id=1 runs=1 a%20b=x%3Dy%25%0Az\nreport id=1 4\nl line%20one\nl line%20%25two\nl \nl last\nend\ndone id=1 status=completed code=1 msg= backtrace=\n"
+        (lines ic 9);
+      (* job 2 runs detached for a client that then leaves *)
+      let ic2, oc2 = connect () in
+      send oc2 (Serve.submit_line ~params:[ ("workload", "hold") ]
+                  ~on_disconnect:Serve.Detach);
+      check_golden "job 2: accepted, progress"
+        "accepted id=2\nprogress id=2 phase=hold\n" (lines ic2 2);
+      close_out oc2;
+      send oc (Serve.fetch_line 2);
+      check_golden "pending, running"
+        "pending id=2 state=running\n" (lines ic 1);
+      send oc (Serve.submit_line ~params:[ ("workload", "g") ]
+                 ~on_disconnect:Serve.Cancel);
+      check_golden "job 3: accepted"
+        "accepted id=3\n" (lines ic 1);
+      send oc (Serve.fetch_line 3);
+      check_golden "pending, queued"
+        "pending id=3 state=queued\n" (lines ic 1);
+      check_golden "journal, queued and running"
+        "# DAMPI serve journal\nversion 1\nnext 4\njob 3 cancel workload=g\njob 2 detach workload=hold\n"
+        (read_text (Filename.concat dir "journal"));
+      send oc (Serve.submit_line ~params:[ ("workload", "g") ]
+                 ~on_disconnect:Serve.Cancel);
+      check_golden "reject, queue full"
+        "reject queue-full\n" (lines ic 1);
+      (* let the daemon see the detached client go before job 2 ends *)
+      Unix.sleepf 0.2;
+      close_out (open_out (Filename.concat dir "release"));
+      (* job 2 parks; then job 3 runs for this client *)
+      check_golden "job 3: progress, report, done"
+        "progress id=3 runs=1 a%20b=x%3Dy%25%0Az\nreport id=3 4\nl line%20one\nl line%20%25two\nl \nl last\nend\ndone id=3 status=completed code=1 msg= backtrace=\n" (lines ic 8);
+      send oc "fetch 99";
+      ignore (lines ic 1);
+      check_golden "journal, parked"
+        "# DAMPI serve journal\nversion 1\nnext 4\nparked 2\n"
+        (read_text (Filename.concat dir "journal"));
+      check_golden "parked report"
+        "status completed\ncode 0\nmsg \nbacktrace \nreport held%0A\n"
+        (read_text (Filename.concat dir "report-2"));
+      send oc (Serve.fetch_line 2);
+      check_golden "fetch of a parked report"
+        "report id=2 1\nl held\nend\ndone id=2 status=completed code=0 msg= backtrace=\n" (lines ic 4);
+      close_out oc)
+
+(* ---- the serve daemon's event codec: every event the daemon encodes
+   reads back as itself ---- *)
+
+let gen_line = QCheck.Gen.(string_size ~gen:printable (0 -- 16))
+
+let gen_event =
+  QCheck.Gen.(
+    let id = int_range (-5) 999 in
+    oneof
+      [
+        map (fun i -> Serve.Accepted i) id;
+        map
+          (fun w -> Serve.Rejected w)
+          (map (String.map (fun c -> if c = '\n' then ' ' else c)) gen_text);
+        map
+          (fun (proto, reason) -> Serve.Errored { proto; reason })
+          (pair id gen_text);
+        map
+          (fun (i, kvs) -> Serve.Progress (i, kvs))
+          (pair id (list_size (0 -- 4) (pair gen_text gen_text)));
+        map
+          (fun (i, lines) -> Serve.Report (i, lines))
+          (pair id (list_size (0 -- 5) gen_line));
+        map
+          (fun ((id, status, code), (msg, backtrace)) ->
+            Serve.Done { id; status; code; msg; backtrace })
+          (pair (triple id gen_text id) (pair gen_text gen_text));
+        map
+          (fun (id, state) -> Serve.Pending { id; state })
+          (pair id gen_text);
+      ])
+
+let prop_event_round_trip =
+  QCheck.Test.make ~name:"read_event inverts the daemon's event encoder"
+    ~count:300
+    (QCheck.make gen_event ~print:Serve.event_to_string)
+    (fun ev ->
+      let r, w = Unix.pipe () in
+      let oc = Unix.out_channel_of_descr w in
+      output_string oc (Serve.event_to_string ev);
+      close_out oc;
+      let ic = Unix.in_channel_of_descr r in
+      let got = Serve.read_event ic in
+      close_in ic;
+      got = Ok ev)
+
+(* ---- the shared listen and dial helpers ---- *)
+
+let scratch_dir () =
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dampi-transport-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  d
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let listen_ok addr =
+  match Wire.listen addr with
+  | Ok l -> l
+  | Error e -> Alcotest.failf "listen: %s" e
+
+let test_stale_socket_replaced () =
+  let path = Filename.concat (scratch_dir ()) "stale.sock" in
+  (* a socket file whose listener died without unlinking it *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  Alcotest.(check bool) "stale file present" true (Sys.file_exists path);
+  let l = listen_ok (Wire.Unix_sock path) in
+  (match Wire.dial (Wire.Unix_sock path) with
+  | Ok c -> Unix.close c
+  | Error e -> Alcotest.failf "dial: %s" (Wire.dial_error_message e));
+  Wire.close_listener l
+
+let test_bind_failure_leaks_nothing () =
+  let dir = scratch_dir () in
+  let too_long = Filename.concat dir (String.make 200 's') in
+  let no_dir = Filename.concat dir "missing/x.sock" in
+  List.iter
+    (fun path ->
+      let before = open_fds () in
+      (match Wire.listen (Wire.Unix_sock path) with
+      | Ok _ -> Alcotest.failf "listen on %s succeeded" path
+      | Error e ->
+          let prefix = "cannot listen on unix:" in
+          Alcotest.(check string)
+            "one cannot-listen line" prefix
+            (String.sub e 0 (String.length prefix)));
+      Alcotest.(check int) "no descriptor leaked" before (open_fds ()))
+    [ too_long; no_dir ]
+
+let test_close_unlinks () =
+  let path = Filename.concat (scratch_dir ()) "closed.sock" in
+  let l = listen_ok (Wire.Unix_sock path) in
+  Alcotest.(check bool) "bound" true (Sys.file_exists path);
+  Wire.close_listener l;
+  Alcotest.(check bool) "unlinked" false (Sys.file_exists path);
+  match Wire.dial (Wire.Unix_sock path) with
+  | Error (`Gone _) -> ()
+  | Ok _ -> Alcotest.fail "dialed a closed listener"
+  | Error e -> Alcotest.failf "not gone: %s" (Wire.dial_error_message e)
+
+let test_unresolvable () =
+  let addr = Wire.Tcp ("no-such-host.invalid", 9999) in
+  (match Wire.dial addr with
+  | Error `Unresolved -> ()
+  | Ok _ -> Alcotest.fail "dialed an unresolvable host"
+  | Error e -> Alcotest.failf "not unresolved: %s" (Wire.dial_error_message e));
+  match Wire.listen addr with
+  | Error e ->
+      Alcotest.(check string) "one cannot-resolve line"
+        "cannot resolve tcp:no-such-host.invalid:9999: no such host or address"
+        e
+  | Ok _ -> Alcotest.fail "listened on an unresolvable host"
+
 let () =
   Alcotest.run "wire-fuzz"
     [
@@ -407,5 +901,24 @@ let () =
           QCheck_alcotest.to_alcotest prop_duplicated_frame_parses_twice;
           QCheck_alcotest.to_alcotest prop_interleaved_partials;
           QCheck_alcotest.to_alcotest prop_unterminated_flood_is_bounded;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "proto=2 frames" `Quick test_golden_frames;
+          Alcotest.test_case "serve requests" `Quick test_golden_requests;
+          Alcotest.test_case "serve events, journal, parked report" `Quick
+            test_golden_daemon;
+        ] );
+      ("codec", [ QCheck_alcotest.to_alcotest prop_event_round_trip ]);
+      ( "transport",
+        [
+          Alcotest.test_case "a stale unix socket file is replaced" `Quick
+            test_stale_socket_replaced;
+          Alcotest.test_case "a bind failure is one line and leaks no fd"
+            `Quick test_bind_failure_leaks_nothing;
+          Alcotest.test_case "closing a listener unlinks its path" `Quick
+            test_close_unlinks;
+          Alcotest.test_case "an unresolvable host is an Error value" `Quick
+            test_unresolvable;
         ] );
     ]

@@ -3,7 +3,8 @@
     A communicator is a context id plus an ordered list of member world pids.
     The context id isolates matching: messages only match receives posted on
     the same context. Rank translation (communicator rank <-> world pid) is
-    precomputed.
+    precomputed in both directions as dense arrays, so a membership test on
+    the per-call path is a bounds check and a load.
 
     Freeing is tracked per member rank so that the finalize-time leak check
     can report, per process, communicators it helped create but never freed
@@ -14,15 +15,15 @@
 type t = {
   ctx : int;
   ranks : int array;  (** comm rank -> world pid *)
-  of_world : (int, int) Hashtbl.t;  (** world pid -> comm rank *)
+  of_world : int array;  (** world pid -> comm rank, -1 for a non-member *)
   freed : bool array;  (** per comm rank *)
   internal : bool;
   label : string;  (** for reports, e.g. "world", "dup(world)" *)
 }
 
 let make ~ctx ~ranks ~internal ~label =
-  let of_world = Hashtbl.create (Array.length ranks) in
-  Array.iteri (fun r pid -> Hashtbl.replace of_world pid r) ranks;
+  let of_world = Array.make (Array.fold_left max (-1) ranks + 1) (-1) in
+  Array.iteri (fun r pid -> of_world.(pid) <- r) ranks;
   { ctx; ranks; of_world; freed = Array.make (Array.length ranks) false; internal; label }
 
 let size t = Array.length t.ranks
@@ -30,12 +31,17 @@ let ctx t = t.ctx
 let label t = t.label
 let is_internal t = t.internal
 
+(* Comm rank of [pid], or -1 when it is not a member (pid out of range
+   included). *)
+let lookup t pid =
+  if pid >= 0 && pid < Array.length t.of_world then t.of_world.(pid) else -1
+
 let rank_of_world t pid =
-  match Hashtbl.find_opt t.of_world pid with
-  | Some r -> r
-  | None ->
-      Types.mpi_errorf "process %d is not a member of communicator %s(ctx=%d)"
-        pid t.label t.ctx
+  let r = lookup t pid in
+  if r >= 0 then r
+  else
+    Types.mpi_errorf "process %d is not a member of communicator %s(ctx=%d)"
+      pid t.label t.ctx
 
 let world_of_rank t r =
   if r < 0 || r >= Array.length t.ranks then
@@ -43,7 +49,7 @@ let world_of_rank t r =
       t.label (Array.length t.ranks)
   else t.ranks.(r)
 
-let is_member t pid = Hashtbl.mem t.of_world pid
+let is_member t pid = lookup t pid >= 0
 
 let mark_freed t pid =
   let r = rank_of_world t pid in
@@ -53,9 +59,8 @@ let mark_freed t pid =
   t.freed.(r) <- true
 
 let freed_by t pid =
-  match Hashtbl.find_opt t.of_world pid with
-  | Some r -> t.freed.(r)
-  | None -> true
+  let r = lookup t pid in
+  r < 0 || t.freed.(r)
 
 let pp ppf t =
   Format.fprintf ppf "%s(ctx=%d, size=%d%s)" t.label t.ctx (size t)

@@ -237,7 +237,7 @@ let create ?(cost = default_cost) ?(oracle = default_oracle) ?(trace = false)
 let np rt = rt.np
 let comm_world rt = rt.comm_world
 let stats rt = rt.stats
-let current (_ : t) = Coroutine.self ()
+let current rt = Coroutine.current rt.sched
 let clock rt pid = Vtime.now rt.vt pid
 let advance_clock rt pid dt = Vtime.advance rt.vt pid dt
 let makespan rt = Vtime.makespan rt.vt
@@ -263,7 +263,7 @@ let wedge rt pid =
 (* Fault consultation at a blocking call site (waits, probes, collectives). *)
 let fault_call_site rt =
   if Fault.active rt.fault then begin
-    let me = Coroutine.self () in
+    let me = current rt in
     match Fault.on_call rt.fault ~pid:me with
     | Fault.Call_ok -> ()
     | Fault.Call_kill -> raise (Fault.Rank_killed me)
@@ -304,17 +304,17 @@ let record_of_comm rt comm =
    wake us. Spurious wake-ups simply re-check. Each re-check of a blocked
    predicate is one potential-deadlock probe, counted as such.
 
-   [reason] is a thunk: the human-readable block reason is only rendered
-   when the process actually blocks, so the (common) already-complete case
-   never pays for string formatting. The request state cannot change between
-   the predicate check and the render, so the string is identical to what an
-   eager caller would have built. *)
+   [reason] is a thunk the scheduler keeps with the parked process and
+   renders only for a deadlock verdict (or an observer), so a block that is
+   later woken never pays for string formatting. Rendering late is exact:
+   completing a request always wakes its owner, so a rank still parked at
+   the verdict holds its request in the state it blocked on. *)
 let wait_until rt ~reason pred =
   while not (pred ()) do
     (match rt.metrics with
     | Some m -> Obs.Metrics.incr m.m_deadlock_checks
     | None -> ());
-    Coroutine.block (reason ())
+    Coroutine.block reason
   done
 
 let fresh_req rt ~owner ~kind =
@@ -474,7 +474,7 @@ let post_send rt ?(tag = 0) ~dest ~sync comm payload =
   check_live comm me;
   if tag < 0 then Types.mpi_errorf "send with negative tag %d" tag;
   let dst = Comm.world_of_rank comm dest in
-  Stats.record rt.stats me Stats.Send_recv (if sync then "ssend" else "send");
+  Stats.record rt.stats me Stats.Send_recv;
   Vtime.advance rt.vt me rt.cost.local_op;
   let delay =
     if not (Fault.active rt.fault) then 0.0
@@ -545,7 +545,7 @@ let post_recv rt ?(src = Types.any_source) ?(tag = Types.any_tag) comm =
   let me = current rt in
   check_member comm me;
   check_live comm me;
-  Stats.record rt.stats me Stats.Send_recv "recv";
+  Stats.record rt.stats me Stats.Send_recv;
   Vtime.advance rt.vt me rt.cost.local_op;
   let wildcard = src = Types.any_source in
   if wildcard then rt.wildcard_recvs.(me) <- rt.wildcard_recvs.(me) + 1;
@@ -585,7 +585,7 @@ let wait rt (req : Request.t) =
   let me = current rt in
   if req.owner <> me then
     Types.mpi_errorf "process %d waits on a request owned by %d" me req.owner;
-  Stats.record rt.stats me Stats.Wait "wait";
+  Stats.record rt.stats me Stats.Wait;
   Vtime.advance rt.vt me rt.cost.local_op;
   fault_call_site rt;
   wait_until rt
@@ -595,7 +595,7 @@ let wait rt (req : Request.t) =
 
 let test rt (req : Request.t) =
   let me = current rt in
-  Stats.record rt.stats me Stats.Wait "test";
+  Stats.record rt.stats me Stats.Wait;
   Vtime.advance rt.vt me rt.cost.local_op;
   if req.complete then Some (observe_completion rt req)
   else begin
@@ -606,7 +606,7 @@ let test rt (req : Request.t) =
 
 let waitall rt reqs =
   let me = current rt in
-  Stats.record rt.stats me Stats.Wait "waitall";
+  Stats.record rt.stats me Stats.Wait;
   Vtime.advance rt.vt me rt.cost.local_op;
   fault_call_site rt;
   wait_until rt
@@ -617,7 +617,7 @@ let waitall rt reqs =
 let waitany rt reqs =
   if reqs = [] then invalid_arg "waitany: empty request list";
   let me = current rt in
-  Stats.record rt.stats me Stats.Wait "waitany";
+  Stats.record rt.stats me Stats.Wait;
   Vtime.advance rt.vt me rt.cost.local_op;
   fault_call_site rt;
   wait_until rt
@@ -634,7 +634,7 @@ let waitany rt reqs =
 
 let testall rt reqs =
   let me = current rt in
-  Stats.record rt.stats me Stats.Wait "testall";
+  Stats.record rt.stats me Stats.Wait;
   Vtime.advance rt.vt me rt.cost.local_op;
   if List.for_all (fun (r : Request.t) -> r.complete) reqs then
     Some (List.map (observe_completion rt) reqs)
@@ -682,7 +682,7 @@ let probe_candidates rt ?(src = Types.any_source) ?(tag = Types.any_tag) comm =
 
 let iprobe rt ?src ?tag comm =
   let me = current rt in
-  Stats.record rt.stats me Stats.Send_recv "iprobe";
+  Stats.record rt.stats me Stats.Send_recv;
   Vtime.advance rt.vt me rt.cost.local_op;
   match probe_candidates rt ?src ?tag comm with
   | [] ->
@@ -693,7 +693,7 @@ let iprobe rt ?src ?tag comm =
 
 let probe rt ?src ?tag comm =
   let me = current rt in
-  Stats.record rt.stats me Stats.Send_recv "probe";
+  Stats.record rt.stats me Stats.Send_recv;
   Vtime.advance rt.vt me rt.cost.local_op;
   fault_call_site rt;
   let result = ref None in
@@ -751,7 +751,7 @@ let collective rt comm ~name ~contrib ~compute ~timing =
   let me = current rt in
   check_member comm me;
   check_live comm me;
-  Stats.record rt.stats me Stats.Collective name;
+  Stats.record rt.stats me Stats.Collective;
   Vtime.advance rt.vt me rt.cost.local_op;
   fault_call_site rt;
   let record = record_of_comm rt comm in
@@ -1070,7 +1070,7 @@ let comm_create rt comm group =
 let comm_free rt comm =
   let me = current rt in
   if Comm.ctx comm = 0 then Types.mpi_errorf "cannot free the world communicator";
-  Stats.record rt.stats me Stats.Collective "comm_free";
+  Stats.record rt.stats me Stats.Collective;
   Vtime.advance rt.vt me rt.cost.local_op;
   Comm.mark_freed comm me
 

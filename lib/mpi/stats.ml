@@ -11,7 +11,6 @@ type t = {
   send_recv : int array;
   collective : int array;
   wait : int array;
-  by_name : (string, int) Hashtbl.t;
 }
 
 let create np =
@@ -19,18 +18,12 @@ let create np =
     send_recv = Array.make np 0;
     collective = Array.make np 0;
     wait = Array.make np 0;
-    by_name = Hashtbl.create 32;
   }
 
-let record t pid cls name =
-  (match cls with
+let record t pid = function
   | Send_recv -> t.send_recv.(pid) <- t.send_recv.(pid) + 1
   | Collective -> t.collective.(pid) <- t.collective.(pid) + 1
-  | Wait -> t.wait.(pid) <- t.wait.(pid) + 1);
-  (* [find]/[Not_found] rather than [find_opt]: this runs once per MPI op
-     and the option would be the only allocation. *)
-  let prev = match Hashtbl.find t.by_name name with n -> n | exception Not_found -> 0 in
-  Hashtbl.replace t.by_name name (1 + prev)
+  | Wait -> t.wait.(pid) <- t.wait.(pid) + 1
 
 let sum = Array.fold_left ( + ) 0
 let total_send_recv t = sum t.send_recv
@@ -48,8 +41,6 @@ let wait_per_proc t = per_proc_avg t.wait
 
 let all_per_proc t =
   send_recv_per_proc t +. collective_per_proc t +. wait_per_proc t
-
-let count_of t name = Option.value ~default:0 (Hashtbl.find_opt t.by_name name)
 
 let pp ppf t =
   Format.fprintf ppf

@@ -6,7 +6,8 @@ type op_class = Send_recv | Collective | Wait
 type t
 
 val create : int -> t
-val record : t -> int -> op_class -> string -> unit
+val record : t -> int -> op_class -> unit
+(** Count one operation of a class for a world pid. *)
 
 val total : t -> int
 val total_send_recv : t -> int
@@ -17,8 +18,5 @@ val all_per_proc : t -> float
 val send_recv_per_proc : t -> float
 val collective_per_proc : t -> float
 val wait_per_proc : t -> float
-
-val count_of : t -> string -> int
-(** Calls of one named operation (e.g. ["iprobe"]). *)
 
 val pp : Format.formatter -> t -> unit

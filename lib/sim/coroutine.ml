@@ -10,7 +10,8 @@ type outcome =
 type state =
   | Ready
   | Running
-  | Blocked of string
+  | Blocked of (unit -> string)
+      (* the block reason, rendered only by [blocked_processes] *)
   | Finished
   | Crashed_st of exn * Printexc.raw_backtrace
 
@@ -32,8 +33,7 @@ type sched = {
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Block : string -> unit Effect.t
-  | Self : pid Effect.t
+  | Block : (unit -> string) -> unit Effect.t
 
 let create () =
   {
@@ -53,7 +53,11 @@ let spawn sched body =
   Queue.add id sched.ready;
   id
 
-let self () = Effect.perform Self
+let current sched =
+  if sched.current < 0 then
+    invalid_arg "Coroutine.current: called outside a process body";
+  sched.current
+
 let yield () = Effect.perform Yield
 let block reason = Effect.perform (Block reason)
 
@@ -78,12 +82,13 @@ let blocked_processes sched =
   Array.to_list sched.procs
   |> List.filter_map (fun p ->
          match p.state with
-         | Blocked reason -> Some { pid = p.id; reason }
+         | Blocked reason -> Some { pid = p.id; reason = reason () }
          | Ready | Running | Finished | Crashed_st _ -> None)
 
 (* Run one process until it yields control back (by finishing, blocking,
    yielding, or crashing). The handler stores the continuation in the process
-   record; the scheduler resumes it later.
+   record; the scheduler resumes it later. [current] names the process for
+   the duration of the step and is reset once control is back here.
 
    The handler record (and its four closures) is needed only at the first
    dispatch: the deep handler installed by [match_with] stays in force for
@@ -93,7 +98,7 @@ let blocked_processes sched =
 let step sched (p : proc) =
   p.state <- Running;
   sched.current <- p.id;
-  match p.resume with
+  (match p.resume with
   | Some k ->
       p.resume <- None;
       Effect.Deep.continue k ()
@@ -122,14 +127,11 @@ let step sched (p : proc) =
                       p.state <- Blocked reason;
                       p.resume <-
                         Some (k : (unit, unit) Effect.Deep.continuation))
-              | Self ->
-                  Some
-                    (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      Effect.Deep.continue k p.id)
               | _ -> None);
         }
       in
-      Effect.Deep.match_with p.body () handler
+      Effect.Deep.match_with p.body () handler);
+  sched.current <- -1
 
 let run sched =
   if sched.started then invalid_arg "Coroutine.run: scheduler already ran";

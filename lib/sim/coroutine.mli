@@ -7,7 +7,7 @@
     stateless replay sound — re-running the same program with the same forced
     decisions reproduces the same execution prefix.
 
-    A process blocks by performing the {!Block} effect; it is the
+    A process blocks by calling {!block}; it is the
     responsibility of whoever owns the blocking condition (e.g. the MPI
     runtime completing a request) to call {!wake}. *)
 
@@ -42,16 +42,20 @@ val run : sched -> outcome
 (** Execute until completion, deadlock, or crash. Can only be called once per
     scheduler. *)
 
-val self : unit -> pid
-(** Identity of the currently running process. Must be called from within a
-    process body. *)
+val current : sched -> pid
+(** Identity of the running process: a field the scheduler sets when it
+    steps a process, so reading it costs no effect round trip. Raises
+    [Invalid_argument] outside a process body. *)
 
 val yield : unit -> unit
 (** Reschedule the calling process at the back of the ready queue. *)
 
-val block : string -> unit
-(** Park the calling process until someone calls {!wake} on it. The string
-    describes the blocked operation and is surfaced in deadlock reports. *)
+val block : (unit -> string) -> unit
+(** Park the calling process until someone calls {!wake} on it. The thunk
+    describes the blocked operation; it is called only by
+    {!blocked_processes}, i.e. when a deadlock verdict or an observer needs
+    the text, so it must render the same string at any point while the
+    process stays parked. *)
 
 val wake : sched -> pid -> unit
 (** Move a blocked process to the ready queue. Waking a process that is not
@@ -65,4 +69,4 @@ val is_blocked : sched -> pid -> bool
 val nprocs : sched -> int
 
 val blocked_processes : sched -> blocked_info list
-(** Processes currently parked, in pid order. *)
+(** Processes currently parked, in pid order; renders each block reason. *)

@@ -318,6 +318,30 @@ let test_wildcard_deadlock_found () =
   Alcotest.(check int) "two interleavings" 2 report.Report.interleavings;
   Alcotest.(check int) "deadlock found" 1 (List.length (deadlocks report))
 
+(* Golden text of that deadlock's finding: the starved rank names its
+   receive, the finished ranks are mapped from the tool's finalize barrier. *)
+let test_wildcard_deadlock_reasons () =
+  let report =
+    Explorer.verify ~config:(config ()) ~np:3
+      (module Wildcard_deadlock : Mpi.Mpi_intf.PROGRAM)
+  in
+  let blocked =
+    List.concat_map
+      (fun (f : Report.finding) ->
+        match f.Report.error with
+        | Report.Deadlock { blocked } -> blocked
+        | _ -> [])
+      report.Report.findings
+  in
+  Alcotest.(check (list (pair int string)))
+    "deadlock reasons"
+    [
+      (0, "finished its program (parked in tool finalize)");
+      (1, "wait(req#6@1 recv(src=2,tag=-1,ctx=0) [pending])");
+      (2, "finished its program (parked in tool finalize)");
+    ]
+    blocked
+
 (* ---- Resource-leak checks (Table II columns) ---- *)
 
 module Leaky (M : Mpi.Mpi_intf.MPI_CORE) = struct
@@ -821,6 +845,8 @@ let () =
             test_verify_deterministic;
           Alcotest.test_case "stop on first error" `Quick
             test_stop_on_first_error;
+          Alcotest.test_case "wildcard deadlock reasons" `Quick
+            test_wildcard_deadlock_reasons;
         ] );
       ( "checks",
         [

@@ -242,6 +242,93 @@ let test_deadlock_cross_recv () =
       Alcotest.(check int) "both ranks blocked" 2 (List.length blocked)
   | _ -> Alcotest.fail "expected deadlock"
 
+(* ---- Golden deadlock reasons ----
+
+   One rank deadlocks at each blocking site while the other finishes; the
+   [Deadlock] reasons must match these literals byte for byte. The texts are
+   the reports' user-visible deadlock findings, so a change to how (or when)
+   they are rendered must leave them unchanged. *)
+
+let deadlock_reasons ~np body =
+  match snd (exec ~np body) with
+  | Coroutine.Deadlock blocked ->
+      List.map (fun (b : Coroutine.blocked_info) -> (b.pid, b.reason)) blocked
+  | Coroutine.All_finished -> Alcotest.fail "expected deadlock, all finished"
+  | Coroutine.Crashed (pid, exn, _) ->
+      Alcotest.failf "expected deadlock, rank %d crashed: %s" pid
+        (Printexc.to_string exn)
+
+let check_reasons name expected body =
+  Alcotest.(check (list (pair int string)))
+    name expected
+    (deadlock_reasons ~np:2 body)
+
+let test_golden_wait_wildcard () =
+  check_reasons "wait on a wildcard irecv"
+    [ (0, "wait(req#0@0 recv(src=*,tag=-1,ctx=0) [pending])") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 0 then ignore (Runtime.wait rt (Runtime.irecv rt world)));
+  check_reasons "wait on a wildcard irecv, woken by a non-match"
+    [ (0, "wait(req#0@0 recv(src=*,tag=4,ctx=0) [pending])") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 0 then ignore (Runtime.wait rt (Runtime.irecv rt ~tag:4 world))
+      else Runtime.send rt ~tag:7 ~dest:0 world Payload.Unit)
+
+let test_golden_wait_specific () =
+  (* Rank 1's non-matching send wakes rank 0, which re-checks and parks
+     again: the reason at the verdict is that of the last block. *)
+  check_reasons "wait on a specific irecv"
+    [ (0, "wait(req#0@0 recv(src=1,tag=5,ctx=0) [pending])") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 0 then
+        ignore (Runtime.wait rt (Runtime.irecv rt ~src:1 ~tag:5 world))
+      else Runtime.send rt ~tag:6 ~dest:0 world (Payload.int 6))
+
+let test_golden_wait_issend () =
+  check_reasons "wait on an issend"
+    [ (1, "wait(req#0@1 ssend(dst=0,tag=3,ctx=0) [pending])") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 1 then
+        ignore (Runtime.wait rt (Runtime.issend rt ~tag:3 ~dest:0 world Payload.Unit)))
+
+let test_golden_waitall_waitany_probe () =
+  check_reasons "waitall"
+    [ (0, "waitall") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 0 then
+        ignore
+          (Runtime.waitall rt
+             [ Runtime.isend rt ~dest:1 world Payload.Unit; Runtime.irecv rt ~src:1 world ]));
+  check_reasons "waitany"
+    [ (1, "waitany") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 1 then
+        ignore
+          (Runtime.waitany rt
+             [ Runtime.irecv rt ~src:0 ~tag:1 world; Runtime.irecv rt ~tag:2 world ]));
+  check_reasons "probe"
+    [ (0, "probe") ]
+    (fun rt rank ->
+      let world = Runtime.comm_world rt in
+      if rank = 0 then ignore (Runtime.probe rt ~src:1 world))
+
+let test_golden_collective () =
+  check_reasons "barrier on world"
+    [ (0, "collective barrier on world") ]
+    (fun rt rank ->
+      if rank = 0 then Runtime.barrier rt (Runtime.comm_world rt));
+  check_reasons "bcast on a dup"
+    [ (1, "collective bcast on dup(world)") ]
+    (fun rt rank ->
+      let dup = Runtime.comm_dup rt (Runtime.comm_world rt) in
+      if rank = 1 then ignore (Runtime.bcast rt ~root:0 dup (Payload.int 1)))
+
 let test_collective_mismatch_detected () =
   let _, outcome =
     exec ~np:2 (fun rt rank ->
@@ -590,6 +677,93 @@ let prop_allreduce_sum_matches_spec =
       (match outcome with Coroutine.All_finished -> () | _ -> failwith "bad");
       Array.for_all (fun v -> v = expected) results)
 
+(* ---- Dense communicator membership ----
+
+   [Comm] maps world pid to comm rank through a dense array. A [Hashtbl]
+   model (the representation it replaced, with the same error texts) must
+   agree on every query and on [mark_freed], for members, non-members,
+   pid -1 and pids at or beyond np. *)
+
+module Comm_model = struct
+  type t = { of_world : (int, int) Hashtbl.t; freed : bool array }
+
+  let label = "model"
+  let ctx = 7
+
+  let make ranks =
+    let of_world = Hashtbl.create 8 in
+    Array.iteri (fun r pid -> Hashtbl.replace of_world pid r) ranks;
+    { of_world; freed = Array.make (Array.length ranks) false }
+
+  let rank_of_world m pid =
+    match Hashtbl.find_opt m.of_world pid with
+    | Some r -> r
+    | None ->
+        Types.mpi_errorf "process %d is not a member of communicator %s(ctx=%d)"
+          pid label ctx
+
+  let is_member m pid = Hashtbl.mem m.of_world pid
+
+  let freed_by m pid =
+    match Hashtbl.find_opt m.of_world pid with
+    | Some r -> m.freed.(r)
+    | None -> true
+
+  let mark_freed m pid =
+    let r = rank_of_world m pid in
+    if m.freed.(r) then
+      Types.mpi_errorf "communicator %s(ctx=%d) freed twice by rank %d" label
+        ctx r;
+    m.freed.(r) <- true
+end
+
+let prop_comm_membership_matches_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 10 >>= fun np ->
+      (* a random subset of the world pids, in random rank order *)
+      list_repeat np bool >>= fun keep ->
+      shuffle_l (List.concat (List.mapi (fun pid k -> if k then [ pid ] else []) keep))
+      >>= fun members ->
+      map
+        (fun ops -> (np, Array.of_list members, ops))
+        (small_list (pair (int_range 0 3) (int_range (-2) (np + 2)))))
+  in
+  let print (np, ranks, ops) =
+    Printf.sprintf "np=%d ranks=[%s] ops=[%s]" np
+      (String.concat ";" (Array.to_list (Array.map string_of_int ranks)))
+      (String.concat ";"
+         (List.map (fun (op, pid) -> Printf.sprintf "%d:%d" op pid) ops))
+  in
+  QCheck.Test.make ~name:"dense membership agrees with a Hashtbl model"
+    ~count:300 (QCheck.make ~print gen) (fun (np, ranks, ops) ->
+      let comm =
+        Comm.make ~ctx:Comm_model.ctx ~ranks ~internal:false
+          ~label:Comm_model.label
+      in
+      let model = Comm_model.make ranks in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Types.Mpi_error msg -> Error msg
+      in
+      List.for_all
+        (fun (op, pid) ->
+          match op with
+          | 0 ->
+              outcome (fun () -> Comm.rank_of_world comm pid)
+              = outcome (fun () -> Comm_model.rank_of_world model pid)
+          | 1 -> Comm.is_member comm pid = Comm_model.is_member model pid
+          | 2 -> Comm.freed_by comm pid = Comm_model.freed_by model pid
+          | _ ->
+              outcome (fun () -> Comm.mark_freed comm pid)
+              = outcome (fun () -> Comm_model.mark_freed model pid))
+        (* every pid is also queried once after the random operations *)
+        (ops
+        @ List.concat_map
+            (fun pid -> [ (0, pid); (1, pid); (2, pid) ])
+            (List.init (np + 5) (fun i -> i - 2))))
+
 (* ---- Execution trace ---- *)
 
 let test_trace_events () =
@@ -723,6 +897,17 @@ let () =
           Alcotest.test_case "use after free" `Quick
             test_use_after_free_detected;
         ] );
+      ( "golden-reasons",
+        [
+          Alcotest.test_case "wait on a wildcard irecv" `Quick
+            test_golden_wait_wildcard;
+          Alcotest.test_case "wait on a specific irecv" `Quick
+            test_golden_wait_specific;
+          Alcotest.test_case "wait on an issend" `Quick test_golden_wait_issend;
+          Alcotest.test_case "waitall, waitany, probe" `Quick
+            test_golden_waitall_waitany_probe;
+          Alcotest.test_case "collective" `Quick test_golden_collective;
+        ] );
       ( "collectives",
         [
           Alcotest.test_case "barrier time sync" `Quick
@@ -741,6 +926,7 @@ let () =
           Alcotest.test_case "dup isolates traffic" `Quick
             test_comm_dup_isolates_traffic;
           Alcotest.test_case "split" `Quick test_comm_split;
+          QCheck_alcotest.to_alcotest prop_comm_membership_matches_model;
         ] );
       ( "leaks",
         [

@@ -29,10 +29,48 @@ let test_self () =
   let sched = Coroutine.create () in
   let seen = ref [] in
   for _ = 0 to 3 do
-    ignore (Coroutine.spawn sched (fun () -> seen := Coroutine.self () :: !seen))
+    ignore
+      (Coroutine.spawn sched (fun () ->
+           seen := Coroutine.current sched :: !seen;
+           (* still this process after being resumed *)
+           Coroutine.yield ();
+           seen := Coroutine.current sched :: !seen))
   done;
   ignore (Coroutine.run sched);
-  Alcotest.(check (list int)) "pids in spawn order" [ 0; 1; 2; 3 ] (List.rev !seen)
+  Alcotest.(check (list int))
+    "pids in spawn order" [ 0; 1; 2; 3; 0; 1; 2; 3 ] (List.rev !seen)
+
+let test_current_outside_body () =
+  let sched = Coroutine.create () in
+  let raises label =
+    Alcotest.check_raises label
+      (Invalid_argument "Coroutine.current: called outside a process body")
+      (fun () -> ignore (Coroutine.current sched))
+  in
+  raises "before run";
+  ignore (Coroutine.spawn sched (fun () -> Coroutine.yield ()));
+  ignore (Coroutine.spawn sched (fun () -> Coroutine.block (fun () -> "parked")));
+  ignore (Coroutine.run sched);
+  raises "after run, with a process left blocked"
+
+(* A block reason is a thunk rendered only by [blocked_processes]: a
+   process that blocks and is woken never pays for its text. *)
+let test_block_reason_is_lazy () =
+  let sched = Coroutine.create () in
+  let rendered = ref [] in
+  let reason s () =
+    rendered := s :: !rendered;
+    s
+  in
+  ignore
+    (Coroutine.spawn sched (fun () ->
+         Coroutine.block (reason "woken");
+         Coroutine.block (reason "stuck")));
+  ignore (Coroutine.spawn sched (fun () -> Coroutine.wake sched 0));
+  (match Coroutine.run sched with
+  | Coroutine.Deadlock [ { pid = 0; reason = "stuck" } ] -> ()
+  | _ -> Alcotest.fail "expected rank 0 deadlocked on its second block");
+  Alcotest.(check (list string)) "rendered once, at the verdict" [ "stuck" ] !rendered
 
 let test_block_wake () =
   let sched = Coroutine.create () in
@@ -40,7 +78,7 @@ let test_block_wake () =
   let _p0 =
     Coroutine.spawn sched (fun () ->
         log := "p0-before" :: !log;
-        Coroutine.block "waiting for p1";
+        Coroutine.block (fun () -> "waiting for p1");
         log := "p0-after" :: !log)
   in
   let _p1 =
@@ -58,9 +96,9 @@ let test_block_wake () =
 
 let test_deadlock_detection () =
   let sched = Coroutine.create () in
-  ignore (Coroutine.spawn sched (fun () -> Coroutine.block "stuck-0"));
+  ignore (Coroutine.spawn sched (fun () -> Coroutine.block (fun () -> "stuck-0")));
   ignore (Coroutine.spawn sched (fun () -> ()));
-  ignore (Coroutine.spawn sched (fun () -> Coroutine.block "stuck-2"));
+  ignore (Coroutine.spawn sched (fun () -> Coroutine.block (fun () -> "stuck-2")));
   match Coroutine.run sched with
   | Coroutine.Deadlock blocked ->
       let pids = List.map (fun (b : Coroutine.blocked_info) -> b.pid) blocked in
@@ -208,6 +246,10 @@ let () =
           Alcotest.test_case "wake on non-blocked is noop" `Quick
             test_wake_nonblocked_is_noop;
           Alcotest.test_case "2000 processes" `Quick test_many_processes;
+          Alcotest.test_case "current raises outside a process body" `Quick
+            test_current_outside_body;
+          Alcotest.test_case "block reason rendered only on a verdict" `Quick
+            test_block_reason_is_lazy;
         ] );
       ( "vtime",
         [

@@ -123,11 +123,6 @@ let reap_children pids =
       wait ())
     pids
 
-let hist_count snap name =
-  match Obs.Metrics.find snap name with
-  | Some (Obs.Metrics.Histogram h) -> h.Obs.Metrics.count
-  | _ -> 0
-
 (* ---- list command ---- *)
 
 let list_cmd =
@@ -535,15 +530,12 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
       in
       Some
         {
-          Dampi.Coordinator.attach;
-          job = Job.to_wire job;
-          lease_size = Dampi.Coordinator.default_lease_size;
+          (Dampi.Coordinator.default_setup attach (Job.to_wire job)) with
           heartbeat_timeout;
           join_timeout;
           rejoin_grace;
           auth;
           net_fault = (Job.to_config job).robustness.net_fault;
-          outq_budget = Dampi.Coordinator.default_outq_budget;
         }
     end
   in
@@ -1146,131 +1138,6 @@ let trace_cmd =
       $ workload_arg "Workload to trace (see $(b,list))."
       $ np_flag $ limit)
 
-(* ---- bench command: parallel-exploration scaling ---- *)
-
-let bench_run workload np mixing_bound max_runs jobs_list output trace_out
-    metrics_out =
-  (* the sweep explores unpruned: it measures raw replay scaling *)
-  let job =
-    or_fail
-      (Result.bind (Job.default workload) (fun d ->
-           Job.check
-             {
-               d with
-               np = Option.value np ~default:d.np;
-               k = mixing_bound;
-               max_runs;
-               prune = false;
-             }))
-  in
-  let trace = trace_out <> None in
-  let measure jobs =
-    (jobs, fst (Job.run ~trace (or_fail (Job.check { job with jobs }))))
-  in
-  let results = List.map measure jobs_list in
-  let base_wall =
-    match results with
-    | (_, r) :: _ -> r.Report.host_seconds
-    | [] -> 0.0
-  in
-  Printf.printf "parallel exploration scaling: %s np=%d max-runs=%d\n"
-    job.workload job.np max_runs;
-  Printf.printf "%6s %14s %10s %12s %9s\n" "jobs" "interleavings"
-    "findings" "wall-s" "speedup";
-  List.iter
-    (fun (jobs, (r : Report.t)) ->
-      Printf.printf "%6d %14d %10d %12.3f %8.2fx\n%!" jobs
-        r.Report.interleavings
-        (List.length r.Report.findings)
-        r.Report.host_seconds
-        (base_wall /. Float.max 1e-9 r.Report.host_seconds))
-    results;
-  (match output with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n  \"bench\": \"parallel_explore\",\n  \"workload\": %S,\n\
-        \  \"np\": %d,\n  \"max_runs\": %d,\n  \"results\": [\n"
-        job.workload job.np max_runs;
-      let n = List.length results in
-      List.iteri
-        (fun i (jobs, (r : Report.t)) ->
-          Printf.fprintf oc
-            "    {\"jobs\": %d, \"interleavings\": %d, \"findings\": %d, \
-             \"wall_seconds\": %.6f, \"total_virtual_seconds\": %.6f, \
-             \"speedup\": %.4f, \"match_attempts\": %d, \
-             \"piggyback_bytes\": %d, \"queue_waits\": %d}%s\n"
-            jobs r.Report.interleavings
-            (List.length r.Report.findings)
-            r.Report.host_seconds r.Report.total_virtual_time
-            (base_wall /. Float.max 1e-9 r.Report.host_seconds)
-            (Obs.Metrics.counter_value r.Report.metrics
-               "mpi.match_attempts")
-            (Obs.Metrics.counter_value r.Report.metrics
-               "dampi.piggyback_bytes")
-            (hist_count r.Report.metrics "sched.queue_wait_s")
-            (if i = n - 1 then "" else ","))
-        results;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "results written to %s\n" path);
-  let last_report =
-    match List.rev results with (_, r) :: _ -> Some r | [] -> None
-  in
-  (match (trace_out, last_report) with
-  | Some path, Some r ->
-      write_file path (Report.trace_json r);
-      Printf.printf "trace of the last sweep point written to %s\n" path
-  | _ -> ());
-  (match (metrics_out, last_report) with
-  | Some path, Some r ->
-      write_file path (Report.metrics_json r);
-      Printf.printf "metrics of the last sweep point written to %s\n" path
-  | _ -> ())
-
-let bench_cmd =
-  let jobs_list =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "j"; "jobs" ] ~docv:"N,..."
-          ~doc:"Comma-separated worker-domain counts to sweep.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the results as JSON to $(docv).")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Trace every sweep point and write the last one's span timeline \
-             as Chrome trace_event JSON to $(docv).")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the last sweep point's metrics as JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Measure wall-clock scaling of parallel interleaving exploration \
-          over a sweep of worker-domain counts.")
-    Term.(
-      const bench_run
-      $ workload_arg "Workload to benchmark (see $(b,list))."
-      $ np_flag $ mixing_flag $ max_runs_flag $ jobs_list $ output $ trace_out
-      $ metrics_out)
-
 (* ---- stats command: one native run, operation + metric counters ---- *)
 
 let stats_run workload np explore =
@@ -1622,7 +1489,7 @@ let main =
        ~doc:
          "Distributed Analyzer for MPI programs — dynamic formal verification \
           over a simulated MPI runtime (SC'10 reproduction).")
-    [ list_cmd; verify_cmd; replay_cmd; trace_cmd; stats_cmd; bench_cmd;
+    [ list_cmd; verify_cmd; replay_cmd; trace_cmd; stats_cmd;
       worker_cmd; top_cmd; serve_cmd; submit_cmd; fetch_cmd ]
 
 let () = exit (Cmd.eval main)

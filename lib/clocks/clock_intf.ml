@@ -68,8 +68,8 @@ module type S = sig
       a decode/apply/encode round trip. The pure API above remains the
       specification: every [*_enc]/[*_into] operation must behave exactly
       like encode-compose-decode of its pure counterpart (QCheck holds the
-      two to account in [test_clocks], and {!Reference.Make} derives this
-      block from the pure block for differential runs). Buffer ownership
+      two to account in [test_clocks], and the tests' [Clock_reference.Make]
+      derives this block from the pure block for differential runs). Buffer ownership
       rules live in DESIGN.md, "Hot path & allocation discipline". *)
 
   val width : np:int -> int

@@ -36,6 +36,19 @@ let default_join_timeout = 30.0
 let default_rejoin_grace = 1.0
 let default_outq_budget = 262144
 
+let default_setup attach job =
+  {
+    attach;
+    job;
+    lease_size = default_lease_size;
+    heartbeat_timeout = default_heartbeat_timeout;
+    join_timeout = default_join_timeout;
+    rejoin_grace = default_rejoin_grace;
+    auth = None;
+    net_fault = None;
+    outq_budget = default_outq_budget;
+  }
+
 type stats = {
   leases : int;
   releases : int;

@@ -93,6 +93,10 @@ val default_join_timeout : float
 val default_rejoin_grace : float
 val default_outq_budget : int
 
+val default_setup : attach -> Wire.job -> setup
+(** [setup] for [job] over [attach] with every other field at its
+    [default_*] value: no auth, no net faults. *)
+
 type stats = {
   leases : int;  (** lease frames sent *)
   releases : int;  (** items re-leased after a lease was forfeited *)

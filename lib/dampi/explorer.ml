@@ -437,6 +437,17 @@ let explore ?(config = default_config) ?resume ?distribute
   let worker_runs = Array.make jobs 0 in
   let worker_wall = Array.make jobs 0.0 in
   let worker_vtime = Array.make jobs 0.0 in
+  (* The per-worker rows of the report; only the pool counts queue waits. *)
+  let worker_stats ?(queue_waits = fun _ -> 0) () =
+    List.init jobs (fun i ->
+        {
+          Report.worker_id = i;
+          runs_executed = worker_runs.(i);
+          queue_waits = queue_waits i;
+          wall_seconds = worker_wall.(i);
+          virtual_seconds = worker_vtime.(i);
+        })
+  in
   (* Caller holds [m]. Findings go through {!Report.Merge}: bucketed by
      signature but deduplicated by structural error value, so two distinct
      findings whose errors merely render identically can no longer shadow
@@ -822,24 +833,16 @@ let explore ?(config = default_config) ?resume ?distribute
     in
     let stats () =
       let sched_stats = Scheduler.stats sched in
-      List.init jobs (fun i ->
-          let queue_waits =
-            match
-              List.find_opt
-                (fun (ws : Scheduler.worker_stats) ->
-                  ws.Scheduler.worker_id = i)
-                sched_stats
-            with
-            | Some ws -> ws.Scheduler.queue_waits
-            | None -> 0
-          in
-          {
-            Report.worker_id = i;
-            runs_executed = worker_runs.(i);
-            queue_waits;
-            wall_seconds = worker_wall.(i);
-            virtual_seconds = worker_vtime.(i);
-          })
+      worker_stats
+        ~queue_waits:(fun i ->
+          match
+            List.find_opt
+              (fun (ws : Scheduler.worker_stats) -> ws.Scheduler.worker_id = i)
+              sched_stats
+          with
+          | Some ws -> ws.Scheduler.queue_waits
+          | None -> 0)
+        ()
     in
     {
       Executor.label = "pool";
@@ -941,21 +944,11 @@ let explore ?(config = default_config) ?resume ?distribute
              path and can be resumed. *)
           Executor.Lost { reason = msg; leftover = Coordinator.snapshot co }
     in
-    let stats () =
-      List.init jobs (fun i ->
-          {
-            Report.worker_id = i;
-            runs_executed = worker_runs.(i);
-            queue_waits = 0;
-            wall_seconds = worker_wall.(i);
-            virtual_seconds = worker_vtime.(i);
-          })
-    in
     {
       Executor.label = "coordinator";
       drive;
       snapshot = (fun () -> Coordinator.snapshot co);
-      stats;
+      stats = (fun () -> worker_stats ());
       fence_epoch = (fun () -> Coordinator.current_epoch co);
     }
   in
@@ -1003,6 +996,18 @@ let explore ?(config = default_config) ?resume ?distribute
         | Stopped | Interrupted | Gave_up -> [])
   in
   frontier_fallback := initial_items;
+  (* Expand-only items don't count against [max_runs] (their runs were
+     already counted before the cut), but they do consume execution claims;
+     widen the claim budget accordingly. *)
+  let claim_budget items =
+    if config.max_runs = max_int then max_int
+    else
+      config.max_runs - !runs
+      + List.length
+          (List.filter
+             (fun it -> Hashtbl.mem resume_completed (Checkpoint.item_key it))
+             items)
+  in
   let skip =
     initial_items = []
     || !runs >= config.max_runs
@@ -1014,20 +1019,7 @@ let explore ?(config = default_config) ?resume ?distribute
      their sockets — so the coordinator backend always drives (with a zero
      claim budget when skipping, which shuts workers down immediately). *)
   if (not skip) || distribute <> None then begin
-    (* Expand-only items don't count against [max_runs] (their runs were
-       already counted before the cut), but they do consume execution
-       claims; widen the claim budget accordingly. *)
-    let expand_only =
-      List.length
-        (List.filter
-           (fun it -> Hashtbl.mem resume_completed (Checkpoint.item_key it))
-           initial_items)
-    in
-    let budget =
-      if skip then 0
-      else if config.max_runs = max_int then max_int
-      else config.max_runs - !runs + expand_only
-    in
+    let budget = if skip then 0 else claim_budget initial_items in
     let exec =
       match distribute with
       | None -> pool_backend initial_items ~budget
@@ -1053,23 +1045,12 @@ let explore ?(config = default_config) ?resume ?distribute
             (Obs.Metrics.counter
                (Obs.Metrics.shard registry jobs)
                "coordinator.fallbacks");
-          let expand_only =
-            List.length
-              (List.filter
-                 (fun it ->
-                   Hashtbl.mem resume_completed (Checkpoint.item_key it))
-                 leftover)
-          in
-          let budget =
-            if config.max_runs = max_int then max_int
-            else config.max_runs - !runs + expand_only
-          in
           (* The leftover items were admitted when first pushed to the
              coordinator but never ran; forget them so the pool's own
              enqueue filter re-admits instead of dropping them as
              duplicates. *)
           List.iter (fun it -> Prune.Seen.forget seen it) leftover;
-          let pool = pool_backend leftover ~budget in
+          let pool = pool_backend leftover ~budget:(claim_budget leftover) in
           exec_ref := Some pool;
           ignore (pool.Executor.drive ())
         end
@@ -1091,17 +1072,7 @@ let explore ?(config = default_config) ?resume ?distribute
      it is a no-op that just re-reports). *)
   write_checkpoint ();
   let workers =
-    match !exec_ref with
-    | Some e -> e.Executor.stats ()
-    | None ->
-        List.init jobs (fun i ->
-            {
-              Report.worker_id = i;
-              runs_executed = worker_runs.(i);
-              queue_waits = 0;
-              wall_seconds = worker_wall.(i);
-              virtual_seconds = worker_vtime.(i);
-            })
+    match !exec_ref with Some e -> e.Executor.stats () | None -> worker_stats ()
   in
   (match (tracer, root_span) with
   | Some tr, Some sp -> Obs.Trace.end_span (Obs.Trace.sink tr 0) sp

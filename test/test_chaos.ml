@@ -21,8 +21,7 @@ module Net = Mpi.Fault.Net
    adlb/k0 (81 interleavings) backs the schedules that need a guaranteed
    supply of payload frames per connection (every one-shot injection index
    is drawn under a bounded horizon, so enough frames ⇒ the fault fires). *)
-let registry : (string * int * State.config * (unit -> Mpi.Mpi_intf.program)) list
-    =
+let registry : Dist_harness.case list =
   [
     ( "matmult",
       5,
@@ -40,59 +39,10 @@ let registry : (string * int * State.config * (unit -> Mpi.Mpi_intf.program)) li
 
 let find_case name = List.find (fun (n, _, _, _) -> n = name) registry
 
-let resolve_with spec (job : Wire.job) =
-  match List.find_opt (fun (n, _, _, _) -> n = job.Wire.workload) registry with
-  | None -> Error (Printf.sprintf "unknown workload %S" job.Wire.workload)
-  | Some (_, np, state_config, build) ->
-      if job.Wire.np <> np then
-        Error (Printf.sprintf "np mismatch: job says %d, have %d" job.Wire.np np)
-      else
-        Ok
-          {
-            Remote_worker.np;
-            runner =
-              Explorer.dampi_runner
-                { Explorer.default_config with state_config }
-                ~np (build ());
-            rb = { Explorer.default_robustness with net_fault = spec };
-            prune = false;
-          }
-
-let signatures (report : Report.t) =
-  List.map
-    (fun (f : Report.finding) -> Report.error_signature f.Report.error)
-    report.Report.findings
-  |> List.sort_uniq compare
-
-let check_same name (seq : Report.t) (dist : Report.t) =
-  Alcotest.(check (list string))
-    (name ^ ": no harness failures")
-    []
-    (List.map
-       (fun (h : Report.harness_failure) -> h.Report.hf_message)
-       dist.Report.harness_failures);
-  Alcotest.(check (list string))
-    (name ^ ": same finding signatures")
-    (signatures seq) (signatures dist);
-  Alcotest.(check int)
-    (name ^ ": same interleaving count")
-    seq.Report.interleavings dist.Report.interleavings;
-  Alcotest.(check int)
-    (name ^ ": same bounded epochs")
-    seq.Report.bounded_epochs dist.Report.bounded_epochs;
-  Alcotest.(check (list string))
-    (name ^ ": same canonical findings")
-    (List.map
-       (fun (f : Report.finding) ->
-         Format.asprintf "%a" Report.pp_finding { f with Report.run_index = 0 })
-       seq.Report.findings)
-    (List.map
-       (fun (f : Report.finding) ->
-         Format.asprintf "%a" Report.pp_finding { f with Report.run_index = 0 })
-       dist.Report.findings);
-  Alcotest.(check (float 1e-9))
-    (name ^ ": same total virtual time")
-    seq.Report.total_virtual_time dist.Report.total_virtual_time
+let resolve_with spec =
+  Dist_harness.resolver
+    ~rb:{ Explorer.default_robustness with net_fault = spec }
+    registry
 
 (* Sequential baselines, computed once and shared by every schedule. *)
 let seq_report =
@@ -154,15 +104,12 @@ let chaos_dist ~tag ~workload spec =
   in
   let setup =
     {
-      Coordinator.attach = Coordinator.Listen { addr = Wire.Unix_sock path; ready };
-      job = { Wire.workload; np; params = [] };
-      lease_size = 1;
+      (Dist_harness.setup_of ~lease_size:1 ~rejoin_grace:0.15 ~name:workload
+         ~np
+         (Coordinator.Listen { addr = Wire.Unix_sock path; ready }))
+      with
       heartbeat_timeout = 0.4;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.15;
-      auth = None;
       net_fault = Some spec;
-      outq_budget = Coordinator.default_outq_budget;
     }
   in
   let dist =
@@ -194,7 +141,7 @@ let schedules =
 let test_schedule (tag, workload, spec) () =
   let seq = seq_report workload in
   let dist = chaos_dist ~tag ~workload spec in
-  check_same (Printf.sprintf "%s/%s" workload tag) seq dist;
+  Dist_harness.check_same (Printf.sprintf "%s/%s" workload tag) seq dist;
   (* The schedule actually injected: at least one net_fault.<kind> counter
      ticked (coordinator-side counters land in the report's merged
      metrics; worker-side ones arrive as shipped telemetry). *)
@@ -224,7 +171,7 @@ let test_storm () =
   in
   let seq = seq_report "matmult" in
   let dist = chaos_dist ~tag:"storm" ~workload:"matmult" spec in
-  check_same "matmult/storm" seq dist
+  Dist_harness.check_same "matmult/storm" seq dist
 
 (* The duplicated-results acceptance check: under dup=1.0 at least one
    results frame reaches the coordinator twice (worker-side duplication of
@@ -236,7 +183,7 @@ let test_duplicate_counted_once () =
   let seq = seq_report "adlb/k0" in
   let spec = { Net.inert with seed = 23; dup = 1.0 } in
   let dist = chaos_dist ~tag:"dup-once" ~workload:"adlb/k0" spec in
-  check_same "adlb/k0/dup-once" seq dist;
+  Dist_harness.check_same "adlb/k0/dup-once" seq dist;
   let dedup =
     counter_total dist (fun n ->
         n = "coordinator.dup_results" || n = "coordinator.fenced")
@@ -270,7 +217,7 @@ let test_enospc_checkpoint () =
         { Explorer.default_config with state_config; robustness = rb }
       ~np (build ())
   in
-  check_same "matmult/enospc" seq r;
+  Dist_harness.check_same "matmult/enospc" seq r;
   Alcotest.(check bool)
     "run completed despite failing writes" false r.Report.interrupted;
   Alcotest.(check bool)

@@ -211,8 +211,8 @@ let vector_mod = (module Clocks.Vector : Clocks.Clock_intf.S)
 
 (* The decode/apply/encode adapter used as the differential reference for
    the runtime equivalence tests must itself satisfy the same laws. *)
-module Ref_lamport = Clocks.Reference.Make (Clocks.Lamport)
-module Ref_vector = Clocks.Reference.Make (Clocks.Vector)
+module Ref_lamport = Clock_reference.Make (Clocks.Lamport)
+module Ref_vector = Clock_reference.Make (Clocks.Vector)
 
 let ref_lamport_mod = (module Ref_lamport : Clocks.Clock_intf.S)
 let ref_vector_mod = (module Ref_vector : Clocks.Clock_intf.S)

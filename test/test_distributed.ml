@@ -6,21 +6,15 @@
    speaking the real wire protocol over socketpairs (plus one genuinely
    forked process for the kill test), so the whole
    Wire/Coordinator/Remote_worker stack is exercised without shelling
-   out. *)
+   out (see Dist_harness). *)
 
-module Explorer = Dampi.Explorer
-module Report = Dampi.Report
-module State = Dampi.State
+open Dist_harness
 module Checkpoint = Dampi.Checkpoint
-module Coordinator = Dampi.Coordinator
-module Remote_worker = Dampi.Remote_worker
-module Wire = Dampi.Wire
 module Decisions = Dampi.Decisions
 
 (* The CLI registry, sized down so exhaustive exploration stays small
    (mirrors test_explorer_parallel). *)
-let registry : (string * int * State.config * (unit -> Mpi.Mpi_intf.program)) list
-    =
+let registry : case list =
   let default = State.default_config in
   let vector = State.make_config ~clock:(module Clocks.Vector) () in
   let dual = State.make_config ~dual_clock:true () in
@@ -58,113 +52,20 @@ let registry : (string * int * State.config * (unit -> Mpi.Mpi_intf.program)) li
           fun () -> Workloads.Skeleton.program s ))
       (Workloads.Nas.all @ Workloads.Specmpi.all)
 
-(* The worker's resolve function — what the CLI builds from its registry,
-   here built from ours. The job's np must agree with the registry's. *)
-let resolve (job : Wire.job) =
-  match
-    List.find_opt (fun (n, _, _, _) -> n = job.Wire.workload) registry
-  with
-  | None -> Error (Printf.sprintf "unknown workload %S" job.Wire.workload)
-  | Some (_, np, state_config, build) ->
-      if job.Wire.np <> np then
-        Error (Printf.sprintf "np mismatch: job says %d, have %d" job.Wire.np np)
-      else
-        Ok
-          {
-            Remote_worker.np;
-            runner =
-              Explorer.dampi_runner
-                { Explorer.default_config with state_config }
-                ~np (build ());
-            rb = Explorer.default_robustness;
-            prune = false;
-          }
-
-let signatures (report : Report.t) =
-  List.map
-    (fun (f : Report.finding) -> Report.error_signature f.Report.error)
-    report.Report.findings
-  |> List.sort_uniq compare
+let resolve = resolver registry
 
 let verify_seq ~np ~state_config program =
   Explorer.verify
     ~config:{ Explorer.default_config with state_config }
     ~np program
 
-(* Spawn [n] in-process workers, each a domain serving one end of a
-   socketpair; returns the coordinator-side fds and the join handle. *)
-let spawn_workers ?auth ?(resolve = resolve) n =
-  List.init n (fun _ ->
-      let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let d =
-        Domain.spawn (fun () -> ignore (Remote_worker.serve ?auth ~resolve w))
-      in
-      (c, d))
-
-(* Tests keep the rejoin grace short: with [Fds] attach there is no listen
-   socket for a lost worker to redial, so waiting out the default grace
-   only slows the refund path down. *)
-let setup_of ~name ~np ~fds ?(lease_size = 2) ?(rejoin_grace = 0.05) ?auth ()
-    =
-  {
-    Coordinator.attach = Coordinator.Fds fds;
-    job = { Wire.workload = name; np; params = [] };
-    lease_size;
-    heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-    join_timeout = Coordinator.default_join_timeout;
-    rejoin_grace;
-    auth;
-    net_fault = None;
-    outq_budget = Coordinator.default_outq_budget;
-  }
-
-let check_same name (seq : Report.t) (dist : Report.t) =
-  Alcotest.(check (list string))
-    (name ^ ": no harness failures")
-    []
-    (List.map
-       (fun (h : Report.harness_failure) -> h.Report.hf_message)
-       dist.Report.harness_failures);
-  Alcotest.(check (list string))
-    (name ^ ": same finding signatures")
-    (signatures seq) (signatures dist);
-  Alcotest.(check int)
-    (name ^ ": same interleaving count")
-    seq.Report.interleavings dist.Report.interleavings;
-  Alcotest.(check int)
-    (name ^ ": same bounded epochs")
-    seq.Report.bounded_epochs dist.Report.bounded_epochs;
-  Alcotest.(check int)
-    (name ^ ": same wildcards analyzed")
-    seq.Report.wildcards_analyzed dist.Report.wildcards_analyzed;
-  (* The canonical report also agrees on each finding's reproduction
-     schedule and virtual time, not just its signature. *)
-  Alcotest.(check (list string))
-    (name ^ ": same canonical findings")
-    (List.map
-       (fun (f : Report.finding) ->
-         Format.asprintf "%a" Report.pp_finding { f with Report.run_index = 0 })
-       seq.Report.findings)
-    (List.map
-       (fun (f : Report.finding) ->
-         Format.asprintf "%a" Report.pp_finding { f with Report.run_index = 0 })
-       dist.Report.findings);
-  Alcotest.(check (float 1e-9))
-    (name ^ ": same total virtual time")
-    seq.Report.total_virtual_time dist.Report.total_virtual_time
-
 let check_equivalence ((name, np, state_config, build) as _case) () =
   let seq = verify_seq ~np ~state_config (build ()) in
-  let workers = spawn_workers 2 in
-  let setup =
-    setup_of ~name ~np ~fds:(List.map fst workers) ()
-  in
   let dist =
-    Explorer.verify
+    verify_distributed
       ~config:{ Explorer.default_config with state_config }
-      ~distribute:setup ~np (build ())
+      ~resolve ~name ~np build
   in
-  List.iter (fun (_, d) -> Domain.join d) workers;
   check_same name seq dist
 
 (* A worker SIGKILLed mid-exploration forfeits its lease; the coordinator
@@ -205,7 +106,7 @@ let test_worker_kill () =
         Unix.sleepf 0.15;
         try Unix.kill victim Sys.sigkill with Unix.Unix_error _ -> ())
   in
-  let setup = setup_of ~name ~np ~fds:[ c1; c2 ] ~lease_size:1 () in
+  let setup = setup_of ~lease_size:1 ~name ~np (Coordinator.Fds [ c1; c2 ]) in
   let dist =
     Explorer.verify
       ~config:{ Explorer.default_config with state_config }
@@ -239,19 +140,7 @@ let test_all_workers_lost () =
   (* One worker that dies after its first replay: serve a connection whose
      far end we close from a watchdog domain shortly into the run. *)
   let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let slow_resolve job =
-    match resolve job with
-    | Error _ as e -> e
-    | Ok r ->
-        Ok
-          {
-            r with
-            Remote_worker.runner =
-              (fun ~ctx plan ~fork_index ->
-                Unix.sleepf 0.05;
-                r.Remote_worker.runner ~ctx plan ~fork_index);
-          }
-  in
+  let slow_resolve = slowed 0.05 resolve in
   let worker =
     Domain.spawn (fun () -> ignore (Remote_worker.serve ~resolve:slow_resolve w))
   in
@@ -260,7 +149,7 @@ let test_all_workers_lost () =
         Unix.sleepf 0.3;
         try Unix.shutdown c Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
   in
-  let setup = setup_of ~name ~np ~fds:[ c ] ~lease_size:1 () in
+  let setup = setup_of ~lease_size:1 ~name ~np (Coordinator.Fds [ c ]) in
   let dist =
     Explorer.verify
       ~config:{ Explorer.default_config with state_config }
@@ -302,18 +191,8 @@ let test_listen_attach () =
     done
   in
   let setup =
-    {
-      Coordinator.attach =
-        Coordinator.Listen { addr = Wire.Unix_sock path; ready };
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 1;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.05;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
-    }
+    setup_of ~lease_size:1 ~name ~np
+      (Coordinator.Listen { addr = Wire.Unix_sock path; ready })
   in
   let dist =
     Explorer.verify
@@ -348,19 +227,7 @@ let test_dial_attach () =
   in
   wait 250;
   Unix.sleepf 0.05;
-  let setup =
-    {
-      Coordinator.attach = Coordinator.Dial [ Wire.Unix_sock path ];
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 2;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.05;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
-    }
-  in
+  let setup = setup_of ~name ~np (Coordinator.Dial [ Wire.Unix_sock path ]) in
   let dist =
     Explorer.verify
       ~config:{ Explorer.default_config with state_config }
@@ -376,14 +243,11 @@ let test_resolve_failure () =
     List.find (fun (n, _, _, _) -> n = "fig3") registry
   in
   let bad_resolve (_ : Wire.job) = Error "no such workload here" in
-  let workers = spawn_workers ~resolve:bad_resolve 1 in
-  let setup = setup_of ~name ~np ~fds:(List.map fst workers) () in
   let dist =
-    Explorer.verify
+    verify_distributed ~workers:1
       ~config:{ Explorer.default_config with state_config }
-      ~distribute:setup ~np (build ())
+      ~resolve:bad_resolve ~name ~np build
   in
-  List.iter (fun (_, d) -> Domain.join d) workers;
   Alcotest.(check bool)
     "harness failure reported" true
     (dist.Report.harness_failures <> [])
@@ -406,16 +270,11 @@ let test_auth_roundtrip () =
     List.find (fun (n, _, _, _) -> n = "fig3") registry
   in
   let seq = verify_seq ~np ~state_config (build ()) in
-  let workers = spawn_workers ~auth:"open sesame" 2 in
-  let setup =
-    setup_of ~name ~np ~fds:(List.map fst workers) ~auth:"open sesame" ()
-  in
   let dist =
-    Explorer.verify
+    verify_distributed ~auth:"open sesame"
       ~config:{ Explorer.default_config with state_config }
-      ~distribute:setup ~np (build ())
+      ~resolve ~name ~np build
   in
-  List.iter (fun (_, d) -> Domain.join d) workers;
   check_same "fig3 (authenticated)" seq dist
 
 let test_auth_mismatch () =
@@ -426,7 +285,7 @@ let test_auth_mismatch () =
   let worker =
     Domain.spawn (fun () -> Remote_worker.serve ~auth:"wrong" ~resolve w)
   in
-  let setup = setup_of ~name ~np ~fds:[ c ] ~auth:"right" () in
+  let setup = setup_of ~auth:"right" ~name ~np (Coordinator.Fds [ c ]) in
   let dist =
     Explorer.verify
       ~config:{ Explorer.default_config with state_config }
@@ -460,7 +319,7 @@ let test_proto1_rejected () =
         (try Unix.close w with Unix.Unix_error _ -> ());
         (answer, eof))
   in
-  let setup = setup_of ~name ~np ~fds:[ c ] () in
+  let setup = setup_of ~name ~np (Coordinator.Fds [ c ]) in
   let dist =
     Explorer.verify
       ~config:{ Explorer.default_config with state_config }
@@ -488,16 +347,10 @@ let test_join_timeout () =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let setup =
     {
-      Coordinator.attach =
-        Coordinator.Listen { addr = Wire.Unix_sock path; ready = ignore };
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 1;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
+      (setup_of ~lease_size:1 ~rejoin_grace:0.0 ~name ~np
+         (Coordinator.Listen { addr = Wire.Unix_sock path; ready = ignore }))
+      with
       join_timeout = 0.2;
-      rejoin_grace = 0.0;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
     }
   in
   let t0 = Unix.gettimeofday () in
@@ -522,19 +375,7 @@ let test_fallback_local () =
   in
   let seq = verify_seq ~np ~state_config (build ()) in
   let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let slow_resolve job =
-    match resolve job with
-    | Error _ as e -> e
-    | Ok r ->
-        Ok
-          {
-            r with
-            Remote_worker.runner =
-              (fun ~ctx plan ~fork_index ->
-                Unix.sleepf 0.05;
-                r.Remote_worker.runner ~ctx plan ~fork_index);
-          }
-  in
+  let slow_resolve = slowed 0.05 resolve in
   let worker =
     Domain.spawn (fun () ->
         ignore (Remote_worker.serve ~resolve:slow_resolve w))
@@ -544,7 +385,7 @@ let test_fallback_local () =
         Unix.sleepf 0.3;
         try Unix.shutdown c Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
   in
-  let setup = setup_of ~name ~np ~fds:[ c ] ~lease_size:1 () in
+  let setup = setup_of ~lease_size:1 ~name ~np (Coordinator.Fds [ c ]) in
   let dist =
     Explorer.verify
       ~config:{ Explorer.default_config with state_config }
@@ -572,19 +413,7 @@ let test_zombie_fenced () =
   let path = sock_path "zombie" in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let doms = ref [] in
-  let slow_resolve job =
-    match resolve job with
-    | Error _ as e -> e
-    | Ok r ->
-        Ok
-          {
-            r with
-            Remote_worker.runner =
-              (fun ~ctx plan ~fork_index ->
-                Unix.sleepf 0.04;
-                r.Remote_worker.runner ~ctx plan ~fork_index);
-          }
-  in
+  let slow_resolve = slowed 0.04 resolve in
   let zombie addr () =
     let dial () =
       let fd = Result.get_ok (Wire.dial addr) in
@@ -689,16 +518,10 @@ let test_zombie_fenced () =
   in
   let setup =
     {
-      Coordinator.attach =
-        Coordinator.Listen { addr = Wire.Unix_sock path; ready };
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 1;
+      (setup_of ~lease_size:1 ~rejoin_grace:0.0 ~name ~np
+         (Coordinator.Listen { addr = Wire.Unix_sock path; ready }))
+      with
       heartbeat_timeout = 0.2;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.0;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
     }
   in
   let dist =
@@ -759,17 +582,8 @@ let test_coordinator_restart () =
              | Error e -> failwith e))
   in
   let setup ready =
-    {
-      Coordinator.attach = Coordinator.Listen { addr; ready };
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 1;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.5;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
-    }
+    setup_of ~lease_size:1 ~rejoin_grace:0.5 ~name ~np
+      (Coordinator.Listen { addr; ready })
   in
   (* First life: explore a few replays, then die (interrupt), leaving the
      checkpoint behind and the worker redialling. *)
@@ -982,20 +796,7 @@ let test_assembler_rejects_garbage () =
 let () =
   match Sys.getenv_opt "DAMPI_TEST_WORKER" with
   | Some _ ->
-      let slow job =
-        match resolve job with
-        | Error _ as e -> e
-        | Ok r ->
-            Ok
-              {
-                r with
-                Remote_worker.runner =
-                  (fun ~ctx plan ~fork_index ->
-                    Unix.sleepf 0.5;
-                    r.Remote_worker.runner ~ctx plan ~fork_index);
-              }
-      in
-      ignore (Remote_worker.serve ~resolve:slow Unix.stdin);
+      ignore (Remote_worker.serve ~resolve:(slowed 0.5 resolve) Unix.stdin);
       exit 0
   | None -> ()
 

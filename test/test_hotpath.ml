@@ -6,7 +6,7 @@
 
    1. Canonical-report equivalence. For every registry workload and both
       clock flavors, a run whose clock module is the decode/apply/encode
-      [Clocks.Reference] adapter (the old pure tick/merge semantics, one
+      [Clock_reference] adapter (the old pure tick/merge semantics, one
       allocation per op) produces a canonical report byte-identical to the
       native in-place runtimes at jobs=1 and jobs=4 — and, for the
       wildcard-heavy workloads, to a distribute=2 run over the real wire
@@ -20,9 +20,6 @@
 module Explorer = Dampi.Explorer
 module Report = Dampi.Report
 module State = Dampi.State
-module Coordinator = Dampi.Coordinator
-module Remote_worker = Dampi.Remote_worker
-module Wire = Dampi.Wire
 
 (* ---- the registry ---- *)
 
@@ -81,8 +78,8 @@ let registry =
 let lamport = (module Clocks.Lamport : Clocks.Clock_intf.S)
 let vector = (module Clocks.Vector : Clocks.Clock_intf.S)
 
-module Ref_lamport = Clocks.Reference.Make (Clocks.Lamport)
-module Ref_vector = Clocks.Reference.Make (Clocks.Vector)
+module Ref_lamport = Clock_reference.Make (Clocks.Lamport)
+module Ref_vector = Clock_reference.Make (Clocks.Vector)
 
 (* (flavor name, native module, pure-reference module) *)
 let flavors =
@@ -98,53 +95,12 @@ let verify_local ~np ~state_config ~jobs build =
     ~config:{ Explorer.default_config with state_config; jobs }
     ~np (build ())
 
-(* distribute=2: in-process worker domains speaking the real wire protocol
-   over socketpairs (the test_distributed/test_pruning harness). *)
+(* distribute=2 over the in-process socketpair workers of Dist_harness. *)
 let verify_distributed ~name ~np ~state_config build =
-  let resolve (job : Wire.job) =
-    if job.Wire.workload <> name then
-      Error (Printf.sprintf "unknown workload %S" job.Wire.workload)
-    else
-      Ok
-        {
-          Remote_worker.np;
-          runner =
-            Explorer.dampi_runner
-              { Explorer.default_config with state_config }
-              ~np (build ());
-          rb = Explorer.default_robustness;
-          prune = false;
-        }
-  in
-  let workers =
-    List.init 2 (fun _ ->
-        let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let d =
-          Domain.spawn (fun () -> ignore (Remote_worker.serve ~resolve w))
-        in
-        (c, d))
-  in
-  let setup =
-    {
-      Coordinator.attach = Coordinator.Fds (List.map fst workers);
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 2;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.05;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
-    }
-  in
-  let r =
-    Explorer.verify
-      ~config:{ Explorer.default_config with state_config; jobs = 1 }
-      ~distribute:setup ~np (build ())
-  in
-  List.iter (fun (_, d) -> Domain.join d) workers;
-  r
-[@@warning "-27"]
+  Dist_harness.verify_distributed
+    ~config:{ Explorer.default_config with state_config; jobs = 1 }
+    ~resolve:(Dist_harness.resolver [ (name, np, state_config, build) ])
+    ~name ~np build
 
 (* The full canonical content of a report. Unlike the pruning matrix, the
    clock representation must not change the walk at all, so everything

@@ -26,9 +26,6 @@ module Epoch = Dampi.Epoch
 module Prune = Dampi.Prune
 module Prefix_cache = Dampi.Prefix_cache
 module Checkpoint = Dampi.Checkpoint
-module Coordinator = Dampi.Coordinator
-module Remote_worker = Dampi.Remote_worker
-module Wire = Dampi.Wire
 module Payload = Mpi.Payload
 
 (* ---- a workload where pruning actually fires ----
@@ -56,8 +53,7 @@ let twin_servers : Mpi.Mpi_intf.program = (module Twin_servers)
 
 (* The registry: the usual suspects (where pruning must be a sound no-op)
    plus [twin] (where it must actually cut). *)
-let registry : (string * int * State.config * (unit -> Mpi.Mpi_intf.program)) list
-    =
+let registry : Dist_harness.case list =
   let default = State.default_config in
   let k0 = State.make_config ~mixing_bound:0 () in
   [
@@ -100,53 +96,16 @@ let config_of ~state_config ~jobs (m : mode) =
 let verify_local ~np ~state_config ~jobs m build =
   Explorer.verify ~config:(config_of ~state_config ~jobs m) ~np (build ())
 
-(* distribute=2: in-process worker domains speaking the real wire protocol
-   over socketpairs, as in test_distributed — the worker-side expansion
-   must agree with the coordinator on the mode's prune flag. *)
+(* distribute=2 over the in-process socketpair workers of Dist_harness —
+   the worker-side expansion must agree with the coordinator on the mode's
+   prune flag. *)
 let verify_distributed ~name ~np ~state_config m build =
-  let resolve (job : Wire.job) =
-    if job.Wire.workload <> name then
-      Error (Printf.sprintf "unknown workload %S" job.Wire.workload)
-    else
-      Ok
-        {
-          Remote_worker.np;
-          runner =
-            Explorer.dampi_runner
-              { Explorer.default_config with state_config }
-              ~np (build ());
-          rb = Explorer.default_robustness;
-          prune = m.m_prune;
-        }
-  in
-  let workers =
-    List.init 2 (fun _ ->
-        let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let d =
-          Domain.spawn (fun () -> ignore (Remote_worker.serve ~resolve w))
-        in
-        (c, d))
-  in
-  let setup =
-    {
-      Coordinator.attach = Coordinator.Fds (List.map fst workers);
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 2;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.05;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
-    }
-  in
-  let r =
-    Explorer.verify
-      ~config:(config_of ~state_config ~jobs:1 m)
-      ~distribute:setup ~np (build ())
-  in
-  List.iter (fun (_, d) -> Domain.join d) workers;
-  r
+  Dist_harness.verify_distributed
+    ~config:(config_of ~state_config ~jobs:1 m)
+    ~resolve:
+      (Dist_harness.resolver ~prune:m.m_prune
+         [ (name, np, state_config, build) ])
+    ~name ~np build
 
 (* The canonical content of a report: the sorted structural error values
    (NOT the reproduction schedules — pruning may legitimately discover a

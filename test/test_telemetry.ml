@@ -16,8 +16,6 @@
 module Explorer = Dampi.Explorer
 module Report = Dampi.Report
 module State = Dampi.State
-module Coordinator = Dampi.Coordinator
-module Remote_worker = Dampi.Remote_worker
 module Wire = Dampi.Wire
 
 (* ---- differential harness ---- *)
@@ -36,25 +34,11 @@ let registry : (string * int * (unit -> Mpi.Mpi_intf.program)) list =
           () );
   ]
 
-let resolve (job : Wire.job) =
-  match
-    List.find_opt (fun (n, _, _) -> n = job.Wire.workload) registry
-  with
-  | None -> Error (Printf.sprintf "unknown workload %S" job.Wire.workload)
-  | Some (_, np, build) ->
-      Ok
-        {
-          Remote_worker.np;
-          runner = Explorer.dampi_runner Explorer.default_config ~np (build ());
-          rb = Explorer.default_robustness;
-          prune = false;
-        }
-
-let spawn_workers n =
-  List.init n (fun _ ->
-      let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let d = Domain.spawn (fun () -> ignore (Remote_worker.serve ~resolve w)) in
-      (c, d))
+let resolve =
+  Dist_harness.resolver
+    (List.map
+       (fun (name, np, build) -> (name, np, Dampi.State.default_config, build))
+       registry)
 
 (* The counters the acceptance bar names, plus clock merges for depth.
    [cache.hits] is absent (= 0) on all sides here — no cache configured —
@@ -77,22 +61,7 @@ let check_totals_equal (name, np, build) () =
       ~config:{ Explorer.default_config with jobs = 4 }
       ~np (build ())
   in
-  let workers = spawn_workers 2 in
-  let setup =
-    {
-      Coordinator.attach = Coordinator.Fds (List.map fst workers);
-      job = { Wire.workload = name; np; params = [] };
-      lease_size = 2;
-      heartbeat_timeout = Coordinator.default_heartbeat_timeout;
-      join_timeout = Coordinator.default_join_timeout;
-      rejoin_grace = 0.05;
-      auth = None;
-      net_fault = None;
-      outq_budget = Coordinator.default_outq_budget;
-    }
-  in
-  let dist = Explorer.verify ~distribute:setup ~np (build ()) in
-  List.iter (fun (_, d) -> Domain.join d) workers;
+  let dist = Dist_harness.verify_distributed ~resolve ~name ~np build in
   Alcotest.(check (list (pair string int)))
     (name ^ ": jobs=4 totals equal jobs=1")
     (totals seq) (totals pooled);

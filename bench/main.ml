@@ -151,16 +151,9 @@ let fig6 () =
   pf "%15s %14s %14s\n" "interleavings" "DAMPI" "ISP";
   List.iter
     (fun budget ->
-      let dampi =
-        Explorer.verify
-          ~config:{ Explorer.default_config with max_runs = budget }
-          ~np program
-      in
-      let isp =
-        Isp.Engine.verify
-          ~config:{ Isp.Engine.default_config with max_runs = budget }
-          ~np program
-      in
+      let config = { Explorer.default_config with max_runs = budget } in
+      let dampi = Explorer.verify ~config ~np program in
+      let isp = Isp.Engine.verify ~config ~np program in
       pf "%15d %14.2f %14.2f\n%!" budget dampi.Report.total_virtual_time
         isp.Report.total_virtual_time)
     [ 250; 500; 750; 1000 ]

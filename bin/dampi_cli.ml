@@ -441,8 +441,6 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
   (match metrics_format with
   | "json" | "openmetrics" -> ()
   | other -> fail "unknown --metrics-format %S (json|openmetrics)" other);
-  if job.engine = Job.Isp && (profile || progress) then
-    fail "--profile and --progress only apply to the dampi engine";
   (match distribute with
   | Some n when n < 1 -> fail "--distribute needs at least 1 worker"
   | _ -> ());

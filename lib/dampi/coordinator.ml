@@ -150,9 +150,6 @@ type t = {
   mutable ran : bool;
   mutable finish : [ `Done | `Abort ];  (* shutdown vs detach at close *)
   metrics : cmetrics option;
-  admit : Checkpoint.item -> bool;
-      (* enqueue filter on {!push} (seeds and ingested children); refunded
-         leases bypass it — their items were admitted when first pushed. *)
   telemetry : (string, Obs.Metrics.snapshot) Hashtbl.t;
       (* session id -> accumulated worker metric deltas *)
   progress : unit -> (string * string) list;
@@ -162,7 +159,7 @@ type t = {
 }
 
 let create ?metrics ?(profile = false) ?(first_epoch = 1)
-    ?(admit = fun _ -> true) ?(progress = fun () -> []) ~budget setup =
+    ?(progress = fun () -> []) ~budget setup =
   {
     setup;
     budget = max 0 budget;
@@ -204,13 +201,12 @@ let create ?metrics ?(profile = false) ?(first_epoch = 1)
                else None);
           })
         metrics;
-    admit;
     telemetry = Hashtbl.create 16;
     progress;
     last_progress = 0.0;
   }
 
-let push t items = t.frontier <- List.filter t.admit items @ t.frontier
+let push t items = t.frontier <- items @ t.frontier
 
 let outstanding t =
   Hashtbl.fold

@@ -119,7 +119,6 @@ val create :
   ?metrics:Obs.Metrics.shard ->
   ?profile:bool ->
   ?first_epoch:int ->
-  ?admit:(Checkpoint.item -> bool) ->
   ?progress:(unit -> (string * string) list) ->
   budget:int ->
   setup ->
@@ -130,11 +129,8 @@ val create :
     {!Scheduler}'s claim budget). [first_epoch] (default 1) is the first
     fencing epoch this coordinator will grant — a restart passes the
     checkpointed epoch + 1 so every pre-crash grant is stale on arrival.
-    [admit] filters every {!push} (seeds and children ingested from result
-    frames); refunded leases bypass it, since their items were admitted
-    when first pushed — the explorer uses it for duplicate-schedule
-    detection at the frontier. [metrics] gains [coordinator.leases],
-    [coordinator.releases], [coordinator.reconnects],
+    [metrics] gains [coordinator.leases], [coordinator.releases],
+    [coordinator.reconnects],
     [coordinator.fenced], [coordinator.dup_results],
     [coordinator.backpressure], [coordinator.hb_grace_extends],
     [coordinator.worker_rtt_s], and — under chaos — [net_fault.<kind>]

@@ -123,24 +123,11 @@ let run_attempts ~rb ~runner ~worker ~metrics ~need_poison ~external_poison
   in
   attempt ~n:0
 
-(* The child frontier of [record]: one item per unexplored alternative of
-   each expandable epoch, deepest epoch first and alternatives in ascending
-   order. Under a LIFO queue with one worker this visits exactly the same
-   depth-first order as the original recursive walk. A pure function of the
-   record and the plan, so a remote worker expands children bit-identically
-   to the in-process pool. Prune-aware callers use {!Prune.expand}
-   directly; this is the unpruned special case. *)
-let items_of_record (record : Report.run_record) ~plan_decisions =
-  (Prune.expand ~prune:false ~sleep:[] ~plan_decisions
-     (List.map Epoch.summarize record.Report.new_epochs))
-    .Prune.items
-
 type drive_outcome =
   | Drained
   | Lost of { reason : string; leftover : Checkpoint.item list }
 
 type t = {
-  label : string;
   drive : unit -> drive_outcome;
   snapshot : unit -> Checkpoint.item list;
   stats : unit -> Report.worker_stat list;

@@ -96,14 +96,6 @@ val run_attempts :
     [abort_retries] says the exploration is being interrupted. [on_event]
     fires for every countable moment; the caller owns all counters. *)
 
-val items_of_record :
-  Report.run_record -> plan_decisions:Decisions.decision list ->
-  Checkpoint.item list
-(** The child frontier of a completed replay: one item per unexplored
-    alternative of each expandable epoch, deepest epoch first and
-    alternatives in ascending order. Pure function of the record and the
-    plan, so every process expands children identically. *)
-
 (** How a backend's drive ended. *)
 type drive_outcome =
   | Drained
@@ -117,7 +109,6 @@ type drive_outcome =
 
 (** A running execution backend, as the explorer sees it. *)
 type t = {
-  label : string;  (** for traces/logs: ["pool"] or ["coordinator"] *)
   drive : unit -> drive_outcome;
       (** drain the frontier to quiescence, budget, or cancellation *)
   snapshot : unit -> Checkpoint.item list;

@@ -8,9 +8,9 @@
     the runtime's determinism for sound replay.
 
     The explorer is parametric in the [runner] that executes one
-    interleaving; the ISP baseline reuses the same walk with its own
-    centralized-cost runner, which is exactly the comparison of Figs. 5/6
-    (same coverage, different per-run cost).
+    interleaving; the ISP baseline reuses the same walk and the same
+    runner with its centralized-cost layer on top, which is exactly the
+    comparison of Figs. 5/6 (same coverage, different per-run cost).
 
     Execution is delegated to an {!Executor.t} backend: the in-process
     domain pool ({!Scheduler}) by default, or — the paper's distributed
@@ -53,8 +53,7 @@ type config = {
   jobs : int;  (** worker domains; 1 = sequential depth-first walk *)
   trace : bool;  (** collect a span timeline of the exploration *)
   prune : bool;
-      (** sleep-set pruning at frontier expansion ({!Prune.expand}) plus
-          duplicate-schedule suppression at the enqueue paths *)
+      (** sleep-set pruning at frontier expansion ({!Prune.expand}) *)
   prefix_cache : int option;
       (** memoize replay artifacts by schedule ({!Prefix_cache}), with this
           LRU byte budget; persisted as a checkpoint sidecar *)
@@ -170,12 +169,18 @@ let errors_of_run ~check_leaks ~(outcome : Coroutine.outcome) ~leaks
   List.rev !errors
 
 (* The fault instance for one (replay, attempt), derived from the configured
-   spec and the context's salt — shared with the ISP runner. *)
+   spec and the context's salt. *)
 let fault_of_ctx (ctx : run_ctx) = function
   | None -> Mpi.Fault.none
   | Some spec -> Mpi.Fault.make spec ~salt:ctx.salt
 
-let dampi_runner config ~np (program : Mpi.Mpi_intf.program) : runner =
+type layer =
+  Runtime.t ->
+  (module Mpi.Mpi_intf.MPI_CORE) ->
+  (module Mpi.Mpi_intf.MPI_CORE)
+
+let dampi_runner ?(layer : layer option) config ~np
+    (program : Mpi.Mpi_intf.program) : runner =
  fun ~ctx plan ~fork_index ->
   let fault = fault_of_ctx ctx config.robustness.fault in
   let rt =
@@ -196,10 +201,21 @@ let dampi_runner config ~np (program : Mpi.Mpi_intf.program) : runner =
     let st = st
   end) in
   let module P = (val program) in
-  let module Prog = P (W) in
+  (* The program runs over [layer] when one is given (the ISP baseline's
+     scheduler costs); the tool's own init/finalize stay on [W]. *)
+  let main =
+    match layer with
+    | None ->
+        let module Prog = P (W) in
+        Prog.main
+    | Some layer ->
+        let module L = (val layer rt (module W)) in
+        let module Prog = P (L) in
+        Prog.main
+  in
   Runtime.spawn_ranks rt (fun _rank ->
       W.init_tool ();
-      Prog.main ();
+      main ();
       W.finalize_tool ());
   let outcome = Runtime.run rt in
   State.flush_metrics st;
@@ -279,8 +295,8 @@ let explore ?(config = default_config) ?resume ?distribute
   in
   (* Shard layout: one per worker domain, plus a shard for the scheduler
      or coordinator (whose writes happen under its own lock, or on the
-     single driving thread), plus a shard for the prefix cache and the
-     frontier-dedup counters (written under their own mutexes). The merged
+     single driving thread), plus a shard for the prefix cache (written under
+     its own mutex) and the checkpoint-write counter (under [m]). The merged
      snapshot of a jobs=N exploration equals the jobs=1 one for every
      series that is a property of the run set. *)
   let registry = Obs.Metrics.create ~shards:(jobs + 2) () in
@@ -326,18 +342,6 @@ let explore ?(config = default_config) ?resume ?distribute
         in
         Prefix_cache.create ~metrics:aux_shard ~label ~budget_bytes ())
       config.prefix_cache
-  in
-  (* Frontier-level duplicate-schedule suppression: one admit filter shared
-     by every enqueue path (pool pushes and coordinator ingestion). In a
-     normal walk every in-tree key is unique, so this only fires on actual
-     re-discoveries — but it is what makes the dedup a frontier property
-     instead of a report-layer afterthought. *)
-  let seen = Prune.Seen.create () in
-  let duplicates = Atomic.make 0 in
-  let admit it =
-    let fresh = Prune.Seen.admit seen it in
-    if not fresh then Atomic.incr duplicates;
-    fresh
   in
   let tracer =
     if config.trace then Some (Obs.Trace.create ~shards:jobs ()) else None
@@ -709,14 +713,17 @@ let explore ?(config = default_config) ?resume ?distribute
       | Some pc -> Prefix_cache.find pc ~key schedule
       | None -> None
     in
+    (* A hit and an executed replay count through the same artifact. *)
+    let counted entry =
+      if count then
+        count_completed ~worker ~key ~schedule
+          ~makespan:entry.Prefix_cache.vtime
+          ~bounded_delta:(Prefix_cache.bounded entry)
+          ~errors:entry.Prefix_cache.errors;
+      Counted entry
+    in
     match cached with
-    | Some entry ->
-        if count then
-          count_completed ~worker ~key ~schedule
-            ~makespan:entry.Prefix_cache.vtime
-            ~bounded_delta:(Prefix_cache.bounded entry)
-            ~errors:entry.Prefix_cache.errors;
-        Counted entry
+    | Some entry -> counted entry
     | None -> (
         match
           Executor.run_attempts ~rb ~runner ~worker
@@ -739,16 +746,7 @@ let explore ?(config = default_config) ?resume ?distribute
             (match cache with
             | Some pc -> Prefix_cache.add pc schedule entry
             | None -> ());
-            if count then
-              count_completed ~worker ~key ~schedule
-                ~makespan:record.Report.makespan
-                ~bounded_delta:
-                  (List.length
-                     (List.filter
-                        (fun (e : Epoch.t) -> not e.Epoch.expandable)
-                        record.Report.new_epochs))
-                ~errors:record.Report.run_errors;
-            Counted entry)
+            counted entry)
   in
   (* Expand one counted run into its child frontier, applying the item's
      sleep set when pruning is on. Counted either way so the report and
@@ -770,7 +768,7 @@ let explore ?(config = default_config) ?resume ?distribute
   (* ---- the in-process backend: per-worker stealing deques ---- *)
   let pool_backend initial_items ~budget =
     let sched =
-      Scheduler.create ~order:Scheduler.Lifo ~jobs ~budget ~admit
+      Scheduler.create ~order:Scheduler.Lifo ~jobs ~budget
         ~metrics:(Obs.Metrics.shard registry jobs)
         ~profile:config.profile ()
     in
@@ -808,10 +806,7 @@ let explore ?(config = default_config) ?resume ?distribute
               []
           | Interrupted ->
               (* The replay was poisoned before completing: put the item
-                 back so the checkpointed frontier still covers it — and
-                 un-remember it first, or the dedup filter would reject its
-                 own requeue. *)
-              Prune.Seen.forget seen it;
+                 back so the checkpointed frontier still covers it. *)
               Scheduler.cancel sched;
               [ it ]
           | Gave_up ->
@@ -845,8 +840,7 @@ let explore ?(config = default_config) ?resume ?distribute
         ()
     in
     {
-      Executor.label = "pool";
-      drive;
+      Executor.drive;
       snapshot = (fun () -> Scheduler.snapshot sched);
       stats;
       fence_epoch = (fun () -> 0);
@@ -857,7 +851,7 @@ let explore ?(config = default_config) ?resume ?distribute
     let co =
       Coordinator.create
         ~metrics:(Obs.Metrics.shard registry jobs)
-        ~profile:config.profile ~first_epoch:(!epoch_hi + 1) ~admit
+        ~profile:config.profile ~first_epoch:(!epoch_hi + 1)
         ~progress:(fun () ->
           Mutex.lock m;
           let kvs = run_kvs (Unix.gettimeofday ()) in
@@ -945,8 +939,7 @@ let explore ?(config = default_config) ?resume ?distribute
           Executor.Lost { reason = msg; leftover = Coordinator.snapshot co }
     in
     {
-      Executor.label = "coordinator";
-      drive;
+      Executor.drive;
       snapshot = (fun () -> Coordinator.snapshot co);
       stats = (fun () -> worker_stats ());
       fence_epoch = (fun () -> Coordinator.current_epoch co);
@@ -1045,11 +1038,6 @@ let explore ?(config = default_config) ?resume ?distribute
             (Obs.Metrics.counter
                (Obs.Metrics.shard registry jobs)
                "coordinator.fallbacks");
-          (* The leftover items were admitted when first pushed to the
-             coordinator but never ran; forget them so the pool's own
-             enqueue filter re-admits instead of dropping them as
-             duplicates. *)
-          List.iter (fun it -> Prune.Seen.forget seen it) leftover;
           let pool = pool_backend leftover ~budget:(claim_budget leftover) in
           exec_ref := Some pool;
           ignore (pool.Executor.drive ())
@@ -1077,11 +1065,6 @@ let explore ?(config = default_config) ?resume ?distribute
   (match (tracer, root_span) with
   | Some tr, Some sp -> Obs.Trace.end_span (Obs.Trace.sink tr 0) sp
   | _ -> ());
-  (* Exploration is over: the aux shard has no concurrent writer left, so
-     the duplicate tally can be published in one store. *)
-  Obs.Metrics.add
-    (Obs.Metrics.counter aux_shard "prune.duplicates")
-    (Atomic.get duplicates);
   {
     Report.np;
     interleavings = !runs;

@@ -64,8 +64,7 @@ type config = {
           a child whose completed epochs include a sleeping epoch — one
           whose alternatives a sibling subtree with a provably commuting
           ({!Prune.footprint_disjoint}) fork already covers — is not
-          expanded, and duplicate schedules are suppressed at the enqueue
-          paths. The canonical report (findings, signatures, coverage
+          expanded. The canonical report (findings, signatures, coverage
           counters modulo runs skipped) is unchanged; [runs_pruned] records
           how much of the tree was cut. Off by default. *)
   prefix_cache : int option;
@@ -120,12 +119,23 @@ type runner = Executor.runner
 
 val fault_of_ctx : run_ctx -> Mpi.Fault.spec option -> Mpi.Fault.t
 (** The fault instance for one (replay, attempt): the configured spec
-    instantiated with the context's salt ({!Mpi.Fault.none} when no spec).
-    Shared with the ISP engine so both runners inject identically. *)
+    instantiated with the context's salt ({!Mpi.Fault.none} when no spec). *)
 
-val dampi_runner : config -> np:int -> Mpi.Mpi_intf.program -> runner
+type layer =
+  Mpi.Runtime.t ->
+  (module Mpi.Mpi_intf.MPI_CORE) ->
+  (module Mpi.Mpi_intf.MPI_CORE)
+(** An extra interposition layer between the program and the DAMPI layer,
+    built once per run over that run's runtime — the ISP baseline's
+    scheduler costs, [Isp.Engine.layer]). *)
+
+val dampi_runner :
+  ?layer:layer -> config -> np:int -> Mpi.Mpi_intf.program -> runner
 (** One DAMPI-interposed execution per call: fresh runtime, fresh verifier
-    state, program instantiated against the instrumented stack. *)
+    state, program instantiated against the instrumented stack — over
+    [layer] when given, while the tool's own init/finalize calls stay on
+    the DAMPI layer. This is the only runner: every engine's replays,
+    errors and metrics come from here. *)
 
 val native_makespan :
   ?cost:Mpi.Runtime.cost_model -> np:int -> Mpi.Mpi_intf.program -> float
@@ -140,10 +150,10 @@ val explore :
   runner ->
   Report.t
 (** Walk over epoch decisions, generic in the runner (the ISP baseline
-    reuses it with its own cost model). With [config.jobs = 1] this is the
-    depth-first walk of the paper; with more jobs the frontier is served to
-    a pool of domains (see {!Scheduler}), each executing complete guided
-    replays.
+    passes {!dampi_runner} with its scheduler layer). With
+    [config.jobs = 1] this is the depth-first walk of the paper; with more
+    jobs the frontier is served to a pool of domains (see {!Scheduler}),
+    each executing complete guided replays.
 
     [distribute] replaces the in-process pool with a {!Coordinator} that
     leases the frontier to worker processes over sockets; the self run
@@ -202,4 +212,5 @@ val errors_of_run :
   shadow_ctxs:int list ->
   st:State.t ->
   Report.error list
-(** Shared with the ISP engine. *)
+(** The findings of one finished run; exposed for instrumented copies of
+    {!dampi_runner}. *)

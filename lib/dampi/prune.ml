@@ -1,7 +1,5 @@
 (* Sleep-set / independence pruning over match decisions (the DPOR idea
-   ISP's POE descends from), plus the frontier admission filter that hoists
-   the report layer's duplicate-schedule detection into the enqueue paths.
-   See prune.mli for the soundness argument. *)
+   ISP's POE descends from). See prune.mli for the soundness argument. *)
 
 (* ---- independence ---- *)
 
@@ -98,7 +96,8 @@ let expand ~prune ~sleep ~plan_decisions summaries =
   in
   { items = List.concat (List.rev batches); suppressed = !suppressed }
 
-(* ---- frontier admission (duplicate-schedule dedup) ---- *)
+(* ---- schedule-key set (kept for an external re-drive; the walk never
+   produces a duplicate, see prune.mli) ---- *)
 
 module Seen = struct
   type t = { keys : (string, unit) Hashtbl.t; m : Mutex.t }
@@ -112,10 +111,4 @@ module Seen = struct
     if fresh then Hashtbl.add t.keys key ();
     Mutex.unlock t.m;
     fresh
-
-  let forget t item =
-    let key = Checkpoint.item_key item in
-    Mutex.lock t.m;
-    Hashtbl.remove t.keys key;
-    Mutex.unlock t.m
 end

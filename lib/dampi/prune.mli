@@ -1,5 +1,4 @@
-(** Sleep-set / independence pruning of the schedule space, and the
-    frontier admission filter.
+(** Sleep-set / independence pruning of the schedule space.
 
     {b Independence.} Two completed epochs are {e independent} when their
     match footprints are disjoint ({!footprint_disjoint}): same
@@ -21,13 +20,13 @@
     the items, so pruning decisions are identical across worker counts,
     transports, and resumes.
 
-    {b Admission.} {!Seen} deduplicates frontier schedules by
-    {!Checkpoint.item_key} at enqueue time — the report layer's
-    duplicate-schedule detection hoisted to where it prevents the replay
-    instead of merely hiding its findings. In a normal tree walk every
-    key is unique (a child's key extends its parent's), so this fires on
-    degenerate paths only (resume overlap, re-leased work); it is cheap
-    insurance, not the pruning lever. *)
+    {b No duplicates.} Every schedule is a node of one tree: a child
+    differs from its siblings, and from its parent's other descendants,
+    in one decision's source. Refunded leases return items that never
+    ran, a pool snapshot sees a finished item or its children but never
+    both, and fencing settles each results frame once — so the frontier
+    never holds two items with the same {!Checkpoint.item_key}, and the
+    explorer keeps no duplicate filter. *)
 
 val footprint_disjoint : Epoch.summary -> Epoch.summary -> bool
 (** Symmetric; conservatively false across communicator contexts. *)
@@ -52,7 +51,9 @@ val expand :
     shares one expansion function and cached or remote expansion is
     bit-identical to local. *)
 
-(** Thread-safe schedule-key dedup for the enqueue paths. *)
+(** A thread-safe set of schedule keys. The explorer does not use it (see
+    {b No duplicates} above); it stays only because the benchmark's traced
+    re-drive ([perfbench/bin/traced.ml]) times its [admit] calls. *)
 module Seen : sig
   type t
 
@@ -60,8 +61,4 @@ module Seen : sig
 
   val admit : t -> Checkpoint.item -> bool
   (** True the first time a schedule key is offered, false after. *)
-
-  val forget : t -> Checkpoint.item -> unit
-  (** Allow a key to be admitted again — used when an interrupted item is
-      requeued without having run. *)
 end

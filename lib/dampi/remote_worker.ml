@@ -196,24 +196,20 @@ let run_item ~(r : resolved) ~hb ~metrics (it : Checkpoint.item) : Wire.run_resu
   let payload =
     match outcome with
     | Executor.Completed record ->
-        (* Expansion is prune-aware: the leased item's sleep set travels
-           with it, so suppression decisions match the coordinator's
-           in-process pool exactly. *)
+        (* The same artifact the in-process pool expands; the leased item's
+           sleep set travels with it, so suppression decisions match the
+           pool exactly. *)
+        let entry = Prefix_cache.entry_of_record record in
         let exp =
           Prune.expand ~prune:r.prune ~sleep:it.Checkpoint.sleep
-            ~plan_decisions:decisions
-            (List.map Epoch.summarize record.Report.new_epochs)
+            ~plan_decisions:decisions entry.Prefix_cache.epochs
         in
         Some
           {
-            Wire.vtime = record.Report.makespan;
-            bounded =
-              List.length
-                (List.filter
-                   (fun (e : Epoch.t) -> not e.Epoch.expandable)
-                   record.Report.new_epochs);
+            Wire.vtime = entry.Prefix_cache.vtime;
+            bounded = Prefix_cache.bounded entry;
             pruned = exp.Prune.suppressed;
-            errors = record.Report.run_errors;
+            errors = entry.Prefix_cache.errors;
             children = exp.Prune.items;
           }
     | Executor.Gave_up | Executor.Poisoned ->

@@ -57,10 +57,13 @@ val create :
     ([sched.queue_wait_s], [sched.frontier_size], [sched.steals]); every
     write to it happens under a scheduler-owned mutex, so pass a shard no
     worker owns. [profile] mirrors the queue-wait observations into
-    [profile.sched_wait_s], the uniform namespace [--profile] exports. [admit] filters every enqueue path ({!push}, {!push_batch},
-    and children published by {!run}): an item it rejects is never inserted.
-    It runs on whichever thread publishes, so it must be thread-safe; the
-    explorer uses it for duplicate-schedule detection at the frontier. *)
+    [profile.sched_wait_s], the uniform namespace [--profile] exports.
+    [admit] filters every enqueue path ({!push}, {!push_batch},
+    and children published by {!run}): an item it rejects is never
+    inserted. It runs on whichever thread publishes, so it must be
+    thread-safe. The explorer passes none; it stays only because the
+    benchmark's traced re-drive ([perfbench/bin/traced.ml]) passes
+    {!Prune.Seen.admit}. *)
 
 val push : 'a t -> 'a -> unit
 (** Add one item. Under {!Lifo} it becomes the next item to pop. *)

@@ -10,104 +10,20 @@
     traffic bypasses the scheduler charges, so it does not distort ISP's
     cost accounting). *)
 
-module Runtime = Mpi.Runtime
-
-type config = {
-  state_config : Dampi.State.config;
-  cost : Runtime.cost_model;
-  model : Model.t;
-  max_runs : int;
-  jobs : int;
-  trace : bool;
-  robustness : Dampi.Explorer.robustness;
-}
-
-let default_config =
-  {
-    state_config = Dampi.State.default_config;
-    cost = Runtime.default_cost;
-    model = Model.default;
-    max_runs = max_int;
-    jobs = 1;
-    trace = false;
-    robustness = Dampi.Explorer.default_robustness;
-  }
-
-let runner config ~np (program : Mpi.Mpi_intf.program) : Dampi.Explorer.runner
-    =
- fun ~ctx plan ~fork_index ->
-  let fault = Dampi.Explorer.fault_of_ctx ctx config.robustness.fault in
-  let rt =
-    Runtime.create ~cost:config.cost
-      ?metrics:ctx.Dampi.Explorer.metrics ~fault ~np ()
-  in
-  let st =
-    Dampi.State.create ~config:config.state_config
-      ?metrics:ctx.Dampi.Explorer.metrics ?poison:ctx.Dampi.Explorer.poison
-      ~np ~plan ~fork_index ()
-  in
-  Runtime.set_interrupt_hook rt (fun () -> Dampi.State.check_poison st);
+let layer rt core =
+  let np = Mpi.Runtime.np rt in
   let server =
-    Sim.Vtime.Server.create ~service:(Model.service config.model ~np)
+    Sim.Vtime.Server.create ~service:(Model.service Model.default ~np)
   in
-  let module B = Mpi.Bind.Make (struct
-    let rt = rt
-  end) in
-  let module D = Dampi.Interpose.Wrap (B) (struct
-    let st = st
-  end) in
-  let module I = Interpose.Wrap (D) (struct
-    let rt = rt
-    let model = config.model
-    let server = server
-  end) in
-  let module P = (val program) in
-  let module Prog = P (I) in
-  Runtime.spawn_ranks rt (fun _rank ->
-      D.init_tool ();
-      Prog.main ();
-      D.finalize_tool ());
-  let outcome = Runtime.run rt in
-  let cancelled =
-    match outcome with
-    | Sim.Coroutine.Crashed (_, Dampi.State.Replay_cancelled, _) -> true
-    | _ -> false
-  in
-  let leaks = Runtime.leak_report rt in
-  {
-    Dampi.Report.run_plan = plan;
-    outcome;
-    makespan = Runtime.makespan rt;
-    new_epochs = (if cancelled then [] else Dampi.State.completed_epochs st);
-    run_errors =
-      (if cancelled then []
-       else
-         Dampi.Explorer.errors_of_run ~check_leaks:true ~outcome ~leaks
-           ~shadow_ctxs:(D.shadow_ctxs ()) ~st);
-    wildcards = Dampi.State.wildcard_events st;
-    cancelled;
-  }
+  Interpose.layer ~model:Model.default ~server rt core
 
-(** Verify under the ISP baseline; the report's virtual times reflect the
-    centralized architecture. *)
-let verify ?(config = default_config) ?resume ~np program =
-  let explorer_config =
-    {
-      Dampi.Explorer.default_config with
-      state_config = config.state_config;
-      cost = config.cost;
-      max_runs = config.max_runs;
-      jobs = config.jobs;
-      trace = config.trace;
-      robustness = config.robustness;
-    }
-  in
-  Dampi.Explorer.explore ~config:explorer_config ?resume ~np
-    (runner config ~np program)
+let runner config ~np program =
+  Dampi.Explorer.dampi_runner ~layer config ~np program
 
-(** One uninstrumented-coverage run (overhead measurement): the program
-    under ISP's scheduler costs, no exploration. *)
-let single_run_makespan ?(config = default_config) ~np program =
+let verify ?(config = Dampi.Explorer.default_config) ?resume ~np program =
+  Dampi.Explorer.explore ~config ?resume ~np (runner config ~np program)
+
+let single_run_makespan ?(config = Dampi.Explorer.default_config) ~np program =
   let record =
     runner config ~np program ~ctx:Dampi.Explorer.null_ctx
       (Dampi.Decisions.empty ~np) ~fork_index:(-1)

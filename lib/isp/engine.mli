@@ -1,29 +1,26 @@
 (** The ISP verification engine: DAMPI's depth-first match exploration with
     every run paying the centralized scheduler's costs. Coverage is
     identical to DAMPI's on these programs; only the per-run virtual cost
-    differs — the comparison of the paper's Figs. 5 and 6. *)
+    differs — the comparison of the paper's Figs. 5 and 6.
 
-type config = {
-  state_config : Dampi.State.config;
-  cost : Mpi.Runtime.cost_model;
-  model : Model.t;
-  max_runs : int;
-  jobs : int;  (** worker domains for the exploration; 1 = sequential *)
-  trace : bool;  (** collect a span timeline into the report *)
-  robustness : Dampi.Explorer.robustness;
-      (** watchdog / retry / fault-injection / checkpoint knobs, forwarded to
-          the shared explorer and to this engine's runtimes *)
-}
+    ISP is a layer, not a runner of its own: {!runner} is
+    {!Dampi.Explorer.dampi_runner} with {!layer} between the program and
+    the DAMPI interposition, so both engines share one replay path, one
+    configuration ({!Dampi.Explorer.config}) and one metrics flush. *)
 
-val default_config : config
+val layer : Dampi.Explorer.layer
+(** ISP's scheduler interposition ({!Interpose.Wrap}) under {!Model.default},
+    with a fresh per-run scheduler server sized for the runtime's rank
+    count. *)
 
 val runner :
-  config -> np:int -> Mpi.Mpi_intf.program -> Dampi.Explorer.runner
+  Dampi.Explorer.config -> np:int -> Mpi.Mpi_intf.program ->
+  Dampi.Explorer.runner
 (** One ISP-interposed execution per call (layered as
     [Program -> Isp.Interpose -> Dampi.Interpose -> Bind -> Runtime]). *)
 
 val verify :
-  ?config:config ->
+  ?config:Dampi.Explorer.config ->
   ?resume:Dampi.Checkpoint.t ->
   np:int ->
   Mpi.Mpi_intf.program ->
@@ -31,6 +28,6 @@ val verify :
 (** [resume] restores a checkpointed cut, as in {!Dampi.Explorer.explore}. *)
 
 val single_run_makespan :
-  ?config:config -> np:int -> Mpi.Mpi_intf.program -> float
+  ?config:Dampi.Explorer.config -> np:int -> Mpi.Mpi_intf.program -> float
 (** Virtual makespan of one run under ISP's scheduler costs, for overhead
     curves. *)

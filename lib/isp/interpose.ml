@@ -181,3 +181,13 @@ struct
     scheduler_sync ();
     M.pcontrol level
 end
+
+(* [Wrap] as a first-class layer over a runtime's MPI core, the shape
+   {!Dampi.Explorer.dampi_runner}'s [?layer] instantiates the program on. *)
+let layer ~model ~server rt (module M : Mpi.Mpi_intf.MPI_CORE) :
+    (module Mpi.Mpi_intf.MPI_CORE) =
+  (module Wrap (M) (struct
+    let rt = rt
+    let model = model
+    let server = server
+  end))

@@ -339,26 +339,20 @@ let render j (r : Report.t) =
       r.interleavings (List.length r.findings)
   else Format.asprintf "%a@." Report.pp r
 
+(* The one place an engine becomes a runner: the ISP baseline is the DAMPI
+   runner with its scheduler layer on top. *)
+let runner config j =
+  let layer =
+    match j.engine with Dampi -> None | Isp -> Some Isp.Engine.layer
+  in
+  Explorer.dampi_runner ?layer config ~np:j.np (program j)
+
 let run ?progress ?(trace = false) ?checkpoint ?resume ?distribute
     ?fallback_local j =
   let config = { (to_config ?checkpoint j) with trace; progress } in
   let report =
-    match j.engine with
-    | Dampi ->
-        Explorer.verify ~config ?resume ?distribute ?fallback_local ~np:j.np
-          (program j)
-    | Isp ->
-        Isp.Engine.verify
-          ~config:
-            {
-              Isp.Engine.default_config with
-              state_config = config.state_config;
-              max_runs = config.max_runs;
-              jobs = config.jobs;
-              trace;
-              robustness = config.robustness;
-            }
-          ?resume ~np:j.np (program j)
+    Explorer.explore ~config ?resume ?distribute ?fallback_local ~np:j.np
+      (runner config j)
   in
   (report, render j report)
 
@@ -368,7 +362,7 @@ let resolve wire =
       let config = to_config j in
       {
         Dampi.Remote_worker.np = j.np;
-        runner = Explorer.dampi_runner config ~np:j.np (program j);
+        runner = runner config j;
         rb = config.robustness;
         prune = config.prune;
       })

@@ -203,15 +203,9 @@ let test_load_errors () =
 
 (* ---- interrupted exploration resumes to the uninterrupted report ---- *)
 
-let signatures (r : Report.t) =
-  List.map
-    (fun (f : Report.finding) -> Report.error_signature f.Report.error)
-    r.Report.findings
-  |> List.sort_uniq compare
-
 let canonical (r : Report.t) =
   ( r.Report.interleavings,
-    signatures r,
+    Dist_harness.signatures r,
     List.map
       (fun (f : Report.finding) ->
         Format.asprintf "%a" Report.pp_finding

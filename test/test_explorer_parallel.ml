@@ -51,12 +51,6 @@ let registry : (string * int * State.config * (unit -> Mpi.Mpi_intf.program)) li
           fun () -> Workloads.Skeleton.program s ))
       (Workloads.Nas.all @ Workloads.Specmpi.all)
 
-let signatures (report : Report.t) =
-  List.map
-    (fun (f : Report.finding) -> Report.error_signature f.Report.error)
-    report.Report.findings
-  |> List.sort_uniq compare
-
 let verify ~jobs ~np ~state_config program =
   Explorer.verify
     ~config:{ Explorer.default_config with state_config; jobs }
@@ -67,7 +61,7 @@ let check_equivalence (name, np, state_config, build) () =
   let par = verify ~jobs:4 ~np ~state_config (build ()) in
   Alcotest.(check (list string))
     (name ^ ": same finding signatures")
-    (signatures seq) (signatures par);
+    (Dist_harness.signatures seq) (Dist_harness.signatures par);
   Alcotest.(check int)
     (name ^ ": same interleaving count")
     seq.Report.interleavings par.Report.interleavings;

@@ -130,15 +130,9 @@ let verify_adlb ?fault ?(jobs = 1) ?(max_retries = 4) ?max_replay_steps () =
       }
     ~np:6 (Workloads.Adlb.program ())
 
-let signatures (r : Report.t) =
-  List.map
-    (fun (f : Report.finding) -> Report.error_signature f.Report.error)
-    r.Report.findings
-  |> List.sort_uniq compare
-
 let canonical_summary (r : Report.t) =
   ( r.Report.interleavings,
-    signatures r,
+    Dist_harness.signatures r,
     r.Report.bounded_epochs,
     r.Report.wildcards_analyzed )
 

@@ -39,7 +39,7 @@ let test_nd_hold () =
 
 let test_isp_finds_fig3 () =
   let report =
-    Isp.Engine.verify ~config:Isp.Engine.default_config ~np:3
+    Isp.Engine.verify ~config:Explorer.default_config ~np:3
       Workloads.Patterns.fig3
   in
   Alcotest.(check bool) "ISP finds the fig3 bug" true (contains_crash report);
@@ -55,11 +55,66 @@ let test_isp_same_tree_on_matmult () =
       ()
   in
   let dampi = Explorer.verify ~config:Explorer.default_config ~np:4 program in
-  let isp = Isp.Engine.verify ~config:Isp.Engine.default_config ~np:4 program in
+  let isp = Isp.Engine.verify ~config:Explorer.default_config ~np:4 program in
   Alcotest.(check int) "identical exploration trees"
     dampi.Report.interleavings isp.Report.interleavings;
   Alcotest.(check bool) "ISP pays more virtual time" true
     (isp.Report.total_virtual_time > dampi.Report.total_virtual_time)
+
+(* One replay path: ISP runs are DAMPI runs with a scheduler layer on top,
+   so the tool's own piggyback traffic is counted the same way. *)
+let test_isp_counts_piggyback () =
+  let program =
+    Workloads.Matmult.program
+      ~params:{ Workloads.Matmult.default_params with n = 6; rows_per_task = 2 }
+      ()
+  in
+  let dampi = Explorer.verify ~np:4 program in
+  let isp = Isp.Engine.verify ~np:4 program in
+  let value (r : Report.t) name =
+    Obs.Metrics.counter_value r.Report.metrics name
+  in
+  Alcotest.(check bool) "DAMPI piggybacks" true
+    (value dampi "dampi.piggyback_msgs" > 0);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) name (value dampi name) (value isp name))
+    [
+      "dampi.piggyback_msgs"; "dampi.piggyback_bytes"; "dampi.clock_buf_reuses";
+    ]
+
+(* Rank 0 takes one message from each sender in wildcard order and crashes
+   when rank 3's arrives first: the self run is clean, and alternatives
+   remain after the first crashing interleaving. *)
+module Late_crash (M : Mpi.Mpi_intf.MPI_CORE) = struct
+  let main () =
+    let world = M.comm_world in
+    let size = M.size world in
+    match M.rank world with
+    | 0 ->
+        let first, _ = M.recv ~src:M.any_source world in
+        for _ = 2 to size - 1 do
+          ignore (M.recv ~src:M.any_source world)
+        done;
+        if Mpi.Payload.to_int first = 3 then failwith "late_crash: rank 3 first"
+    | r -> M.send ~dest:0 world (Mpi.Payload.int r)
+end
+
+let test_isp_stop_first () =
+  let verify stop_on_first_error =
+    Isp.Engine.verify
+      ~config:{ Explorer.default_config with stop_on_first_error }
+      ~np:4 (module Late_crash)
+  in
+  let full = verify false and stopped = verify true in
+  Alcotest.(check bool) "full run finds the crash" true (contains_crash full);
+  Alcotest.(check bool) "stop-first finds the crash" true
+    (contains_crash stopped);
+  Alcotest.(check bool)
+    (Printf.sprintf "stop-first explores fewer (%d < %d)"
+       stopped.Report.interleavings full.Report.interleavings)
+    true
+    (stopped.Report.interleavings < full.Report.interleavings)
 
 (* ---- scaling shape (the Fig. 5 premise) ---- *)
 
@@ -110,6 +165,10 @@ let () =
           Alcotest.test_case "finds fig3" `Quick test_isp_finds_fig3;
           Alcotest.test_case "same tree on matmult" `Quick
             test_isp_same_tree_on_matmult;
+          Alcotest.test_case "same piggyback metrics as DAMPI" `Quick
+            test_isp_counts_piggyback;
+          Alcotest.test_case "stop-first stops early" `Quick
+            test_isp_stop_first;
         ] );
       ( "scaling",
         [

@@ -115,12 +115,6 @@ let errors_of (r : Report.t) =
   List.sort compare
     (List.map (fun (f : Report.finding) -> f.Report.error) r.Report.findings)
 
-let signatures (r : Report.t) =
-  List.sort_uniq compare
-    (List.map
-       (fun (f : Report.finding) -> Report.error_signature f.Report.error)
-       r.Report.findings)
-
 let check_matrix ((name, np, state_config, build) : _ * int * State.config * _)
     () =
   let baseline = verify_local ~np ~state_config ~jobs:1 (List.hd modes) build in
@@ -143,7 +137,7 @@ let check_matrix ((name, np, state_config, build) : _ * int * State.config * _)
             (errors_of baseline = errors_of r);
           Alcotest.(check (list string))
             (label ^ ": same finding signatures")
-            (signatures baseline) (signatures r);
+            (Dist_harness.signatures baseline) (Dist_harness.signatures r);
           if not m.m_prune then begin
             (* No pruning: the walk is the same walk, whatever served it. *)
             Alcotest.(check int)

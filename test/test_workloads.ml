@@ -315,7 +315,7 @@ let test_isp_costs_exceed_dampi () =
   in
   let isp_report =
     Isp.Engine.verify
-      ~config:{ Isp.Engine.default_config with max_runs = 1 }
+      ~config:{ Explorer.default_config with max_runs = 1 }
       ~np:8 program
   in
   Alcotest.(check bool)

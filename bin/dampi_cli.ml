@@ -481,7 +481,7 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
             Printf.printf
               "resuming from %s: %d interleavings already explored, %d \
                frontier item(s)\n"
-              path c.runs (List.length c.frontier);
+              path c.totals.runs (List.length c.frontier);
             c)
           (or_fail (Job.resume job path)))
   in

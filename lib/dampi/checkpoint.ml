@@ -20,26 +20,34 @@ type item = {
           deterministic wherever the item executes. *)
 }
 
+type totals = {
+  mutable runs : int;
+  mutable cancelled : int;
+  mutable timed_out : int;
+  mutable retried : int;
+  mutable crashed : int;
+  mutable alerts : int;
+  mutable bounded : int;
+  mutable wildcards : int;
+  mutable first_makespan : float;
+  mutable total_vtime : float;
+  mutable pruned : int;
+}
+
+let zero_totals () =
+  { runs = 0; cancelled = 0; timed_out = 0; retried = 0; crashed = 0; alerts = 0;
+    bounded = 0; wildcards = 0; first_makespan = 0.0; total_vtime = 0.0; pruned = 0 }
+
 type t = {
   label : string;  (** workload identity; validated on resume *)
   np : int;
   complete : bool;  (** frontier empty: resuming just re-reports *)
-  runs : int;
-  runs_cancelled : int;
-  runs_timed_out : int;
-  runs_retried : int;
-  runs_crashed : int;
-  monitor_alerts : int;
-  bounded_epochs : int;
-  wildcards_analyzed : int;
-  first_run_makespan : float;
-  total_virtual_time : float;
+  totals : totals;
   findings : Report.finding list;
   completed : string list;  (** {!schedule_key}s of counted replays *)
   frontier : item list;
   epoch : int;  (** highest fencing epoch granted (distributed mode; 0
                     when the run was never distributed) *)
-  pruned : int;  (** schedules suppressed by the independence analysis *)
 }
 
 (* ---- percent-encoding (RFC 3986 unreserved set) ---- *)
@@ -367,28 +375,64 @@ let error_of_line tag payload =
 
 (* ---- document ---- *)
 
+(* The scalar header lines, one row each, in file order: the key, the
+   printed value ([None] omits the line) and the parser ([None] rejects the
+   value). A total's parser writes into the document's own [totals], which
+   {!of_string} creates fresh. *)
+type row = { key : string; show : t -> string option; read : string -> t -> t option }
+
+let field ?(omit = fun _ -> false) key (print, parse) get set =
+  {
+    key;
+    show = (fun t -> if omit (get t) then None else Some (print (get t)));
+    read = (fun v t -> Option.map (set t) (parse v));
+  }
+
+let total ?omit key codec get set =
+  field ?omit key codec
+    (fun t -> get t.totals)
+    (fun t v ->
+      set t.totals v;
+      t)
+
+let int_c = (string_of_int, int_of_string_opt)
+
+(* %h (hex floats) round-trips exactly; canonical-report equality after a
+   resume depends on it. *)
+let float_c = (Printf.sprintf "%h", float_of_string_opt)
+let zero n = n = 0
+
+let rows =
+  [
+    field "label" (enc, fun v -> Some (dec v)) (fun t -> t.label)
+      (fun t label -> { t with label });
+    field "np" int_c (fun t -> t.np) (fun t np -> { t with np });
+    field "complete"
+      ((fun b -> if b then "1" else "0"), fun v -> Some (v = "1"))
+      (fun t -> t.complete)
+      (fun t complete -> { t with complete });
+    total "runs" int_c (fun c -> c.runs) (fun c v -> c.runs <- v);
+    total "cancelled" int_c (fun c -> c.cancelled) (fun c v -> c.cancelled <- v);
+    total "timed-out" int_c (fun c -> c.timed_out) (fun c v -> c.timed_out <- v);
+    total "retried" int_c (fun c -> c.retried) (fun c v -> c.retried <- v);
+    total "crashed" int_c (fun c -> c.crashed) (fun c v -> c.crashed <- v);
+    total "alerts" int_c (fun c -> c.alerts) (fun c v -> c.alerts <- v);
+    total "bounded" int_c (fun c -> c.bounded) (fun c v -> c.bounded <- v);
+    total "wildcards" int_c (fun c -> c.wildcards) (fun c v -> c.wildcards <- v);
+    total "first-makespan" float_c (fun c -> c.first_makespan) (fun c v -> c.first_makespan <- v);
+    total "total-vtime" float_c (fun c -> c.total_vtime) (fun c v -> c.total_vtime <- v);
+    (* Omitted when zero, keeping non-distributed and unpruned checkpoints
+       readable by older builds. *)
+    field ~omit:zero "epoch" int_c (fun t -> t.epoch) (fun t epoch -> { t with epoch });
+    total ~omit:zero "pruned" int_c (fun c -> c.pruned) (fun c v -> c.pruned <- v);
+  ]
+
 let to_string t =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "# DAMPI checkpoint";
   line "version %d" version;
-  line "label %s" (enc t.label);
-  line "np %d" t.np;
-  line "complete %d" (if t.complete then 1 else 0);
-  line "runs %d" t.runs;
-  line "cancelled %d" t.runs_cancelled;
-  line "timed-out %d" t.runs_timed_out;
-  line "retried %d" t.runs_retried;
-  line "crashed %d" t.runs_crashed;
-  line "alerts %d" t.monitor_alerts;
-  line "bounded %d" t.bounded_epochs;
-  line "wildcards %d" t.wildcards_analyzed;
-  (* %h (hex floats) round-trips exactly; canonical-report equality after a
-     resume depends on it. *)
-  line "first-makespan %h" t.first_run_makespan;
-  line "total-vtime %h" t.total_virtual_time;
-  if t.epoch <> 0 then line "epoch %d" t.epoch;
-  if t.pruned <> 0 then line "pruned %d" t.pruned;
+  List.iter (fun r -> Option.iter (line "%s %s" r.key) (r.show t)) rows;
   List.iter
     (fun (f : Report.finding) ->
       line "finding %d %s %s" f.Report.run_index
@@ -426,34 +470,13 @@ let of_string text =
       let err = ref None in
       let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
       let seen_version = ref None in
-      let label = ref "" in
-      let np = ref 0 in
-      let complete = ref false in
-      let runs = ref 0 in
-      let cancelled = ref 0 in
-      let timed_out = ref 0 in
-      let retried = ref 0 in
-      let crashed = ref 0 in
-      let alerts = ref 0 in
-      let bounded = ref 0 in
-      let wildcards = ref 0 in
-      let first_makespan = ref 0.0 in
-      let total_vtime = ref 0.0 in
-      let epoch = ref 0 in
-      let pruned = ref 0 in
+      let doc =
+        ref { label = ""; np = 0; complete = false; totals = zero_totals ();
+              findings = []; completed = []; frontier = []; epoch = 0 }
+      in
       let findings = ref [] in
       let completed = ref [] in
       let frontier = ref [] in
-      let int_field name v r =
-        match int_of_string_opt v with
-        | Some n -> r := n
-        | None -> fail "malformed %s %S" name v
-      in
-      let float_field name v r =
-        match float_of_string_opt v with
-        | Some f -> r := f
-        | None -> fail "malformed %s %S" name v
-      in
       List.iter
         (fun l ->
           if !err = None then
@@ -477,21 +500,6 @@ let of_string text =
                     | None -> fail "malformed version %S" rest)
                 | _ when !seen_version = None ->
                     fail "missing version header"
-                | "label" -> label := dec rest
-                | "np" -> int_field "np" rest np
-                | "complete" -> complete := rest = "1"
-                | "runs" -> int_field "runs" rest runs
-                | "cancelled" -> int_field "cancelled" rest cancelled
-                | "timed-out" -> int_field "timed-out" rest timed_out
-                | "retried" -> int_field "retried" rest retried
-                | "crashed" -> int_field "crashed" rest crashed
-                | "alerts" -> int_field "alerts" rest alerts
-                | "bounded" -> int_field "bounded" rest bounded
-                | "wildcards" -> int_field "wildcards" rest wildcards
-                | "first-makespan" ->
-                    float_field "first-makespan" rest first_makespan
-                | "total-vtime" -> float_field "total-vtime" rest total_vtime
-                | "epoch" -> int_field "epoch" rest epoch
                 | "finding" -> (
                     match String.split_on_char ' ' rest with
                     | run_index :: sched :: tag :: payload -> (
@@ -507,7 +515,6 @@ let of_string text =
                         | _ -> fail "malformed finding line %S" l)
                     | _ -> fail "malformed finding line %S" l)
                 | "done" -> completed := rest :: !completed
-                | "pruned" -> int_field "pruned" rest pruned
                 | "item" -> (
                     (* 2-field items (no sleep set) predate pruning and
                        still parse: sleep defaults to empty. *)
@@ -529,7 +536,13 @@ let of_string text =
                         | Some prefix, Some choice, Some sleep ->
                             frontier := { prefix; choice; sleep } :: !frontier
                         | _ -> fail "malformed item line %S" l))
-                | _ -> fail "unknown checkpoint field %S" key))
+                | _ -> (
+                    match List.find_opt (fun r -> r.key = key) rows with
+                    | None -> fail "unknown checkpoint field %S" key
+                    | Some r -> (
+                        match r.read rest !doc with
+                        | Some d -> doc := d
+                        | None -> fail "malformed %s %S" key rest))))
         rest;
       (match (!err, !seen_version) with
       | None, None -> err := Some "missing version header"
@@ -539,24 +552,10 @@ let of_string text =
       | None ->
           Ok
             {
-              label = !label;
-              np = !np;
-              complete = !complete;
-              runs = !runs;
-              runs_cancelled = !cancelled;
-              runs_timed_out = !timed_out;
-              runs_retried = !retried;
-              runs_crashed = !crashed;
-              monitor_alerts = !alerts;
-              bounded_epochs = !bounded;
-              wildcards_analyzed = !wildcards;
-              first_run_makespan = !first_makespan;
-              total_virtual_time = !total_vtime;
+              !doc with
               findings = List.rev !findings;
               completed = List.rev !completed;
               frontier = List.rev !frontier;
-              epoch = !epoch;
-              pruned = !pruned;
             })
   | _ -> Error "not a DAMPI checkpoint file"
 

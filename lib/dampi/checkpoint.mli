@@ -31,20 +31,34 @@ type item = {
           checkpoints parse with an empty sleep set. *)
 }
 
+(** The canonical counters of an exploration, accumulated over counted
+    replays (plus the host-side attempt counters). The explorer mutates one
+    record under its counting lock, a checkpoint carries it, and the report
+    is filled from it. Each is one header line in the file. *)
+type totals = {
+  mutable runs : int;  (** counted interleavings *)
+  mutable cancelled : int;  (** replays cut by stop-first or an interrupt *)
+  mutable timed_out : int;  (** attempts the watchdog cut *)
+  mutable retried : int;  (** re-attempts after timeouts or transient faults *)
+  mutable crashed : int;  (** injected-fault crashes absorbed by retries *)
+  mutable alerts : int;  (** monitor-alert findings recorded *)
+  mutable bounded : int;  (** non-expandable epochs *)
+  mutable wildcards : int;  (** the self run's wildcard receives *)
+  mutable first_makespan : float;  (** the self run's virtual makespan *)
+  mutable total_vtime : float;
+  mutable pruned : int;
+      (** schedules the independence analysis suppressed; omitted from the
+          text when zero *)
+}
+
+val zero_totals : unit -> totals
+(** A fresh record of zeroes. *)
+
 type t = {
   label : string;  (** workload identity; validated by the CLI on resume *)
   np : int;
   complete : bool;  (** exploration finished; resuming just re-reports *)
-  runs : int;
-  runs_cancelled : int;
-  runs_timed_out : int;
-  runs_retried : int;
-  runs_crashed : int;
-  monitor_alerts : int;
-  bounded_epochs : int;
-  wildcards_analyzed : int;
-  first_run_makespan : float;
-  total_virtual_time : float;
+  totals : totals;
   findings : Report.finding list;
   completed : string list;  (** {!schedule_key}s of counted replays *)
   frontier : item list;
@@ -55,9 +69,6 @@ type t = {
           [epoch + 1], so sessions admitted before the crash are fenced.
           The field is omitted from the text when zero, keeping old
           readers and non-distributed checkpoints unchanged. *)
-  pruned : int;
-      (** schedules the independence analysis suppressed before the cut;
-          omitted from the text when zero, like [epoch]. *)
 }
 
 val schedule_key : Decisions.decision list -> string

@@ -49,18 +49,6 @@ let default_setup attach job =
     outq_budget = default_outq_budget;
   }
 
-type stats = {
-  leases : int;
-  releases : int;
-  workers_seen : int;
-  workers_lost : int;
-  results : int;
-  reconnects : int;
-  fenced : int;
-  dup_results : int;
-  backpressured : int;
-}
-
 type lease = {
   lease_id : int;
   lease_items : Checkpoint.item list;
@@ -146,7 +134,9 @@ type t = {
   mutable listener : Wire.listener option;  (* bound by [drive] *)
   started : float;
   mutable next_lease : int;
-  mutable st : stats;
+  mutable leases : int;  (* lease frames sent *)
+  mutable results : int;  (* result frames ingested *)
+  mutable workers_seen : int;  (* sessions past their first handshake *)
   mutable ran : bool;
   mutable finish : [ `Done | `Abort ];  (* shutdown vs detach at close *)
   metrics : cmetrics option;
@@ -178,10 +168,9 @@ let create ?metrics ?(profile = false) ?(first_epoch = 1)
     listener = None;
     started = Unix.gettimeofday ();
     next_lease = 0;
-    st =
-      { leases = 0; releases = 0; workers_seen = 0; workers_lost = 0;
-        results = 0; reconnects = 0; fenced = 0; dup_results = 0;
-        backpressured = 0 };
+    leases = 0;
+    results = 0;
+    workers_seen = 0;
     ran = false;
     finish = `Abort;
     metrics =
@@ -215,8 +204,6 @@ let outstanding t =
     t.sessions []
 
 let snapshot t = t.frontier @ outstanding t
-let pending t = List.length t.frontier
-let stats t = t.st
 let current_epoch t = t.next_epoch - 1
 
 let telemetry t =
@@ -276,9 +263,8 @@ let refund t s ~reason =
       t.frontier <- l.lease_items @ t.frontier;
       t.claimed <- t.claimed - n;
       s.lease <- None;
-      t.st <- { t.st with releases = t.st.releases + n };
       (match t.metrics with
-      | Some ms -> for _ = 1 to n do Obs.Metrics.incr ms.m_releases done
+      | Some ms -> Obs.Metrics.add ms.m_releases n
       | None -> ())
 
 (* Close a connection without touching its session (version/auth
@@ -311,7 +297,6 @@ let lose t c ~reason =
                         l.lease_id t.setup.rejoin_grace
                   | None -> ""))
         | _ -> Log.warn (fun m -> m "worker %s lost (%s)" c.name reason));
-        t.st <- { t.st with workers_lost = t.st.workers_lost + 1 };
         c.alive <- false;
         Wire.close_quietly c.fd
 
@@ -420,7 +405,6 @@ let maybe_lease t c =
       (* Backpressure: this session's link is backed up past its write
          budget — leasing more work to it would only deepen the queue.
          The items stay in the frontier for a less congested worker. *)
-      t.st <- { t.st with backpressured = t.st.backpressured + 1 };
       (match t.metrics with
       | Some ms -> Obs.Metrics.incr ms.m_backpressure
       | None -> ())
@@ -435,7 +419,7 @@ let maybe_lease t c =
       t.next_lease <- t.next_lease + 1;
       s.lease <-
         Some { lease_id; lease_items = items; sent_at = Unix.gettimeofday () };
-      t.st <- { t.st with leases = t.st.leases + 1 };
+      t.leases <- t.leases + 1;
       (match t.metrics with
       | Some ms -> Obs.Metrics.incr ms.m_leases
       | None -> ());
@@ -498,7 +482,6 @@ let bind t c (h : hello) =
       | None -> ())
   | None -> ());
   if rejoined then begin
-    t.st <- { t.st with reconnects = t.st.reconnects + 1 };
     (match t.metrics with
     | Some ms -> Obs.Metrics.incr ms.m_reconnects
     | None -> ());
@@ -594,7 +577,7 @@ let handle_msg t c ~on_run msg =
           c.state <- `Bound s;
           if not s.seen_ready then begin
             s.seen_ready <- true;
-            t.st <- { t.st with workers_seen = t.st.workers_seen + 1 }
+            t.workers_seen <- t.workers_seen + 1
           end;
           Log.info (fun m -> m "worker %s ready" c.name)
       | _ -> lose t c ~reason:"ready out of sequence")
@@ -643,7 +626,7 @@ let handle_msg t c ~on_run msg =
             | None -> ());
             s.lease <- None;
             s.last_settled <- Some (epoch, lease_id);
-            t.st <- { t.st with results = t.st.results + 1 };
+            t.results <- t.results + 1;
             List.iter
               (fun (it, r) ->
                 let item = Option.get it in
@@ -659,7 +642,6 @@ let handle_msg t c ~on_run msg =
              duplicate, not a zombie. Same discard (the first arrival was
              counted, exactly once), separate ledger: dedup is cheaper to
              reason about when it is distinguishable from fencing. *)
-          t.st <- { t.st with dup_results = t.st.dup_results + 1 };
           (match t.metrics with
           | Some ms -> Obs.Metrics.incr ms.m_dup_results
           | None -> ());
@@ -673,7 +655,6 @@ let handle_msg t c ~on_run msg =
              zombie flushing work that was re-leased at a later epoch. The
              frame arrived whole through the assembler; acknowledge by
              discarding it, never by counting. *)
-          t.st <- { t.st with fenced = t.st.fenced + 1 };
           (match t.metrics with
           | Some ms -> Obs.Metrics.incr ms.m_fenced
           | None -> ());
@@ -711,11 +692,11 @@ let observers t =
 let progress_kvs t now =
   let base =
     [
-      ("frontier", string_of_int (pending t));
+      ("frontier", string_of_int (List.length t.frontier));
       ("claimed", string_of_int t.claimed);
       ("budget", string_of_int t.budget);
-      ("leases", string_of_int t.st.leases);
-      ("results", string_of_int t.st.results);
+      ("leases", string_of_int t.leases);
+      ("results", string_of_int t.results);
       ("workers", string_of_int (List.length (live_workers t)));
       ("uptime_s", Printf.sprintf "%.3f" (now -. t.started));
     ]
@@ -846,14 +827,14 @@ let drive t ~on_run ~should_stop ~tick =
       if
         live = []
         && (not (any_in_grace t now))
-        && (t.st.workers_seen > 0 || t.listener = None
+        && (t.workers_seen > 0 || t.listener = None
            || now -. t.started > t.setup.join_timeout)
       then
         Error
-          (if t.st.workers_seen = 0 then "no workers connected"
+          (if t.workers_seen = 0 then "no workers connected"
            else
              Printf.sprintf "all %d worker(s) lost with work remaining"
-               t.st.workers_seen)
+               t.workers_seen)
       else begin
         List.iter (fun c -> maybe_lease t c) live;
         (* Chaos-queue pump: due delayed frames drain, held (reordered)

@@ -97,22 +97,6 @@ val default_setup : attach -> Wire.job -> setup
 (** [setup] for [job] over [attach] with every other field at its
     [default_*] value: no auth, no net faults. *)
 
-type stats = {
-  leases : int;  (** lease frames sent *)
-  releases : int;  (** items re-leased after a lease was forfeited *)
-  workers_seen : int;  (** sessions that completed their first handshake *)
-  workers_lost : int;  (** connections lost to EOF, failure, or silence *)
-  results : int;  (** result frames ingested *)
-  reconnects : int;  (** rebinds of an existing session (lease resumed
-                         or fenced) *)
-  fenced : int;  (** stale results frames discarded whole *)
-  dup_results : int;
-      (** duplicate deliveries of an already-settled results frame,
-          discarded — distinguished from [fenced] (zombie work at a
-          superseded epoch) because the sender is a live, current worker *)
-  backpressured : int;  (** lease offers withheld from backed-up sessions *)
-}
-
 type t
 
 val create :
@@ -147,10 +131,6 @@ val snapshot : t -> Checkpoint.item list
 (** Frontier plus every item on an outstanding lease — the same consistent
     cut {!Scheduler.snapshot} gives, safe to call from {!drive}'s
     callbacks. *)
-
-val pending : t -> int
-
-val stats : t -> stats
 
 val current_epoch : t -> int
 (** Highest fencing epoch granted so far (the [first_epoch - 1] floor

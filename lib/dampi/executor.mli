@@ -1,11 +1,12 @@
 (** The execution layer under the exploration walk.
 
-    {!Explorer} owns the walk (frontier expansion, counting, findings,
-    checkpoints); this module owns {e how a replay runs}: the per-run
-    context handed to a {!runner}, the robustness envelope (watchdog,
-    retries, fault injection), and the retry loop that applies it. It is
-    shared by both execution backends — the in-process domain pool and the
-    remote worker processes of the distributed mode — so a replay behaves
+    {!Explorer} owns the walk (counting, findings, checkpoints); this
+    module owns {e how an item runs}: the per-run context handed to a
+    {!runner}, the robustness envelope (watchdog, retries, fault
+    injection), and {!run}, which looks the item up in the prefix cache,
+    replays it under that envelope and expands its children. It is shared
+    by both execution backends — the in-process domain pool and the remote
+    worker processes of the distributed mode — so an item behaves
     identically wherever it executes.
 
     The explorer drives whichever backend through the tiny {!t} interface:
@@ -53,48 +54,56 @@ val null_ctx : run_ctx
 type runner =
   ctx:run_ctx -> Decisions.plan -> fork_index:int -> Report.run_record
 
-(** Observable moments of the attempt loop, for the caller's counters.
-    Semantics match the explorer's report fields: one [Timed_out] per
-    attempt the watchdog cut, one [Retried] per re-attempt (after a timeout
-    or a transient fault), one [Transient_fault] per injected-fault crash
-    that was absorbed by a retry, one [Cancelled] per externally poisoned
-    attempt, and one [Attempt_wall] per attempt with its host duration. *)
-type event =
-  | Attempt_wall of float
-  | Timed_out
-  | Retried
-  | Transient_fault
-  | Cancelled
+(** One frontier item's result, wherever it ran. *)
+type result = {
+  run : Wire.run_result;
+      (** what a remote worker ships: the item's {!Checkpoint.schedule_key},
+          its attempt counters (watchdog timeouts, retries, transient faults
+          absorbed by a retry) and, unless it gave up or was poisoned, the
+          counted payload — virtual time, bounded epochs, suppressed
+          children, errors and the child frontier *)
+  poisoned : bool;
+      (** the external poison (stop-first or an interrupt) cut it: nothing
+          counted; never set on a remote worker, whose poison only sends
+          heartbeats *)
+  replayed : bool;  (** the runner executed it (not a cache hit) *)
+  wildcards : int;
+      (** wildcard receives the run analysed; the self run's is the
+          report's [wildcards_analyzed] *)
+}
 
-(** How the replay (possibly after retries) resolved. *)
-type outcome =
-  | Completed of Report.run_record
-      (** ran to completion (crashes-as-findings included) *)
-  | Poisoned  (** cut by the external poison (stop-first / interrupt) *)
-  | Gave_up  (** every allowed attempt hit the watchdog *)
-
-val run_attempts :
+val run :
   rb:robustness ->
   runner:runner ->
+  ?cache:Prefix_cache.t ->
+  prune:bool ->
   worker:int ->
   metrics:Obs.Metrics.shard option ->
   need_poison:bool ->
   external_poison:(unit -> bool) ->
   abort_retries:(unit -> bool) ->
-  wrap:(attempt:int -> (unit -> Report.run_record) -> Report.run_record) ->
-  on_event:(event -> unit) ->
-  key:string ->
-  Decisions.plan ->
-  fork_index:int ->
-  outcome
-(** One guided replay under the robustness envelope: build the watchdog
-    poison (wall deadline polled every 64 steps, exact step budget,
-    [external_poison] checked first), derive the per-attempt fault salt
-    from [key], execute [runner] through [wrap] (tracing spans), and retry
-    on watchdog timeouts and transient injected faults up to
-    [rb.max_retries] with capped exponential backoff — unless
-    [abort_retries] says the exploration is being interrupted. [on_event]
-    fires for every countable moment; the caller owns all counters. *)
+  ?wrap:(attempt:int -> (unit -> Report.run_record) -> Report.run_record) ->
+  np:int ->
+  sleep:Epoch.summary list ->
+  Decisions.decision list ->
+  result
+(** [run ... ~sleep schedule] runs one item: the guided replay of
+    [schedule] (the self run for [[]]), whose inherited sleep set is
+    [sleep]. This is the only place an item is run and expanded; the
+    in-process pool, the self run and remote workers all call it.
+
+    A hit in [cache] skips the replay. Otherwise the replay runs under the
+    robustness envelope: a watchdog poison (wall deadline polled every 64
+    steps, exact step budget, [external_poison] checked first; only built
+    when [need_poison]), a per-attempt fault salt derived from the schedule
+    key, and retries on watchdog timeouts and transient injected faults up
+    to [rb.max_retries] with capped exponential backoff — unless
+    [abort_retries] says the exploration is being interrupted. Each attempt
+    executes [runner] through [wrap] (the pool's spans and wall timing;
+    identity by default). A completed replay's artifact
+    ({!Prefix_cache.entry_of_record}) is added to [cache]. Either way the
+    artifact is expanded by {!Prune.expand} under [sleep] (when [prune]).
+    The caller owns every counter: the result carries them. *)
 
 (** How a backend's drive ended. *)
 type drive_outcome =

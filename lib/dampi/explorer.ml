@@ -53,7 +53,7 @@ type config = {
   jobs : int;  (** worker domains; 1 = sequential depth-first walk *)
   trace : bool;  (** collect a span timeline of the exploration *)
   prune : bool;
-      (** sleep-set pruning at frontier expansion ({!Prune.expand}) *)
+      (** sleep-set pruning where {!Executor.run} expands an item ({!Prune}) *)
   prefix_cache : int option;
       (** memoize replay artifacts by schedule ({!Prefix_cache}), with this
           LRU byte budget; persisted as a checkpoint sidecar *)
@@ -257,18 +257,6 @@ type item = Checkpoint.item = {
   sleep : Epoch.summary list;  (* epochs this subtree must not re-expand *)
 }
 
-(* How one replay (possibly after retries) resolved, as seen by the walk.
-   A counted run carries its memoizable artifact ({!Prefix_cache.entry}) —
-   the same value whether the schedule was replayed or served from the
-   cache, which is what keeps cache-hit children identical to executed-run
-   children. *)
-type run_status =
-  | Counted of Prefix_cache.entry
-      (* completed (or expand-only re-ran): expand its child frontier *)
-  | Stopped  (* poisoned by stop-first cancellation: drop *)
-  | Interrupted  (* poisoned by SIGINT/SIGTERM: requeue for the checkpoint *)
-  | Gave_up  (* every attempt hit the watchdog: record, no frontier *)
-
 (* Sequential, parallel, and distributed exploration share this one walk:
    the frontier is drained by an executor backend, and each executed item
    is a complete guided replay (fresh Runtime + State inside [runner], so
@@ -288,8 +276,8 @@ let explore ?(config = default_config) ?resume ?distribute
      treat it as one so an interrupt during the self run stays resumable. *)
   let resume =
     match resume with
-    | Some (c : Checkpoint.t) when c.Checkpoint.runs > 0 || c.Checkpoint.complete
-      ->
+    | Some (c : Checkpoint.t)
+      when c.Checkpoint.totals.runs > 0 || c.Checkpoint.complete ->
         Some c
     | _ -> None
   in
@@ -348,18 +336,16 @@ let explore ?(config = default_config) ?resume ?distribute
   in
   let m = Mutex.create () in
   let findings = Report.Merge.create () in
-  let runs = ref 0 in
-  let runs_pruned = ref 0 in
-  let runs_cancelled = ref 0 in
-  let runs_timed_out = ref 0 in
-  let runs_retried = ref 0 in
-  let runs_crashed = ref 0 in
+  (* The canonical counters, moved under [m]; a resume starts from a copy
+     of the checkpoint's. *)
+  let totals =
+    match resume with
+    | Some c ->
+        let t = c.Checkpoint.totals in
+        { t with Checkpoint.runs = t.Checkpoint.runs }
+    | None -> Checkpoint.zero_totals ()
+  in
   let harness_failures : Report.harness_failure list ref = ref [] in
-  let total_vtime = ref 0.0 in
-  let monitor_alerts = ref 0 in
-  let bounded = ref 0 in
-  let wildcards_analyzed = ref 0 in
-  let first_makespan = ref 0.0 in
   let error_found = Atomic.make false in
   let cancel_at = Atomic.make 0.0 in
   let interrupt_requested = Atomic.make false in
@@ -390,17 +376,6 @@ let explore ?(config = default_config) ?resume ?distribute
   (match resume with
   | None -> ()
   | Some c ->
-      runs := c.Checkpoint.runs;
-      runs_cancelled := c.Checkpoint.runs_cancelled;
-      runs_timed_out := c.Checkpoint.runs_timed_out;
-      runs_retried := c.Checkpoint.runs_retried;
-      runs_crashed := c.Checkpoint.runs_crashed;
-      monitor_alerts := c.Checkpoint.monitor_alerts;
-      bounded := c.Checkpoint.bounded_epochs;
-      runs_pruned := c.Checkpoint.pruned;
-      wildcards_analyzed := c.Checkpoint.wildcards_analyzed;
-      first_makespan := c.Checkpoint.first_run_makespan;
-      total_vtime := c.Checkpoint.total_virtual_time;
       List.iter
         (fun (f : Report.finding) ->
           Report.Merge.add findings f;
@@ -460,7 +435,7 @@ let explore ?(config = default_config) ?resume ?distribute
     List.iter
       (fun error ->
         (match error with
-        | Report.Monitor_alert _ -> incr monitor_alerts
+        | Report.Monitor_alert _ -> totals.alerts <- totals.alerts + 1
         | _ -> ());
         Report.Merge.add findings { Report.error; run_index; schedule })
       errors
@@ -473,7 +448,7 @@ let explore ?(config = default_config) ?resume ?distribute
   let run_kvs now =
     let elapsed = now -. started in
     let rps =
-      if elapsed > 0.0 then float_of_int !runs /. elapsed else 0.0
+      if elapsed > 0.0 then float_of_int totals.runs /. elapsed else 0.0
     in
     let cache_kvs =
       match cache with
@@ -487,9 +462,9 @@ let explore ?(config = default_config) ?resume ?distribute
           ]
     in
     [
-      ("runs", string_of_int !runs);
+      ("runs", string_of_int totals.runs);
       ("replays_per_s", Printf.sprintf "%.1f" rps);
-      ("pruned", string_of_int !runs_pruned);
+      ("pruned", string_of_int totals.pruned);
       ("findings", string_of_int (List.length (sorted_findings ())));
     ]
     @ cache_kvs
@@ -522,42 +497,79 @@ let explore ?(config = default_config) ?resume ?distribute
           emit (ticker_kvs now)
         end
   in
-  (* Fold one counted replay into the canonical totals, wherever it ran —
-     on a pool domain (from a full run record) or on a remote worker (from
-     a wire delta). Everything here is a pure function of the run set, so
-     the report is transport-independent. *)
-  let count_completed ~worker ~key ~schedule ~makespan ~bounded_delta ~errors =
+  (* Fold one item's result into the totals, wherever it ran: on a pool
+     domain, in the self run, or on a remote worker (from its wire result).
+     One rule on every backend: the attempt counters are host-side events
+     and always move; the run's own contribution — count, virtual time,
+     bounded epochs, suppressed children, findings, completed key — moves
+     only for a fresh item, all at once under [m]. An expand-only re-run of
+     a resume was counted before the cut, its suppressions included.
+     Everything here is a pure function of the run set, so the report is
+     transport-independent. *)
+  let ingest ~worker ~schedule (res : Executor.result) =
+    let r = res.Executor.run in
+    let fresh = not (Hashtbl.mem resume_completed r.Wire.key) in
+    (* Per-worker shards: this domain (or the coordinator's single thread,
+       as worker 0) is the only writer. *)
+    Obs.Metrics.add timeouts_c.(worker) r.Wire.timeouts;
+    Obs.Metrics.add retries_c.(worker) r.Wire.retries;
+    Obs.Metrics.add faults_c.(worker) r.Wire.transients;
+    if res.Executor.poisoned then
+      Obs.Metrics.observe cancel_h.(worker)
+        (Float.max 0.0 (Unix.gettimeofday () -. Atomic.get cancel_at));
+    (match r.Wire.payload with
+    | Some p ->
+        if res.Executor.replayed then begin
+          Obs.Metrics.incr replays_c.(worker);
+          Obs.Metrics.observe vtime_h.(worker) p.Wire.vtime
+        end;
+        if fresh then Obs.Metrics.add pruned_c.(worker) p.Wire.pruned
+    | None -> ());
     Mutex.lock m;
-    let index = !runs in
-    incr runs;
-    total_vtime := !total_vtime +. makespan;
-    worker_runs.(worker) <- worker_runs.(worker) + 1;
-    worker_vtime.(worker) <- worker_vtime.(worker) +. makespan;
-    bounded := !bounded + bounded_delta;
-    record_findings errors ~run_index:index ~schedule;
-    new_completed := key :: !new_completed;
-    incr completed_since;
-    if
-      List.exists
-        (function Report.Deadlock _ | Report.Crash _ -> true | _ -> false)
-        errors
-    then begin
-      if not (Atomic.get error_found) then
-        Atomic.set cancel_at (Unix.gettimeofday ());
-      Atomic.set error_found true
-    end;
-    (match rb.interrupt_after with
-    | Some limit when !runs >= limit -> Atomic.set interrupt_requested true
+    totals.timed_out <- totals.timed_out + r.Wire.timeouts;
+    totals.retried <- totals.retried + r.Wire.retries;
+    totals.crashed <- totals.crashed + r.Wire.transients;
+    if res.Executor.poisoned then totals.cancelled <- totals.cancelled + 1;
+    (match r.Wire.payload with
+    | Some p when fresh ->
+        if schedule = [] then begin
+          (* The self run's own figures. *)
+          totals.wildcards <- res.Executor.wildcards;
+          totals.first_makespan <- p.Wire.vtime
+        end;
+        let index = totals.runs in
+        totals.runs <- index + 1;
+        totals.total_vtime <- totals.total_vtime +. p.Wire.vtime;
+        totals.bounded <- totals.bounded + p.Wire.bounded;
+        totals.pruned <- totals.pruned + p.Wire.pruned;
+        worker_runs.(worker) <- worker_runs.(worker) + 1;
+        worker_vtime.(worker) <- worker_vtime.(worker) +. p.Wire.vtime;
+        record_findings p.Wire.errors ~run_index:index ~schedule;
+        new_completed := r.Wire.key :: !new_completed;
+        incr completed_since;
+        if
+          List.exists
+            (function Report.Deadlock _ | Report.Crash _ -> true | _ -> false)
+            p.Wire.errors
+        then begin
+          if not (Atomic.get error_found) then
+            Atomic.set cancel_at (Unix.gettimeofday ());
+          Atomic.set error_found true
+        end;
+        (match rb.interrupt_after with
+        | Some limit when totals.runs >= limit ->
+            Atomic.set interrupt_requested true
+        | _ -> ())
     | _ -> ());
     maybe_progress ();
     Mutex.unlock m
   in
   (* Serialize the current cut. [m] stays held through the file write: the
      counters, completed set, and frontier must come from one consistent
-     instant (the backend snapshot is itself atomic, and the pool publishes
-     a replay's children and count moves under [m] too), and checkpoint
-     writes are rare enough that stalling workers briefly is cheaper than a
-     torn cut. *)
+     instant (the backend snapshot is itself atomic, and [ingest] moves all
+     of an item's counts at once, while the item is still in flight), and
+     checkpoint writes are rare enough that stalling workers briefly is
+     cheaper than a torn cut. *)
   (* Injected-ENOSPC stream for persistence writes, from the chaos spec.
      A degraded write must never abort the exploration: the failure is
      classified, counted, and logged loudly, and the run continues on the
@@ -608,17 +620,7 @@ let explore ?(config = default_config) ?resume ?distribute
                    np;
                    complete =
                      frontier = [] && not (Atomic.get interrupt_requested);
-                   runs = !runs;
-                   runs_cancelled = !runs_cancelled;
-                   runs_timed_out = !runs_timed_out;
-                   runs_retried = !runs_retried;
-                   runs_crashed = !runs_crashed;
-                   monitor_alerts = !monitor_alerts;
-                   bounded_epochs = !bounded;
-                   pruned = !runs_pruned;
-                   wildcards_analyzed = !wildcards_analyzed;
-                   first_run_makespan = !first_makespan;
-                   total_virtual_time = !total_vtime;
+                   totals;
                    findings = sorted_findings ();
                    completed;
                    frontier;
@@ -644,15 +646,10 @@ let explore ?(config = default_config) ?resume ?distribute
         if due then write_checkpoint ()
     | _ -> ()
   in
-  (* One guided replay on this process, with watchdog and retries (the
-     shared {!Executor.run_attempts} loop). [count] is false for
-     expand-only re-runs during a resume: the replay executes (to
-     regenerate its children deterministically) but contributes nothing to
-     counters or findings — its contribution is already in the
-     checkpoint. [key] is the schedule's {!Checkpoint.schedule_key}, built
-     once by the caller; the replay plan is built only on a cache miss. *)
-  let run_one ~key ~schedule ~worker ~name ~count =
-    let fork_index = List.length schedule - 1 in
+  (* One item on this process ({!Executor.run}), polled by the interrupt
+     and stop-first flags, with the pool-only timing: a span per attempt
+     and the per-attempt wall. *)
+  let run_item ~worker ~name ~sleep schedule =
     (* Span args carry only run-set-determined values (fork, depth), never
        wall times, so jobs=1 span trees reproduce exactly. *)
     let wrap ~attempt f =
@@ -662,108 +659,32 @@ let explore ?(config = default_config) ?resume ?distribute
             Obs.Trace.begin_span (Obs.Trace.sink tr worker) ~parent:root_id
               ~args:
                 [
-                  ("fork", Obs.Trace.Int fork_index);
+                  ("fork", Obs.Trace.Int (List.length schedule - 1));
                   ("depth", Obs.Trace.Int (List.length schedule));
                   ("attempt", Obs.Trace.Int attempt);
                 ]
               name)
           tracer
       in
+      let t0 = Unix.gettimeofday () in
       let record = f () in
+      let wall = Unix.gettimeofday () -. t0 in
       (match (tracer, sp) with
       | Some tr, Some sp -> Obs.Trace.end_span (Obs.Trace.sink tr worker) sp
       | _ -> ());
+      Obs.Metrics.observe wall_h.(worker) wall;
+      Mutex.lock m;
+      worker_wall.(worker) <- worker_wall.(worker) +. wall;
+      Mutex.unlock m;
       record
     in
-    let on_event = function
-      | Executor.Attempt_wall wall ->
-          (* Per-worker shard: this domain is the only writer. *)
-          Obs.Metrics.observe wall_h.(worker) wall;
-          Mutex.lock m;
-          worker_wall.(worker) <- worker_wall.(worker) +. wall;
-          Mutex.unlock m
-      | Executor.Timed_out ->
-          Mutex.lock m;
-          incr runs_timed_out;
-          Mutex.unlock m;
-          Obs.Metrics.incr timeouts_c.(worker)
-      | Executor.Retried ->
-          Mutex.lock m;
-          incr runs_retried;
-          Mutex.unlock m;
-          Obs.Metrics.incr retries_c.(worker)
-      | Executor.Transient_fault ->
-          Mutex.lock m;
-          incr runs_crashed;
-          Mutex.unlock m;
-          Obs.Metrics.incr faults_c.(worker)
-      | Executor.Cancelled ->
-          Mutex.lock m;
-          incr runs_cancelled;
-          Mutex.unlock m;
-          Obs.Metrics.observe cancel_h.(worker)
-            (Float.max 0.0 (Unix.gettimeofday () -. Atomic.get cancel_at))
-    in
-    (* Replay determinism makes the memoized artifact of a schedule as
-       good as re-executing it: a cache hit skips the replay outright (the
-       expand-only re-runs of a warm resume become pure lookups) and still
-       feeds the counting path, so the canonical report cannot tell. *)
-    let cached =
-      match cache with
-      | Some pc -> Prefix_cache.find pc ~key schedule
-      | None -> None
-    in
-    (* A hit and an executed replay count through the same artifact. *)
-    let counted entry =
-      if count then
-        count_completed ~worker ~key ~schedule
-          ~makespan:entry.Prefix_cache.vtime
-          ~bounded_delta:(Prefix_cache.bounded entry)
-          ~errors:entry.Prefix_cache.errors;
-      Counted entry
-    in
-    match cached with
-    | Some entry -> counted entry
-    | None -> (
-        match
-          Executor.run_attempts ~rb ~runner ~worker
-            ~metrics:(Some (worker_shard worker)) ~need_poison
-            ~external_poison:(fun () ->
-              Atomic.get interrupt_requested
-              || (config.stop_on_first_error && Atomic.get error_found))
-            ~abort_retries:(fun () -> Atomic.get interrupt_requested)
-            ~wrap ~on_event ~key
-            (Decisions.of_decisions ~np schedule)
-            ~fork_index
-        with
-        | Executor.Gave_up -> Gave_up
-        | Executor.Poisoned ->
-            if Atomic.get interrupt_requested then Interrupted else Stopped
-        | Executor.Completed record ->
-            Obs.Metrics.incr replays_c.(worker);
-            Obs.Metrics.observe vtime_h.(worker) record.Report.makespan;
-            let entry = Prefix_cache.entry_of_record record in
-            (match cache with
-            | Some pc -> Prefix_cache.add pc schedule entry
-            | None -> ());
-            counted entry)
-  in
-  (* Expand one counted run into its child frontier, applying the item's
-     sleep set when pruning is on. Counted either way so the report and
-     checkpoint carry how much of the tree was cut. *)
-  let expand_children ~worker ~(sleep : Epoch.summary list) ~plan_decisions
-      (entry : Prefix_cache.entry) =
-    let exp =
-      Prune.expand ~prune:config.prune ~sleep ~plan_decisions
-        entry.Prefix_cache.epochs
-    in
-    if exp.Prune.suppressed > 0 then begin
-      Obs.Metrics.add pruned_c.(worker) exp.Prune.suppressed;
-      Mutex.lock m;
-      runs_pruned := !runs_pruned + exp.Prune.suppressed;
-      Mutex.unlock m
-    end;
-    exp.Prune.items
+    Executor.run ~rb ~runner ?cache ~prune:config.prune ~worker
+      ~metrics:(Some (worker_shard worker)) ~need_poison
+      ~external_poison:(fun () ->
+        Atomic.get interrupt_requested
+        || (config.stop_on_first_error && Atomic.get error_found))
+      ~abort_retries:(fun () -> Atomic.get interrupt_requested)
+      ~wrap ~np ~sleep schedule
   in
   (* ---- the in-process backend: per-worker stealing deques ---- *)
   let pool_backend initial_items ~budget =
@@ -778,20 +699,27 @@ let explore ?(config = default_config) ?resume ?distribute
           (* A raising replay is a harness failure, not a pool teardown:
              record it (with the backtrace from the catch site) and keep the
              sibling workers draining. *)
-          let decisions = it.prefix @ [ it.choice ] in
           match
-            (* The item's one key: the resume check, the cache lookup and
-               the completed-run record all share it. *)
-            let key = Checkpoint.schedule_key decisions in
-            run_one ~key ~schedule:decisions ~worker ~name:"replay"
-              ~count:(not (Hashtbl.mem resume_completed key))
+            let schedule = it.prefix @ [ it.choice ] in
+            let res = run_item ~worker ~name:"replay" ~sleep:it.sleep schedule in
+            (* Ingested while still in flight, before this worker
+               considers a checkpoint: a cut that catches the item holds
+               none of its counts (it re-runs fresh) or all of them (it
+               re-runs expand-only). *)
+            ingest ~worker ~schedule res;
+            res
           with
-          | Counted entry ->
+          | { Executor.poisoned = true; _ } ->
+              Scheduler.cancel sched;
+              (* Interrupted before completing: put the item back so the
+                 checkpointed frontier still covers it. *)
+              if Atomic.get interrupt_requested then [ it ] else []
+          | { Executor.run = { Wire.payload = None; _ }; _ } ->
+              (* Every attempt hit the watchdog: no frontier. *)
               maybe_periodic_checkpoint ();
-              let children =
-                expand_children ~worker ~sleep:it.sleep
-                  ~plan_decisions:decisions entry
-              in
+              []
+          | { Executor.run = { Wire.payload = Some p; _ }; _ } ->
+              maybe_periodic_checkpoint ();
               if
                 Atomic.get interrupt_requested
                 || (config.stop_on_first_error && Atomic.get error_found)
@@ -800,18 +728,7 @@ let explore ?(config = default_config) ?resume ?distribute
                    checkpoint taken after the drain must see the completed
                    replay's subtree. *)
                 Scheduler.cancel sched;
-              children
-          | Stopped ->
-              Scheduler.cancel sched;
-              []
-          | Interrupted ->
-              (* The replay was poisoned before completing: put the item
-                 back so the checkpointed frontier still covers it. *)
-              Scheduler.cancel sched;
-              [ it ]
-          | Gave_up ->
-              maybe_periodic_checkpoint ();
-              []
+              p.Wire.children
           | exception exn ->
               let bt = Printexc.get_raw_backtrace () in
               Mutex.lock m;
@@ -860,46 +777,16 @@ let explore ?(config = default_config) ?resume ?distribute
         ~budget setup
     in
     Coordinator.push co initial_items;
+    (* Children were already folded into the coordinator's frontier; this
+       ingests the rest. No checkpoint write from here: this runs mid-frame,
+       after the lease was settled but before the frame's later items are
+       counted and their children pushed — a cut taken now would lose them.
+       [tick] below fires between event-loop iterations, where every
+       ingested frame is whole. *)
     let on_run ~(item : Checkpoint.item) (r : Wire.run_result) =
-      (* Children were already folded into the coordinator's frontier; this
-         ingests the delta into the canonical totals. The worker's attempt
-         counters fold in even for expand-only re-runs (they are host-side
-         events, like the pool's). *)
-      Mutex.lock m;
-      runs_timed_out := !runs_timed_out + r.Wire.timeouts;
-      runs_retried := !runs_retried + r.Wire.retries;
-      runs_crashed := !runs_crashed + r.Wire.transients;
-      Mutex.unlock m;
-      for _ = 1 to r.Wire.timeouts do Obs.Metrics.incr timeouts_c.(0) done;
-      for _ = 1 to r.Wire.retries do Obs.Metrics.incr retries_c.(0) done;
-      for _ = 1 to r.Wire.transients do Obs.Metrics.incr faults_c.(0) done;
-      (* No checkpoint write from here: this runs mid-frame, after the
-         lease was settled but before the frame's later items are counted
-         and their children pushed — a cut taken now would lose them.
-         [tick] below fires between event-loop iterations, where every
-         ingested frame is whole. *)
-      match r.Wire.payload with
-      | None -> ()
-      | Some p ->
-          Obs.Metrics.incr replays_c.(0);
-          Obs.Metrics.observe vtime_h.(0) p.Wire.vtime;
-          if not (Hashtbl.mem resume_completed r.Wire.key) then begin
-            (* The worker already applied the item's sleep set at
-               expansion; its delta reports how many children it cut. An
-               expand-only re-run's suppressions were counted before the
-               cut (the checkpoint's [pruned]), so they fold in only for
-               fresh runs — same rule as every other counter here. *)
-            if p.Wire.pruned > 0 then begin
-              Obs.Metrics.add pruned_c.(0) p.Wire.pruned;
-              Mutex.lock m;
-              runs_pruned := !runs_pruned + p.Wire.pruned;
-              Mutex.unlock m
-            end;
-            count_completed ~worker:0 ~key:r.Wire.key
-              ~schedule:(item.prefix @ [ item.choice ])
-              ~makespan:p.Wire.vtime ~bounded_delta:p.Wire.bounded
-              ~errors:p.Wire.errors
-          end
+      (* A worker replays every item it ships and is never poisoned. *)
+      ingest ~worker:0 ~schedule:(item.prefix @ [ item.choice ])
+        { Executor.run = r; poisoned = false; replayed = true; wildcards = 0 }
     in
     (* Crash tolerance hinges on the coordinator's cut reaching disk while
        it is healthy: besides the every-N-replays policy, force a write
@@ -976,17 +863,13 @@ let explore ?(config = default_config) ?resume ?distribute
     match resume with
     | Some c -> c.Checkpoint.frontier
     | None -> (
-        match
-          run_one ~key:(Checkpoint.schedule_key []) ~schedule:[] ~worker:0
-            ~name:"self-run" ~count:true
-        with
-        | Counted entry ->
-            wildcards_analyzed := entry.Prefix_cache.wildcards;
-            first_makespan := entry.Prefix_cache.vtime;
-            (* The root carries an empty sleep set; pruning begins with the
-               sibling sets its children inherit. *)
-            expand_children ~worker:0 ~sleep:[] ~plan_decisions:[] entry
-        | Stopped | Interrupted | Gave_up -> [])
+        (* The root carries an empty sleep set; pruning begins with the
+           sibling sets its children inherit. *)
+        let res = run_item ~worker:0 ~name:"self-run" ~sleep:[] [] in
+        ingest ~worker:0 ~schedule:[] res;
+        match res.Executor.run.Wire.payload with
+        | Some p -> p.Wire.children
+        | None -> [])
   in
   frontier_fallback := initial_items;
   (* Expand-only items don't count against [max_runs] (their runs were
@@ -995,7 +878,7 @@ let explore ?(config = default_config) ?resume ?distribute
   let claim_budget items =
     if config.max_runs = max_int then max_int
     else
-      config.max_runs - !runs
+      config.max_runs - totals.runs
       + List.length
           (List.filter
              (fun it -> Hashtbl.mem resume_completed (Checkpoint.item_key it))
@@ -1003,7 +886,7 @@ let explore ?(config = default_config) ?resume ?distribute
   in
   let skip =
     initial_items = []
-    || !runs >= config.max_runs
+    || totals.runs >= config.max_runs
     || (config.stop_on_first_error && Atomic.get error_found)
     || Atomic.get interrupt_requested
   in
@@ -1067,21 +950,21 @@ let explore ?(config = default_config) ?resume ?distribute
   | _ -> ());
   {
     Report.np;
-    interleavings = !runs;
+    interleavings = totals.runs;
     findings = sorted_findings ();
-    wildcards_analyzed = !wildcards_analyzed;
-    first_run_makespan = !first_makespan;
-    total_virtual_time = !total_vtime;
-    monitor_alerts = !monitor_alerts;
-    bounded_epochs = !bounded;
-    runs_pruned = !runs_pruned;
+    wildcards_analyzed = totals.wildcards;
+    first_run_makespan = totals.first_makespan;
+    total_virtual_time = totals.total_vtime;
+    monitor_alerts = totals.alerts;
+    bounded_epochs = totals.bounded;
+    runs_pruned = totals.pruned;
     host_seconds = Unix.gettimeofday () -. started;
     jobs;
     workers;
-    runs_cancelled = !runs_cancelled;
-    runs_timed_out = !runs_timed_out;
-    runs_retried = !runs_retried;
-    runs_crashed = !runs_crashed;
+    runs_cancelled = totals.cancelled;
+    runs_timed_out = totals.timed_out;
+    runs_retried = totals.retried;
+    runs_crashed = totals.crashed;
     harness_failures = List.rev !harness_failures;
     interrupted;
     metrics =

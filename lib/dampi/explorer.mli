@@ -60,7 +60,7 @@ type config = {
       (** collect a span timeline ([explore] root, one [self-run]/[replay]
           span per execution) into {!Report.t}[.events] *)
   prune : bool;
-      (** sleep-set pruning: at every frontier expansion ({!Prune.expand})
+      (** sleep-set pruning: at every frontier expansion ({!Executor.run})
           a child whose completed epochs include a sleeping epoch — one
           whose alternatives a sibling subtree with a provably commuting
           ({!Prune.footprint_disjoint}) fork already covers — is not
@@ -155,9 +155,14 @@ val explore :
     jobs the frontier is served to a pool of domains (see {!Scheduler}),
     each executing complete guided replays.
 
+    Every item — the self run, a pool item, a remote worker's — is run and
+    expanded by {!Executor.run}, and its result is folded into one
+    {!Checkpoint.totals} record in one place, so counting means the same on
+    every backend.
+
     [distribute] replaces the in-process pool with a {!Coordinator} that
     leases the frontier to worker processes over sockets; the self run
-    still executes locally, counters and findings ingest from wire deltas,
+    still executes locally, counters and findings ingest from wire results,
     and — the paper's acceptance bar — an exhaustive distributed
     exploration produces a canonical report identical to [jobs = 1], across
     any sequence of worker loss, reconnection, and coordinator restart
@@ -178,8 +183,12 @@ val explore :
     [resume] restores a checkpointed cut instead of starting from the self
     run: counters and findings are seeded from the checkpoint, its frontier
     becomes the initial work queue, and frontier items already counted
-    before the cut re-run expand-only. A resumed exhaustive exploration
-    reaches the same canonical report as an uninterrupted one. *)
+    before the cut re-run expand-only. An expand-only item moves only the
+    host-side attempt counters (timeouts, retries, transient faults, and a
+    cancellation if poisoned) — its count, findings and suppressed children
+    are already in the checkpoint — on the pool and on a coordinator alike.
+    A resumed exhaustive exploration reaches the same canonical report as
+    an uninterrupted one. *)
 
 val verify :
   ?config:config ->

@@ -47,9 +47,9 @@ val expand :
   expansion
 (** The child frontier of a completed replay, given its epochs in
     completion order. [prune:false] reproduces the unpruned expansion
-    exactly (no suppression, empty child sleep sets), so every call site
-    shares one expansion function and cached or remote expansion is
-    bit-identical to local. *)
+    exactly (no suppression, empty child sleep sets). Its one caller is
+    {!Executor.run}, for replayed, cached and remote items alike, so cached
+    or remote expansion is bit-identical to local. *)
 
 (** A thread-safe set of schedule keys. The explorer does not use it (see
     {b No duplicates} above); it stays only because the benchmark's traced

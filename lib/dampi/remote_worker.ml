@@ -172,54 +172,6 @@ let heartbeat hb () =
   end;
   false
 
-let run_item ~(r : resolved) ~hb ~metrics (it : Checkpoint.item) : Wire.run_result
-    =
-  let decisions = it.Checkpoint.prefix @ [ it.Checkpoint.choice ] in
-  let key = Checkpoint.schedule_key decisions in
-  let plan = Decisions.of_decisions ~np:r.np decisions in
-  let timeouts = ref 0 in
-  let retries = ref 0 in
-  let transients = ref 0 in
-  let outcome =
-    Executor.run_attempts ~rb:r.rb ~runner:r.runner ~worker:0 ~metrics
-      ~need_poison:true ~external_poison:(heartbeat hb)
-      ~abort_retries:(fun () -> false)
-      ~wrap:(fun ~attempt:_ f -> f ())
-      ~on_event:(function
-        | Executor.Timed_out -> incr timeouts
-        | Executor.Retried -> incr retries
-        | Executor.Transient_fault -> incr transients
-        | Executor.Attempt_wall _ | Executor.Cancelled -> ())
-      ~key plan
-      ~fork_index:(List.length decisions - 1)
-  in
-  let payload =
-    match outcome with
-    | Executor.Completed record ->
-        (* The same artifact the in-process pool expands; the leased item's
-           sleep set travels with it, so suppression decisions match the
-           pool exactly. *)
-        let entry = Prefix_cache.entry_of_record record in
-        let exp =
-          Prune.expand ~prune:r.prune ~sleep:it.Checkpoint.sleep
-            ~plan_decisions:decisions entry.Prefix_cache.epochs
-        in
-        Some
-          {
-            Wire.vtime = entry.Prefix_cache.vtime;
-            bounded = Prefix_cache.bounded entry;
-            pruned = exp.Prune.suppressed;
-            errors = entry.Prefix_cache.errors;
-            children = exp.Prune.items;
-          }
-    | Executor.Gave_up | Executor.Poisoned ->
-        (* Poisoned is unreachable (the external poison always answers
-           false); treat it like an exhausted watchdog defensively. *)
-        None
-  in
-  { Wire.key; payload; timeouts = !timeouts; retries = !retries;
-    transients = !transients }
-
 let serve ?auth ?session ?telemetry:tele ~resolve fd =
   let sess = match session with Some s -> s | None -> make_session () in
   (* The worker's metric shard is process-local (registry of one shard);
@@ -360,7 +312,20 @@ let serve ?auth ?session ?telemetry:tele ~resolve fd =
                  with Sys_error _ | Unix.Unix_error _ -> ());
                 `Shutdown
             | Some rr ->
-                let runs = List.map (run_item ~r:rr ~hb ~metrics) items in
+                (* The pool's own item function, under the leased item's
+                   sleep set, so suppressions match the pool's. The poison
+                   only heartbeats, so no result comes back poisoned. *)
+                let runs =
+                  List.map
+                    (fun (it : Checkpoint.item) ->
+                      (Executor.run ~rb:rr.rb ~runner:rr.runner
+                         ~prune:rr.prune ~worker:0 ~metrics ~need_poison:true
+                         ~external_poison:(heartbeat hb)
+                         ~abort_retries:(fun () -> false)
+                         ~np:rr.np ~sleep:it.sleep (it.prefix @ [ it.choice ]))
+                        .Executor.run)
+                    items
+                in
                 (* Stash before sending: if the write dies part-way the
                    next session re-delivers the whole frame. Telemetry for
                    these replays ships first, so a drain right after the

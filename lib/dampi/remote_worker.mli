@@ -3,9 +3,9 @@
     Serves coordinator sessions: sends [hello], passes the optional HMAC
     challenge, receives the job description, resolves it into a runner
     (the CLI supplies the registry lookup; tests supply their own), then
-    loops executing leased fork items through the shared
-    {!Executor.run_attempts} watchdog/retry machinery and shipping result
-    deltas back. Heartbeats are emitted from inside long replays via the
+    loops running leased fork items through {!Executor.run} — the same
+    function the in-process pool calls — and shipping their wire results
+    back. Heartbeats are emitted from inside long replays via the
     poison hook, so a wedged-but-alive worker is distinguishable from a
     dead one.
 

@@ -12,6 +12,29 @@ module Coordinator = Dampi.Coordinator
 module Remote_worker = Dampi.Remote_worker
 module Wire = Dampi.Wire
 
+(* A workload where pruning actually fires.
+
+   Two wildcard receivers with disjoint sender pools: every epoch owned by
+   rank 0 has footprint within {0,2,3,4}, every epoch owned by rank 1
+   within {1,5,6,7}, so cross-side forks commute and sleep sets cut the
+   product space. (The stock patterns never prune: all their wildcard
+   epochs share an owner or a rank, which is exactly why this program is
+   here.) *)
+module Twin_servers (M : Mpi.Mpi_intf.MPI_CORE) = struct
+  let main () =
+    let world = M.comm_world in
+    match M.rank world with
+    | (0 | 1) as r ->
+        for _ = 1 to 3 do
+          let x, _ = M.recv ~src:M.any_source world in
+          if Mpi.Payload.to_int x < 0 then failwith "twin: negative payload"
+        done;
+        ignore r
+    | r -> M.send ~dest:(if r <= 4 then 0 else 1) world (Mpi.Payload.int r)
+end
+
+let twin_servers : Mpi.Mpi_intf.program = (module Twin_servers)
+
 (* A suite's workload: (name, np, state config, program builder). *)
 type case = string * int * State.config * (unit -> Mpi.Mpi_intf.program)
 
@@ -68,13 +91,13 @@ let setup_of ?(lease_size = 2) ?(rejoin_grace = 0.05) ?auth ~name ~np attach =
     auth;
   }
 
-(* Verify [build ()] under [config] against [workers] fresh socketpair
-   workers, then join them. *)
+(* Verify [build ()] under [config] (resuming [resume] when given) against
+   [workers] fresh socketpair workers, then join them. *)
 let verify_distributed ?(workers = 2) ?(config = Explorer.default_config)
-    ?auth ~resolve ~name ~np build =
+    ?resume ?auth ~resolve ~name ~np build =
   let ws = spawn_workers ?auth ~resolve workers in
   let setup = setup_of ?auth ~name ~np (Coordinator.Fds (List.map fst ws)) in
-  let r = Explorer.verify ~config ~distribute:setup ~np (build ()) in
+  let r = Explorer.verify ~config ?resume ~distribute:setup ~np (build ()) in
   List.iter (fun (_, d) -> Domain.join d) ws;
   r
 
@@ -84,9 +107,9 @@ let signatures (report : Report.t) =
     report.Report.findings
   |> List.sort_uniq compare
 
-(* A distributed report must equal the sequential one: counts, finding
-   signatures, and each finding's reproduction schedule and virtual
-   time. *)
+(* A distributed report must equal the sequential one: counts (pruned
+   runs included), finding signatures, and each finding's reproduction
+   schedule and virtual time. *)
 let check_same name (seq : Report.t) (dist : Report.t) =
   Alcotest.(check (list string))
     (name ^ ": no harness failures")
@@ -106,6 +129,9 @@ let check_same name (seq : Report.t) (dist : Report.t) =
   Alcotest.(check int)
     (name ^ ": same wildcards analyzed")
     seq.Report.wildcards_analyzed dist.Report.wildcards_analyzed;
+  Alcotest.(check int)
+    (name ^ ": same pruned-run count")
+    seq.Report.runs_pruned dist.Report.runs_pruned;
   let canonical (r : Report.t) =
     List.map
       (fun (f : Report.finding) ->

@@ -26,30 +26,6 @@ module Epoch = Dampi.Epoch
 module Prune = Dampi.Prune
 module Prefix_cache = Dampi.Prefix_cache
 module Checkpoint = Dampi.Checkpoint
-module Payload = Mpi.Payload
-
-(* ---- a workload where pruning actually fires ----
-
-   Two wildcard receivers with disjoint sender pools: every epoch owned by
-   rank 0 has footprint within {0,2,3,4}, every epoch owned by rank 1
-   within {1,5,6,7}, so cross-side forks commute and sleep sets cut the
-   product space. (The stock patterns never prune: all their wildcard
-   epochs share an owner or a rank, which is exactly why this program is
-   here.) *)
-module Twin_servers (M : Mpi.Mpi_intf.MPI_CORE) = struct
-  let main () =
-    let world = M.comm_world in
-    match M.rank world with
-    | (0 | 1) as r ->
-        for _ = 1 to 3 do
-          let x, _ = M.recv ~src:M.any_source world in
-          if Payload.to_int x < 0 then failwith "twin: negative payload"
-        done;
-        ignore r
-    | r -> M.send ~dest:(if r <= 4 then 0 else 1) world (Payload.int r)
-end
-
-let twin_servers : Mpi.Mpi_intf.program = (module Twin_servers)
 
 (* The registry: the usual suspects (where pruning must be a sound no-op)
    plus [twin] (where it must actually cut). *)
@@ -69,7 +45,7 @@ let registry : Dist_harness.case list =
             { Workloads.Matmult.default_params with n = 6; rows_per_task = 1 }
           () );
     ("adlb/k0", 6, k0, fun () -> Workloads.Adlb.program ());
-    ("twin", 8, default, fun () -> twin_servers);
+    ("twin", 8, default, fun () -> Dist_harness.twin_servers);
   ]
 
 (* ---- the configuration matrix ---- *)

@@ -65,10 +65,24 @@ let request connect line =
   end;
   ic
 
+(* A [Sys_error] message names its file ("PATH: reason"); drop that copy
+   when the caller's line names the path itself. *)
+let sys_reason path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix)
+      (String.length msg - String.length prefix)
+  else msg
+
+(* An unwritable output path is one line and exit 2, not an uncaught
+   exception; the report printed so far goes out first. *)
+let cannot_write path msg =
+  flush stdout;
+  fail "cannot write %s: %s" path (sys_reason path msg)
+
 let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  try Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  with Sys_error msg -> cannot_write path msg
 
 (* Decorative stderr writes (the --progress ticker, dampi top's redraw
    line). stderr may be a pipe whose consumer vanished mid-run; with
@@ -561,9 +575,11 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
   | None -> ());
   (match (dump_schedule, report.Report.findings) with
   | Some path, f :: _ ->
-      Dampi.Decisions.save
-        (Dampi.Decisions.of_decisions ~np:job.np f.Report.schedule)
-        path;
+      (try
+         Dampi.Decisions.save
+           (Dampi.Decisions.of_decisions ~np:job.np f.Report.schedule)
+           path
+       with Sys_error msg -> cannot_write path msg);
       Printf.printf "schedule of the first finding written to %s\n" path
   | Some path, [] -> Printf.printf "no findings; nothing written to %s\n" path
   | None, _ -> ());
@@ -1008,7 +1024,7 @@ let top_cmd =
 let replay_run workload np file trace_out metrics_out =
   let entry = find_workload workload in
   match Dampi.Decisions.load file with
-  | Error msg -> fail "cannot load %s: %s" file msg
+  | Error msg -> fail "cannot load %s: %s" file (sys_reason file msg)
   | Ok plan ->
     let np =
       match np with

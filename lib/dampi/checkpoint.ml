@@ -603,12 +603,6 @@ let atomic_write ?fault path text =
 let save ?fault t path = atomic_write ?fault path (to_string t)
 
 let load path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    text
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error msg -> Error msg

@@ -10,12 +10,10 @@
     exploration provably converges to the same canonical report as an
     uninterrupted run.
 
-    The format is versioned line-oriented text, written atomically (temp
-    file + rename in the same directory), and self-contained: it is the wire
-    format the distributed mode will ship between workers. *)
-
-val version : int
-(** Current format version; {!load} rejects any other with a clear error. *)
+    The format is versioned line-oriented text ({!load} rejects any other
+    version with a clear error), written atomically (temp file + rename in
+    the same directory), and self-contained: it is the wire format the
+    distributed mode will ship between workers. *)
 
 (** One pending guided run, mirroring the explorer's work item. *)
 type item = {
@@ -105,8 +103,6 @@ val decision_of_key : string -> Decisions.decision option
 
 val summary_to_key : Epoch.summary -> string
 (** One whitespace-free token per epoch summary (sleep-set element). *)
-
-val summary_of_key : string -> Epoch.summary option
 
 val sleep_key : Epoch.summary list -> string
 (** [;]-joined {!summary_to_key}s, ["-"] for the empty set. *)

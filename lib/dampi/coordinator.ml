@@ -94,11 +94,10 @@ type conn = {
   mutable alive : bool;
   mutable outq : (float * string) list;
       (* due-time × serialized frame, FIFO. Delays are head-of-line (a
-         TCP stream does not overtake itself); only an injected Hold_back
-         reorders. Empty except under chaos or a genuinely slow peer. *)
+         TCP stream does not overtake itself); only an injected reorder
+         (held in [net]) reorders. Empty except under chaos or a genuinely
+         slow peer. *)
   mutable outq_bytes : int;
-  mutable held : string option;  (* injected reorder: flushed behind the
-                                    next frame, or at the next loop tick *)
   mutable sever : bool;  (* injected truncation: cut the link once the
                             truncated prefix has been written *)
   mutable gap_ewma : float;
@@ -243,7 +242,6 @@ let add_conn t fd =
       alive = true;
       outq = [];
       outq_bytes = 0;
-      held = None;
       sever = false;
       gap_ewma = 0.0;
       hb_extended = false;
@@ -313,7 +311,7 @@ let raw_write t c data =
   if not sent then lose t c ~reason:"write failed"
 
 (* Write every due frame, oldest first. A delayed head holds back the rest:
-   only an injected Hold_back reorders, the queue itself models a slow pipe.
+   only an injected reorder reorders, the queue itself models a slow pipe.
    Once a truncated frame has drained, the injected sever cuts the link. *)
 let flush_outq t c now =
   let rec go () =
@@ -345,36 +343,15 @@ let send t c msg =
     (* No chaos on this connection: write straight through, as before. *)
     raw_write t c (Wire.to_worker_string msg)
   else begin
-    let data = Wire.to_worker_string msg in
     let now = Unix.gettimeofday () in
-    (match
-       Mpi.Fault.Net.on_frame c.net ~klass:(klass_of_to_worker msg)
-         ~size:(String.length data)
-     with
-    | Mpi.Fault.Net.Deliver { delay; copies } ->
-        enqueue c ~due:(now +. delay) data;
-        if copies > 1 then enqueue c ~due:(now +. delay) data;
-        (* An injected reorder resolves here: the held frame goes out
-           behind the one that overtook it. *)
-        (match c.held with
-        | Some h ->
-            c.held <- None;
-            enqueue c ~due:(now +. delay) h
-        | None -> ())
-    | Mpi.Fault.Net.Drop_frame -> ()
-    | Mpi.Fault.Net.Corrupt_frame ->
-        enqueue c ~due:now (Mpi.Fault.Net.corrupt_bytes data)
-    | Mpi.Fault.Net.Truncate_sever ->
-        enqueue c ~due:now (String.sub data 0 (Mpi.Fault.Net.truncate_len data));
-        c.sever <- true
-    | Mpi.Fault.Net.Hold_back -> (
-        match c.held with
-        | None -> c.held <- Some data
-        | Some h ->
-            (* Only one frame is ever held; a second hold flushes the
-               first in arrival order. *)
-            enqueue c ~due:now h;
-            c.held <- Some data));
+    let shaped =
+      Mpi.Fault.Net.shape c.net ~klass:(klass_of_to_worker msg)
+        (Wire.to_worker_string msg)
+    in
+    List.iter
+      (fun (delay, data) -> enqueue c ~due:(now +. delay) data)
+      shaped.writes;
+    if shaped.sever then c.sever <- true;
     flush_outq t c now
   end
 
@@ -382,11 +359,8 @@ let send t c msg =
    nothing overtook within the turn is released — reordering is bounded by
    the select timeout, never a stall. *)
 let pump_out t c now =
-  (match c.held with
-  | Some h when c.outq = [] ->
-      c.held <- None;
-      enqueue c ~due:now h
-  | _ -> ());
+  if c.outq = [] then
+    Option.iter (enqueue c ~due:now) (Mpi.Fault.Net.release c.net);
   if c.outq <> [] || c.sever then flush_outq t c now
 
 (* ---- leasing ---- *)
@@ -762,11 +736,7 @@ let close_all t =
       if c.alive then begin
         (* Drain anything the chaos queue still holds (held or delayed
            frames) so the farewell is not overtaken by stale traffic. *)
-        (match c.held with
-        | Some h ->
-            c.held <- None;
-            enqueue c ~due:0.0 h
-        | None -> ());
+        Option.iter (enqueue c ~due:0.0) (Mpi.Fault.Net.release c.net);
         if c.outq <> [] then flush_outq t c infinity;
         if c.alive then raw_write t c (Wire.to_worker_string farewell);
         c.alive <- false;
@@ -839,11 +809,7 @@ let drive t ~on_run ~should_stop ~tick =
         List.iter (fun c -> maybe_lease t c) live;
         (* Chaos-queue pump: due delayed frames drain, held (reordered)
            frames release, pending severs cut. A no-op without chaos. *)
-        List.iter
-          (fun c ->
-            if c.outq <> [] || c.held <> None || c.sever then
-              pump_out t c now)
-          (live_conns t);
+        List.iter (fun c -> pump_out t c now) (live_conns t);
         let lfd = Option.map Wire.listener_fd t.listener in
         let fds =
           Option.to_list lfd @ List.map (fun c -> c.fd) (live_conns t)

@@ -38,7 +38,6 @@ let of_decisions ~np decisions =
   { decisions; by_key; guided_epoch }
 
 let length plan = List.length plan.decisions
-let is_empty plan = plan.decisions = []
 
 (** [GetSrcFromEpoch] of Algorithm 1. The event kind must agree: a failed
     probe does not tick the clock, so a probe and a receive can share a
@@ -69,11 +68,6 @@ let commutes (a : decision) (b : decision) =
 (** The order-insensitive identity of a decision set: its sorted decision
     list. Two plans with equal normal forms force the same matches. *)
 let normal_form plan = List.sort_uniq compare_decision plan.decisions
-
-(** The observed match of a completed epoch, as a decision for a child
-    plan's prefix. *)
-let decision_of_epoch (e : Epoch.t) ~src =
-  { owner = e.Epoch.owner; epoch_id = e.Epoch.id; src; kind = e.Epoch.kind }
 
 (* ---- Schedule files ----
 
@@ -138,16 +132,12 @@ let of_string text =
       | _ -> Error "missing np header")
 
 let save plan path =
-  let oc = open_out path in
-  output_string oc (to_string plan);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string plan))
 
 let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  of_string text
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> of_string text
+  | exception Sys_error e -> Error e
 
 let pp_decision ppf d =
   Format.fprintf ppf "%a@%d.%d := %d" Epoch.pp_kind d.kind d.owner d.epoch_id

@@ -23,7 +23,6 @@ type plan = {
 val empty : np:int -> plan
 val of_decisions : np:int -> decision list -> plan
 val length : plan -> int
-val is_empty : plan -> bool
 
 val forced_src : plan -> owner:int -> epoch_id:int -> kind:Epoch.kind -> int option
 (** [GetSrcFromEpoch] of Algorithm 1. The event kind must agree: a failed
@@ -31,7 +30,6 @@ val forced_src : plan -> owner:int -> epoch_id:int -> kind:Epoch.kind -> int opt
     clock value. *)
 
 val in_guided_window : plan -> owner:int -> epoch_id:int -> bool
-val decision_of_epoch : Epoch.t -> src:int -> decision
 
 (** {1 Independence} *)
 
@@ -55,9 +53,12 @@ val kind_of_string : string -> Epoch.kind option
 val to_string : plan -> string
 val of_string : string -> (plan, string) result
 val save : plan -> string -> unit
+(** Raises [Sys_error] when the file cannot be written; the channel is
+    closed either way. *)
+
 val load : string -> (plan, string) result
+(** [Error] for an unreadable file as for a malformed one. *)
 
 (** {1 Printing} *)
 
-val pp_decision : Format.formatter -> decision -> unit
 val pp : Format.formatter -> plan -> unit

@@ -90,10 +90,3 @@ let summary_equal (a : summary) (b : summary) = a = b
 let pp_kind ppf = function
   | Wildcard_recv -> Format.pp_print_string ppf "recv(*)"
   | Wildcard_probe -> Format.pp_print_string ppf "probe(*)"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "epoch(owner=%d, id=%d, %a, ctx=%d, tag=%d, matched=%d, alts=[%s]%s)"
-    t.owner t.id pp_kind t.kind t.ctx t.tag t.matched_src
-    (String.concat ";" (List.map string_of_int (alternatives t)))
-    (if t.expandable then "" else ", bounded")

@@ -62,4 +62,3 @@ val summary_equal : summary -> summary -> bool
     unchanged". *)
 
 val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> t -> unit

@@ -689,8 +689,7 @@ let explore ?(config = default_config) ?resume ?distribute
   (* ---- the in-process backend: per-worker stealing deques ---- *)
   let pool_backend initial_items ~budget =
     let sched =
-      Scheduler.create ~order:Scheduler.Lifo ~jobs ~budget
-        ~metrics:(Obs.Metrics.shard registry jobs)
+      Scheduler.create ~jobs ~budget ~metrics:(Obs.Metrics.shard registry jobs)
         ~profile:config.profile ()
     in
     Scheduler.push_batch sched initial_items;

@@ -341,12 +341,6 @@ let load_into t text =
 let save ?fault t path = Checkpoint.atomic_write ?fault path (to_string t)
 
 let load t path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    text
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> load_into t text
   | exception Sys_error msg -> Error msg

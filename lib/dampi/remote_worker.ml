@@ -32,13 +32,9 @@ type session = {
   mutable conns : int;  (* serve invocations: the chaos salt stream *)
 }
 
-let make_session ?id () =
+let make_session () =
   let id =
-    match id with
-    | Some id -> id
-    | None ->
-        Printf.sprintf "w%d-%s" (Unix.getpid ())
-          (String.sub (Wire.gen_nonce ()) 0 8)
+    Printf.sprintf "w%d-%s" (Unix.getpid ()) (String.sub (Wire.gen_nonce ()) 0 8)
   in
   { id; epoch = 0; pending = None; conns = 0 }
 
@@ -68,10 +64,9 @@ type sender = {
   s_fd : Unix.file_descr;
   s_oc : out_channel;
   mutable s_net : Mpi.Fault.Net.t;
-  mutable s_held : string option;  (* injected reorder holdback *)
 }
 
-let make_sender fd oc = { s_fd = fd; s_oc = oc; s_net = Mpi.Fault.Net.none; s_held = None }
+let make_sender fd oc = { s_fd = fd; s_oc = oc; s_net = Mpi.Fault.Net.none }
 
 let klass_of_to_coord = function
   | Wire.Results _ -> Mpi.Fault.Net.Payload
@@ -84,50 +79,34 @@ let klass_of_to_coord = function
 let send_frame snd msg =
   if not (Mpi.Fault.Net.active snd.s_net) then Wire.write_to_coord snd.s_oc msg
   else begin
-    let data = Wire.to_coord_string msg in
-    let write s =
-      output_string snd.s_oc s;
-      flush snd.s_oc
+    let shaped =
+      Mpi.Fault.Net.shape snd.s_net ~klass:(klass_of_to_coord msg)
+        (Wire.to_coord_string msg)
     in
-    match
-      Mpi.Fault.Net.on_frame snd.s_net ~klass:(klass_of_to_coord msg)
-        ~size:(String.length data)
-    with
-    | Mpi.Fault.Net.Deliver { delay; copies } ->
-        if delay > 0.0 then Unix.sleepf delay;
-        write data;
-        if copies > 1 then write data;
-        (match snd.s_held with
-        | Some h ->
-            snd.s_held <- None;
-            write h
-        | None -> ())
-    | Mpi.Fault.Net.Drop_frame -> ()
-    | Mpi.Fault.Net.Corrupt_frame -> write (Mpi.Fault.Net.corrupt_bytes data)
-    | Mpi.Fault.Net.Truncate_sever ->
-        write (String.sub data 0 (Mpi.Fault.Net.truncate_len data));
-        (try Unix.shutdown snd.s_fd Unix.SHUTDOWN_ALL
-         with Unix.Unix_error _ -> ());
-        raise (Sys_error "injected: link severed after truncated frame")
-    | Mpi.Fault.Net.Hold_back -> (
-        match snd.s_held with
-        | None -> snd.s_held <- Some data
-        | Some h ->
-            (* One frame held at a time; a second hold releases the first
-               in arrival order. *)
-            write h;
-            snd.s_held <- Some data)
+    let slept = ref 0.0 in
+    List.iter
+      (fun (delay, data) ->
+        if delay > !slept then begin
+          Unix.sleepf (delay -. !slept);
+          slept := delay
+        end;
+        output_string snd.s_oc data;
+        flush snd.s_oc)
+      shaped.writes;
+    if shaped.sever then begin
+      (try Unix.shutdown snd.s_fd Unix.SHUTDOWN_ALL
+       with Unix.Unix_error _ -> ());
+      raise (Sys_error "injected: link severed after truncated frame")
+    end
   end
 
 (* A held frame that nothing overtook must not outlive the send burst:
    release it before blocking on the next read, so reordering is bounded
    and never a stall. *)
 let flush_held snd =
-  match snd.s_held with
+  match Mpi.Fault.Net.release snd.s_net with
   | None -> true
-  | Some h ->
-      snd.s_held <- None;
-      Wire.send snd.s_oc h
+  | Some h -> Wire.send snd.s_oc h
 
 (* Ship the metric delta since the last successful ship. Best-effort by
    design: a failed write leaves [t_prev] alone so the increments travel
@@ -172,8 +151,7 @@ let heartbeat hb () =
   end;
   false
 
-let serve ?auth ?session ?telemetry:tele ~resolve fd =
-  let sess = match session with Some s -> s | None -> make_session () in
+let serve_session ?auth ~sess ?telemetry:tele ~resolve fd =
   (* The worker's metric shard is process-local (registry of one shard);
      canonical counters travel in result deltas, while the registry's own
      series (runtime, executor) ship as advisory telemetry frames. *)
@@ -338,13 +316,16 @@ let serve ?auth ?session ?telemetry:tele ~resolve fd =
       in
       loop None
 
+let serve ?auth ?telemetry ~resolve fd =
+  serve_session ?auth ~sess:(make_session ()) ?telemetry ~resolve fd
+
 (* ---- standalone worker entry points ---- *)
 
 let sigterm_seen = Atomic.make false
 
-let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
-    ?stop ~resolve mode =
-  let sess = match session with Some s -> s | None -> make_session () in
+let serve_addr ?auth ?telemetry:tele ?(reconnect = default_reconnect) ?stop
+    ~resolve mode =
+  let sess = make_session () in
   (* One registry across every (re)connection of this worker, so the
      shipped deltas stay monotone over reconnects. *)
   let tele =
@@ -372,7 +353,7 @@ let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
         else
           match Wire.dial addr with
           | Ok fd -> (
-              match serve ?auth ~session:sess ~telemetry:tele ~resolve fd with
+              match serve_session ?auth ~sess ~telemetry:tele ~resolve fd with
               | `Shutdown -> Ok ()
               | `Rejected reason ->
                   Error ("rejected by coordinator: " ^ reason)
@@ -448,7 +429,7 @@ let serve_addr ?auth ?session ?telemetry:tele ?(reconnect = default_reconnect)
               | None -> accept_loop ()
               | Some afd -> (
                   match
-                    serve ?auth ~session:sess ~telemetry:tele ~resolve afd
+                    serve_session ?auth ~sess ~telemetry:tele ~resolve afd
                   with
                   | `Shutdown -> Ok ()
                   | `Rejected reason ->

@@ -9,16 +9,17 @@
     poison hook, so a wedged-but-alive worker is distinguishable from a
     dead one.
 
-    {b Crash tolerance.} A worker carries a {!session} across connection
-    losses: the stable session id, the last granted fencing epoch, and at
-    most one {e pending} results frame whose send was never known to
-    complete. On reconnect the worker re-hellos with all three; the
-    coordinator either resumes the outstanding lease (the pending frame
-    is then delivered and counted, exactly once) or fences the session
-    (the frame is delivered and discarded). [`Connect] workers redial a
-    lost coordinator with capped exponential backoff and deterministic
-    jitter; [`Listen] workers simply keep accepting, so a coordinator
-    restarted from a checkpoint finds them where it left them. *)
+    {b Crash tolerance.} A {!serve_addr} worker carries one session
+    across connection losses: the stable session id, the last granted
+    fencing epoch, and at most one {e pending} results frame whose send
+    was never known to complete. On reconnect the worker re-hellos with
+    all three; the coordinator either resumes the outstanding lease (the
+    pending frame is then delivered and counted, exactly once) or fences
+    the session (the frame is delivered and discarded). [`Connect]
+    workers redial a lost coordinator with capped exponential backoff and
+    deterministic jitter; [`Listen] workers simply keep accepting, so a
+    coordinator restarted from a checkpoint finds them where it left
+    them. *)
 
 (** What a resolved job gives the worker: how to run one replay. *)
 type resolved = {
@@ -33,14 +34,6 @@ type resolved = {
           coordinator's setting (shipped in the job params by the CLI) so
           both sides suppress identically *)
 }
-
-type session
-(** Worker identity surviving reconnects: session id, granted fencing
-    epoch, and the pending (unacknowledged) results frame, if any. *)
-
-val make_session : ?id:string -> unit -> session
-(** A fresh session (never admitted, nothing pending). [id] defaults to a
-    unique [w<pid>-<hex>] string. *)
 
 type telemetry
 (** The worker's local metric registry paired with its shipped-so-far
@@ -68,7 +61,6 @@ val default_reconnect : reconnect
 
 val serve :
   ?auth:string ->
-  ?session:session ->
   ?telemetry:telemetry ->
   resolve:(Wire.job -> (resolved, string) result) ->
   Unix.file_descr ->
@@ -77,15 +69,14 @@ val serve :
     raises on connection loss. [`Shutdown]: the coordinator declared the
     run complete (also returned after an unresolvable job — redialling
     cannot fix that). [`Disconnected]: the link died or the coordinator
-    detached; the run may still be live, and [session] (if supplied)
-    carries the lease/pending state a reconnect needs. [`Rejected]: the
+    detached; the run may still be live ({!serve_addr} reconnects with
+    its session's lease/pending state). [`Rejected]: the
     coordinator refused us (version or auth) — retrying is pointless.
     [auth] is the shared secret for the HMAC challenge; without one, a
     challenge is answered with the empty secret (and will be rejected). *)
 
 val serve_addr :
   ?auth:string ->
-  ?session:session ->
   ?telemetry:telemetry ->
   ?reconnect:reconnect ->
   ?stop:(unit -> bool) ->

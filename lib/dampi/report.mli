@@ -41,15 +41,6 @@ type finding = {
   schedule : Decisions.decision list;
 }
 
-val compare_schedule :
-  Decisions.decision list -> Decisions.decision list -> int
-(** Canonical total order on reproduction schedules: shallower forks first,
-    then lexicographic. Independent of execution order, so reports
-    canonicalize identically at any worker count. *)
-
-val compare_finding : finding -> finding -> int
-(** Orders by {!compare_schedule}, then by {!error_signature}. *)
-
 (** Order-independent findings accumulator shared by every merge path.
     Dedup is by the error's structural value bucketed under its signature —
     two different errors whose signatures collide are both kept (a
@@ -62,7 +53,9 @@ module Merge : sig
   val add : t -> finding -> unit
 
   val to_list : t -> finding list
-  (** Sorted by {!compare_finding}. *)
+  (** In canonical order: shallower reproduction schedules first, then
+      lexicographic, then by {!error_signature}. Independent of execution
+      order, so reports canonicalize identically at any worker count. *)
 end
 
 (** A failure of the exploration harness itself (a raising replay runner,
@@ -132,5 +125,4 @@ val has_errors : t -> bool
     divergences are advisories). *)
 
 val pp_finding : Format.formatter -> finding -> unit
-val pp_worker_stat : Format.formatter -> worker_stat -> unit
 val pp : Format.formatter -> t -> unit

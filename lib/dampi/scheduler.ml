@@ -2,13 +2,13 @@
    contract.
 
    Layout (Chase-Lev in shape, locks in mechanism): every worker owns one
-   deque. The owner pushes and pops at the *near* end (LIFO under {!Lifo},
-   giving depth-first locality: a replay's children run next on the same
-   worker); a thief steals from the *far* end (under {!Lifo} that is the
-   oldest — shallowest — item, whose subtree is the largest, so one steal
-   moves the most work). Each deque has its own small mutex, so the hot
-   path (owner push/pop) never touches shared state; only stealing,
-   snapshots, and the idle path cross deques.
+   deque. The owner pushes and pops at the *near* end (LIFO, giving
+   depth-first locality: a replay's children run next on the same worker);
+   a thief steals from the *far* end (the oldest — shallowest — item,
+   whose subtree is the largest, so one steal moves the most work). Each
+   deque has its own small mutex, so the hot path (owner push/pop) never
+   touches shared state; only stealing, snapshots, and the idle path cross
+   deques.
 
    Locking discipline:
    - A worker takes at most one deque lock at a time (its own, or one
@@ -25,7 +25,7 @@
    locks; OCaml's SC atomics make the sleep/wake handshake sound (see
    [idle_wait]). *)
 
-type order = Lifo | Fifo
+type order = Lifo
 
 type worker_stats = {
   worker_id : int;
@@ -64,7 +64,6 @@ type 'a deque = {
 }
 
 type 'a t = {
-  order : order;
   jobs : int;
   budget : int;
   deques : 'a deque array;
@@ -83,11 +82,10 @@ type 'a t = {
          on whichever worker publishes. *)
 }
 
-let create ?(order = Lifo) ~jobs ?(budget = max_int) ?metrics
+let create ?order:(_ = Lifo) ~jobs ?(budget = max_int) ?metrics
     ?(profile = false) ?(admit = fun _ -> true) () =
   let jobs = max 1 jobs in
   {
-    order;
     jobs;
     budget = max 0 budget;
     deques =
@@ -162,16 +160,13 @@ let notify t =
 
 (* ---- deque primitives (caller holds [d.lock]) ---- *)
 
-(* Insert a batch preserving the documented pop order: under {!Lifo} the
-   batch goes on top of the owner's stack in order (head pops first), under
-   {!Fifo} it is appended (the oldest item pops first). [live] is bumped
+(* Insert a batch preserving the documented pop order: the batch goes on
+   top of the owner's stack in order (head pops first). [live] is bumped
    *before* insertion so an idle scanner never observes items the counter
    has not admitted to exist. *)
 let insert_locked t d items n =
   Atomic.fetch_and_add t.live n |> ignore;
-  (match t.order with
-  | Lifo -> d.front <- items @ d.front
-  | Fifo -> d.back <- List.rev_append items d.back);
+  d.front <- items @ d.front;
   Atomic.fetch_and_add d.dsize n |> ignore
 
 let pop_near_locked d =
@@ -355,12 +350,9 @@ let next t (ws : worker_stats) =
       end
     else
       let v = (w + k) mod t.jobs in
-      (* Under {!Lifo} a thief takes the far (oldest, shallowest) end —
-         classic work stealing. Under {!Fifo} the contract is arrival
-         order for everyone, so a thief takes the same end the owner
-         would. *)
-      let near = match t.order with Lifo -> false | Fifo -> true in
-      match try_claim t t.deques.(v) ~worker:w ~near with
+      (* A thief takes the far (oldest, shallowest) end — classic work
+         stealing. *)
+      match try_claim t t.deques.(v) ~worker:w ~near:false with
       | Some _ as it ->
           ws.steals <- ws.steals + 1;
           (match t.metrics with

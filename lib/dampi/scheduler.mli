@@ -8,8 +8,8 @@
     of work items served to a pool of OCaml 5 [Domain]s, with a cooperative
     run budget and cooperative cancellation.
 
-    The queue is sharded: each worker owns a deque and pushes/pops at its
-    near end (LIFO under {!Lifo}, giving depth-first locality), while idle
+    The order is LIFO, the only one: each worker owns a deque and
+    pushes/pops at its near end, giving depth-first locality, while idle
     workers steal from the far end of a victim's deque — the shallowest
     item, whose subtree is the largest. The hot path therefore touches only
     the owner's lock; cross-worker traffic happens only on steals,
@@ -21,12 +21,16 @@
 
     With [jobs = 1] no domain is spawned and items execute inline on the
     calling domain, in exactly the order a recursive depth-first walk would
-    visit them (under {!Lifo}); the sequential explorer is literally the
-    parallel one with one worker. *)
+    visit them; the sequential explorer is literally the parallel one with
+    one worker.
+
+    {!create}'s [?order] (whose one value is {!Lifo}) and [?admit] are
+    passed by no caller in the verifier; they stay because the benchmark's
+    traced re-drive ([perfbench/bin/traced.ml]) passes both, and go with
+    the next change to the benchmark. *)
 
 type order =
   | Lifo  (** depth-first: the head of the last pushed batch pops first *)
-  | Fifo  (** breadth-first: batches pop in arrival order *)
 
 type worker_stats = {
   worker_id : int;
@@ -61,18 +65,14 @@ val create :
     [admit] filters every enqueue path ({!push}, {!push_batch},
     and children published by {!run}): an item it rejects is never
     inserted. It runs on whichever thread publishes, so it must be
-    thread-safe. The explorer passes none; it stays only because the
-    benchmark's traced re-drive ([perfbench/bin/traced.ml]) passes
-    {!Prune.Seen.admit}. *)
+    thread-safe. *)
 
 val push : 'a t -> 'a -> unit
-(** Add one item. Under {!Lifo} it becomes the next item to pop. *)
+(** Add one item. It becomes the next item to pop. *)
 
 val push_batch : 'a t -> 'a list -> unit
-(** Add a batch atomically, preserving the invariant that the {e first}
-    element of the batch is the first of the batch to pop (under {!Lifo} the
-    whole batch goes on top of the stack in order; under {!Fifo} it is
-    appended in order). *)
+(** Add a batch atomically, on top of the stack in order: the {e first}
+    element of the batch is the next item to pop. *)
 
 val cancel : 'a t -> unit
 (** Cooperative cancellation: no further items are claimed; queued work is

@@ -254,11 +254,7 @@ let report_path state_dir id = Filename.concat state_dir (Printf.sprintf "report
 let ckpt_path state_dir label =
   Filename.concat state_dir ("job-" ^ Digest.to_hex (Digest.string label) ^ ".ck")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ---- journal ---- *)
 

@@ -154,6 +154,5 @@ val in_abstracted_loop : t -> int -> bool
 (** {1 End-of-run summary} *)
 
 val completed_epochs : t -> Epoch.t list
-val all_epochs : t -> Epoch.t list
 val wildcard_events : t -> int
 val warnings : t -> monitor_warning list

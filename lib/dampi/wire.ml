@@ -195,13 +195,7 @@ let gen_nonce () =
     (Sim.Splitmix.next_int64 g)
 
 let load_token path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    text
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> (
       match String.trim text with
       | "" -> Error (Printf.sprintf "auth token file %s is empty" path)

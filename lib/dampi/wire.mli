@@ -137,9 +137,6 @@ val read_block :
     the response covers both the nonce and the claimed session id so a
     captured response cannot be replayed for another session. *)
 
-val hmac : secret:string -> string -> string
-(** [hmac ~secret msg] is the hex HMAC-MD5 of [msg] under [secret]. *)
-
 val auth_mac : secret:string -> nonce:string -> session:string -> string
 (** The response a worker sends to a [challenge]. *)
 
@@ -260,8 +257,6 @@ module Lines : sig
   val create : ?limit:int -> unit -> t
   (** [create ?limit ()] is a fresh splitter capping unterminated input
       at [limit] bytes (default {!default_max_line}, floor 1). *)
-
-  val limit : t -> int
 
   val feed : t -> bytes -> int -> string list * bool
   (** [feed t buf n] consumes [n] bytes and returns the lines they

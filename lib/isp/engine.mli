@@ -3,21 +3,17 @@
     identical to DAMPI's on these programs; only the per-run virtual cost
     differs — the comparison of the paper's Figs. 5 and 6.
 
-    ISP is a layer, not a runner of its own: {!runner} is
+    ISP is a layer, not a runner of its own: {!verify} runs
     {!Dampi.Explorer.dampi_runner} with {!layer} between the program and
-    the DAMPI interposition, so both engines share one replay path, one
-    configuration ({!Dampi.Explorer.config}) and one metrics flush. *)
+    the DAMPI interposition, layered as
+    [Program -> Isp.Interpose -> Dampi.Interpose -> Bind -> Runtime], so
+    both engines share one replay path, one configuration
+    ({!Dampi.Explorer.config}) and one metrics flush. *)
 
 val layer : Dampi.Explorer.layer
 (** ISP's scheduler interposition ({!Interpose.Wrap}) under {!Model.default},
     with a fresh per-run scheduler server sized for the runtime's rank
     count. *)
-
-val runner :
-  Dampi.Explorer.config -> np:int -> Mpi.Mpi_intf.program ->
-  Dampi.Explorer.runner
-(** One ISP-interposed execution per call (layered as
-    [Program -> Isp.Interpose -> Dampi.Interpose -> Bind -> Runtime]). *)
 
 val verify :
   ?config:Dampi.Explorer.config ->

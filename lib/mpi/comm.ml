@@ -61,7 +61,3 @@ let mark_freed t pid =
 let freed_by t pid =
   let r = lookup t pid in
   r < 0 || t.freed.(r)
-
-let pp ppf t =
-  Format.fprintf ppf "%s(ctx=%d, size=%d%s)" t.label t.ctx (size t)
-    (if t.internal then ", internal" else "")

@@ -26,4 +26,3 @@ val mark_freed : t -> int -> unit
 (** Raises {!Types.Mpi_error} on double free. *)
 
 val freed_by : t -> int -> bool
-val pp : Format.formatter -> t -> unit

@@ -270,28 +270,6 @@ module Net = struct
     && spec.corrupt = 0.0 && spec.truncate = 0.0 && spec.partition = 0.0
     && spec.bandwidth = 0
 
-  let is_inert spec = wire_inert spec && spec.write_fail = 0.0
-
-  let to_string spec =
-    let b = Buffer.create 64 in
-    Buffer.add_string b (Printf.sprintf "seed=%d" spec.seed);
-    let fld name v = if v > 0.0 then Buffer.add_string b (Printf.sprintf ",%s=%g" name v) in
-    fld "drop" spec.drop;
-    fld "delay" spec.delay;
-    if spec.delay > 0.0 then
-      Buffer.add_string b (Printf.sprintf ",max-delay=%g" spec.max_delay);
-    fld "dup" spec.dup;
-    fld "reorder" spec.reorder;
-    fld "corrupt" spec.corrupt;
-    fld "truncate" spec.truncate;
-    fld "partition" spec.partition;
-    if spec.partition > 0.0 then
-      Buffer.add_string b (Printf.sprintf ",partition-frames=%d" spec.partition_frames);
-    if spec.bandwidth > 0 then
-      Buffer.add_string b (Printf.sprintf ",bandwidth=%d" spec.bandwidth);
-    fld "write-fail" spec.write_fail;
-    Buffer.contents b
-
   let of_string ?seed text =
     let text = String.trim text in
     let base = match seed with Some s -> default_spec ~seed:s | None -> inert in
@@ -401,6 +379,7 @@ module Net = struct
     mutable payloads : int;
     mutable noncontrol : int;
     mutable frames : int;
+    mutable held : string option;  (* reorder: waits for the next frame *)
   }
 
   let none =
@@ -418,6 +397,7 @@ module Net = struct
       payloads = 0;
       noncontrol = 0;
       frames = 0;
+      held = None;
     }
 
   let make ?(on_inject = ignore) spec ~salt =
@@ -448,6 +428,7 @@ module Net = struct
         payloads = 0;
         noncontrol = 0;
         frames = 0;
+        held = None;
       }
     end
 
@@ -527,9 +508,41 @@ module Net = struct
       Bytes.to_string b
     end
 
-  let truncate_len frame =
+  let truncate frame =
     let n = String.length frame in
-    if n <= 1 then n else n / 2
+    if n <= 1 then frame else String.sub frame 0 (n / 2)
+
+  (* Writes only when something is held: [none] is shared by every clean
+     connection, so its (empty) slot is never written. *)
+  let release t =
+    match t.held with
+    | None -> None
+    | Some _ as h ->
+        t.held <- None;
+        h
+
+  type shaped = { writes : (float * string) list; sever : bool }
+
+  (* The one mapping from an injector decision to bytes, shared by the
+     coordinator (which queues each write at its due time) and the worker
+     (which sleeps, then writes). *)
+  let shape t ~klass frame =
+    let plain writes = { writes; sever = false } in
+    let at delay held = List.map (fun h -> (delay, h)) (Option.to_list held) in
+    match on_frame t ~klass ~size:(String.length frame) with
+    | Deliver { delay; copies } ->
+        (* An injected reorder resolves here: the held frame goes out
+           behind the one that overtook it. *)
+        plain (List.init copies (fun _ -> (delay, frame)) @ at delay (release t))
+    | Drop_frame -> plain []
+    | Corrupt_frame -> plain [ (0.0, corrupt_bytes frame) ]
+    | Truncate_sever -> { writes = [ (0.0, truncate frame) ]; sever = true }
+    | Hold_back ->
+        (* One frame held at a time; a second hold releases the first in
+           arrival order. *)
+        let released = at 0.0 (release t) in
+        t.held <- Some frame;
+        plain released
 
   let fs_fault spec ~salt =
     if spec.write_fail <= 0.0 then fun () -> false

@@ -131,12 +131,7 @@ module Net : sig
   }
 
   val inert : spec
-  val default_spec : seed:int -> spec
-  (** The stall-free default mix behind [--net-fault-seed] alone: delays,
-      duplicates and reorders, which the protocol absorbs inline without
-      waiting out heartbeat timeouts. *)
 
-  val is_inert : spec -> bool
   val wire_inert : spec -> bool
   (** No wire-level kind enabled ([write_fail] may still be set). *)
 
@@ -145,9 +140,9 @@ module Net : sig
       [seed|drop|delay|max-delay|dup|reorder|corrupt|truncate|partition|
        partition-frames|bandwidth|write-fail]. [?seed] (the CLI's
       [--net-fault-seed]) overrides [seed=] in the text; an empty string
-      with a seed yields {!default_spec}. *)
-
-  val to_string : spec -> string
+      with a seed yields the stall-free default mix: delays, duplicates and
+      reorders, which the protocol absorbs inline without waiting out
+      heartbeat timeouts. *)
 
   (** {1 Per-connection instances} *)
 
@@ -158,16 +153,6 @@ module Net : sig
       every kind. *)
   type klass = Control | Chatter | Payload
 
-  type action =
-    | Deliver of { delay : float; copies : int }
-        (** write [copies] times after [delay] seconds of pacing *)
-    | Drop_frame  (** swallow silently, pretend success *)
-    | Corrupt_frame  (** write {!corrupt_bytes} of the frame instead *)
-    | Truncate_sever
-        (** write only {!truncate_len} bytes, then sever the connection *)
-    | Hold_back
-        (** reorder: hold the frame, deliver it after the next one *)
-
   type t
 
   val none : t
@@ -177,14 +162,29 @@ module Net : sig
       name each time a fault actually fires (for metrics). *)
 
   val active : t -> bool
-  val on_frame : t -> klass:klass -> size:int -> action
-  (** Consulted once per outgoing frame, in send order. *)
 
-  val corrupt_bytes : string -> string
-  (** Detectably-corrupt copy: the leading verb byte becomes an unprintable
-      control character so the receiver's parser rejects the frame. *)
+  type shaped = {
+    writes : (float * string) list;
+        (** the bytes to put on the wire, in order, each with its delay in
+            seconds after the frame was sent (non-decreasing) *)
+    sever : bool;  (** cut the connection once [writes] are out *)
+  }
 
-  val truncate_len : string -> int
+  val shape : t -> klass:klass -> string -> shaped
+  (** The one place a frame is shaped: both ends of the wire pass every
+      outgoing frame through it, in send order, and it consults the
+      injector once per frame. An undisturbed frame is [[(0., frame)]]
+      (also the answer of an inactive [t]); with pacing or bandwidth
+      shaping it is delayed; a duplicate is written twice; a dropped frame
+      (or one inside a partition window) writes nothing. A corrupted frame
+      has its leading verb byte replaced by ['\x01'], so the receiver's
+      parser rejects it. A truncated frame writes its first half and sets
+      [sever]. A reordered frame is held in [t] and goes out right behind
+      the next delivered frame, or through {!release}. *)
+
+  val release : t -> string option
+  (** Take the held (reordered) frame, if any. A caller about to block or
+      close releases it, so reordering is bounded and never a stall. *)
 
   val fs_fault : spec -> salt:int -> unit -> bool
   (** Deterministic injected-ENOSPC coin stream for persistence writes,

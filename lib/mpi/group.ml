@@ -68,7 +68,3 @@ let diff a b =
   }
 
 let equal a b = a.members = b.members
-
-let pp ppf t =
-  Format.fprintf ppf "group[%s]"
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.members)))

@@ -7,7 +7,6 @@ type t
 
 val of_comm : Comm.t -> t
 val members : t -> int array
-val size : t -> int
 val rank_opt : t -> int -> int option
 val is_member : t -> int -> bool
 
@@ -22,4 +21,3 @@ val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

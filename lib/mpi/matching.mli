@@ -32,7 +32,6 @@ val candidates : mailbox -> src:int -> tag:int -> ctx:int -> Envelope.t list
 (** Earliest matching envelope per source, in arrival order — what a
     (wildcard) receive or probe with this spec could match right now. *)
 
-val remove_unexpected : mailbox -> Envelope.t -> unit
 val cancel_posted : mailbox -> Request.t -> unit
 val unexpected_count : mailbox -> int
 val posted_count : mailbox -> int

@@ -29,8 +29,6 @@ let int n = Int n
 let float f = Float f
 let str s = Str s
 let pair a b = Pair (a, b)
-let arr a = Arr a
-let ints a = Ints a
 
 let to_int = function
   | Int n -> n

@@ -25,8 +25,6 @@ val int : int -> t
 val float : float -> t
 val str : string -> t
 val pair : t -> t -> t
-val arr : t array -> t
-val ints : int array -> t
 
 (** {1 Destructors}
 

@@ -127,7 +127,6 @@ type t = {
   req_created : int array;
   req_released : int array;
   wildcard_recvs : int array;
-  mutable pcontrol_hook : (pid:int -> int -> unit) option;
   fault : Fault.t;
   mutable interrupt_hook : (unit -> unit) option;
   mutable spawned : bool;
@@ -202,7 +201,6 @@ let create ?(cost = default_cost) ?(oracle = default_oracle) ?(trace = false)
       req_created = Array.make np 0;
       req_released = Array.make np 0;
       wildcard_recvs = Array.make np 0;
-      pcontrol_hook = None;
       fault;
       interrupt_hook = None;
       spawned = false;
@@ -241,7 +239,6 @@ let current rt = Coroutine.current rt.sched
 let clock rt pid = Vtime.now rt.vt pid
 let advance_clock rt pid dt = Vtime.advance rt.vt pid dt
 let makespan rt = Vtime.makespan rt.vt
-let set_pcontrol_hook rt f = rt.pcontrol_hook <- Some f
 let set_interrupt_hook rt f = rt.interrupt_hook <- Some f
 
 (* An injected wedge: spin forever, cooperatively. Each turn polls the
@@ -1076,11 +1073,7 @@ let comm_free rt comm =
 
 (* ---- Misc ---- *)
 
-let pcontrol rt level =
-  let me = current rt in
-  match rt.pcontrol_hook with
-  | Some f -> f ~pid:me level
-  | None -> ()
+let pcontrol _rt _level = ()
 
 let wtime rt = Vtime.now rt.vt (current rt)
 
@@ -1139,4 +1132,3 @@ let leak_report rt =
   { comm_leaks; req_leaks; internal_ctxs }
 
 let wildcard_count rt = Array.fold_left ( + ) 0 rt.wildcard_recvs
-let unexpected_in_flight rt pid = Matching.unexpected_count rt.mailboxes.(pid)

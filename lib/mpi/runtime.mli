@@ -23,10 +23,8 @@ val default_cost : cost_model
 
 type oracle = Envelope.t list -> Envelope.t
 (** Match oracle: picks among the per-source candidate envelopes of a
-    wildcard receive or probe; consulted only with two or more candidates. *)
-
-val default_oracle : oracle
-(** Picks the earliest arrival — the "native MPI bias". *)
+    wildcard receive or probe; consulted only with two or more candidates.
+    The default picks the earliest arrival — the "native MPI bias". *)
 
 type t
 
@@ -61,15 +59,11 @@ val clock : t -> int -> float
 val advance_clock : t -> int -> float -> unit
 val makespan : t -> float
 
-val set_pcontrol_hook : t -> (pid:int -> int -> unit) -> unit
-
 val set_interrupt_hook : t -> (unit -> unit) -> unit
 (** Install a closure polled from inside injected wedge loops (and free to
     raise to break them). The verifier installs its poison check here, so a
     wedged replay is interruptible through the same path as [--stop-first]
     cancellation. Without a hook, a wedge degrades to {!Fault.Wedged}. *)
-
-val comm_of_ctx : t -> int -> Comm.t
 
 (** {1 Point-to-point} *)
 
@@ -142,6 +136,9 @@ val comm_free : t -> Comm.t -> unit
 (** {1 Misc} *)
 
 val pcontrol : t -> int -> unit
+(** [MPI_Pcontrol]: a no-op in the runtime. DAMPI's loop abstraction reads
+    the calls in its interposition layer. *)
+
 val wtime : t -> float
 
 (** {1 Driving a program} *)
@@ -168,9 +165,6 @@ val leak_report : t -> leak_report
 
 val wildcard_count : t -> int
 (** Total wildcard receives posted across all ranks. *)
-
-val unexpected_in_flight : t -> int -> int
-(** Messages queued at a rank's mailbox that no receive has claimed. *)
 
 (** {1 Execution trace} *)
 

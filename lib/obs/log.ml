@@ -1,7 +1,7 @@
-(* Leveled logger with a bounded ring and optional JSONL mirror. All
-   state sits behind one mutex: logging is off the replay hot path (the
-   distributed layer logs per-connection events, not per-message), so a
-   single lock is cheaper than getting lock-free publication right. *)
+(* Leveled logger writing to stderr. Logging is off the replay hot path
+   (the distributed layer logs per-connection events, not per-message), so
+   one lock around the write is enough to keep lines from different
+   domains whole. *)
 
 type level = Error | Warn | Info | Debug
 
@@ -28,74 +28,22 @@ let severity = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
 type src = { name : string }
 
 let src name = { name }
-let src_name s = s.name
-
-type record = { ts : float; r_level : level; r_src : string; r_msg : string }
-
-let ring_cap = 256
-
-type state = {
-  mutable lvl : level option;
-  mutable ring : record array; (* circular; [filled] valid entries *)
-  mutable next : int;
-  mutable filled : int;
-  mutable jsonl : out_channel option;
-  lock : Mutex.t;
-}
-
-let st =
-  {
-    lvl = Some Warn;
-    ring = [||];
-    next = 0;
-    filled = 0;
-    jsonl = None;
-    lock = Mutex.create ();
-  }
-
-let set_level l = st.lvl <- l
-let current_level () = st.lvl
-
-let set_jsonl oc =
-  Mutex.protect st.lock (fun () -> st.jsonl <- oc)
+let level = ref (Some Warn)
+let set_level l = level := l
 
 let enabled lvl =
-  match st.lvl with Some l -> severity lvl <= severity l | None -> false
+  match !level with
+  | Some l -> severity lvl <= severity l
+  | None -> false
 
-let record_jsonl b r =
-  Printf.bprintf b "{\"ts\":%s,\"level\":\"%s\",\"src\":\"%s\",\"msg\":\"%s\"}\n"
-    (Metrics.json_float r.ts)
-    (level_to_string r.r_level)
-    (Metrics.json_escape r.r_src)
-    (Metrics.json_escape r.r_msg)
-
-let to_jsonl records =
-  let b = Buffer.create 512 in
-  List.iter (record_jsonl b) records;
-  Buffer.contents b
+let lock = Mutex.create ()
 
 let emit s lvl text =
-  let r =
-    { ts = Unix.gettimeofday (); r_level = lvl; r_src = s.name; r_msg = text }
-  in
-  Mutex.protect st.lock (fun () ->
-      if Array.length st.ring = 0 then
-        st.ring <- Array.make ring_cap r
-      else st.ring.(st.next) <- r;
-      st.next <- (st.next + 1) mod ring_cap;
-      if st.filled < ring_cap then st.filled <- st.filled + 1;
-      (match st.jsonl with
-      | Some oc ->
-          (try
-             let b = Buffer.create 128 in
-             record_jsonl b r;
-             output_string oc (Buffer.contents b);
-             flush oc
-           with Sys_error _ -> ())
-      | None -> ());
+  Mutex.protect lock (fun () ->
       (* stderr may be a pipe whose reader vanished; losing a log line is
          fine, killing a long verify (or the serve daemon) is not. *)
-      try Printf.eprintf "dampi [%s] %s: %s\n%!" (level_to_string lvl) s.name text
+      try
+        Printf.eprintf "dampi [%s] %s: %s\n%!" (level_to_string lvl) s.name text
       with Sys_error _ -> ())
 
 let msg s lvl k =
@@ -118,9 +66,3 @@ let src_log s : (module LOG) =
     let info k = msg s Info k
     let debug k = msg s Debug k
   end)
-
-let recent () =
-  Mutex.protect st.lock (fun () ->
-      let n = st.filled in
-      let start = (st.next - n + ring_cap) mod ring_cap in
-      List.init n (fun i -> st.ring.((start + i) mod ring_cap)))

@@ -1,17 +1,12 @@
-(** Structured, leveled logging with a bounded in-memory ring and an
-    optional JSONL sink.
+(** Leveled logging to [stderr].
 
-    Replaces ad-hoc [Printf.eprintf] in the distributed layer. The default
-    reporter writes enabled records to [stderr] (level [Warn] and louder),
-    so operational warnings — fallback-local, lost workers, redial
-    notices at [warn] — stay visible without any setup, while [info] and
-    [debug] chatter needs an explicit [--log-level]. Every enabled record
-    is also kept in a fixed-size ring ({!recent}) and mirrored to the
-    JSONL sink when one is set. *)
+    Replaces ad-hoc [Printf.eprintf] in the distributed layer. Enabled
+    records are written to [stderr] as [dampi [LEVEL] SRC: MSG]; the
+    default level is [Warn], so operational warnings — fallback-local,
+    lost workers, redial notices — stay visible without any setup, while
+    [info] and [debug] chatter needs an explicit [--log-level]. *)
 
 type level = Error | Warn | Info | Debug
-
-val level_to_string : level -> string
 
 val level_of_string : string -> (level option, string) result
 (** Accepts ["quiet"]/["off"] ([Ok None]) and
@@ -19,27 +14,16 @@ val level_of_string : string -> (level option, string) result
     [Error msg]. *)
 
 val set_level : level option -> unit
-(** [None] silences everything (ring included). Default: [Some Warn]. *)
-
-val current_level : unit -> level option
+(** [None] silences everything. Default: [Some Warn]. *)
 
 type src
 (** A named log source, e.g. ["dampi.coordinator"]. *)
 
 val src : string -> src
-val src_name : src -> string
 
-type record = { ts : float; r_level : level; r_src : string; r_msg : string }
-
-val msg :
-  src ->
-  level ->
-  ((('a, Format.formatter, unit, unit) format4 -> 'a) -> unit) ->
-  unit
-(** [msg s lvl (fun m -> m "fmt" ...)] — the thunk is not run when [lvl]
-    is disabled, so disabled logging costs one branch. *)
-
-(** Per-source convenience module mirroring [Logs.src_log]. *)
+(** Per-source convenience module mirroring [Logs.src_log]. Each function
+    takes a thunk [fun m -> m "fmt" ...] that is not run when its level is
+    disabled, so disabled logging costs one branch. *)
 module type LOG = sig
   val err : ((('a, Format.formatter, unit, unit) format4 -> 'a) -> unit) -> unit
   val warn : ((('a, Format.formatter, unit, unit) format4 -> 'a) -> unit) -> unit
@@ -50,16 +34,3 @@ module type LOG = sig
 end
 
 val src_log : src -> (module LOG)
-
-(** {1 Ring and sinks} *)
-
-val recent : unit -> record list
-(** The most recent enabled records, oldest first (ring capacity 256). *)
-
-val set_jsonl : out_channel option -> unit
-(** Mirror every enabled record to this channel as one JSON object per
-    line (flushed per record). [None] detaches the sink. *)
-
-val to_jsonl : record list -> string
-(** Render records as JSONL (one [{"ts":..,"level":..,"src":..,"msg":..}]
-    per line). *)

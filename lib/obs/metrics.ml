@@ -18,7 +18,7 @@ type histogram = hist
 
 type value = V_counter of counter | V_gauge of gauge | V_hist of hist
 
-type shard = { sh_worker : int; table : (string, value) Hashtbl.t }
+type shard = { table : (string, value) Hashtbl.t }
 type t = { all : shard array }
 
 let seconds_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 |]
@@ -28,13 +28,10 @@ let create ~shards () =
   let shards = max 1 shards in
   {
     all =
-      Array.init shards (fun sh_worker ->
-          { sh_worker; table = Hashtbl.create 32 });
+      Array.init shards (fun _ -> { table = Hashtbl.create 32 });
   }
 
-let shards t = Array.length t.all
 let shard t i = t.all.(i)
-let worker sh = sh.sh_worker
 
 let mismatch name =
   invalid_arg (Printf.sprintf "Obs.Metrics: %S registered with another kind" name)

@@ -24,9 +24,7 @@ val create : shards:int -> unit -> t
 (** [create ~shards ()] builds a registry with [shards] independent write
     shards (at least 1). *)
 
-val shards : t -> int
 val shard : t -> int -> shard
-val worker : shard -> int
 
 (** {1 Recording} *)
 

@@ -74,19 +74,6 @@ let with_span sk ?parent ?args name f =
 
 let span_id sp = sp.sp_id
 
-let instant sk ?(parent = -1) ?(args = []) name =
-  sk.log <-
-    {
-      id = fresh_id sk;
-      parent;
-      name;
-      worker = sk.sk_worker;
-      t_us = now_us sk;
-      dur_us = -1.0;
-      args;
-    }
-    :: sk.log
-
 let events t =
   Array.to_list t.sinks
   |> List.concat_map (fun sk -> List.rev sk.log)
@@ -96,7 +83,7 @@ let events t =
 
 (* ---- Export ---- *)
 
-let buf_args b args extra =
+let buf_args b args =
   Buffer.add_char b '{';
   let emit i (k, v) =
     if i > 0 then Buffer.add_char b ',';
@@ -106,7 +93,7 @@ let buf_args b args extra =
     | Int n -> Printf.bprintf b "%d" n
     | Float f -> Buffer.add_string b (Metrics.json_float f)
   in
-  List.iteri emit (extra @ List.map (fun (k, v) -> (k, v)) args);
+  List.iteri emit args;
   Buffer.add_char b '}'
 
 let to_chrome evs =
@@ -116,38 +103,15 @@ let to_chrome evs =
     (fun i ev ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n  ";
-      let common () =
-        Printf.bprintf b
-          "\"name\":\"%s\",\"cat\":\"dampi\",\"pid\":0,\"tid\":%d,\"ts\":%s,"
-          (Metrics.json_escape ev.name) ev.worker
-          (Metrics.json_float ev.t_us)
-      in
-      Buffer.add_char b '{';
-      common ();
-      if ev.dur_us >= 0.0 then
-        Printf.bprintf b "\"ph\":\"X\",\"dur\":%s," (Metrics.json_float ev.dur_us)
-      else Buffer.add_string b "\"ph\":\"i\",\"s\":\"t\",";
-      Buffer.add_string b "\"args\":";
-      buf_args b ev.args [ ("id", Int ev.id); ("parent", Int ev.parent) ];
+      Printf.bprintf b
+        "{\"name\":\"%s\",\"cat\":\"dampi\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"ph\":\"X\",\"dur\":%s,\"args\":"
+        (Metrics.json_escape ev.name) ev.worker
+        (Metrics.json_float ev.t_us)
+        (Metrics.json_float ev.dur_us);
+      buf_args b (("id", Int ev.id) :: ("parent", Int ev.parent) :: ev.args);
       Buffer.add_char b '}')
     evs;
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
-
-let to_jsonl evs =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Printf.bprintf b
-        "{\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"worker\":%d,\"ts_us\":%s,\"dur_us\":%s,\"args\":"
-        ev.id ev.parent
-        (Metrics.json_escape ev.name)
-        ev.worker
-        (Metrics.json_float ev.t_us)
-        (Metrics.json_float ev.dur_us);
-      buf_args b ev.args [];
-      Buffer.add_string b "}\n")
-    evs;
   Buffer.contents b
 
 (* ---- Span trees ---- *)
@@ -177,16 +141,3 @@ let span_forest evs =
   evs
   |> List.filter (fun ev -> ev.parent < 0 || not (Hashtbl.mem ids ev.parent))
   |> List.map build
-
-let rec pp_tree ppf t =
-  Format.fprintf ppf "@[<v 2>%s" t.t_name;
-  List.iter
-    (fun (k, v) ->
-      Format.fprintf ppf " %s=%s" k
-        (match v with
-        | Str s -> s
-        | Int n -> string_of_int n
-        | Float f -> Printf.sprintf "%g" f))
-    t.t_args;
-  List.iter (fun c -> Format.fprintf ppf "@ %a" pp_tree c) t.t_children;
-  Format.fprintf ppf "@]"

@@ -1,15 +1,15 @@
-(** Structured span/event tracer with monotonic timestamps and explicit
-    parent ids.
+(** Span tracer with explicit parent ids.
 
     Like {!Metrics}, recording is sharded: each {!sink} is owned by one
-    writer (a worker domain), so appending an event is lock-free; the merged
-    event stream is read only after the writers have quiesced. Span and
-    event ids are globally unique and deterministic ([seq * shards +
+    writer (a worker domain), so closing a span is lock-free; the merged
+    event stream is read only after the writers have quiesced. Span ids
+    are globally unique and deterministic ([seq * shards +
     worker]), so two [jobs = 1] runs of the same deterministic workload
     produce identical span {e trees} — only the timestamps differ.
 
-    Exported as a JSONL event stream or as Chrome's [trace_event] JSON
-    (load the file in [about://tracing] / [ui.perfetto.dev]). *)
+    Exported as Chrome's [trace_event] JSON (load the file in
+    [about://tracing] / [ui.perfetto.dev]); {!span_forest} gives the
+    timestamp-free structure the determinism tests compare. *)
 
 type t
 type sink
@@ -22,7 +22,7 @@ type event = {
   name : string;
   worker : int;
   t_us : float;  (** start, microseconds since the collector's epoch *)
-  dur_us : float;  (** span duration; [< 0] marks an instant event *)
+  dur_us : float;  (** span duration *)
   args : (string * arg) list;
 }
 
@@ -50,20 +50,14 @@ val with_span :
 val span_id : span -> int
 (** For parenting children (possibly recorded on other sinks). *)
 
-val instant :
-  sink -> ?parent:int -> ?args:(string * arg) list -> string -> unit
-
 (** {1 Reading and export} *)
 
 val events : t -> event list
 (** All shards merged, sorted by start time then id. *)
 
 val to_chrome : event list -> string
-(** Chrome [trace_event] JSON: spans as ["ph": "X"] complete events (one
-    thread lane per worker), instants as ["ph": "i"]. *)
-
-val to_jsonl : event list -> string
-(** One JSON object per line, in stream order. *)
+(** Chrome [trace_event] JSON: spans as ["ph": "X"] complete events, one
+    thread lane per worker. *)
 
 (** {1 Span trees} *)
 
@@ -72,5 +66,3 @@ type tree = { t_name : string; t_args : (string * arg) list; t_children : tree l
 val span_forest : event list -> tree list
 (** Structure only — timestamps and ids dropped, children in id order. The
     determinism test's modulo-timestamps comparison object. *)
-
-val pp_tree : Format.formatter -> tree -> unit

@@ -71,13 +71,6 @@ let wake sched pid =
 
 let wake_all sched pids = List.iter (wake sched) pids
 
-let is_blocked sched pid =
-  match sched.procs.(pid).state with
-  | Blocked _ -> true
-  | Ready | Running | Finished | Crashed_st _ -> false
-
-let nprocs sched = Array.length sched.procs
-
 let blocked_processes sched =
   Array.to_list sched.procs
   |> List.filter_map (fun p ->

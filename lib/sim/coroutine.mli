@@ -15,7 +15,7 @@ type sched
 (** A scheduler instance owning a set of processes. *)
 
 type pid = int
-(** Process identifier, dense in [\[0, nprocs)]. *)
+(** Process identifier, dense from 0 in spawn order. *)
 
 type blocked_info = {
   pid : pid;
@@ -52,10 +52,9 @@ val yield : unit -> unit
 
 val block : (unit -> string) -> unit
 (** Park the calling process until someone calls {!wake} on it. The thunk
-    describes the blocked operation; it is called only by
-    {!blocked_processes}, i.e. when a deadlock verdict or an observer needs
-    the text, so it must render the same string at any point while the
-    process stays parked. *)
+    describes the blocked operation; it is called only when a {!Deadlock}
+    verdict needs the text, so it must render the same string at any point
+    while the process stays parked. *)
 
 val wake : sched -> pid -> unit
 (** Move a blocked process to the ready queue. Waking a process that is not
@@ -64,9 +63,3 @@ val wake : sched -> pid -> unit
 
 val wake_all : sched -> pid list -> unit
 (** Wake several processes, in list order. *)
-
-val is_blocked : sched -> pid -> bool
-val nprocs : sched -> int
-
-val blocked_processes : sched -> blocked_info list
-(** Processes currently parked, in pid order; renders each block reason. *)

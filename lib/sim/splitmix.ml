@@ -50,7 +50,6 @@ let float t bound =
   (* 53 significant bits, matching an IEEE double mantissa. *)
   r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Splitmix.pick: empty array";

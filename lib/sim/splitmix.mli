@@ -33,9 +33,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val pick : t -> 'a array -> 'a
 (** [pick t arr] draws a uniform element. [arr] must be non-empty. *)
 

@@ -4,7 +4,6 @@ let create n =
   if n <= 0 then invalid_arg "Vtime.create: need at least one process";
   { clocks = Array.make n 0.0 }
 
-let nprocs t = Array.length t.clocks
 let now t pid = t.clocks.(pid)
 
 let advance t pid dt =
@@ -20,7 +19,6 @@ let synchronize t pids cost =
   List.iter (fun pid -> t.clocks.(pid) <- finish) pids
 
 let makespan t = Array.fold_left Float.max 0.0 t.clocks
-let reset t = Array.fill t.clocks 0 (Array.length t.clocks) 0.0
 
 module Server = struct
   type server = {
@@ -38,7 +36,6 @@ module Server = struct
     srv.served <- srv.served + 1;
     finish
 
-  let utilization_window srv = srv.busy_until
   let served srv = srv.served
 
   let reset srv =

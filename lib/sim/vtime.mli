@@ -19,8 +19,6 @@ type t
 val create : int -> t
 (** [create n] gives [n] processes, all clocks at 0. *)
 
-val nprocs : t -> int
-
 val now : t -> int -> float
 (** [now t pid] reads process [pid]'s clock. *)
 
@@ -38,8 +36,6 @@ val synchronize : t -> int list -> float -> unit
 val makespan : t -> float
 (** Maximum clock over all processes. *)
 
-val reset : t -> unit
-
 (** FIFO queueing server for centralized resources. *)
 module Server : sig
   type server
@@ -52,10 +48,6 @@ module Server : sig
       returns its completion time: requests are served one at a time in
       arrival order, so completion is
       [max busy_until arrival + service]. *)
-
-  val utilization_window : server -> float
-  (** Time at which the server frees up — exposes queue pressure so engines
-      can report saturation. *)
 
   val served : server -> int
   (** Total requests served. *)

@@ -257,6 +257,86 @@ let test_checkpoint_still_works () =
     (counter_total r (fun n -> n = "checkpoint.write_failures") = 0);
   Sys.remove ck
 
+(* ---- Fault.Net.shape: the bytes each injection puts on the wire ----
+
+   Under a fixed seed and probability 1.0, feed payload frames through one
+   connection instance until the injection fires (every one-shot kind is
+   drawn within a bounded frame horizon), checking that the frames before
+   it go out untouched. Returns the instance, the frame the injection hit
+   and what [shape] made of it. *)
+let writes = Alcotest.(list (pair (float 0.0) string))
+
+let frame i = Printf.sprintf "results %d r%d\n" i i
+
+let until_fired spec kind =
+  let fired = ref false in
+  let t =
+    Net.make ~on_inject:(fun k -> if k = kind then fired := true) spec ~salt:1
+  in
+  let rec go i =
+    if i > 64 then Alcotest.failf "%s never fired" kind;
+    let f = frame i in
+    let shaped = Net.shape t ~klass:Net.Payload f in
+    if !fired then (t, i, shaped)
+    else begin
+      Alcotest.check writes "untouched before the injection" [ (0.0, f) ]
+        shaped.Net.writes;
+      go (i + 1)
+    end
+  in
+  go 0
+
+let test_shape_dup () =
+  let _, i, shaped = until_fired { Net.inert with seed = 41; dup = 1.0 } "dup" in
+  Alcotest.check writes "two copies" [ (0.0, frame i); (0.0, frame i) ]
+    shaped.Net.writes;
+  Alcotest.(check bool) "no sever" false shaped.Net.sever
+
+let test_shape_reorder () =
+  let spec = { Net.inert with seed = 42; reorder = 1.0 } in
+  let t, i, shaped = until_fired spec "reorder" in
+  Alcotest.check writes "held frame writes nothing" [] shaped.Net.writes;
+  let next = Net.shape t ~klass:Net.Payload (frame (i + 1)) in
+  Alcotest.check writes "held frame goes out right after the next one"
+    [ (0.0, frame (i + 1)); (0.0, frame i) ]
+    next.Net.writes;
+  Alcotest.(check (option string)) "nothing left to release" None
+    (Net.release t);
+  (* The same schedule again, with nothing overtaking the held frame. *)
+  let t, i, _ = until_fired spec "reorder" in
+  Alcotest.(check (option string)) "release returns it" (Some (frame i))
+    (Net.release t);
+  Alcotest.(check (option string)) "once" None (Net.release t)
+
+let test_shape_corrupt () =
+  let _, i, shaped =
+    until_fired { Net.inert with seed = 43; corrupt = 1.0 } "corrupt"
+  in
+  let f = frame i in
+  Alcotest.check writes "one frame, verb byte replaced"
+    [ (0.0, "\x01" ^ String.sub f 1 (String.length f - 1)) ]
+    shaped.Net.writes;
+  Alcotest.(check bool) "no sever" false shaped.Net.sever
+
+let test_shape_truncate () =
+  let _, i, shaped =
+    until_fired { Net.inert with seed = 44; truncate = 1.0 } "truncate"
+  in
+  let f = frame i in
+  Alcotest.check writes "first half"
+    [ (0.0, String.sub f 0 (String.length f / 2)) ]
+    shaped.Net.writes;
+  Alcotest.(check bool) "sever" true shaped.Net.sever
+
+let test_shape_inert () =
+  List.iter
+    (fun (name, t) ->
+      let shaped = Net.shape t ~klass:Net.Payload (frame 0) in
+      Alcotest.check writes name [ (0.0, frame 0) ] shaped.Net.writes;
+      Alcotest.(check bool) name false shaped.Net.sever;
+      Alcotest.(check (option string)) name None (Net.release t))
+    [ ("none", Net.none); ("inert spec", Net.make Net.inert ~salt:1) ]
+
 let () =
   Alcotest.run "chaos"
     [
@@ -272,6 +352,18 @@ let () =
         [
           Alcotest.test_case "duplicated results counted once" `Slow
             test_duplicate_counted_once;
+        ] );
+      ( "shape",
+        [
+          Alcotest.test_case "dup writes two copies" `Quick test_shape_dup;
+          Alcotest.test_case "reorder holds until the next frame" `Quick
+            test_shape_reorder;
+          Alcotest.test_case "corrupt replaces the verb byte" `Quick
+            test_shape_corrupt;
+          Alcotest.test_case "truncate writes half and severs" `Quick
+            test_shape_truncate;
+          Alcotest.test_case "inert writes the frame as is" `Quick
+            test_shape_inert;
         ] );
       ( "persistence",
         [

@@ -24,14 +24,6 @@ let test_lifo_batch_order () =
     [ 1; 10; 100; 11; 2; 3 ]
     (trace_order ~order:Scheduler.Lifo [ 1; 2; 3 ] children)
 
-let test_fifo_batch_order () =
-  (* Under FIFO, children queue behind the remaining seed — breadth-first. *)
-  let children = function 1 -> [ 10; 11 ] | 10 -> [ 100 ] | _ -> [] in
-  Alcotest.(check (list int))
-    "breadth-first"
-    [ 1; 2; 3; 10; 11; 100 ]
-    (trace_order ~order:Scheduler.Fifo [ 1; 2; 3 ] children)
-
 let test_lifo_push_is_a_stack () =
   let sched = Scheduler.create ~order:Scheduler.Lifo ~jobs:1 () in
   Scheduler.push sched 1;
@@ -89,13 +81,13 @@ let test_cancel_drops_queued_work () =
 let test_cancel_under_contention () =
   (* Cooperative cancellation with racing workers: whatever was in flight
      finishes, nothing is claimed afterwards, and the queue keeps the
-     abandoned work. *)
-  let sched = Scheduler.create ~order:Scheduler.Fifo ~jobs:4 () in
+     abandoned work. The first item to run cancels: which item that is
+     depends on who wins the race, since thieves take the far end. *)
+  let sched = Scheduler.create ~order:Scheduler.Lifo ~jobs:4 () in
   Scheduler.push_batch sched (List.init 64 Fun.id);
   let ran = Atomic.make 0 in
-  Scheduler.run sched (fun ~worker:_ x ->
-      Atomic.incr ran;
-      if x = 0 then Scheduler.cancel sched;
+  Scheduler.run sched (fun ~worker:_ _ ->
+      if Atomic.fetch_and_add ran 1 = 0 then Scheduler.cancel sched;
       []);
   Alcotest.(check bool) "cancelled" true (Scheduler.cancelled sched);
   Alcotest.(check bool)
@@ -142,17 +134,13 @@ let test_parallel_drains_everything () =
 
    The stealing-deque machinery (per-worker deques, near/far ends, the
    in-flight slot) must be observationally identical, at jobs=1, to the
-   trivial model: a single list where [push_batch] prepends (Lifo) or
-   appends (Fifo) and execution pops the head. Random seed batches and a
+   trivial model: a single list where [push_batch] prepends and execution
+   pops the head. Random seed batches and a
    random branching table exercise the front/back refill paths that the
    hand-written cases above miss. *)
 
-let reference ~order ~budget seeds children =
-  let enqueue queue batch =
-    match order with
-    | Scheduler.Lifo -> batch @ queue
-    | Scheduler.Fifo -> queue @ batch
-  in
+let reference ~budget seeds children =
+  let enqueue queue batch = batch @ queue in
   let rec go queue left acc =
     if left = 0 then List.rev acc
     else
@@ -204,7 +192,7 @@ let prop_matches_reference order name =
   QCheck.Test.make ~name ~count:500 gen_case (fun (seeds, table, budget) ->
       let children = children_of_table table in
       scheduler_trace ~order ~jobs:1 ~budget seeds children
-      = reference ~order ~budget seeds children)
+      = reference ~budget seeds children)
 
 (* With several workers the order is scheduling-dependent — and under a
    budget so is the admitted subset — but unbudgeted, the multiset of
@@ -218,7 +206,7 @@ let prop_parallel_same_multiset =
         (scheduler_trace ~order:Scheduler.Lifo ~jobs:3 ~budget:max_int seeds
            children)
       = List.sort compare
-          (reference ~order:Scheduler.Lifo ~budget:max_int seeds children))
+          (reference ~budget:max_int seeds children))
 
 (* ---- snapshot is a consistent cut, taken mid-steal ----
 
@@ -285,8 +273,6 @@ let () =
         [
           Alcotest.test_case "lifo batch is depth-first" `Quick
             test_lifo_batch_order;
-          Alcotest.test_case "fifo batch is breadth-first" `Quick
-            test_fifo_batch_order;
           Alcotest.test_case "lifo push is a stack" `Quick
             test_lifo_push_is_a_stack;
         ] );
@@ -316,9 +302,6 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_matches_reference Scheduler.Lifo
                "jobs=1 Lifo = pure-list reference");
-          QCheck_alcotest.to_alcotest
-            (prop_matches_reference Scheduler.Fifo
-               "jobs=1 Fifo = pure-list reference");
           QCheck_alcotest.to_alcotest prop_parallel_same_multiset;
         ] );
       ( "snapshot",

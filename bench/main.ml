@@ -537,7 +537,6 @@ let distributed_explore () =
     [
       ("leases", "coordinator.leases");
       ("releases", "coordinator.releases");
-      ("steals", "sched.steals");
       ("reconnects", "coordinator.reconnects");
       ("fallbacks", "coordinator.fallbacks");
     ]
@@ -546,9 +545,9 @@ let distributed_explore () =
     List.map
       (fun sc ->
         scenario_heading sc;
-        pf "%-10s %14s %10s %12s %9s %8s %10s %8s %10s %9s\n" "mode"
+        pf "%-10s %14s %10s %12s %9s %8s %10s %10s %9s\n" "mode"
           "interleavings" "findings" "wall-s" "speedup" "leases" "re-leases"
-          "steals" "reconnects" "fallbacks";
+          "reconnects" "fallbacks";
         let config = scenario_config sc in
         let rows =
           List.map
@@ -599,7 +598,7 @@ let distributed_explore () =
               (speedup base_wall r.Report.host_seconds);
             List.iter2
               (fun w c -> pf " %*d" w c)
-              [ 8; 10; 8; 10; 9 ] (counts r);
+              [ 8; 10; 10; 9 ] (counts r);
             pf "\n%!")
           rows;
         scenario_json sc

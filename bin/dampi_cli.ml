@@ -157,16 +157,23 @@ module Cli_log = (val Obs.Log.src_log cli_src : Obs.Log.LOG)
 
 (* Re-exec this verify without --coordinator-respawn, restarting it from
    its checkpoint each time it dies to a signal (up to [budget] times). A
-   SIGKILLed coordinator thus costs the run one resume, not the run. *)
+   SIGKILLed coordinator thus costs the run one resume, not the run. The
+   child must never supervise in turn, so every spelling cmdliner resolves
+   to the flag goes: any prefix from [--co] on (shorter ones are ambiguous
+   with [--checkpoint]), joined to its value by [=] or followed by it. *)
 let supervise_respawns ~budget =
+  let respawn_flag a =
+    let name =
+      match String.index_opt a '=' with Some i -> String.sub a 0 i | None -> a
+    in
+    String.length name >= 4
+    && String.starts_with ~prefix:name "--coordinator-respawn"
+  in
   let rec strip = function
     | [] -> []
-    | "--coordinator-respawn" :: rest -> (
-        match rest with _ :: tl -> strip tl | [] -> [])
-    | a :: rest
-      when String.length a >= 22
-           && String.sub a 0 22 = "--coordinator-respawn=" ->
-        strip rest
+    | a :: rest when respawn_flag a ->
+        if String.contains a '=' then strip rest
+        else (match rest with _ :: tl -> strip tl | [] -> [])
     | a :: rest -> a :: strip rest
   in
   let argv = Array.of_list (strip (Array.to_list Sys.argv)) in
@@ -1021,16 +1028,13 @@ let top_cmd =
 
 (* ---- replay command ---- *)
 
-let replay_run workload np file trace_out metrics_out =
+let replay_run workload file trace_out metrics_out =
   let entry = find_workload workload in
   match Dampi.Decisions.load file with
   | Error msg -> fail "cannot load %s: %s" file (sys_reason file msg)
   | Ok plan ->
-    let np =
-      match np with
-      | Some np -> np
-      | None -> Array.length plan.Dampi.Decisions.guided_epoch
-    in
+    (* The schedule file fixes the rank count. *)
+    let np = Array.length plan.Dampi.Decisions.guided_epoch in
     Format.printf "replaying %d forced decision(s):@.%a@.@."
       (Dampi.Decisions.length plan)
       Dampi.Decisions.pp plan;
@@ -1080,13 +1084,6 @@ let replay_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"FILE" ~doc:"Epoch-Decisions file (from --dump-schedule).")
   in
-  let np =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "np"; "n" ] ~docv:"N"
-          ~doc:"Rank count (default: taken from the schedule file).")
-  in
   let trace_out =
     Arg.(
       value
@@ -1106,7 +1103,7 @@ let replay_cmd =
        ~doc:
          "Deterministically re-execute one interleaving from an \
           Epoch-Decisions schedule file.")
-    Term.(const replay_run $ workload $ np $ file $ trace_out $ metrics_out)
+    Term.(const replay_run $ workload $ file $ trace_out $ metrics_out)
 
 (* ---- trace command ---- *)
 

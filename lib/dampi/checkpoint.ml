@@ -271,6 +271,39 @@ let sleep_of_key = function
       if List.exists Option.is_none parts then None
       else Some (List.filter_map Fun.id parts)
 
+(* ---- frontier items ----
+   "item PREFIX CHOICE [SLEEP]": one line per pending item, shared by the
+   checkpoint's frontier and the wire's lease and result frames. *)
+
+let add_item_line b it =
+  Buffer.add_string b "item ";
+  add_schedule_key b it.prefix;
+  Buffer.add_char b ' ';
+  add_decision b it.choice;
+  if it.sleep <> [] then begin
+    Buffer.add_char b ' ';
+    add_sleep_key b it.sleep
+  end;
+  Buffer.add_char b '\n'
+
+let item_of_line line =
+  (* 2-field items (no sleep set) predate pruning and still parse: sleep
+     defaults to empty. *)
+  let fields =
+    match String.split_on_char ' ' line with
+    | [ "item"; prefix; choice ] -> Some (prefix, choice, "-")
+    | [ "item"; prefix; choice; sleep ] -> Some (prefix, choice, sleep)
+    | _ -> None
+  in
+  match fields with
+  | None -> Error (Printf.sprintf "malformed item line %S" line)
+  | Some (prefix, choice, sleep) -> (
+      match
+        (schedule_of_key prefix, decision_of_key choice, sleep_of_key sleep)
+      with
+      | Some prefix, Some choice, Some sleep -> Ok { prefix; choice; sleep }
+      | _ -> Error (Printf.sprintf "malformed item line %S" line))
+
 (* ---- error serialization ---- *)
 
 let error_to_line = function
@@ -445,18 +478,7 @@ let to_string t =
       Buffer.add_string b k;
       Buffer.add_char b '\n')
     t.completed;
-  List.iter
-    (fun it ->
-      Buffer.add_string b "item ";
-      add_schedule_key b it.prefix;
-      Buffer.add_char b ' ';
-      add_decision b it.choice;
-      if it.sleep <> [] then begin
-        Buffer.add_char b ' ';
-        add_sleep_key b it.sleep
-      end;
-      Buffer.add_char b '\n')
-    t.frontier;
+  List.iter (add_item_line b) t.frontier;
   Buffer.contents b
 
 let of_string text =
@@ -516,26 +538,9 @@ let of_string text =
                     | _ -> fail "malformed finding line %S" l)
                 | "done" -> completed := rest :: !completed
                 | "item" -> (
-                    (* 2-field items (no sleep set) predate pruning and
-                       still parse: sleep defaults to empty. *)
-                    let fields =
-                      match String.split_on_char ' ' rest with
-                      | [ prefix; choice ] -> Some (prefix, choice, "-")
-                      | [ prefix; choice; sleep ] ->
-                          Some (prefix, choice, sleep)
-                      | _ -> None
-                    in
-                    match fields with
-                    | None -> fail "malformed item line %S" l
-                    | Some (prefix, choice, sleep) -> (
-                        match
-                          ( schedule_of_key prefix,
-                            decision_of_key choice,
-                            sleep_of_key sleep )
-                        with
-                        | Some prefix, Some choice, Some sleep ->
-                            frontier := { prefix; choice; sleep } :: !frontier
-                        | _ -> fail "malformed item line %S" l))
+                    match item_of_line l with
+                    | Ok it -> frontier := it :: !frontier
+                    | Error e -> fail "%s" e)
                 | _ -> (
                     match List.find_opt (fun r -> r.key = key) rows with
                     | None -> fail "unknown checkpoint field %S" key

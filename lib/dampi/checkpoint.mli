@@ -99,7 +99,6 @@ val add_hex_float : Buffer.t -> float -> unit
     [float_of_string]). *)
 
 val decision_to_key : Decisions.decision -> string
-val decision_of_key : string -> Decisions.decision option
 
 val summary_to_key : Epoch.summary -> string
 (** One whitespace-free token per epoch summary (sleep-set element). *)
@@ -112,6 +111,15 @@ val add_sleep_key : Buffer.t -> Epoch.summary list -> unit
     Printf: keys are built per frontier item and per cache entry. *)
 
 val sleep_of_key : string -> Epoch.summary list option
+
+val add_item_line : Buffer.t -> item -> unit
+(** Append [item PREFIX CHOICE [SLEEP]] and a newline: the line that
+    carries one pending item in a checkpoint's frontier and in the wire's
+    lease and result frames. [SLEEP] is omitted when the set is empty. *)
+
+val item_of_line : string -> (item, string) result
+(** Inverse of {!add_item_line} (one line, no newline). A line without the
+    sleep field parses with an empty sleep set. *)
 
 val error_to_line : Report.error -> string
 (** [tag payload] form, whitespace-safe; parsed back by {!error_of_line}. *)

@@ -110,6 +110,8 @@ let of_string text =
       | [ "np"; n ] -> (
           match int_of_string_opt n with
           | None -> Error "malformed np header"
+          | Some np when np < 1 ->
+              Error (Printf.sprintf "np %d is not positive" np)
           | Some np -> (
               let parse line =
                 match String.split_on_char ' ' line with
@@ -121,14 +123,23 @@ let of_string text =
                         int_of_string_opt src )
                     with
                     | Some kind, Some owner, Some epoch_id, Some src ->
-                        Some { owner; epoch_id; src; kind }
-                    | _ -> None)
-                | _ -> None
+                        if owner < 0 || owner >= np then
+                          Error
+                            (Printf.sprintf "decision owner %d outside [0, %d)"
+                               owner np)
+                        else Ok { owner; epoch_id; src; kind }
+                    | _ -> Error "malformed decision line")
+                | _ -> Error "malformed decision line"
               in
               let decisions = List.map parse rest in
-              if List.exists Option.is_none decisions then
-                Error "malformed decision line"
-              else Ok (of_decisions ~np (List.filter_map Fun.id decisions))))
+              match
+                List.find_map
+                  (function Error e -> Some e | Ok _ -> None)
+                  decisions
+              with
+              | Some e -> Error e
+              | None ->
+                  Ok (of_decisions ~np (List.map Result.get_ok decisions))))
       | _ -> Error "missing np header")
 
 let save plan path =

@@ -52,6 +52,9 @@ val kind_of_string : string -> Epoch.kind option
 
 val to_string : plan -> string
 val of_string : string -> (plan, string) result
+(** [Error] for a malformed file, an [np] below 1, or a decision whose
+    owner lies outside [[0, np)]. *)
+
 val save : plan -> string -> unit
 (** Raises [Sys_error] when the file cannot be written; the channel is
     closed either way. *)

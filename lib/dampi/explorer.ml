@@ -686,7 +686,7 @@ let explore ?(config = default_config) ?resume ?distribute
       ~abort_retries:(fun () -> Atomic.get interrupt_requested)
       ~wrap ~np ~sleep schedule
   in
-  (* ---- the in-process backend: per-worker stealing deques ---- *)
+  (* ---- the in-process backend: one locked LIFO stack ---- *)
   let pool_backend initial_items ~budget =
     let sched =
       Scheduler.create ~jobs ~budget ~metrics:(Obs.Metrics.shard registry jobs)

@@ -4,16 +4,15 @@
     has produced the frontier: every guided interleaving is an independent
     re-execution from [MPI_Init], so the only shared state a worker needs is
     the queue of pending fork decisions and the (externally owned) findings
-    table. This module provides exactly that queue: a mutex-protected deque
-    of work items served to a pool of OCaml 5 [Domain]s, with a cooperative
+    table. This module provides exactly that queue: one LIFO stack guarded
+    by one mutex, served to a pool of OCaml 5 [Domain]s, with a cooperative
     run budget and cooperative cancellation.
 
-    The order is LIFO, the only one: each worker owns a deque and
-    pushes/pops at its near end, giving depth-first locality, while idle
-    workers steal from the far end of a victim's deque — the shallowest
-    item, whose subtree is the largest. The hot path therefore touches only
-    the owner's lock; cross-worker traffic happens only on steals,
-    snapshots, and the idle path.
+    The order is LIFO, the only one: a finished item's children go on top
+    of the stack, so the next claim takes the deepest pending item —
+    depth-first order. Claiming an item and publishing its children each
+    take the lock once; the explorer already serializes every item through
+    its own counting lock, so one queue lock costs no extra parallelism.
 
     Executing one item may discover follow-on items (the child frontier of
     the replay); the scheduler terminates when the queue is empty {e and} no
@@ -35,8 +34,6 @@ type order =
 type worker_stats = {
   worker_id : int;
   mutable items_run : int;  (** work items this worker executed *)
-  mutable steals : int;
-      (** items this worker claimed from another worker's deque *)
   mutable queue_waits : int;
       (** times this worker blocked on an empty (but live) queue *)
   mutable wait_seconds : float;
@@ -58,9 +55,9 @@ val create :
     at least 1). [budget] caps the total number of items ever claimed for
     execution (default: unlimited); items beyond the budget stay queued and
     are reported by {!pending}. [metrics] attaches an observability shard
-    ([sched.queue_wait_s], [sched.frontier_size], [sched.steals]); every
-    write to it happens under a scheduler-owned mutex, so pass a shard no
-    worker owns. [profile] mirrors the queue-wait observations into
+    ([sched.queue_wait_s], [sched.frontier_size]); every write to it
+    happens under the scheduler's mutex, so pass a shard no worker owns.
+    [profile] mirrors the queue-wait observations into
     [profile.sched_wait_s], the uniform namespace [--profile] exports.
     [admit] filters every enqueue path ({!push}, {!push_batch},
     and children published by {!run}): an item it rejects is never
@@ -90,8 +87,8 @@ val pending : 'a t -> int
 
 val snapshot : 'a t -> 'a list
 (** A consistent cut of the outstanding work: every queued item plus every
-    item currently executing on a worker, read with every deque lock held
-    at once. In-flight items are included because their children are not
+    item currently executing on a worker, read under the scheduler's
+    lock. In-flight items are included because their children are not
     published yet; a resume that re-runs them regenerates exactly their
     subtrees. *)
 

@@ -290,27 +290,6 @@ let read_block ic ~what count line =
 
 (* ---- line building ---- *)
 
-let item_line (it : Checkpoint.item) =
-  if it.Checkpoint.sleep = [] then
-    Printf.sprintf "item %s %s"
-      (Checkpoint.schedule_key it.Checkpoint.prefix)
-      (Checkpoint.decision_to_key it.Checkpoint.choice)
-  else
-    Printf.sprintf "item %s %s %s"
-      (Checkpoint.schedule_key it.Checkpoint.prefix)
-      (Checkpoint.decision_to_key it.Checkpoint.choice)
-      (Checkpoint.sleep_key it.Checkpoint.sleep)
-
-let item_of_fields ?(sleep = "-") prefix choice =
-  match
-    ( Checkpoint.schedule_of_key prefix,
-      Checkpoint.decision_of_key choice,
-      Checkpoint.sleep_of_key sleep )
-  with
-  | Some prefix, Some choice, Some sleep ->
-      Some { Checkpoint.prefix; choice; sleep }
-  | _ -> None
-
 (* Frames are serialized to strings before hitting the socket so the
    chaos layer ([Mpi.Fault.Net]) can drop, duplicate, corrupt or truncate a
    whole frame at the send boundary on either side. *)
@@ -332,7 +311,7 @@ let to_worker_string msg =
         ^ "\n")
   | Lease { lease_id; items } ->
       Buffer.add_string b (Printf.sprintf "lease %d %d\n" lease_id (List.length items));
-      List.iter (fun it -> Buffer.add_string b (item_line it ^ "\n")) items;
+      List.iter (Checkpoint.add_item_line b) items;
       Buffer.add_string b "end\n"
   | Progress kvs ->
       Buffer.add_string b (Printf.sprintf "top %d\n" (List.length kvs));
@@ -391,7 +370,7 @@ let to_coord_string msg =
                   Buffer.add_string b
                     (Printf.sprintf "err %s\n" (Checkpoint.error_to_line e)))
                 p.errors;
-              List.iter (fun it -> Buffer.add_string b (item_line it ^ "\n")) p.children
+              List.iter (Checkpoint.add_item_line b) p.children
           | None ->
               Buffer.add_string b
                 (Printf.sprintf "run %s gaveup %d %d %d\n" r.key r.timeouts
@@ -429,18 +408,6 @@ let parse_job rest =
             }
       | _ -> Error (Printf.sprintf "bad job np %S" np_s))
   | _ -> Error "job line missing workload/np"
-
-let parse_item_line line =
-  match fields line with
-  | [ "item"; prefix; choice ] -> (
-      match item_of_fields prefix choice with
-      | Some it -> Ok it
-      | None -> Error (Printf.sprintf "malformed item line %S" line))
-  | [ "item"; prefix; choice; sleep ] -> (
-      match item_of_fields ~sleep prefix choice with
-      | Some it -> Ok it
-      | None -> Error (Printf.sprintf "malformed item line %S" line))
-  | _ -> Error (Printf.sprintf "malformed item line %S" line)
 
 (* "err <tag> <payload>" | "err <tag>" (empty payload) *)
 let parse_err_line line =
@@ -528,7 +495,7 @@ let read_to_worker ic =
       | [ "lease"; id; n ] -> (
           match int_of_string_opt id with
           | Some lease_id ->
-              read_block ic ~what:"lease" n parse_item_line
+              read_block ic ~what:"lease" n Checkpoint.item_of_line
               |> Result.map (fun items -> Lease { lease_id; items })
           | None -> Error (Printf.sprintf "malformed lease line %S" line))
       | [ "top"; n ] ->
@@ -701,7 +668,7 @@ let rec line_msg a line =
           match p.p_cur with
           | None -> Some (Error "item line outside a run group")
           | Some _ -> (
-              match parse_item_line line with
+              match Checkpoint.item_of_line line with
               | Error e -> Some (Error e)
               | Ok it ->
                   p.p_children <- it :: p.p_children;

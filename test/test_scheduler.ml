@@ -82,7 +82,7 @@ let test_cancel_under_contention () =
   (* Cooperative cancellation with racing workers: whatever was in flight
      finishes, nothing is claimed afterwards, and the queue keeps the
      abandoned work. The first item to run cancels: which item that is
-     depends on who wins the race, since thieves take the far end. *)
+     depends on who wins the race. *)
   let sched = Scheduler.create ~order:Scheduler.Lifo ~jobs:4 () in
   Scheduler.push_batch sched (List.init 64 Fun.id);
   let ran = Atomic.make 0 in
@@ -132,12 +132,11 @@ let test_parallel_drains_everything () =
 
 (* ---- property tests: the scheduler vs a pure-list reference ----
 
-   The stealing-deque machinery (per-worker deques, near/far ends, the
-   in-flight slot) must be observationally identical, at jobs=1, to the
-   trivial model: a single list where [push_batch] prepends and execution
-   pops the head. Random seed batches and a
-   random branching table exercise the front/back refill paths that the
-   hand-written cases above miss. *)
+   The locked stack with its in-flight slots must be observationally
+   identical, at jobs=1, to the trivial model: a single list where
+   [push_batch] prepends and execution pops the head. Random seed batches
+   and a random branching table cover interleavings of batches and
+   children that the hand-written cases above miss. *)
 
 let reference ~budget seeds children =
   let enqueue queue batch = batch @ queue in
@@ -196,8 +195,8 @@ let prop_matches_reference order name =
 
 (* With several workers the order is scheduling-dependent — and under a
    budget so is the admitted subset — but unbudgeted, the multiset of
-   executed items is not: stealing must neither lose, duplicate, nor invent
-   work. (Sorting both sides compares multisets.) *)
+   executed items is not: racing workers must neither lose, duplicate, nor
+   invent work. (Sorting both sides compares multisets.) *)
 let prop_parallel_same_multiset =
   QCheck.Test.make ~name:"jobs=3 executes the same multiset" ~count:60
     gen_case (fun (seeds, table, _budget) ->
@@ -208,16 +207,15 @@ let prop_parallel_same_multiset =
       = List.sort compare
           (reference ~budget:max_int seeds children))
 
-(* ---- snapshot is a consistent cut, taken mid-steal ----
+(* ---- snapshot is a consistent cut with two items in flight ----
 
-   Park both workers inside their first item (one of which worker 1 can
-   only have obtained by stealing: external pushes all land on worker 0's
-   deque), photograph the queue from a third domain, then release. The cut
-   must contain every seed exactly once — the two in-flight items included,
-   their children excluded (not published yet) — which is precisely what a
-   checkpoint written at that instant needs in order to resume without
-   losing or duplicating subtrees. *)
-let test_snapshot_mid_steal () =
+   Park both workers inside their first item, photograph the queue from a
+   third domain, then release. The cut must contain every seed exactly
+   once — the two in-flight items included, their children excluded (not
+   published yet) — which is precisely what a checkpoint written at that
+   instant needs in order to resume without losing or duplicating
+   subtrees. *)
+let test_snapshot_two_in_flight () =
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let children = function 1 -> [ 101; 102 ] | 2 -> [ 201 ] | _ -> [] in
   let sched = Scheduler.create ~order:Scheduler.Lifo ~jobs:2 () in
@@ -248,15 +246,26 @@ let test_snapshot_mid_steal () =
       Alcotest.(check (list int))
         "cut = every seed once, no unpublished children" seeds
         (List.sort compare cut));
-  Alcotest.(check int) "everything ran after release" 9 (Atomic.get ran);
-  let steals =
-    List.fold_left
-      (fun acc (ws : Scheduler.worker_stats) -> acc + ws.Scheduler.steals)
-      0 (Scheduler.stats sched)
-  in
+  Alcotest.(check int) "everything ran after release" 9 (Atomic.get ran)
+
+(* A raising item must not strand its peers: the raising worker clears its
+   in-flight slot, the others drain or stop, and [run] re-raises after
+   joining every domain. Whether the raise lands on the calling domain or a
+   spawned one depends on the race; both paths end the same way. *)
+let test_raising_item () =
+  let sched = Scheduler.create ~order:Scheduler.Lifo ~jobs:4 () in
+  Scheduler.push_batch sched (List.init 64 Fun.id);
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "re-raised from run" (Failure "boom") (fun () ->
+      Scheduler.run sched (fun ~worker:_ x ->
+          Atomic.incr ran;
+          if x = 17 then failwith "boom";
+          if x < 100 then [ x + 100 ] else []));
+  Alcotest.(check int) "every claimed item ran" (Scheduler.executed sched)
+    (Atomic.get ran);
   Alcotest.(check bool)
-    (Printf.sprintf "worker 1 stole its first item (steals=%d)" steals)
-    true (steals >= 1)
+    "nothing left in flight" true
+    (List.length (Scheduler.snapshot sched) = Scheduler.pending sched)
 
 let test_run_twice_rejected () =
   let sched = Scheduler.create ~jobs:1 () in
@@ -296,6 +305,9 @@ let () =
           Alcotest.test_case "parallel drain" `Quick
             test_parallel_drains_everything;
           Alcotest.test_case "run twice rejected" `Quick test_run_twice_rejected;
+          Alcotest.test_case
+            "a raising item at jobs=4 re-raises and the pool terminates"
+            `Quick test_raising_item;
         ] );
       ( "properties",
         [
@@ -306,7 +318,7 @@ let () =
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "consistent cut mid-steal" `Quick
-            test_snapshot_mid_steal;
+          Alcotest.test_case "consistent cut with two items in flight" `Quick
+            test_snapshot_two_in_flight;
         ] );
     ]

@@ -23,11 +23,6 @@ let fail fmt =
 
 let or_fail = function Ok v -> v | Error msg -> fail "%s" msg
 
-let find_workload workload =
-  match Registry.find workload with
-  | Some e -> e
-  | None -> fail "unknown workload %S" workload
-
 let set_log_level level =
   match Obs.Log.level_of_string level with
   | Ok lvl -> Obs.Log.set_level lvl
@@ -214,250 +209,43 @@ let supervise_respawns ~budget =
   in
   go 0
 
-(* ---- the job flags, shared by verify and submit ---- *)
+(* ---- the job flags, built from Job's row table ---- *)
 
-let workload_arg doc =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
+(* A row of Job's table as a term yielding its (key, value) pair when the
+   flag is given. *)
+let job_flag (f : Job.flag) =
+  let spelled docv = Arg.info f.names ~docv ~doc:f.doc in
+  let value =
+    match f.shape with
+    | Job.Value docv ->
+        Arg.(value & opt (some ~none:f.absent string) None & spelled docv)
+    | Job.Presence v -> Arg.(value & vflag None [ (Some v, spelled "") ])
+    | Job.Vopt (docv, bare) ->
+        Arg.(value & opt ~vopt:(Some bare) (some string) None & spelled docv)
+  in
+  Term.(const (Option.map (fun v -> (f.key, v))) $ value)
 
-let np_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "np"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")
-
-let mixing_flag =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "k"; "mixing-bound" ] ~docv:"K"
-        ~doc:"Bounded-mixing window (default: unbounded).")
-
-let max_runs_flag =
-  Arg.(
-    value
-    & opt int Job.defaults.max_runs
-    & info [ "max-runs" ] ~docv:"N" ~doc:"Interleaving budget.")
-
-let job_term =
-  let d = Job.defaults in
-  let clock =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "clock" ] ~docv:"CLOCK"
-          ~doc:
-            "Clock algebra: $(b,lamport) (scalable, the default) or \
-             $(b,vector) (precise).")
+(* The workload positional plus [flags], decoded by [Job.of_params]. *)
+let job_term ?(flags = Job.flags) doc =
+  let workload =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
   in
-  let engine =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Verification engine: $(b,dampi) (decentralized, the default) or \
-             $(b,isp) (centralized baseline; same coverage, different \
-             virtual cost).")
-  in
-  let dual =
-    Arg.(
-      value & flag
-      & info [ "dual-clock" ]
-          ~doc:
-            "Use the dual (lagging-transmission) Lamport clock that covers \
-             the paper's Fig. 10 limitation pattern (SS V future work).")
-  in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:
-            "Disable sleep-set schedule pruning and explore the full \
-             interleaving tree. Pruning only suppresses runs whose fork \
-             provably commutes (disjoint rank footprints on one \
-             communicator) with an already-explored sibling, so the \
-             canonical report is the same either way — this flag exists \
-             for differential checks and benchmarking.")
-  in
-  let prefix_cache =
-    Arg.(
-      value
-      & opt ~vopt:(Some Dampi.Prefix_cache.default_budget_bytes) (some int)
-          None
-      & info [ "prefix-cache" ] ~docv:"BYTES"
-          ~doc:
-            "Memoize each explored schedule's replay artifact under an LRU \
-             budget of $(docv) bytes (default 64 MiB when the flag is given \
-             bare). Re-discovered schedules — chiefly the expand-only \
-             re-runs of a $(b,--checkpoint) resume, warmed from the \
-             checkpoint's $(b,.cache) sidecar — then skip execution \
-             entirely; replay determinism keeps the report identical. A \
-             submitted job's sidecar lives in the daemon's state dir, so a \
-             repeat submission of the same configuration starts warm.")
-  in
-  let stop_first =
-    Arg.(
-      value & flag
-      & info [ "stop-first" ]
-          ~doc:"Stop exploring after the first deadlock or crash finding.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"One-line summary only.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int d.jobs
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains exploring interleavings in parallel (guided \
-             replays are independent re-executions, so any $(docv) finds \
-             the same interleavings and findings on an exhaustive search).")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int d.checkpoint_every
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Completed replays between periodic checkpoint writes (0 writes \
-             only on interrupt and completion). The serve daemon always \
-             checkpoints its jobs, and a drain flushes the frontier \
-             regardless, so there the cadence only bounds what a hard kill \
-             can lose.")
-  in
-  let replay_timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "replay-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Wall-clock watchdog per replay attempt; a wedged replay is \
-             cancelled, counted as timed out, and retried per \
-             $(b,--max-retries) without stalling other workers.")
-  in
-  let max_replay_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-replay-steps" ] ~docv:"N"
-          ~doc:
-            "Deterministic per-attempt budget of verifier steps (interposed \
-             MPI events); exceeding it counts as a timeout.")
-  in
-  let max_retries =
-    Arg.(
-      value & opt int d.max_retries
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:
-            "Retries per replay after a timeout or an injected transient \
-             fault, each under a fresh fault salt.")
-  in
-  let retry_backoff =
-    Arg.(
-      value & opt float d.retry_backoff
-      & info [ "retry-backoff" ] ~docv:"SECONDS"
-          ~doc:
-            "Base of the capped exponential backoff between retry attempts \
-             (0 retries immediately).")
-  in
-  let fault_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:
-            "Enable deterministic fault injection with the default rates \
-             under $(docv); the same seed reproduces the same fault schedule.")
-  in
-  let fault_spec =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-spec" ] ~docv:"SPEC"
-          ~doc:
-            "Fault-injection spec as comma-separated key=value pairs (keys: \
-             $(b,seed), $(b,delay), $(b,max-delay), $(b,sendfail), \
-             $(b,crash), $(b,wedge), $(b,rank)), e.g. \
-             $(b,seed=7,delay=0.1,sendfail=0.05).")
-  in
-  let net_fault_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "net-fault-seed" ] ~docv:"SEED"
-          ~doc:
-            "Enable deterministic transport chaos with the default \
-             (stall-free) rates under $(docv): wire-level delay, duplicate \
-             and reorder injection on every distributed connection, both \
-             directions. The same seed reproduces the same injection \
-             schedule, and the canonical report stays identical to a clean \
-             run — the point of the flag is rehearsing degraded networks.")
-  in
-  let net_fault_spec =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "net-fault-spec" ] ~docv:"SPEC"
-          ~doc:
-            "Transport-chaos spec as comma-separated key=value pairs (keys: \
-             $(b,seed), $(b,drop), $(b,delay), $(b,max-delay), $(b,dup), \
-             $(b,reorder), $(b,corrupt), $(b,truncate), $(b,partition), \
-             $(b,partition-frames), $(b,bandwidth), $(b,write-fail)), e.g. \
-             $(b,seed=7,drop=0.1,dup=0.2). $(b,write-fail) injects ENOSPC \
-             into checkpoint writes (local too); under drop/partition set \
-             $(b,--heartbeat-timeout) low enough that recovery beats your \
-             patience.")
-  in
-  let build workload np engine clock k dual no_prune prefix_cache max_runs
-      jobs stop_first quiet checkpoint_every replay_timeout max_replay_steps
-      max_retries retry_backoff fault_seed fault_spec net_fault_seed
-      net_fault_spec =
-    let ( let* ) = Result.bind in
-    let parse of_string = function
-      | None -> Ok None
-      | Some s -> Result.map Option.some (of_string s)
-    in
-    let* d = Job.default workload in
-    let* engine = parse Job.engine_of_string engine in
-    let* clock = parse Job.clock_of_string clock in
-    Job.check
-      {
-        d with
-        np = Option.value np ~default:d.np;
-        engine = Option.value engine ~default:d.engine;
-        clock = Option.value clock ~default:d.clock;
-        k;
-        dual;
-        prune = not no_prune;
-        prefix_cache;
-        max_runs;
-        jobs;
-        stop_first;
-        quiet;
-        checkpoint_every;
-        replay_timeout;
-        max_replay_steps;
-        max_retries;
-        retry_backoff;
-        fault_seed;
-        fault_spec;
-        net_fault_seed;
-        net_fault_spec;
-      }
+  let params =
+    List.fold_right
+      (fun f acc -> Term.(const List.cons $ job_flag f $ acc))
+      flags (Term.const [])
   in
   Term.(
-    const build
-    $ workload_arg "Workload to verify (see $(b,list))."
-    $ np_flag $ engine $ clock $ mixing_flag $ dual $ no_prune $ prefix_cache
-    $ max_runs_flag $ jobs $ stop_first $ quiet $ checkpoint_every
-    $ replay_timeout $ max_replay_steps $ max_retries $ retry_backoff
-    $ fault_seed $ fault_spec $ net_fault_seed $ net_fault_spec)
+    const (fun w ps ->
+        Job.of_params (("workload", w) :: List.filter_map Fun.id ps))
+    $ workload $ params)
 
 let progress_flag doc = Arg.(value & flag & info [ "progress" ] ~doc)
 
-let verify_run job profile progress dump_schedule distribute workers trace_out
+let verify_run job progress dump_schedule distribute workers trace_out
     metrics_out metrics_format log_level checkpoint auth_token fallback_local
     join_timeout heartbeat_timeout rejoin_grace coordinator_respawn =
-  let job = { (or_fail job) with Job.profile } in
+  let job : Job.t = or_fail job in
   set_log_level log_level;
   (match metrics_format with
   | "json" | "openmetrics" -> ()
@@ -465,6 +253,12 @@ let verify_run job profile progress dump_schedule distribute workers trace_out
   (match distribute with
   | Some n when n < 1 -> fail "--distribute needs at least 1 worker"
   | _ -> ());
+  if not (heartbeat_timeout > 0. && Float.is_finite heartbeat_timeout) then
+    fail "--heartbeat-timeout must be a positive number of seconds";
+  if not (join_timeout > 0. && Float.is_finite join_timeout) then
+    fail "--join-timeout must be a positive number of seconds";
+  if not (rejoin_grace >= 0. && Float.is_finite rejoin_grace) then
+    fail "--rejoin-grace must be a non-negative number of seconds";
   if distribute <> None && workers <> None then
     fail
       "--distribute and --workers cannot be combined (spawn workers or dial \
@@ -669,17 +463,6 @@ let verify_cmd =
        frontier depth, pruned, findings, cache hits/misses; redrawn in place \
        about twice a second). The canonical report on stdout is unchanged."
   in
-  let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Enable the lightweight replay profiler: phase-timing histograms \
-             ($(b,profile.match_loop_s), $(b,profile.clock_merge_s), \
-             $(b,profile.sched_wait_s), $(b,profile.wire_io_s)) exported \
-             through $(b,--metrics-out). Remote workers spawned by this run \
-             inherit the flag through the job parameters.")
-  in
   let metrics_format =
     Arg.(
       value & opt string "json"
@@ -766,7 +549,9 @@ let verify_cmd =
           matches. Exits 1 if errors were found, 3 if interrupted (after \
           checkpointing the frontier when $(b,--checkpoint) is set).")
     Term.(
-      const verify_run $ job_term $ profile $ progress $ dump_schedule
+      const verify_run
+      $ job_term "Workload to verify (see $(b,list))."
+      $ progress $ dump_schedule
       $ distribute $ workers $ trace_out $ metrics_out $ metrics_format
       $ log_level $ checkpoint $ auth_token $ fallback_local $ join_timeout
       $ heartbeat_timeout $ rejoin_grace $ coordinator_respawn)
@@ -1028,8 +813,8 @@ let top_cmd =
 
 (* ---- replay command ---- *)
 
-let replay_run workload file trace_out metrics_out =
-  let entry = find_workload workload in
+let replay_run job file trace_out metrics_out =
+  let job : Job.t = or_fail job in
   match Dampi.Decisions.load file with
   | Error msg -> fail "cannot load %s: %s" file (sys_reason file msg)
   | Ok plan ->
@@ -1044,12 +829,12 @@ let replay_run workload file trace_out metrics_out =
     let record =
       Obs.Trace.with_span sink "replay"
         ~args:
-          [ ("workload", Obs.Trace.Str entry.key);
+          [ ("workload", Obs.Trace.Str job.workload);
             ("np", Obs.Trace.Int np) ]
         (fun () ->
           Explorer.replay ~config:Explorer.default_config
             ~metrics:(Obs.Metrics.shard registry 0)
-            ~np (entry.build ()) plan)
+            ~np (Job.program job) plan)
     in
     (match record.Report.outcome with
     | Sim.Coroutine.All_finished ->
@@ -1072,12 +857,6 @@ let replay_run workload file trace_out metrics_out =
     | None -> ())
 
 let replay_cmd =
-  let workload =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload the schedule belongs to.")
-  in
   let file =
     Arg.(
       required
@@ -1103,18 +882,20 @@ let replay_cmd =
        ~doc:
          "Deterministically re-execute one interleaving from an \
           Epoch-Decisions schedule file.")
-    Term.(const replay_run $ workload $ file $ trace_out $ metrics_out)
+    Term.(
+      const replay_run
+      $ job_term ~flags:[] "Workload the schedule belongs to."
+      $ file $ trace_out $ metrics_out)
 
 (* ---- trace command ---- *)
 
-let trace_run workload np limit =
-  let entry = find_workload workload in
-  let np = Option.value np ~default:entry.default_np in
+let trace_run job limit =
+  let { Job.np; _ } as job = or_fail job in
   let rt = Mpi.Runtime.create ~trace:true ~np () in
   let module B = Mpi.Bind.Make (struct
     let rt = rt
   end) in
-  let module P = (val entry.build ()) in
+  let module P = (val Job.program job) in
   let module Prog = P (B) in
   Mpi.Runtime.spawn_ranks rt (fun _ -> Prog.main ());
   let outcome = Mpi.Runtime.run rt in
@@ -1146,14 +927,13 @@ let trace_cmd =
        ~doc:"Run a workload natively and print its message-flow trace.")
     Term.(
       const trace_run
-      $ workload_arg "Workload to trace (see $(b,list))."
-      $ np_flag $ limit)
+      $ job_term ~flags:[ Job.np_flag ] "Workload to trace (see $(b,list))."
+      $ limit)
 
 (* ---- stats command: one native run, operation + metric counters ---- *)
 
-let stats_run workload np explore =
-  let entry = find_workload workload in
-  let np = Option.value np ~default:entry.default_np in
+let stats_run job explore =
+  let { Job.workload; np; _ } as job = or_fail job in
   if explore then begin
     (* A small pruned + cached exploration, so the cache.* and prune.*
        series carry real traffic (a single native run never populates
@@ -1167,19 +947,20 @@ let stats_run workload np explore =
             prune = true;
             prefix_cache = Some Dampi.Prefix_cache.default_budget_bytes;
           }
-        ~np (entry.build ())
+        ~np (Job.program job)
     in
     Printf.printf "%s np=%d (exploration: %d interleavings, %d pruned)\n\n"
-      entry.key np report.Report.interleavings report.Report.runs_pruned;
+      workload np report.Report.interleavings report.Report.runs_pruned;
     Format.printf "%a" Obs.Metrics.pp report.Report.metrics;
     if Report.has_errors report then exit 1
   end
   else begin
     let registry = Obs.Metrics.create ~shards:1 () in
     let rt, outcome =
-      Mpi.Bind.exec ~metrics:(Obs.Metrics.shard registry 0) ~np (entry.build ())
+      Mpi.Bind.exec ~metrics:(Obs.Metrics.shard registry 0) ~np
+        (Job.program job)
     in
-    Printf.printf "%s np=%d (one native run)\n\n" entry.key np;
+    Printf.printf "%s np=%d (one native run)\n\n" workload np;
     Format.printf "%a@." Mpi.Stats.pp (Mpi.Runtime.stats rt);
     Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.snapshot registry);
     match outcome with
@@ -1209,8 +990,8 @@ let stats_cmd =
           and runtime metrics.")
     Term.(
       const stats_run
-      $ workload_arg "Workload to profile (see $(b,list))."
-      $ np_flag $ explore)
+      $ job_term ~flags:[ Job.np_flag ] "Workload to profile (see $(b,list))."
+      $ explore)
 
 (* ---- serve / submit / fetch: verification as a service ---- *)
 
@@ -1444,7 +1225,9 @@ let submit_cmd =
           flags; the report is the one $(b,verify) would print. Exit code \
           mirrors $(b,verify): 0 clean, 1 findings, 3 interrupted.")
     Term.(
-      const submit_run $ job_term $ connect $ on_disconnect $ detach
+      const submit_run
+      $ job_term "Workload to verify (see $(b,list))."
+      $ connect $ on_disconnect $ detach
       $ progress)
 
 let fetch_run connect id =

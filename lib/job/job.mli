@@ -1,11 +1,13 @@
 (** One verification job: the configuration that [dampi verify], a
     distributed worker and the [dampi serve] daemon all run.
 
-    This module owns the job's only encoding. The typed record is built by
-    the command line's job flags, shipped as key/value parameters to
-    workers ({!to_wire}) and to the daemon ({!to_params}), validated in
-    one place ({!check}), labelled for checkpoints in one place ({!label})
-    and executed by one runner ({!run}). *)
+    This module owns the job's only encoding: one row per key in a table
+    that holds the key's codec, default, command-line flag, help text and
+    bound. The command line builds key/value parameters from {!flags}, and
+    every job — from [verify], [submit], the daemon's journal or a
+    coordinator's lease — is decoded by {!of_params}. The job is validated
+    in one place ({!check}), labelled for checkpoints in one place
+    ({!label}) and executed by one runner ({!run}). *)
 
 type engine = Dampi | Isp
 type clock = Lamport | Vector
@@ -39,18 +41,38 @@ type t = {
   net_fault_spec : string option;
 }
 
-val defaults : t
-(** Every field at its default. [workload] is empty and [np] is 0 until
-    {!default} fills them from the registry. *)
-
 val default : string -> (t, string) result
-(** {!defaults} for a registry workload (any case), at its default [np]. *)
+(** Every field at its default for a registry workload (any case), at its
+    default [np]. *)
 
-val engine_of_string : string -> (engine, string) result
-val clock_of_string : string -> (clock, string) result
+val program : t -> Mpi.Mpi_intf.program
+(** The job's workload program, from the registry. *)
+
+(** How a key is spelled on the command line. *)
+type shape =
+  | Value of string  (** a flag taking a value, documented as this docv *)
+  | Presence of string  (** a bare flag whose presence sets this value *)
+  | Vopt of string * string
+      (** a flag with a docv whose value is the second when given bare *)
+
+type flag = {
+  key : string;  (** the parameter the flag sets *)
+  names : string list;  (** Cmdliner spellings, e.g. [["k"; "mixing-bound"]] *)
+  doc : string;  (** help text, in Cmdliner's markup *)
+  shape : shape;
+  absent : string;  (** the default the help shows; [""] shows none *)
+  bound : string option;  (** the message refusing an out-of-bound value *)
+}
+
+val flags : flag list
+(** One flag per key, in the table's order. *)
+
+val np_flag : flag
+(** The [np] key's flag, for the commands that take only a rank count. *)
 
 val check : t -> (t, string) result
-(** Every bound, as a one-line message naming the offending flag. *)
+(** Every row's bound, then the rules that span keys, as a one-line
+    message naming the offending flag. *)
 
 val to_params : t -> (string * string) list
 (** [workload] plus every field off its default. *)

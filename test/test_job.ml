@@ -227,6 +227,46 @@ let test_sparse () =
     "a default job is its workload" [ ("workload", "fig3") ]
     (Job.to_params (default "fig3"))
 
+(* ---- the flag table ---- *)
+
+let spellings (f : Job.flag) =
+  List.map (fun n -> if String.length n = 1 then "-" ^ n else "--" ^ n) f.names
+
+let test_flag_table () =
+  let all = List.concat_map spellings Job.flags in
+  Alcotest.(check int) "spellings are unique" (List.length all)
+    (List.length (List.sort_uniq compare all));
+  List.iter
+    (fun (f : Job.flag) ->
+      Option.iter
+        (fun msg ->
+          if
+            not
+              (List.exists
+                 (fun s -> String.starts_with ~prefix:(s ^ " ") msg)
+                 (spellings f))
+          then Alcotest.failf "%s: %S names none of its flags" f.key msg)
+        f.bound;
+      (* what the command line can hand the row decodes, and a default the
+         help shows is the default *)
+      let given =
+        match f.shape with
+        | Job.Value _ -> []
+        | Job.Presence v | Job.Vopt (_, v) -> [ v ]
+      in
+      List.iter
+        (fun v ->
+          match Job.of_params [ ("workload", "fig3"); (f.key, v) ] with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s=%s: %s" f.key v e)
+        given;
+      if f.absent <> "" then
+        Alcotest.check result_job
+          (f.key ^ " shows its default")
+          (Ok (default "fig3"))
+          (Job.of_params [ ("workload", "fig3"); (f.key, f.absent) ]))
+    Job.flags
+
 let () =
   Alcotest.run "job"
     [
@@ -240,4 +280,9 @@ let () =
           Alcotest.test_case "bounds refused in one line" `Quick test_bounds;
         ] );
       ("label", [ Alcotest.test_case "golden labels" `Quick test_labels ]);
+      ( "flags",
+        [
+          Alcotest.test_case "unique spellings, bounds name their flag" `Quick
+            test_flag_table;
+        ] );
     ]

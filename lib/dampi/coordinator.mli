@@ -5,43 +5,42 @@
     a worker, the worker replays each and ships back a result delta
     (counters, findings, child frontier), and the coordinator ingests the
     delta, folds the children back into the frontier, and leases again.
-    Results are ingested only as complete frames, so a replay is counted
-    exactly once no matter how many times its item was leased — and since
-    replays are deterministic, the canonical report is identical to a
-    single-process run.
+    A results frame is ingested whole or not at all, and only when it names
+    exactly the leased items, so a replay is counted exactly once however
+    often its item was leased — and since replays are deterministic, the
+    canonical report is identical to a single-process run.
 
-    {b Sessions, reconnects, fencing.} proto=2 distinguishes a worker's
-    {e connection} (a socket that can drop) from its {e session} (an
-    identity that survives reconnects). A lease belongs to the session.
-    When a connection dies, the session keeps its lease for a
-    {e rejoin grace} window; a worker that redials inside it with the
-    lease intact (same fencing epoch, [pending=] naming the lease) simply
-    resumes — its in-flight results frame is still welcome. Any other
-    rejoin, or a grace expiry, refunds the lease to the frontier and
-    advances the session's {e fencing epoch}: results frames stamped with
-    a superseded epoch (a zombie flushing work that was re-leased, or a
-    transport redelivery of an already-ingested frame) are read whole and
-    discarded, never counted. A [hello] from a peer speaking a different
-    protocol version gets a one-line [reject] instead of a hang, and when
-    a shared secret is configured every connection must pass an
-    HMAC challenge before it is admitted.
+    {b Step and shell.} The rules live in {!Coord_step}, a pure
+    [step : state -> event -> state * action list]: admission (version,
+    role, HMAC challenge), sessions that survive reconnects, fencing
+    epochs, the rejoin grace, refunds, the claim budget, heartbeats and
+    the all-workers-lost verdict. This module is the shell around it: the
+    select loop, the sockets, each connection's frame assembler and chaos
+    out-queue ({!Mpi.Fault.Net}), the clock, the nonces, the metrics and
+    the logs. It turns what it observes into events — a decoded frame, a
+    closed connection, a tick listing the connections whose out-queue is
+    within [outq_budget] — and carries out the actions: send a frame,
+    close a connection, ingest a settled frame. It keeps only open
+    connections. A lease belongs to a worker's session, not its socket: a
+    redial inside [rejoin_grace] with the lease intact resumes it; any
+    other rejoin refunds the lease and advances the session's fencing
+    epoch, so a zombie's stale frames are read whole and discarded.
 
     {b Observers.} A connection whose hello carries [role=observer]
     ([dampi top]) is admitted (through the same auth challenge when one
     is configured) as read-only: it gets no job and no leases, does not
     count as a worker for the all-workers-lost verdict or the heartbeat
-    scan, and receives periodic [Progress] frames with the aggregate
+    check, and receives periodic [Progress] frames with the aggregate
     (frontier depth, replays/sec, per-worker heartbeat age, ...).
 
     {b Telemetry.} Workers ship {!Obs.Metrics} deltas piggybacked on
-    heartbeats and ahead of results frames; the coordinator folds them
-    into one accumulated snapshot per session ({!telemetry}), which the
-    explorer merges into the final report so distributed metric totals
-    match an in-process run.
+    heartbeats and ahead of results frames; the shell folds them into one
+    accumulated snapshot per session ({!telemetry}), which the explorer
+    merges into the final report so distributed metric totals match an
+    in-process run.
 
-    The event loop is single-threaded ({!Wire.readable}); every callback
-    runs on the calling thread, which is what makes periodic checkpointing
-    from [tick] race-free. *)
+    Every callback runs on the thread that called {!drive}, which is what
+    makes periodic checkpointing from [tick] race-free. *)
 
 (** How worker connections come to exist. *)
 type attach =
@@ -114,12 +113,12 @@ val create :
     fencing epoch this coordinator will grant — a restart passes the
     checkpointed epoch + 1 so every pre-crash grant is stale on arrival.
     [metrics] gains [coordinator.leases], [coordinator.releases],
-    [coordinator.reconnects],
-    [coordinator.fenced], [coordinator.dup_results],
-    [coordinator.backpressure], [coordinator.hb_grace_extends],
+    [coordinator.reconnects], [coordinator.fenced],
+    [coordinator.dup_results], [coordinator.backpressure],
     [coordinator.worker_rtt_s], and — under chaos — [net_fault.<kind>]
-    injection counters, all written only from the driving thread. [profile] additionally records frame read/write
-    time in the [profile.wire_io_s] histogram. [progress] supplies
+    injection counters, all written only from the driving thread.
+    [profile] additionally records frame read/write time in the
+    [profile.wire_io_s] histogram. [progress] supplies
     caller-level key/value pairs (runs, replays/sec, cache rates)
     appended to the coordinator's own figures in the progress frames
     streamed to attached observers. *)

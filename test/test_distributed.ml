@@ -538,6 +538,78 @@ let test_zombie_fenced () =
     "the stale frame was fenced, not counted" true
     (metric_sum dist "coordinator.fenced" > 0)
 
+(* A results frame must name exactly the leased items, each once. A
+   hand-written worker answers a two-item lease with the first item's run
+   twice and leaves the second out: nothing is ingested, the connection is
+   dropped, and once the rejoin grace expires both items are back in the
+   snapshot, so a resume would re-lease them. *)
+let test_results_must_match_lease () =
+  let item src =
+    {
+      Checkpoint.prefix = [];
+      choice = { Decisions.owner = 0; epoch_id = 1; src; kind = Dampi.Epoch.Wildcard_recv };
+      sleep = [];
+    }
+  in
+  let items = [ item 1; item 2 ] in
+  let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let worker =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr w and oc = Unix.out_channel_of_descr w in
+        let rec until f =
+          match Wire.read_to_worker ic with
+          | Ok m -> ( match f m with Some x -> x | None -> until f)
+          | Error e -> failwith ("liar: " ^ e)
+        in
+        Wire.write_to_coord oc
+          (Wire.Hello
+             { proto = Wire.proto_version; id = "liar"; session = "liar"; epoch = 0;
+               pending = None; role = None });
+        let epoch = until (function Wire.Welcome { epoch } -> Some epoch | _ -> None) in
+        until (function Wire.Job _ -> Some () | _ -> None);
+        Wire.write_to_coord oc Wire.Ready;
+        let lease_id, leased =
+          until (function Wire.Lease { lease_id; items } -> Some (lease_id, items) | _ -> None)
+        in
+        let first =
+          {
+            Wire.key = Checkpoint.item_key (List.hd leased);
+            payload =
+              Some { Wire.vtime = 1.0; bounded = 0; pruned = 0; errors = []; children = [] };
+            timeouts = 0;
+            retries = 0;
+            transients = 0;
+          }
+        in
+        Wire.write_to_coord oc (Wire.Results { epoch; lease_id; runs = [ first; first ] });
+        (* Hold the link until the coordinator closes it. *)
+        (try
+           while true do
+             ignore (input_line ic)
+           done
+         with End_of_file | Sys_error _ -> ());
+        Unix.close w;
+        List.length leased)
+  in
+  let co =
+    Coordinator.create ~budget:100 (setup_of ~name:"liar" ~np:2 (Coordinator.Fds [ c ]))
+  in
+  Coordinator.push co items;
+  let ingested = ref 0 in
+  let outcome =
+    Coordinator.drive co
+      ~on_run:(fun ~item:_ _ -> incr ingested)
+      ~should_stop:(fun () -> false)
+      ~tick:ignore
+  in
+  let keys l = List.sort compare (List.map Checkpoint.item_key l) in
+  Alcotest.(check int) "the worker was leased both items" 2 (Domain.join worker);
+  Alcotest.(check int) "nothing ingested" 0 !ingested;
+  Alcotest.(check (list string))
+    "both items back in the snapshot" (keys items) (keys (Coordinator.snapshot co));
+  Alcotest.(check (result unit string))
+    "drive gives up" (Error "all 1 worker(s) lost with work remaining") outcome
+
 (* The tentpole end to end, in-process: interrupt a distributed run (the
    stand-in for SIGKILLing the coordinator), let its worker outlive it and
    redial, then restart the coordinator from the checkpoint at the same
@@ -837,6 +909,8 @@ let () =
           Alcotest.test_case "zombie worker fenced" `Quick test_zombie_fenced;
           Alcotest.test_case "coordinator restart from checkpoint" `Quick
             test_coordinator_restart;
+          Alcotest.test_case "results must match the lease" `Quick
+            test_results_must_match_lease;
         ] );
       ( "attach modes",
         [

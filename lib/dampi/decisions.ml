@@ -15,37 +15,41 @@ type decision = {
 
 type plan = {
   decisions : decision list;  (** in global completion order of the parent run *)
-  by_key : (int * int, decision) Hashtbl.t;  (** (owner, epoch_id) -> decision *)
+  by_owner : decision list array;
+      (** per owner, latest first; an owner's guided events look up their
+          epoch here, with no hashing *)
   guided_epoch : int array;  (** per owner; -1 when nothing is forced *)
 }
 
 let empty ~np =
-  {
-    decisions = [];
-    by_key = Hashtbl.create 1;
-    guided_epoch = Array.make np (-1);
-  }
+  { decisions = []; by_owner = Array.make np []; guided_epoch = Array.make np (-1) }
 
 let of_decisions ~np decisions =
-  let by_key = Hashtbl.create (List.length decisions) in
+  let by_owner = Array.make np [] in
   let guided_epoch = Array.make np (-1) in
   List.iter
     (fun d ->
-      Hashtbl.replace by_key (d.owner, d.epoch_id) d;
+      by_owner.(d.owner) <- d :: by_owner.(d.owner);
       if d.epoch_id > guided_epoch.(d.owner) then
         guided_epoch.(d.owner) <- d.epoch_id)
     decisions;
-  { decisions; by_key; guided_epoch }
+  { decisions; by_owner; guided_epoch }
 
 let length plan = List.length plan.decisions
 
 (** [GetSrcFromEpoch] of Algorithm 1. The event kind must agree: a failed
     probe does not tick the clock, so a probe and a receive can share a
-    clock value; forcing across kinds would misdirect the replay. *)
+    clock value; forcing across kinds would misdirect the replay. Of two
+    decisions on one epoch the later one, first in [by_owner], governs. *)
 let forced_src plan ~owner ~epoch_id ~kind =
-  match Hashtbl.find_opt plan.by_key (owner, epoch_id) with
-  | Some d when d.kind = kind -> Some d.src
-  | Some _ | None -> None
+  let rec find = function
+    | [] -> None
+    | d :: rest ->
+        if d.epoch_id <> epoch_id then find rest
+        else if d.kind = kind then Some d.src
+        else None
+  in
+  find plan.by_owner.(owner)
 
 (** Is [owner] still within its guided window at clock [epoch_id]? *)
 let in_guided_window plan ~owner ~epoch_id =

@@ -16,7 +16,9 @@ type decision = {
 type plan = {
   decisions : decision list;
       (** in global completion order of the parent run *)
-  by_key : (int * int, decision) Hashtbl.t;
+  by_owner : decision list array;
+      (** per owner, latest first: the later of two decisions on one epoch
+          wins {!forced_src} *)
   guided_epoch : int array;  (** per owner; -1 when nothing is forced *)
 }
 

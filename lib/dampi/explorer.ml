@@ -179,10 +179,18 @@ type layer =
   (module Mpi.Mpi_intf.MPI_CORE) ->
   (module Mpi.Mpi_intf.MPI_CORE)
 
-let dampi_runner ?(layer : layer option) config ~np
-    (program : Mpi.Mpi_intf.program) : runner =
- fun ~ctx plan ~fork_index ->
-  let fault = fault_of_ctx ctx config.robustness.fault in
+(* The runtime, verifier state and interposition instance one worker reuses
+   from replay to replay, reset in place before each. [busy] guards the
+   slot: a caller finding it taken builds a fresh instance instead. *)
+type slot = {
+  rt : Runtime.t;
+  st : State.t;
+  w : (module Interpose.WRAPPED);
+  shard : Obs.Metrics.shard option;
+  busy : bool Atomic.t;
+}
+
+let make_slot config ~np ~(ctx : run_ctx) ~fault ~plan ~fork_index =
   let rt =
     Runtime.create ~cost:config.cost ?metrics:ctx.metrics
       ~profile:config.profile ~fault ~np ()
@@ -191,18 +199,56 @@ let dampi_runner ?(layer : layer option) config ~np
     State.create ~config:config.state_config ?metrics:ctx.metrics
       ~profile:config.profile ?poison:ctx.poison ~np ~plan ~fork_index ()
   in
-  (* An injected wedge spins on this hook; the watchdog's poison breaks the
-     spin through the same [State.check_poison] path as [--stop-first]. *)
-  Runtime.set_interrupt_hook rt (fun () -> State.check_poison st);
   let module B = Mpi.Bind.Make (struct
     let rt = rt
   end) in
   let module W = Interpose.Wrap (B) (struct
     let st = st
   end) in
+  { rt; st; w = (module W); shard = ctx.metrics; busy = Atomic.make true }
+
+let dampi_runner ?(layer : layer option) config ~np
+    (program : Mpi.Mpi_intf.program) : runner =
+  (* Slots by [ctx.worker]: pool domains carry distinct worker ids, so
+     jobs=N domains share no instance. The lock covers the table only. *)
+  let slots = Mpi.Dense.create None in
+  let lock = Mutex.create () in
+  let held w = Mutex.protect lock (fun () -> Mpi.Dense.get slots w) in
+  let store w s = Mutex.protect lock (fun () -> Mpi.Dense.set slots w (Some s)) in
+  let claim (ctx : run_ctx) ~fault ~plan ~fork_index =
+    let reusable s =
+      (match (s.shard, ctx.metrics) with
+      | Some a, Some b -> a == b
+      | None, None -> true
+      | _ -> false)
+      && Atomic.compare_and_set s.busy false true
+    in
+    match held ctx.worker with
+    | Some s when reusable s ->
+        Runtime.reset s.rt ~fault;
+        State.reset s.st ~plan ~fork_index ~poison:ctx.poison;
+        let module W = (val s.w) in
+        W.reset ();
+        s
+    | _ ->
+        let s = make_slot config ~np ~ctx ~fault ~plan ~fork_index in
+        if ctx.worker >= 0 then store ctx.worker s;
+        s
+  in
+ fun ~ctx plan ~fork_index ->
+  let fault = fault_of_ctx ctx config.robustness.fault in
+  let slot = claim ctx ~fault ~plan ~fork_index in
+  Fun.protect ~finally:(fun () -> Atomic.set slot.busy false) @@ fun () ->
+  let rt = slot.rt and st = slot.st in
+  (* An injected wedge spins on this hook; the watchdog's poison breaks the
+     spin through the same [State.check_poison] path as [--stop-first]. *)
+  Runtime.set_interrupt_hook rt (fun () -> State.check_poison st);
+  let module W = (val slot.w) in
+  (* The program is instantiated afresh for every replay: it may keep state
+     at module level. It runs over [layer] when one is given (the ISP
+     baseline's scheduler costs); the tool's own init/finalize stay on
+     [W]. *)
   let module P = (val program) in
-  (* The program runs over [layer] when one is given (the ISP baseline's
-     scheduler costs); the tool's own init/finalize stay on [W]. *)
   let main =
     match layer with
     | None ->
@@ -259,9 +305,9 @@ type item = Checkpoint.item = {
 
 (* Sequential, parallel, and distributed exploration share this one walk:
    the frontier is drained by an executor backend, and each executed item
-   is a complete guided replay (fresh Runtime + State inside [runner], so
-   workers share no mutable state beyond the queue and the findings
-   table). Findings merge under [m] keyed by error signature, keeping the
+   is a complete guided replay (the worker's own Runtime + State inside
+   [runner], reset before each replay, so workers share no mutable state
+   beyond the queue and the findings table). Findings merge under [m] keyed by error signature, keeping the
    canonically smallest reproduction schedule, and the report sorts
    findings by schedule — so the finding set, interleaving count, and
    bounded-epoch count are identical at any worker count and over any

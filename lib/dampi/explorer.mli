@@ -131,8 +131,10 @@ type layer =
 
 val dampi_runner :
   ?layer:layer -> config -> np:int -> Mpi.Mpi_intf.program -> runner
-(** One DAMPI-interposed execution per call: fresh runtime, fresh verifier
-    state, program instantiated against the instrumented stack — over
+(** One DAMPI-interposed execution per call: a runtime, verifier state and
+    interposition instance per [ctx.worker], reset in place between that
+    worker's replays (a reset run equals a run on fresh ones), and the
+    program instantiated afresh against the instrumented stack — over
     [layer] when given, while the tool's own init/finalize calls stay on
     the DAMPI layer. This is the only runner: every engine's replays,
     errors and metrics come from here. *)

@@ -32,6 +32,10 @@ module type WRAPPED = sig
 
   val shadow_ctxs : unit -> int list
   (** Contexts of tool-created communicators, for leak-report filtering. *)
+
+  val reset : unit -> unit
+  (** Forget every communicator and request of the previous run, so the
+      instance serves the next run of its state after {!State.reset}. *)
 end
 
 module Wrap
@@ -57,28 +61,45 @@ struct
 
   (* ---- Shadow communicators ---- *)
 
-  let shadow : (int, M.comm) Hashtbl.t = Hashtbl.create 8
+  (* Tables keyed by the ids the runtime hands out itself — communicator
+     contexts and request uids, both small and dense — are arrays indexed by
+     the id ({!Mpi.Dense}): a per-call lookup hashes nothing. *)
+  let shadow : M.comm option Mpi.Dense.t = Mpi.Dense.create ~capacity:8 None
 
   let shadow_of comm =
-    match Hashtbl.find_opt shadow (M.comm_id comm) with
+    match Mpi.Dense.get shadow (M.comm_id comm) with
     | Some s -> s
     | None ->
         Types.mpi_errorf
           "DAMPI: no shadow communicator for ctx %d (init_tool not called?)"
           (M.comm_id comm)
 
-  (* User communicators seen so far, for the finalize-time drain. *)
-  let user_comms : (int, M.comm) Hashtbl.t = Hashtbl.create 8
+  (* Contexts of the shadows made so far. *)
+  let shadow_ids : int list ref = ref []
+
+  (* User communicators seen so far and not yet freed, for the
+     finalize-time drain: (ctx, comm), newest first, and the most ever held
+     at once. *)
+  let user_comms : (int * M.comm) list ref = ref []
+  let user_high = ref 0
 
   (* Collective: every member of [user_comm] must enter. All ranks obtain
-     the same shadow object; the table write is idempotent. *)
+     the same shadow and user objects; the writes are idempotent. A member
+     that resumes after another already freed the communicator lists it
+     again, as every member's write stores it. *)
   let make_shadow user_comm =
     let s = M.comm_dup user_comm in
-    Hashtbl.replace shadow (M.comm_id user_comm) s;
-    Hashtbl.replace user_comms (M.comm_id user_comm) user_comm
+    let ctx = M.comm_id user_comm in
+    if Option.is_none (Mpi.Dense.get shadow ctx) then begin
+      Mpi.Dense.set shadow ctx (Some s);
+      shadow_ids := M.comm_id s :: !shadow_ids
+    end;
+    if not (List.mem_assoc ctx !user_comms) then begin
+      user_comms := (ctx, user_comm) :: !user_comms;
+      user_high := max !user_high (List.length !user_comms)
+    end
 
-  let shadow_ctxs () =
-    Hashtbl.fold (fun _ s acc -> M.comm_id s :: acc) shadow []
+  let shadow_ctxs () = !shadow_ids
 
   let init_tool () = make_shadow M.comm_world
 
@@ -92,7 +113,25 @@ struct
     ri_wildcard : bool;  (* posted with any_source (self or guided) *)
   }
 
-  let info : (int, req_info) Hashtbl.t = Hashtbl.create 64
+  (* The empty slot of [info]: the request is not (or no longer) tracked. *)
+  let no_info =
+    {
+      ri_comm = M.comm_world;
+      ri_pb = None;
+      ri_epoch = None;
+      ri_recv = false;
+      ri_wildcard = false;
+    }
+
+  (* request uid -> bookkeeping of the user requests not yet completed *)
+  let info : req_info Mpi.Dense.t = Mpi.Dense.create ~capacity:64 no_info
+
+  let reset () =
+    Mpi.Dense.clear shadow;
+    shadow_ids := [];
+    user_comms := [];
+    user_high := 0;
+    Mpi.Dense.clear info
 
   (* ---- Clock piggyback helpers ---- *)
 
@@ -143,7 +182,7 @@ struct
         let req = send ~tag ~dest comm payload in
         (req, Some (pb_send ~tag ~dest comm))
     in
-    Hashtbl.replace info (M.request_id req)
+    Mpi.Dense.set info (M.request_id req)
       {
         ri_comm = comm;
         ri_pb = pb;
@@ -166,7 +205,7 @@ struct
            separate + wildcard: deferred to wait/test (§II-D) *)
       else Some (M.irecv ?src ?tag (shadow_of comm))
     in
-    Hashtbl.replace info (M.request_id req)
+    Mpi.Dense.set info (M.request_id req)
       { ri_comm = comm; ri_pb = pb; ri_epoch = epoch; ri_recv = true; ri_wildcard = wildcard };
     (match epoch with
     | Some e -> State.watch_wildcard st ~req_uid:(M.request_id req) e
@@ -228,10 +267,11 @@ struct
      as the user should see it (inline packing hides the clock bytes). *)
   let on_completion req (status : Types.status) =
     let uid = M.request_id req in
-    match Hashtbl.find_opt info uid with
-    | None -> status (* already processed (waitany + later waitall, etc.) *)
-    | Some ri ->
-        Hashtbl.remove info uid;
+    let ri = Mpi.Dense.get info uid in
+    if ri == no_info then
+      status (* already processed (waitany + later waitall, etc.) *)
+    else begin
+        Mpi.Dense.set info uid no_info;
         if not ri.ri_recv then begin
           (* Send: just retire the piggyback send. *)
           (match ri.ri_pb with Some pb -> ignore (M.wait pb) | None -> ());
@@ -278,6 +318,7 @@ struct
             { status with Types.count = status.Types.count - clock_bytes }
           else status
         end
+    end
 
   let recv_data req =
     let data = M.recv_data req in
@@ -549,10 +590,11 @@ struct
     user
 
   let comm_free comm =
-    (match Hashtbl.find_opt shadow (M.comm_id comm) with
+    let ctx = M.comm_id comm in
+    (match Mpi.Dense.get shadow ctx with
     | Some s -> M.comm_free s
     | None -> ());
-    Hashtbl.remove user_comms (M.comm_id comm);
+    user_comms := List.filter (fun (c, _) -> c <> ctx) !user_comms;
     M.comm_free comm
 
   (* ---- Misc ---- *)
@@ -592,7 +634,12 @@ struct
     in
     loop ()
 
+  (* The drain visits communicators in the order of the ctx-keyed table
+     (created with 8 buckets) that once held them: message order decides
+     the drained ranks' virtual times. *)
   let finalize_tool () =
     M.barrier (shadow_of M.comm_world);
-    Hashtbl.iter (fun _ comm -> drain_comm comm) user_comms
+    List.iter
+      (fun (_, comm) -> drain_comm comm)
+      (Bucket_order.sort ~initial:8 ~high_water:!user_high fst !user_comms)
 end

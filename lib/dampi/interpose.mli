@@ -23,6 +23,10 @@ module type WRAPPED = sig
 
   val shadow_ctxs : unit -> int list
   (** Contexts of tool-created communicators, for leak-report filtering. *)
+
+  val reset : unit -> unit
+  (** Forget every communicator and request of the previous run, so the
+      instance serves the next run of its state after {!State.reset}. *)
 end
 
 module Wrap (_ : Mpi.Mpi_intf.MPI_CORE) (_ : sig

@@ -72,7 +72,7 @@ type monitor_warning = {
 type t = {
   np : int;
   config : config;
-  plan : Decisions.plan;
+  mutable plan : Decisions.plan;
   clocks : int array array;  (** per world pid, encoded *)
   xmit_clocks : int array array;
       (** dual-clock mode: the lagging clocks that piggybacks carry *)
@@ -82,21 +82,28 @@ type t = {
           late messages are matched against *)
   mutable completed : Epoch.t list;  (** global completion order, reversed *)
   mutable completed_count : int;
-  fork_index : int;
+  mutable fork_index : int;
       (** global index of the decision this run re-forces; -1 on the initial
           self run. Bounded mixing measures depth from here. *)
   pcontrol_depth : int array;
       (** loop-abstraction nesting (§III-B1); epochs recorded while > 0 are
           not expandable *)
-  open_wildcards : (int, Epoch.t) Hashtbl.t;
-      (** user request uid -> epoch, for wildcard receives posted but not yet
-          completed — the §V limitation monitor's watch set, per owner *)
+  open_wildcards : (int * Epoch.t) list array;
+      (** per owner, newest first: (user request uid, epoch) of the wildcard
+          receives posted but not yet completed — the §V limitation
+          monitor's watch set *)
+  open_by_uid : Epoch.t Mpi.Dense.t;
+      (** user request uid -> its open epoch; [no_epoch] when none *)
+  mutable open_count : int;
+  mutable open_high : int;
+      (** most receives ever open at once: fixes {!monitor_clock_escape}'s
+          warning order ({!Bucket_order}) *)
   mutable warnings : monitor_warning list;
   mutable divergences : int;
       (** guided-mode wildcard events with no decision in the plan — replay
           divergence, should be zero for deterministic programs *)
   obs : smetrics option;
-  poison : (unit -> bool) option;
+  mutable poison : (unit -> bool) option;
       (** polled at every interposed call; [true] cancels the replay *)
   clock_width : int;  (** cells per encoded clock, [C.width ~np] *)
   pb_pool : int array array;
@@ -109,6 +116,11 @@ type t = {
           the shard once per replay instead of twice per message *)
   mutable pending_pb_bytes : int;
 }
+
+(* The empty slot of [open_by_uid]; never recorded or reported. *)
+let no_epoch =
+  Epoch.make ~owner:(-1) ~id:(-1) ~kind:Epoch.Wildcard_recv ~ctx:(-1)
+    ~tag:(-1) ~clock_enc:[||]
 
 let create ?(config = default_config) ?metrics ?(profile = false) ?poison ~np
     ~plan ~fork_index () =
@@ -128,7 +140,10 @@ let create ?(config = default_config) ?metrics ?(profile = false) ?poison ~np
     completed_count = Decisions.length plan;
     fork_index;
     pcontrol_depth = Array.make np 0;
-    open_wildcards = Hashtbl.create 16;
+    open_wildcards = Array.make np [];
+    open_by_uid = Mpi.Dense.create no_epoch;
+    open_count = 0;
+    open_high = 0;
     warnings = [];
     divergences = 0;
     obs =
@@ -156,6 +171,37 @@ let create ?(config = default_config) ?metrics ?(profile = false) ?poison ~np
     pending_pb_msgs = 0;
     pending_pb_bytes = 0;
   }
+
+(* Back to the state [create] left, for the run of [plan], keeping the
+   storage. Both free lists start empty, as on a fresh state, so
+   [dampi.clock_buf_reuses] counts the same on either. *)
+let reset st ~plan ~fork_index ~poison =
+  let module C = (val st.config.clock) in
+  let zero = C.make_enc ~np:st.np in
+  let restart clocks = Array.iter (fun c -> Array.blit zero 0 c 0 st.clock_width) clocks in
+  restart st.clocks;
+  restart st.xmit_clocks;
+  st.plan <- plan;
+  for pid = 0 to st.np - 1 do
+    st.mode.(pid) <-
+      (if plan.Decisions.guided_epoch.(pid) >= 0 then Guided_run else Self_run)
+  done;
+  Array.fill st.epochs 0 st.np [];
+  st.completed <- [];
+  st.completed_count <- Decisions.length plan;
+  st.fork_index <- fork_index;
+  Array.fill st.pcontrol_depth 0 st.np 0;
+  Array.fill st.open_wildcards 0 st.np [];
+  Mpi.Dense.clear st.open_by_uid;
+  st.open_count <- 0;
+  st.open_high <- 0;
+  st.warnings <- [];
+  st.divergences <- 0;
+  st.poison <- poison;
+  st.pb_pool_top <- 0;
+  st.pb_reuses <- 0;
+  st.pending_pb_msgs <- 0;
+  st.pending_pb_bytes <- 0
 
 (* The in-replay poison check: polled at every interposed MPI call so a
    poisoned replay aborts at its next call instead of running to the end. *)
@@ -346,21 +392,39 @@ let guided_src st me ~kind =
 
 (* ---- §V limitation monitor ---- *)
 
-let watch_wildcard st ~req_uid epoch =
-  Hashtbl.replace st.open_wildcards req_uid epoch
+(* Request uids are unique within a run, so a uid is watched at most
+   once. *)
+let watch_wildcard st ~req_uid (epoch : Epoch.t) =
+  Mpi.Dense.set st.open_by_uid req_uid epoch;
+  st.open_wildcards.(epoch.owner) <-
+    (req_uid, epoch) :: st.open_wildcards.(epoch.owner);
+  st.open_count <- st.open_count + 1;
+  if st.open_count > st.open_high then st.open_high <- st.open_count
 
-let unwatch_wildcard st ~req_uid = Hashtbl.remove st.open_wildcards req_uid
+let rec drop_watch uid = function
+  | [] -> []
+  | ((u, _) as w) :: rest -> if u = uid then rest else w :: drop_watch uid rest
+
+let unwatch_wildcard st ~req_uid =
+  let epoch = Mpi.Dense.get st.open_by_uid req_uid in
+  if epoch != no_epoch then begin
+    Mpi.Dense.set st.open_by_uid req_uid no_epoch;
+    st.open_wildcards.(epoch.owner) <-
+      drop_watch req_uid st.open_wildcards.(epoch.owner);
+    st.open_count <- st.open_count - 1
+  end
 
 (* Called before any operation that transmits the clock (send, collective):
    if [me] has an open wildcard receive whose tick is already folded into
    the clock being sent, the run exhibits the pattern DAMPI cannot handle
-   (Fig. 10); flag it. The emptiness test skips the walk over every bucket
-   of an empty table, the common case on each send and collective. *)
+   (Fig. 10); flag it. The watch set was once a uid-keyed table created
+   with 16 buckets; the warnings keep that table's visiting order. *)
 let monitor_clock_escape st ~me ~op =
-  if Hashtbl.length st.open_wildcards > 0 then
-    Hashtbl.iter
-      (fun _uid (e : Epoch.t) ->
-        if e.Epoch.owner = me then
+  match st.open_wildcards.(me) with
+  | [] -> ()
+  | open_here ->
+      List.iter
+        (fun (_, (e : Epoch.t)) ->
           let dup =
             List.exists
               (fun w -> w.warn_pid = me && w.warn_epoch_id = e.Epoch.id)
@@ -370,7 +434,7 @@ let monitor_clock_escape st ~me ~op =
             st.warnings <-
               { warn_pid = me; warn_epoch_id = e.Epoch.id; warn_op = op }
               :: st.warnings)
-      st.open_wildcards
+        (Bucket_order.sort ~initial:16 ~high_water:st.open_high fst open_here)
 
 (* ---- Loop iteration abstraction (§III-B1) ---- *)
 

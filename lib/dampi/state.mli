@@ -51,20 +51,23 @@ type monitor_warning = { warn_pid : int; warn_epoch_id : int; warn_op : string }
 type t = {
   np : int;
   config : config;
-  plan : Decisions.plan;
+  mutable plan : Decisions.plan;
   clocks : int array array;
   xmit_clocks : int array array;
   mode : mode array;
   epochs : Epoch.t list array;
   mutable completed : Epoch.t list;
   mutable completed_count : int;
-  fork_index : int;
+  mutable fork_index : int;
   pcontrol_depth : int array;
-  open_wildcards : (int, Epoch.t) Hashtbl.t;
+  open_wildcards : (int * Epoch.t) list array;
+  open_by_uid : Epoch.t Mpi.Dense.t;
+  mutable open_count : int;
+  mutable open_high : int;
   mutable warnings : monitor_warning list;
   mutable divergences : int;
   obs : smetrics option;
-  poison : (unit -> bool) option;
+  mutable poison : (unit -> bool) option;
   clock_width : int;
   pb_pool : int array array;
   mutable pb_pool_top : int;
@@ -85,6 +88,13 @@ val create :
   t
 (** [profile] (with [metrics]) wall-clocks every clock merge into the
     [profile.clock_merge_s] histogram — the [--profile] phase timing. *)
+
+val reset :
+  t -> plan:Decisions.plan -> fork_index:int -> poison:(unit -> bool) option -> unit
+(** Return [t] to the state {!create} left it in for a run of [plan], with
+    [poison] in place of the previous closure, so one state serves replay
+    after replay; config, metrics and profiling stay as created. Keeps the
+    storage (clocks, tables, the free list's array). *)
 
 val check_poison : t -> unit
 (** Raises {!Replay_cancelled} when the poison closure reports true. Called

@@ -30,6 +30,10 @@ type arrival_result = Delivered of Request.t | Queued
 
 let create () = { unexpected = []; posted = [] }
 
+let clear mbox =
+  mbox.unexpected <- [];
+  mbox.posted <- []
+
 let req_matches (req : Request.t) (env : Envelope.t) =
   match req.kind with
   | Request.Recv r -> Envelope.matches env ~src:r.src ~tag:r.tag ~ctx:r.ctx
@@ -69,9 +73,15 @@ let candidates mbox ~src ~tag ~ctx =
       in
       collect [] unexpected
 
+(* Drop the one envelope with [uid], keeping the order of the rest. Uids
+   are unique, so the walk stops at the first hit and shares the cells
+   after it: removing the queue head (the common case) allocates nothing. *)
+let rec drop_env uid = function
+  | [] -> []
+  | (e : Envelope.t) :: rest -> if e.uid = uid then rest else e :: drop_env uid rest
+
 let remove_unexpected mbox (env : Envelope.t) =
-  mbox.unexpected <-
-    List.filter (fun (e : Envelope.t) -> e.uid <> env.uid) mbox.unexpected
+  mbox.unexpected <- drop_env env.uid mbox.unexpected
 
 (* Deliver [env] to the earliest posted matching receive, if any. *)
 let on_arrival mbox (env : Envelope.t) =
@@ -108,9 +118,12 @@ let post_recv mbox (req : Request.t) ~choose =
           remove_unexpected mbox env;
           Some env)
 
+let rec drop_req uid = function
+  | [] -> []
+  | (r : Request.t) :: rest -> if r.uid = uid then rest else r :: drop_req uid rest
+
 let cancel_posted mbox (req : Request.t) =
-  mbox.posted <-
-    List.filter (fun (r : Request.t) -> r.uid <> req.uid) mbox.posted
+  mbox.posted <- drop_req req.uid mbox.posted
 
 let unexpected_count mbox = List.length mbox.unexpected
 let posted_count mbox = List.length mbox.posted

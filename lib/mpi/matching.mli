@@ -18,6 +18,9 @@ type arrival_result =
 
 val create : unit -> mailbox
 
+val clear : mailbox -> unit
+(** Empty both queues, as {!create} left them. *)
+
 val on_arrival : mailbox -> Envelope.t -> arrival_result
 (** Deliver an envelope to the earliest posted matching receive, if any.
     The caller completes the returned request. *)

@@ -110,14 +110,18 @@ type t = {
   oracle : oracle;
   mailboxes : Matching.mailbox array;
   comm_world : Comm.t;
-  comm_by_ctx : (int, comm_record) Hashtbl.t;
+  comm_by_ctx : comm_record option Dense.t;
   mutable comm_registry : comm_record list;  (* creation order *)
   mutable next_ctx : int;
   mutable next_uid : int;
   mutable next_req : int;
-  chan_seq : (int, int array) Hashtbl.t;
-      (* ctx -> np*np dense counters, indexed [src * np + dst] *)
-  pending_sync : (int, Request.t) Hashtbl.t;  (* envelope uid -> send req *)
+  chan_seq : int array Dense.t;
+      (* ctx -> np*np dense counters, indexed [src * np + dst]; [[||]] until
+         the context's first send *)
+  mutable stray_seq : (int * int array) list;
+      (* counters of contexts outside [0, next_ctx) *)
+  pending_sync : Request.t Dense.t;
+      (* send request uid -> the synchronous send awaiting its match *)
   mutable choose_fn : oracle;
       (* [consult_oracle rt] closed once at [create]; hot paths reuse it
          instead of re-building the partial application per receive *)
@@ -127,13 +131,26 @@ type t = {
   req_created : int array;
   req_released : int array;
   wildcard_recvs : int array;
-  fault : Fault.t;
+  mutable fault : Fault.t;
   mutable interrupt_hook : (unit -> unit) option;
   mutable spawned : bool;
   trace_on : bool;
   mutable trace_events : event list;  (* reversed; only filled if trace_on *)
   metrics : rmetrics option;
 }
+
+(* The empty slot of [pending_sync]; never handed to a program. *)
+let no_request =
+  {
+    Request.uid = -1;
+    owner = -1;
+    kind = Request.Send { dest = -1; tag = -1; ctx = -1; sync = true };
+    complete = false;
+    released = false;
+    status = None;
+    data = None;
+    arrive_time = 0.0;
+  }
 
 let fresh_slot () =
   { op_name = ""; arrivals = []; results = [||]; gen = 0 }
@@ -150,7 +167,7 @@ let consult_oracle rt envs =
 
 let register_comm rt comm =
   let record = { comm; coll = fresh_slot () } in
-  Hashtbl.replace rt.comm_by_ctx (Comm.ctx comm) record;
+  Dense.set rt.comm_by_ctx (Comm.ctx comm) (Some record);
   rt.comm_registry <- record :: rt.comm_registry;
   record
 
@@ -187,13 +204,14 @@ let create ?(cost = default_cost) ?(oracle = default_oracle) ?(trace = false)
       oracle;
       mailboxes = Array.init np (fun _ -> Matching.create ());
       comm_world;
-      comm_by_ctx = Hashtbl.create 16;
+      comm_by_ctx = Dense.create ~capacity:8 None;
       comm_registry = [];
       next_ctx = 1;
       next_uid = 0;
       next_req = 0;
-      chan_seq = Hashtbl.create 8;
-      pending_sync = Hashtbl.create 16;
+      chan_seq = Dense.create ~capacity:8 [||];
+      stray_seq = [];
+      pending_sync = Dense.create no_request;
       choose_fn = default_oracle;
       env_pool = Array.make env_pool_cap dummy_env;
       env_pool_top = 0;
@@ -231,6 +249,38 @@ let create ?(cost = default_cost) ?(oracle = default_oracle) ?(trace = false)
   ignore (register_comm rt comm_world);
   rt.choose_fn <- (fun envs -> consult_oracle rt envs);
   rt
+
+(* Back to the state [create] left, with [fault] installed, keeping the
+   storage: the context tables, the per-context channel counters (zeroed)
+   and the free list's array. The free list itself starts empty, as on a
+   fresh runtime, so [mpi.envelope_pool_reuses] counts the same whichever
+   runtime a replay lands on. A replay that deadlocked or crashed leaves
+   parked processes and queued envelopes behind; they are dropped here. *)
+let reset rt ~fault =
+  Coroutine.reset rt.sched;
+  Vtime.reset rt.vt;
+  Array.iter Matching.clear rt.mailboxes;
+  for ctx = 0 to rt.next_ctx - 1 do
+    let counters = Dense.get rt.chan_seq ctx in
+    Array.fill counters 0 (Array.length counters) 0
+  done;
+  rt.stray_seq <- [];
+  Dense.clear rt.comm_by_ctx;
+  rt.comm_registry <- [];
+  ignore (register_comm rt rt.comm_world);
+  rt.next_ctx <- 1;
+  rt.next_uid <- 0;
+  rt.next_req <- 0;
+  Dense.clear rt.pending_sync;
+  rt.env_pool_top <- 0;
+  Stats.reset rt.stats;
+  List.iter
+    (fun a -> Array.fill a 0 rt.np 0)
+    [ rt.req_created; rt.req_released; rt.wildcard_recvs ];
+  rt.fault <- fault;
+  rt.interrupt_hook <- None;
+  rt.spawned <- false;
+  rt.trace_events <- []
 
 let np rt = rt.np
 let comm_world rt = rt.comm_world
@@ -286,12 +336,12 @@ let observe_queue_depth rt dst =
   | None -> ()
 
 let comm_of_ctx rt ctx =
-  match Hashtbl.find_opt rt.comm_by_ctx ctx with
+  match Dense.get rt.comm_by_ctx ctx with
   | Some r -> r.comm
   | None -> Types.mpi_errorf "unknown communicator context %d" ctx
 
 let record_of_comm rt comm =
-  match Hashtbl.find_opt rt.comm_by_ctx (Comm.ctx comm) with
+  match Dense.get rt.comm_by_ctx (Comm.ctx comm) with
   | Some r -> r
   | None ->
       Types.mpi_errorf "communicator %s(ctx=%d) is not registered"
@@ -369,29 +419,42 @@ let complete_recv rt (req : Request.t) (env : Envelope.t) =
          });
   Coroutine.wake rt.sched req.owner;
   (* A synchronous-mode send completes when its message is matched. *)
-  if env.sync then
-    match Hashtbl.find_opt rt.pending_sync env.send_req with
-    | Some sreq ->
-        Hashtbl.remove rt.pending_sync env.send_req;
-        sreq.complete <- true;
-        sreq.arrive_time <-
-          Float.max (arrival_stamp rt env) (Vtime.now rt.vt req.owner);
-        Coroutine.wake rt.sched env.src
-    | None -> assert false
+  if env.sync then begin
+    let sreq = Dense.get rt.pending_sync env.send_req in
+    assert (sreq != no_request);
+    Dense.set rt.pending_sync env.send_req no_request;
+    sreq.complete <- true;
+    sreq.arrive_time <-
+      Float.max (arrival_stamp rt env) (Vtime.now rt.vt req.owner);
+    Coroutine.wake rt.sched env.src
+  end
 
 (* ---- Point-to-point ---- *)
 
-(* Per-channel sequence counters live in one dense np*np array per context:
-   bumping a counter touches no hash table and allocates nothing (the array
-   itself is created once per (runtime, context)). *)
+(* Per-channel sequence counters live in one dense np*np array per context,
+   found by indexing the context table: bumping a counter hashes nothing and
+   allocates nothing (the array itself is created once per (runtime,
+   context)). A context this runtime never handed out (a hand-made
+   communicator; its receive fails with "unknown communicator context")
+   counts apart, so no id can size the table. *)
+let fresh_counters rt = Array.make (rt.np * rt.np) 0
+
 let next_chan_seq rt ~src ~dst ~ctx =
   let counters =
-    match Hashtbl.find rt.chan_seq ctx with
-    | counters -> counters
-    | exception Not_found ->
-        let counters = Array.make (rt.np * rt.np) 0 in
-        Hashtbl.add rt.chan_seq ctx counters;
-        counters
+    if ctx >= 0 && ctx < rt.next_ctx then (
+      match Dense.get rt.chan_seq ctx with
+      | [||] ->
+          let counters = fresh_counters rt in
+          Dense.set rt.chan_seq ctx counters;
+          counters
+      | counters -> counters)
+    else
+      match List.assoc_opt ctx rt.stray_seq with
+      | Some counters -> counters
+      | None ->
+          let counters = fresh_counters rt in
+          rt.stray_seq <- (ctx, counters) :: rt.stray_seq;
+          counters
   in
   let slot = (src * rt.np) + dst in
   let n = counters.(slot) in
@@ -496,7 +559,7 @@ let post_send rt ?(tag = 0) ~dest ~sync comm payload =
       ~send_time:(Vtime.now rt.vt me)
       ~delay ~sync ~send_req:req.uid
   in
-  if sync then Hashtbl.replace rt.pending_sync req.uid req
+  if sync then Dense.set rt.pending_sync req.uid req
   else req.complete <- true;
   if rt.trace_on then
     record_event rt
@@ -959,8 +1022,9 @@ let sendrecv rt ?(stag = 0) ?(rtag = Types.any_tag) ~dest ~src comm payload =
 
 (* ---- Communicator management ---- *)
 
+(* The new communicator's label is built inside [compute], which runs once
+   per collective, not in every member's call. *)
 let comm_dup rt ?(internal = false) comm =
-  let label = Printf.sprintf "dup(%s)" (Comm.label comm) in
   let ctx_payload =
     collective rt comm ~name:"comm_dup" ~contrib:Payload.Unit
       ~compute:(fun arrivals ->
@@ -969,6 +1033,7 @@ let comm_dup rt ?(internal = false) comm =
         let ranks =
           Array.init (Comm.size comm) (fun r -> Comm.world_of_rank comm r)
         in
+        let label = "dup(" ^ Comm.label comm ^ ")" in
         ignore (register_comm rt (Comm.make ~ctx ~ranks ~internal ~label));
         Array.make (List.length arrivals) (Payload.Int ctx))
       ~timing:Sync_all
@@ -976,11 +1041,11 @@ let comm_dup rt ?(internal = false) comm =
   comm_of_ctx rt (Payload.to_int ctx_payload)
 
 let comm_split rt ~color ~key comm =
-  let label = Printf.sprintf "split(%s)" (Comm.label comm) in
   let ctx_payload =
     collective rt comm ~name:"comm_split" ~contrib:(Payload.pair (Payload.int color) (Payload.int key))
       ~compute:(fun arrivals ->
         let n = List.length arrivals in
+        let label = "split(" ^ Comm.label comm ^ ")" in
         (* (rank, color, key) triples, grouped by color. *)
         let triples =
           List.map
@@ -1029,7 +1094,6 @@ let comm_create rt comm group =
         Types.mpi_errorf
           "comm_create: group member %d is not in the parent communicator" pid)
     (Group.members group);
-  let label = Printf.sprintf "create(%s)" (Comm.label comm) in
   let contrib =
     Payload.Arr (Array.map (fun m -> Payload.Int m) (Group.members group))
   in
@@ -1050,6 +1114,7 @@ let comm_create rt comm group =
         else begin
           let ctx = rt.next_ctx in
           rt.next_ctx <- ctx + 1;
+          let label = "create(" ^ Comm.label comm ^ ")" in
           ignore (register_comm rt (Comm.make ~ctx ~ranks ~internal:false ~label));
           Array.init n (fun r ->
               let pid = Comm.world_of_rank comm r in

@@ -48,6 +48,14 @@ val create :
   np:int ->
   unit ->
   t
+val reset : t -> fault:Fault.t -> unit
+(** Return [t] to the state {!create} left it in, with [fault] installed in
+    place of the previous one, so one runtime serves replay after replay:
+    a reset run behaves exactly as a run on a fresh runtime built with the
+    same arguments. Keeps the storage (context tables, channel counters,
+    envelope free list); drops whatever the previous run left parked or
+    queued. *)
+
 val np : t -> int
 val comm_world : t -> Comm.t
 val stats : t -> Stats.t

@@ -20,6 +20,9 @@ let create np =
     wait = Array.make np 0;
   }
 
+let reset t =
+  List.iter (fun a -> Array.fill a 0 (Array.length a) 0) [ t.send_recv; t.collective; t.wait ]
+
 let record t pid = function
   | Send_recv -> t.send_recv.(pid) <- t.send_recv.(pid) + 1
   | Collective -> t.collective.(pid) <- t.collective.(pid) + 1

@@ -6,6 +6,10 @@ type op_class = Send_recv | Collective | Wait
 type t
 
 val create : int -> t
+
+val reset : t -> unit
+(** Zero every count, as {!create} left them. *)
+
 val record : t -> int -> op_class -> unit
 (** Count one operation of a class for a world pid. *)
 

@@ -45,6 +45,14 @@ let create () =
     crash = None;
   }
 
+let reset sched =
+  sched.procs <- [||];
+  sched.spawned <- [];
+  Queue.clear sched.ready;
+  sched.current <- -1;
+  sched.started <- false;
+  sched.crash <- None
+
 let spawn sched body =
   if sched.started then invalid_arg "Coroutine.spawn: scheduler already running";
   let id = List.length sched.spawned in

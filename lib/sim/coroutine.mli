@@ -34,6 +34,11 @@ type outcome =
 
 val create : unit -> sched
 
+val reset : sched -> unit
+(** Forget every process, finished or not, and accept {!spawn} and {!run}
+    again, as {!create} left the scheduler. A parked process is dropped
+    with its continuation, never resumed. *)
+
 val spawn : sched -> (unit -> unit) -> pid
 (** [spawn sched body] registers a new process. Processes start in the ready
     queue in spawn order. Must be called before {!run}. *)

@@ -4,6 +4,7 @@ let create n =
   if n <= 0 then invalid_arg "Vtime.create: need at least one process";
   { clocks = Array.make n 0.0 }
 
+let reset t = Array.fill t.clocks 0 (Array.length t.clocks) 0.0
 let now t pid = t.clocks.(pid)
 
 let advance t pid dt =

@@ -19,6 +19,9 @@ type t
 val create : int -> t
 (** [create n] gives [n] processes, all clocks at 0. *)
 
+val reset : t -> unit
+(** Every process back to time 0, as {!create} left them. *)
+
 val now : t -> int -> float
 (** [now t pid] reads process [pid]'s clock. *)
 

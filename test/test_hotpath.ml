@@ -162,13 +162,13 @@ let check_entry (e : entry) () =
 (* ---- allocation budget ----
 
    Per-replay minor words on the default path (trace off, pruning off,
-   jobs=1). The hot path measures ~12.3k words/replay on matmult (n=6,
+   jobs=1). The hot path measures ~9.9k words/replay on matmult (n=6,
    rows_per_task=1, np=6); the pre-refactor code sat at ~77k. The budget
    sits ~40% above the current cost (the matmult ceiling of
    bench/baselines/hotpath.json), so it catches a return of copy-per-op
    clocks, per-message piggyback boxing, eager per-block string formatting
    or per-call hashed bookkeeping — not minor drift. *)
-let alloc_budget_words_per_replay = 17_200.0
+let alloc_budget_words_per_replay = 13_800.0
 
 let test_allocation_budget () =
   let build () =

@@ -198,78 +198,179 @@ let sleep_key ss =
   add_sleep_key b ss;
   Buffer.contents b
 
-(* ---- key parsers ---- *)
+(* ---- key parsers ----
 
-let decision_of_key s =
-  match String.split_on_char ':' s with
-  | [ kind; owner; epoch_id; src ] -> (
-      match
-        ( Decisions.kind_of_string kind,
-          int_of_string_opt owner,
-          int_of_string_opt epoch_id,
-          int_of_string_opt src )
-      with
-      | Some kind, Some owner, Some epoch_id, Some src ->
-          Some { Decisions.owner; epoch_id; src; kind }
-      | _ -> None)
-  | _ -> None
+   The parsers read a key in place, in one pass: a cursor walks the text
+   and each field is read up to its delimiter. A sidecar load and a
+   checkpoint resume parse tens of thousands of keys, and splitting each
+   into substrings and lists cost more than the lookups they feed, so they
+   make no substring per field, no list of parts and no closure per scan.
 
-let schedule_of_key = function
-  | "-" -> Some []
-  | s ->
-      let parts = String.split_on_char ',' s in
-      let ds = List.map decision_of_key parts in
-      if List.exists Option.is_none ds then None
-      else Some (List.filter_map Fun.id ds)
+   The language they accept and the values they read are exactly those of
+   splitting at the delimiters, outermost first, and reading each number
+   with [int_of_string_opt]. A field here runs to its own delimiter, and
+   none of the delimiters [, ; : .] is a character [int_of_string_opt]
+   accepts or a kind contains: where the split form would find a wrong
+   count of parts, a field here takes in a foreign delimiter and fails.
 
-let summary_of_key key =
-  match String.split_on_char ':' key with
-  | [ kind; owner; id; ctx; tag; matched; expandable; alts ] -> (
-      let alternatives =
-        if alts = "~" then Some []
-        else
-          let parts = List.map int_of_string_opt (String.split_on_char '.' alts) in
-          if List.exists Option.is_none parts then None
-          else Some (List.filter_map Fun.id parts)
-      in
-      match
-        ( Decisions.kind_of_string kind,
-          int_of_string_opt owner,
-          int_of_string_opt id,
-          int_of_string_opt ctx,
-          int_of_string_opt tag,
-          int_of_string_opt matched,
-          expandable,
-          alternatives )
-      with
-      | ( Some s_kind,
-          Some s_owner,
-          Some s_id,
-          Some s_ctx,
-          Some s_tag,
-          Some s_matched,
-          ("0" | "1"),
-          Some s_alternatives ) ->
-          Some
-            {
-              Epoch.s_owner;
-              s_id;
-              s_kind;
-              s_ctx;
-              s_tag;
-              s_matched;
-              s_alternatives;
-              s_expandable = expandable = "1";
-            }
-      | _ -> None)
-  | _ -> None
+   The internal parsers raise [Malformed]; the exported ones catch it. *)
 
-let sleep_of_key = function
-  | "-" -> Some []
-  | s ->
-      let parts = List.map summary_of_key (String.split_on_char ';' s) in
-      if List.exists Option.is_none parts then None
-      else Some (List.filter_map Fun.id parts)
+exception Malformed
+
+(* A parse of [s.[pos .. stop-1]]. Reading a field moves [pos] past the
+   delimiter that ends it, or to [stop + 1] when the text ends it. *)
+type cursor = { s : string; stop : int; mutable pos : int }
+
+(* The first [c] in [s.[p .. j-1]], or [j] (or [p], when [p >= j]). *)
+let rec find_char s c p j =
+  if p >= j || String.unsafe_get s p = c then p else find_char s c (p + 1) j
+
+let rec find_either s c1 c2 p j =
+  if p >= j then p
+  else
+    let c = String.unsafe_get s p in
+    if c = c1 || c = c2 then p else find_either s c1 c2 (p + 1) j
+
+let rec same s i lit k =
+  k = String.length lit
+  || (String.unsafe_get s (i + k) = String.unsafe_get lit k && same s i lit (k + 1))
+
+(* [s.[i .. j-1]] is the literal [lit]. *)
+let is s i j lit = j - i = String.length lit && same s i lit 0
+
+(* The field at the cursor is the literal [lit], ended by [d] or the end. *)
+let at_lit c lit d =
+  let e = c.pos + String.length lit in
+  e <= c.stop && same c.s c.pos lit 0 && (e = c.stop || String.unsafe_get c.s e = d)
+
+(* Reads the digits from [p] onto [acc] and stops the cursor at the first
+   other character. *)
+let rec digits c p acc =
+  if p < c.stop then
+    match String.unsafe_get c.s p with
+    | '0' .. '9' as ch -> digits c (p + 1) ((acc * 10) + Char.code ch - 48)
+    | _ ->
+        c.pos <- p;
+        acc
+  else begin
+    c.pos <- p;
+    acc
+  end
+
+(* The number in the field at the cursor, which runs to the first [d1] or
+   [d2]. An optional [-] and 1 to 18 decimal digits (so no overflow) are
+   read directly; any other field (empty, [+3], [0x1F], [1_000], 19 or
+   more digits) goes to [int_of_string_opt] on its substring. *)
+let int_field c d1 d2 =
+  let i = c.pos in
+  if i > c.stop then raise_notrace Malformed;
+  let k = if i < c.stop && String.unsafe_get c.s i = '-' then i + 1 else i in
+  let n = digits c k 0 in
+  let e = c.pos in
+  if
+    e - k >= 1 && e - k <= 18
+    && (e = c.stop
+       ||
+       let ch = String.unsafe_get c.s e in
+       ch = d1 || ch = d2)
+  then begin
+    c.pos <- e + 1;
+    if k > i then -n else n
+  end
+  else
+    let e = find_either c.s d1 d2 e c.stop in
+    c.pos <- e + 1;
+    match int_of_string_opt (String.sub c.s i (e - i)) with
+    | Some n -> n
+    | None -> raise_notrace Malformed
+
+(* The text ended the last field read, not a delimiter. *)
+let at_end c = c.pos > c.stop
+
+let kind_field c =
+  if at_lit c "recv" ':' then begin
+    c.pos <- c.pos + 5;
+    Epoch.Wildcard_recv
+  end
+  else if at_lit c "probe" ':' then begin
+    c.pos <- c.pos + 6;
+    Epoch.Wildcard_probe
+  end
+  else raise_notrace Malformed
+
+(* [KIND:OWNER:EPOCH:SRC], ended by [,] or the end *)
+let decision c =
+  let kind = kind_field c in
+  let owner = int_field c ':' ':' in
+  let epoch_id = int_field c ':' ':' in
+  let src = int_field c ',' ',' in
+  { Decisions.owner; epoch_id; src; kind }
+
+(* [decision] for its failure alone: checks a key without building it. *)
+let skip_decision c =
+  ignore (kind_field c : Epoch.kind);
+  for _ = 1 to 2 do
+    ignore (int_field c ':' ':' : int)
+  done;
+  ignore (int_field c ',' ',' : int)
+
+let rec decisions c =
+  let d = decision c in
+  if at_end c then [ d ] else d :: decisions c
+
+let rec skip_decisions c =
+  skip_decision c;
+  if not (at_end c) then skip_decisions c
+
+(* [-], or [,]-joined decisions *)
+let schedule c = if is c.s c.pos c.stop "-" then [] else decisions c
+
+(* ALTS: [~], or [.]-joined numbers; ended by [;] or the end *)
+let rec alternatives c =
+  let n = int_field c '.' ';' in
+  if at_end c || String.unsafe_get c.s (c.pos - 1) = ';' then [ n ] else n :: alternatives c
+
+(* [KIND:OWNER:ID:CTX:TAG:MATCHED:0|1:ALTS], ended by [;] or the end *)
+let summary c =
+  let s_kind = kind_field c in
+  let s_owner = int_field c ':' ':' in
+  let s_id = int_field c ':' ':' in
+  let s_ctx = int_field c ':' ':' in
+  let s_tag = int_field c ':' ':' in
+  let s_matched = int_field c ':' ':' in
+  let s_expandable =
+    if at_lit c "1" ':' then true
+    else if at_lit c "0" ':' then false
+    else raise_notrace Malformed
+  in
+  c.pos <- c.pos + 2;
+  let s_alternatives =
+    if at_lit c "~" ';' then begin
+      c.pos <- c.pos + 2;
+      []
+    end
+    else alternatives c
+  in
+  { Epoch.s_owner; s_id; s_kind; s_ctx; s_tag; s_matched; s_alternatives; s_expandable }
+
+let rec summaries c =
+  let x = summary c in
+  if at_end c then [ x ] else x :: summaries c
+
+(* [-], or [;]-joined summaries *)
+let sleep c = if is c.s c.pos c.stop "-" then [] else summaries c
+
+let parse f s i j =
+  match f { s; stop = j; pos = i } with v -> Some v | exception Malformed -> None
+
+let schedule_of_key s = parse schedule s 0 (String.length s)
+let sleep_of_key s = parse sleep s 0 (String.length s)
+
+let is_schedule_key s i j =
+  is s i j "-"
+  || match skip_decisions { s; stop = j; pos = i } with
+     | () -> true
+     | exception Malformed -> false
 
 (* ---- frontier items ----
    "item PREFIX CHOICE [SLEEP]": one line per pending item, shared by the
@@ -287,22 +388,23 @@ let add_item_line b it =
   Buffer.add_char b '\n'
 
 let item_of_line line =
-  (* 2-field items (no sleep set) predate pruning and still parse: sleep
+  (* [item PREFIX CHOICE] predates pruning and still parses: sleep
      defaults to empty. *)
-  let fields =
-    match String.split_on_char ' ' line with
-    | [ "item"; prefix; choice ] -> Some (prefix, choice, "-")
-    | [ "item"; prefix; choice; sleep ] -> Some (prefix, choice, sleep)
-    | _ -> None
-  in
-  match fields with
-  | None -> Error (Printf.sprintf "malformed item line %S" line)
-  | Some (prefix, choice, sleep) -> (
-      match
-        (schedule_of_key prefix, decision_of_key choice, sleep_of_key sleep)
-      with
-      | Some prefix, Some choice, Some sleep -> Ok { prefix; choice; sleep }
-      | _ -> Error (Printf.sprintf "malformed item line %S" line))
+  let n = String.length line in
+  let s1 = find_char line ' ' 5 n in
+  let s2 = find_char line ' ' (s1 + 1) n in
+  let s3 = find_char line ' ' (s2 + 1) n in
+  match
+    if not (n > 5 && is line 0 5 "item " && s1 < n && s3 >= n) then raise_notrace Malformed;
+    let prefix = schedule { s = line; stop = s1; pos = 5 } in
+    let c = { s = line; stop = s2; pos = s1 + 1 } in
+    let choice = decision c in
+    if not (at_end c) then raise_notrace Malformed;
+    let sleep = if s2 >= n then [] else sleep { s = line; stop = n; pos = s2 + 1 } in
+    { prefix; choice; sleep }
+  with
+  | it -> Ok it
+  | exception Malformed -> Error (Printf.sprintf "malformed item line %S" line)
 
 (* ---- error serialization ---- *)
 

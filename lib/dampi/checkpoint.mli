@@ -112,6 +112,18 @@ val add_sleep_key : Buffer.t -> Epoch.summary list -> unit
 
 val sleep_of_key : string -> Epoch.summary list option
 
+val is_schedule_key : string -> int -> int -> bool
+(** [is_schedule_key s i j]: {!schedule_of_key} of [s.[i .. j-1]] is not
+    [None]. Reads the field in place and builds no decision: the check a
+    sidecar load makes on every key.
+
+    The key parsers ({!schedule_of_key}, {!sleep_of_key}, {!item_of_line}
+    and this one) read in one pass, with no substring per field and no
+    list of parts. They accept exactly what splitting at the delimiters
+    and reading each number with [int_of_string_opt] accepts, with the
+    same values: a field of an optional [-] and 1 to 18 decimal digits is
+    read directly, any other goes to [int_of_string_opt]. *)
+
 val add_item_line : Buffer.t -> item -> unit
 (** Append [item PREFIX CHOICE [SLEEP]] and a newline: the line that
     carries one pending item in a checkpoint's frontier and in the wire's

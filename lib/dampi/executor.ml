@@ -151,7 +151,7 @@ let run ~rb ~runner ?cache ~prune ~worker ~metrics ~need_poison
       | `Poisoned -> result ~poisoned:true None
       | `Completed record ->
           let entry = Prefix_cache.entry_of_record record in
-          Option.iter (fun pc -> Prefix_cache.add pc schedule entry) cache;
+          Option.iter (fun pc -> Prefix_cache.add pc ~key schedule entry) cache;
           counted ~replayed:true entry)
 
 type drive_outcome =

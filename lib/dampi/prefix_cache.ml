@@ -52,34 +52,71 @@ let entry_line ~key e =
   add_entry_line b ~key e;
   Buffer.contents b
 
-let entry_of_line line =
-  match String.split_on_char ' ' line with
-  | [ "entry"; key; vtime; wildcards; epochs; errors ] -> (
-      let parse_err s =
-        let l = Checkpoint.dec s in
-        match String.index_opt l ' ' with
-        | Some i ->
-            Checkpoint.error_of_line (String.sub l 0 i)
-              (String.sub l (i + 1) (String.length l - i - 1))
-        | None -> Checkpoint.error_of_line l ""
-      in
-      let errors =
-        if errors = "-" then Some []
-        else
-          let parts = List.map parse_err (String.split_on_char ';' errors) in
-          if List.exists Option.is_none parts then None
-          else Some (List.filter_map Fun.id parts)
-      in
-      match
-        ( float_of_string_opt vtime,
-          int_of_string_opt wildcards,
-          Checkpoint.sleep_of_key epochs,
-          errors )
-      with
-      | Some vtime, Some wildcards, Some epochs, Some errors ->
-          Some (key, { vtime; wildcards; errors; epochs })
-      | _ -> None)
-  | _ -> None
+let parse_errors field =
+  let parse_err s =
+    let l = Checkpoint.dec s in
+    match String.index_opt l ' ' with
+    | Some i ->
+        Checkpoint.error_of_line (String.sub l 0 i)
+          (String.sub l (i + 1) (String.length l - i - 1))
+    | None -> Checkpoint.error_of_line l ""
+  in
+  let parts = List.map parse_err (String.split_on_char ';' field) in
+  if List.exists Option.is_none parts then None
+  else Some (List.filter_map Fun.id parts)
+
+(* The first [c] in [text.[p .. j-1]], or [j]. *)
+let rec find_char text c p j =
+  if p >= j || String.unsafe_get text p = c then p else find_char text c (p + 1) j
+
+(* [text] holds [lit] at [i] (the caller knows it is long enough). *)
+let rec holds text i lit k =
+  k = String.length lit || (text.[i + k] = lit.[k] && holds text i lit (k + 1))
+
+(* The epochs of the field [text.[i .. j-1]], parsed once per distinct
+   field of a load: a sidecar repeats few epoch lists (adlb2: 1,445
+   distinct over 32,118 entries), and entries that share one share its
+   summaries in memory. *)
+let epochs_at known text i j =
+  let field = String.sub text i (j - i) in
+  match Hashtbl.find_opt known field with
+  | Some epochs -> epochs
+  | None ->
+      let epochs = Checkpoint.sleep_of_key field in
+      Hashtbl.add known field epochs;
+      epochs
+
+(* The entry on the line [text.[i .. j-1]]:
+   [entry KEY VTIME WILDCARDS EPOCHS ERRORS], read in place: the fields
+   are found on the line and cut out once each, and the key is checked
+   where it lies. *)
+let entry_at known text i j =
+  let f1 = i + 6 in
+  let s2 = find_char text ' ' f1 j in
+  let s3 = find_char text ' ' (s2 + 1) j in
+  let s4 = find_char text ' ' (s3 + 1) j in
+  let s5 = find_char text ' ' (s4 + 1) j in
+  if
+    j - i > 6
+    && holds text i "entry " 0
+    && s5 < j
+    && find_char text ' ' (s5 + 1) j = j
+    && Checkpoint.is_schedule_key text f1 s2
+  then
+    let errors =
+      if s5 + 2 = j && text.[s5 + 1] = '-' then Some []
+      else parse_errors (String.sub text (s5 + 1) (j - s5 - 1))
+    in
+    match
+      ( float_of_string_opt (String.sub text (s2 + 1) (s3 - s2 - 1)),
+        int_of_string_opt (String.sub text (s3 + 1) (s4 - s3 - 1)),
+        epochs_at known text (s4 + 1) s5,
+        errors )
+    with
+    | Some vtime, Some wildcards, Some epochs, Some errors ->
+        Some (String.sub text f1 (s2 - f1), { vtime; wildcards; errors; epochs })
+    | _ -> None
+  else None
 
 (* ---- LRU ---- *)
 
@@ -115,6 +152,12 @@ type t = {
   m : Mutex.t;
   line : Buffer.t;  (* [add]'s scratch for sizing an entry, under [m] *)
   metrics : metrics option;
+  mutable changes : int;
+      (* inserts so far; every eviction follows one, so an unchanged count
+         means unchanged contents *)
+  mutable synced : (string * int) option;
+      (* the file that holds [to_string] as of that [changes], if any: a
+         save to it would rewrite the same entries, so it is skipped *)
 }
 
 let default_budget_bytes = 64 * 1024 * 1024
@@ -132,6 +175,8 @@ let create ?metrics ?(label = "") ~budget_bytes () =
     evictions = 0;
     m = Mutex.create ();
     line = Buffer.create 256;
+    changes = 0;
+    synced = None;
     metrics =
       (* Resolved eagerly so the series exist even for a run with no
          cache traffic; all writes happen under [m], keeping the shard
@@ -183,21 +228,25 @@ let evict_over_budget t =
   done
 
 (* Depth of the longest cached prefix of the schedule [key] spells: each
-   [,] in a key ends the key of a proper prefix, so one scan of the key
-   yields every prefix key without re-encoding a decision. *)
+   [,] in a key ends the key of a proper prefix, so the prefixes are cut
+   from [key] without re-encoding a decision and probed longest first; the
+   first hit is the answer. [depth] counts the decisions before [key.[i]]
+   when it is a comma. *)
+let rec probe_prefixes t key i depth =
+  if i < 0 then 0
+  else if String.unsafe_get key i <> ',' then probe_prefixes t key (i - 1) depth
+  else if Hashtbl.mem t.tbl (String.sub key 0 i) then depth
+  else probe_prefixes t key (i - 1) (depth - 1)
+
+let rec commas key i n =
+  if i < 0 then n else commas key (i - 1) (if String.unsafe_get key i = ',' then n + 1 else n)
+
 let deepest_prefix_locked t key =
   if key = "-" then 0
-  else begin
-    let best = ref 0 and depth = ref 0 in
-    String.iteri
-      (fun i c ->
-        if c = ',' then begin
-          incr depth;
-          if Hashtbl.mem t.tbl (String.sub key 0 i) then best := !depth
-        end)
-      key;
-    if Hashtbl.mem t.tbl key then !depth + 1 else !best
-  end
+  else
+    let last = String.length key - 1 in
+    let n = commas key last 0 + 1 in
+    if Hashtbl.mem t.tbl key then n else probe_prefixes t key last (n - 1)
 
 let find t ?key decisions =
   let key =
@@ -245,13 +294,16 @@ let insert_locked t key entry ~cost =
           { n_key = key; n_entry = entry; n_cost = cost; prev = None; next = None }
         in
         Hashtbl.replace t.tbl key n;
+        t.changes <- t.changes + 1;
         push_front t n;
         t.bytes <- t.bytes + cost;
         evict_over_budget t
       end
 
-let add t decisions entry =
-  let key = Checkpoint.schedule_key decisions in
+let add t ?key decisions entry =
+  let key =
+    match key with Some k -> k | None -> Checkpoint.schedule_key decisions
+  in
   Mutex.lock t.m;
   Buffer.clear t.line;
   add_entry_line t.line ~key entry;
@@ -297,50 +349,85 @@ let to_string t =
 (* The lines are taken as read: a line this code wrote costs exactly what
    [add] charged for it ([entry_line]'s length plus the newline), so the
    key and the cost need no re-encoding. A line whose key or entry does
-   not parse is skipped. *)
-let load_lines t text pos =
+   not parse is skipped. With [path], a load after which [to_string]
+   would give the text back marks the cache as saved there: the cache was
+   empty, no line was skipped, refused, evicted or a duplicate, and the
+   last line ends in a newline. *)
+let load_lines ?path t text pos =
   let n = String.length text in
-  let rec go pos =
-    if pos < n then begin
-      let stop =
-        match String.index_from_opt text pos '\n' with Some i -> i | None -> n
-      in
-      (if stop > pos then
-         let line = String.sub text pos (stop - pos) in
-         match entry_of_line line with
-         | Some (key, e) when Checkpoint.schedule_of_key key <> None ->
-             insert_locked t key e ~cost:(String.length line + 1)
-         | _ -> ());
-      go (stop + 1)
-    end
+  let known = Hashtbl.create 64 in
+  let rec go pos lines skipped =
+    if pos >= n then (lines, skipped)
+    else
+      let stop = find_char text '\n' pos n in
+      match entry_at known text pos stop with
+      | Some (key, e) ->
+          insert_locked t key e ~cost:(stop - pos + 1);
+          go (stop + 1) (lines + 1) skipped
+      | None -> go (stop + 1) lines true
   in
   Mutex.lock t.m;
-  go pos;
+  let empty = Hashtbl.length t.tbl = 0 in
+  let lines, skipped = go pos 0 false in
+  let exact =
+    empty && (not skipped) && Hashtbl.length t.tbl = lines
+    && text.[n - 1] = '\n'
+  in
+  (match path with
+  | Some p when exact -> t.synced <- Some (p, t.changes)
+  | _ -> ());
   set_bytes_gauge t;
   Mutex.unlock t.m
 
-let load_into t text =
+let refuse t msg =
+  Mutex.lock t.m;
+  t.synced <- None;
+  Mutex.unlock t.m;
+  Error msg
+
+let load_text ?path t text =
   let starts_at pos prefix =
     String.length text - pos >= String.length prefix
     && String.sub text pos (String.length prefix) = prefix
   in
   let label = "label " ^ Checkpoint.enc t.label in
   let entries = String.length header + String.length label in
-  if not (starts_at 0 header) then Error "not a DAMPI prefix-cache file"
+  if not (starts_at 0 header) then refuse t "not a DAMPI prefix-cache file"
   else if
     starts_at (String.length header) label
     && (entries = String.length text || text.[entries] = '\n')
   then begin
-    load_lines t text entries;
+    load_lines ?path t text (entries + 1);
     Ok ()
   end
   else if starts_at (String.length header) "label " then
-    Error "prefix-cache label mismatch (different workload or config)"
-  else Error "not a DAMPI prefix-cache file"
+    refuse t "prefix-cache label mismatch (different workload or config)"
+  else refuse t "not a DAMPI prefix-cache file"
 
-let save ?fault t path = Checkpoint.atomic_write ?fault path (to_string t)
+let load_into t text = load_text t text
+
+let save ?fault t path =
+  (* [fault] is drawn once per call, written or not, so a chaos run draws
+     the same faults whether or not the cache changed. *)
+  let fired = match fault with Some f -> f () | None -> false in
+  Mutex.lock t.m;
+  let changes = t.changes in
+  let current = t.synced = Some (path, changes) in
+  Mutex.unlock t.m;
+  if current && not fired then Checkpoint.Written
+  else
+    match Checkpoint.atomic_write ~fault:(fun () -> fired) path (to_string t) with
+    | Checkpoint.Written ->
+        (* [changes] as read before [to_string]: an insert in between
+           leaves the cache newer than the file, and the next save
+           writes. *)
+        Mutex.lock t.m;
+        t.synced <- Some (path, changes);
+        Mutex.unlock t.m;
+        Checkpoint.Written
+    | d -> d
 
 let load t path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | text -> load_into t text
-  | exception Sys_error msg -> Error msg
+  | text -> load_text ~path t text
+  | exception Sys_error msg -> refuse t msg

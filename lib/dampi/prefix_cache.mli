@@ -53,15 +53,16 @@ val find : t -> ?key:string -> Decisions.decision list -> entry option
     omitted); a caller that already holds the key passes it, so a hit is a
     hash lookup with no encoding. Refreshes LRU recency and records
     hit/miss plus the resumed-depth observation: the schedule's length on
-    a hit, the deepest cached prefix on a miss (found by scanning [key]
-    for its prefix keys, one pass). *)
+    a hit, the deepest cached prefix on a miss (its prefix keys are cut
+    from [key] and probed longest first, stopping at the first hit). *)
 
-val add : t -> Decisions.decision list -> entry -> unit
+val add : t -> ?key:string -> Decisions.decision list -> entry -> unit
 (** Insert (refreshes recency if present — replays are deterministic, so
-    a re-add carries the same artifact). An entry's cost is its serialized
-    line length plus the newline ([String.length (entry_line ~key e) + 1]);
-    entries are evicted least-recently-used until the budget holds, and an
-    entry larger than the whole budget is not admitted. *)
+    a re-add carries the same artifact). [key] is as for {!find}. An
+    entry's cost is its serialized line length plus the newline
+    ([String.length (entry_line ~key e) + 1]); entries are evicted
+    least-recently-used until the budget holds, and an entry larger than
+    the whole budget is not admitted. *)
 
 val deepest_prefix : t -> Decisions.decision list -> int
 (** Length of the longest cached prefix of [decisions] (0 when none, the
@@ -73,9 +74,10 @@ val stats : t -> int * int * int * int
 (** {1 Sidecar persistence}
 
     A line-oriented text format reusing the {!Checkpoint} codecs.
-    {!Explorer} writes it next to the checkpoint (at
-    [checkpoint_path ^ ".cache"]) on every checkpoint write and reloads it
-    on resume. *)
+    {!Explorer} saves it next to the checkpoint (at
+    [checkpoint_path ^ ".cache"]) on every checkpoint write, which rewrites
+    the file only when the cache changed ({!save}), and loads it at the
+    start of every checkpointed run. *)
 
 val entry_line : key:string -> entry -> string
 (** The sidecar line of one entry, without its newline. *)
@@ -90,12 +92,31 @@ val load_into : t -> string -> (unit, string) result
     newline — for any line {!to_string} wrote, exactly what {!add} charged,
     so eviction under a budget is unchanged by a save/load cycle. A line
     whose key or entry does not parse is skipped; a foreign header or a
-    label other than the cache's is refused with [Error]. *)
+    label other than the cache's is refused with [Error].
+
+    Cost model: one pass over the text. A line costs a substring for each
+    of its key, float, count and epochs field, one hash lookup of the
+    epochs field and one hash insert. The key is checked in place without
+    building its decisions ({!Checkpoint.is_schedule_key}). Each distinct
+    epochs field is parsed once per load, and the entries that share it
+    share its summaries. An error field other than [-] (a finding's run,
+    rare) takes the slower split parse. *)
 
 val save : ?fault:(unit -> bool) -> t -> string -> Checkpoint.write_outcome
-(** {!Checkpoint.atomic_write} of {!to_string}: tempfile + fsync + rename,
-    write failures classified into [Degraded] rather than raised. *)
+(** {!Checkpoint.atomic_write} of {!to_string} (tempfile + fsync + rename,
+    write failures classified into [Degraded] rather than raised), made
+    only when the file would change: unless an entry was inserted or
+    evicted since the last successful {!load} from [path] or save to it,
+    [save] returns [Written] and leaves the file as it was. A {!load} that
+    skipped a line, met a duplicate key or evicted, or that was refused,
+    leaves the cache unsaved, so the next save rewrites the file clean.
+    Hits and re-adds only refresh recency: the file keeps the recency
+    order of its last write. [fault] is consulted once per call whether or
+    not the cache changed, so a chaos run's draws do not depend on it; a
+    fired fault is [Degraded] and the cache stays unsaved. *)
 
 val load : t -> string -> (unit, string) result
 (** [Error] on unreadable file or foreign format; entries on malformed
-    lines are skipped (a corrupt sidecar costs warmth, not correctness). *)
+    lines are skipped (a corrupt sidecar costs warmth, not correctness).
+    A load into an empty cache that takes every line as written marks the
+    cache as saved at [path] (see {!save}). *)

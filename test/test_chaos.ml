@@ -257,6 +257,59 @@ let test_checkpoint_still_works () =
     (counter_total r (fun n -> n = "checkpoint.write_failures") = 0);
   Sys.remove ck
 
+(* The prefix-cache sidecar is rewritten only when the cache changed, but
+   its save draws its write fault every time: under seeded write failures a
+   warm run, whose cache never changes, counts exactly the failures of the
+   cold run that filled it, and under certain failure each cut fails twice
+   (checkpoint and sidecar) whatever the cache holds. *)
+let test_enospc_counts_with_cache () =
+  let _, np, state_config, build = find_case "matmult" in
+  let ck =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dampi-chaos-cache-%d.dampi" (Unix.getpid ()))
+  in
+  let clear () =
+    List.iter
+      (fun p -> try Sys.remove p with Sys_error _ -> ())
+      [ ck; ck ^ ".cache"; ck ^ ".tmp"; ck ^ ".cache.tmp" ]
+  in
+  let failures ?cache write_fail =
+    let rb =
+      {
+        Explorer.default_robustness with
+        net_fault =
+          (if write_fail > 0.0 then Some { Net.inert with seed = 31; write_fail } else None);
+        checkpoint = Some { Explorer.path = ck; every = 1; label = "chaos" };
+      }
+    in
+    let r =
+      Explorer.verify
+        ~config:
+          { Explorer.default_config with state_config; prefix_cache = cache; robustness = rb }
+        ~np (build ())
+    in
+    ( counter_total r (fun n -> n = "checkpoint.write_failures"),
+      counter_total r (fun n -> n = "cache.misses") )
+  in
+  let cache = Some (1 lsl 22) in
+  Fun.protect ~finally:clear (fun () ->
+      clear ();
+      let cold, cold_misses = failures ?cache 0.5 in
+      clear ();
+      let _, _ = failures ?cache 0.0 in
+      Sys.remove ck;
+      let warm, warm_misses = failures ?cache 0.5 in
+      Alcotest.(check bool) "the cold run missed" true (cold_misses > 0);
+      Alcotest.(check int) "the warm run only hit" 0 warm_misses;
+      Alcotest.(check bool) "some writes failed" true (cold > 0);
+      Alcotest.(check int) "warm and cold count the same failures" cold warm;
+      clear ();
+      let cuts, _ = failures 1.0 in
+      let _, _ = failures ?cache 0.0 in
+      let both, _ = failures ?cache 1.0 in
+      Alcotest.(check int) "each cut fails twice with the cache on" (2 * cuts) both)
+
 (* ---- Fault.Net.shape: the bytes each injection puts on the wire ----
 
    Under a fixed seed and probability 1.0, feed payload frames through one
@@ -371,5 +424,7 @@ let () =
             test_enospc_checkpoint;
           Alcotest.test_case "clean checkpoint control" `Quick
             test_checkpoint_still_works;
+          Alcotest.test_case "a clean sidecar still draws its fault" `Quick
+            test_enospc_counts_with_cache;
         ] );
     ]

@@ -598,6 +598,115 @@ module Reference = struct
       | [] -> "-"
       | errs -> String.concat ";" (List.map (fun er -> enc (error_to_line er)) errs))
 
+  (* The parsers as they were before they read in place: split at each
+     delimiter, read each number with [int_of_string_opt]. *)
+
+  let all parts =
+    if List.exists Option.is_none parts then None
+    else Some (List.filter_map Fun.id parts)
+
+  let decision_of_key s =
+    match String.split_on_char ':' s with
+    | [ kind; owner; epoch_id; src ] -> (
+        match
+          ( Decisions.kind_of_string kind,
+            int_of_string_opt owner,
+            int_of_string_opt epoch_id,
+            int_of_string_opt src )
+        with
+        | Some kind, Some owner, Some epoch_id, Some src ->
+            Some { Decisions.owner; epoch_id; src; kind }
+        | _ -> None)
+    | _ -> None
+
+  let schedule_of_key = function
+    | "-" -> Some []
+    | s -> all (List.map decision_of_key (String.split_on_char ',' s))
+
+  let summary_of_key key =
+    match String.split_on_char ':' key with
+    | [ kind; owner; id; ctx; tag; matched; expandable; alts ] -> (
+        let alternatives =
+          if alts = "~" then Some []
+          else all (List.map int_of_string_opt (String.split_on_char '.' alts))
+        in
+        match
+          ( Decisions.kind_of_string kind,
+            int_of_string_opt owner,
+            int_of_string_opt id,
+            int_of_string_opt ctx,
+            int_of_string_opt tag,
+            int_of_string_opt matched,
+            expandable,
+            alternatives )
+        with
+        | ( Some s_kind,
+            Some s_owner,
+            Some s_id,
+            Some s_ctx,
+            Some s_tag,
+            Some s_matched,
+            ("0" | "1"),
+            Some s_alternatives ) ->
+            Some
+              {
+                Epoch.s_owner;
+                s_id;
+                s_kind;
+                s_ctx;
+                s_tag;
+                s_matched;
+                s_alternatives;
+                s_expandable = expandable = "1";
+              }
+        | _ -> None)
+    | _ -> None
+
+  let sleep_of_key = function
+    | "-" -> Some []
+    | s -> all (List.map summary_of_key (String.split_on_char ';' s))
+
+  let item_of_line line =
+    let fields =
+      match String.split_on_char ' ' line with
+      | [ "item"; prefix; choice ] -> Some (prefix, choice, "-")
+      | [ "item"; prefix; choice; sleep ] -> Some (prefix, choice, sleep)
+      | _ -> None
+    in
+    match fields with
+    | None -> Error (Printf.sprintf "malformed item line %S" line)
+    | Some (prefix, choice, sleep) -> (
+        match (schedule_of_key prefix, decision_of_key choice, sleep_of_key sleep) with
+        | Some prefix, Some choice, Some sleep -> Ok { Checkpoint.prefix; choice; sleep }
+        | _ -> Error (Printf.sprintf "malformed item line %S" line))
+
+  (* A sidecar line, and the key check the load made on it. *)
+  let entry_of_line line =
+    match String.split_on_char ' ' line with
+    | [ "entry"; key; vtime; wildcards; epochs; errors ] -> (
+        let parse_err s =
+          let l = Checkpoint.dec s in
+          match String.index_opt l ' ' with
+          | Some i ->
+              Checkpoint.error_of_line (String.sub l 0 i)
+                (String.sub l (i + 1) (String.length l - i - 1))
+          | None -> Checkpoint.error_of_line l ""
+        in
+        let errors =
+          if errors = "-" then Some []
+          else all (List.map parse_err (String.split_on_char ';' errors))
+        in
+        match
+          ( float_of_string_opt vtime,
+            int_of_string_opt wildcards,
+            sleep_of_key epochs,
+            errors,
+            schedule_of_key key )
+        with
+        | Some vtime, Some wildcards, Some epochs, Some errors, Some _ ->
+            Some (key, { Prefix_cache.vtime; wildcards; errors; epochs })
+        | _ -> None)
+    | _ -> None
 end
 
 (* Mostly small numbers, as ranks and epoch ids are, with the edges the
@@ -693,6 +802,204 @@ let prop_encoders_match_reference =
       && Checkpoint.schedule_of_key key = Some ds
       && Checkpoint.sleep_of_key (Checkpoint.sleep_key sleep) = Some sleep)
 
+(* ---- the in-place parsers against the split-based originals ---- *)
+
+let alphabet = "0123456789:,;.~+-_ abcdefghijklmnopqrstuvwxyz"
+
+(* Fields that trip a number reader (empty, [0x1F], [+3], [1_000], a bare
+   or doubled sign, 18, 19 and 20 digits, both ends of the int range and
+   one past the top) beside the parts of real keys. *)
+let gen_field =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ ""; "0"; "7"; "-1"; "-"; "--1"; "-0"; "007"; "0x1F"; "+3"; "1_000"; "0b101";
+            "123456789012345678"; "-123456789012345678"; "1234567890123456789";
+            "99999999999999999999"; "4611686018427387903"; "-4611686018427387904";
+            "4611686018427387904"; "recv"; "probe"; "recvx"; "~"; "1"; "x"; "a b" ];
+        map string_of_int gen_int;
+        string_size ~gen:(oneofl (List.of_seq (String.to_seq alphabet))) (0 -- 4);
+      ])
+
+let gen_delim = QCheck.Gen.oneofl [ ":"; ":"; ":"; ","; ";"; "."; " " ]
+
+(* One character of [s] replaced, dropped or doubled. *)
+let gen_mutation s =
+  QCheck.Gen.(
+    if s = "" then return s
+    else
+      map3
+        (fun i c op ->
+          let i = i mod String.length s in
+          let pre = String.sub s 0 i and post = String.sub s (i + 1) (String.length s - i - 1) in
+          match op with
+          | 0 -> pre ^ String.make 1 c ^ post
+          | 1 -> pre ^ post
+          | _ -> pre ^ String.make 2 s.[i] ^ post)
+        nat
+        (oneofl (List.of_seq (String.to_seq alphabet)))
+        (0 -- 2))
+
+(* A number as [int_of_string_opt] also reads it ([+3], [0x1F], [1_5] for 15,
+   [007]), or now and then a field from [gen_field] in its place. *)
+let gen_spelling n =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return (string_of_int n));
+        (1, return (if n >= 0 then "+" ^ string_of_int n else string_of_int n));
+        (1, return (if n >= 0 then Printf.sprintf "0x%x" n else string_of_int n));
+        (1, return (if n >= 0 then "00" ^ string_of_int n else string_of_int n));
+        (1, return (if n >= 10 then "1_" ^ string_of_int (n - 10) else string_of_int n));
+        (1, gen_field);
+      ])
+
+let gen_spelled spell_all sep xs =
+  QCheck.Gen.(map (String.concat sep) (flatten_l (List.map spell_all xs)))
+
+let spell_decision (d : Decisions.decision) =
+  QCheck.Gen.(
+    map3
+      (fun o e s -> String.concat ":" [ Decisions.kind_to_string d.Decisions.kind; o; e; s ])
+      (gen_spelling d.Decisions.owner) (gen_spelling d.Decisions.epoch_id)
+      (gen_spelling d.Decisions.src))
+
+let spell_summary (x : Epoch.summary) =
+  QCheck.Gen.(
+    map3
+      (fun a b alts ->
+        String.concat ":"
+          (Decisions.kind_to_string x.Epoch.s_kind :: a
+          @ b
+          @ [ (if x.Epoch.s_expandable then "1" else "0");
+              (if alts = "" then "~" else alts) ]))
+      (flatten_l (List.map gen_spelling [ x.Epoch.s_owner; x.Epoch.s_id; x.Epoch.s_ctx ]))
+      (flatten_l (List.map gen_spelling [ x.Epoch.s_tag; x.Epoch.s_matched ]))
+      (gen_spelled gen_spelling "." x.Epoch.s_alternatives))
+
+let gen_key_text =
+  QCheck.Gen.(
+    oneof
+      [
+        (gen_schedule >>= gen_spelled spell_decision ",");
+        (list_size (0 -- 4) gen_summary >>= gen_spelled spell_summary ";");
+        map
+          (fun (f, rest) -> f ^ String.concat "" (List.map (fun (d, f) -> d ^ f) rest))
+          (pair gen_field (list_size (0 -- 24) (pair gen_delim gen_field)));
+        string_size ~gen:(oneofl (List.of_seq (String.to_seq alphabet))) (0 -- 30);
+        (gen_schedule >>= fun ds -> gen_mutation (Checkpoint.schedule_key ds));
+        (list_size (0 -- 4) gen_summary >>= fun ss -> gen_mutation (Checkpoint.sleep_key ss));
+        map Checkpoint.schedule_key gen_schedule;
+        map Checkpoint.sleep_key (list_size (0 -- 4) gen_summary);
+      ])
+
+let prop_key_parsers_match_split =
+  QCheck.Test.make ~count:3000
+    ~name:"schedule_of_key, sleep_of_key, is_schedule_key: equal to the split parsers"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_key_text)
+    (fun t ->
+      let n = String.length t in
+      let embedded = "x;" ^ t ^ ",9 " in
+      let schedule = Reference.schedule_of_key t in
+      let sleep = Reference.sleep_of_key t in
+      (* decision_of_key is read through schedule_of_key on a comma-free key *)
+      Checkpoint.schedule_of_key t = schedule
+      && Checkpoint.sleep_of_key t = sleep
+      && Checkpoint.is_schedule_key t 0 n = (schedule <> None)
+      && Checkpoint.is_schedule_key embedded 2 (n + 2) = (schedule <> None))
+
+let gen_item_line =
+  QCheck.Gen.(
+    let item ds choice sleep =
+      let b = Buffer.create 64 in
+      Checkpoint.add_item_line b { Checkpoint.prefix = ds; choice; sleep };
+      Buffer.sub b 0 (Buffer.length b - 1)
+    in
+    oneof
+      [
+        map3
+          (fun p c s -> String.concat " " ("item" :: p :: c :: s))
+          gen_key_text gen_key_text
+          (oneof [ return []; map (fun s -> [ s ]) gen_key_text; map (fun (a, b) -> [ a; b ]) (pair gen_key_text gen_key_text) ]);
+        map (fun t -> "item " ^ t) gen_key_text;
+        oneofl [ ""; "item"; "item "; "item - recv:0:1:2"; "items - recv:0:1:2"; " item - recv:0:1:2" ];
+        (triple gen_schedule gen_decision (list_size (0 -- 3) gen_summary) >>= fun (ds, c, ss) ->
+         oneof [ return (item ds c ss); gen_mutation (item ds c ss) ]);
+      ])
+
+let prop_item_lines_match_split =
+  QCheck.Test.make ~count:3000 ~name:"item_of_line: equal to the split parser"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_item_line)
+    (fun line -> Checkpoint.item_of_line line = Reference.item_of_line line)
+
+(* Sidecar lines: real entry lines, one character off, one field replaced
+   or one more field, and lines built from random fields. The load keeps a
+   line exactly when the split parser (and its key check) took it, charges
+   its length plus the newline, and serves the same artifact. *)
+let gen_entry_line =
+  QCheck.Gen.(
+    let real = map2 (fun ds e -> Prefix_cache.entry_line ~key:(Checkpoint.schedule_key ds) e) gen_schedule gen_entry in
+    let replace line i field =
+      let fields = String.split_on_char ' ' line in
+      let i = i mod List.length fields in
+      String.concat " " (List.mapi (fun j f -> if j = i then field else f) fields)
+    in
+    oneof
+      [
+        real;
+        real >>= gen_mutation;
+        map3 replace real nat (oneof [ return ""; gen_field ]);
+        map2 (fun line field -> line ^ " " ^ field) real gen_field;
+        map
+          (fun fields -> String.concat " " ("entry" :: fields))
+          (list_size (4 -- 6) (oneof [ gen_key_text; oneofl [ "0x1p-3"; "1.5"; "nan"; "-" ] ]));
+      ])
+
+let prop_sidecar_lines_match_split =
+  QCheck.Test.make ~count:2000 ~name:"sidecar entry lines: loaded as the split parser read them"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_entry_line)
+    (fun line ->
+      let label = "parsers np=2" in
+      let c = Prefix_cache.create ~label ~budget_bytes:max_int () in
+      let text =
+        "# DAMPI prefix cache\nversion 1\nlabel " ^ Checkpoint.enc label ^ "\n" ^ line ^ "\n"
+      in
+      let loaded = Prefix_cache.load_into c text = Ok () in
+      let _, _, bytes, _ = Prefix_cache.stats c in
+      loaded
+      &&
+      match Reference.entry_of_line line with
+      | None -> bytes = 0
+      | Some (key, e) -> (
+          bytes = String.length line + 1
+          &&
+          match Prefix_cache.find c ~key [] with
+          | Some got -> compare got e = 0
+          | None -> false))
+
+let prop_round_trip_match_split =
+  QCheck.Test.make ~count:1000 ~name:"decisions and summaries round-trip through both parsers"
+    (QCheck.make
+       QCheck.Gen.(triple gen_schedule gen_decision (list_size (0 -- 5) gen_summary)))
+    (fun (ds, choice, sleep) ->
+      let it = { Checkpoint.prefix = ds; choice; sleep } in
+      let b = Buffer.create 64 in
+      Checkpoint.add_item_line b it;
+      let line = Buffer.sub b 0 (Buffer.length b - 1) in
+      let key = Checkpoint.schedule_key ds and sk = Checkpoint.sleep_key sleep in
+      Checkpoint.schedule_of_key key = Some ds
+      && Reference.schedule_of_key key = Some ds
+      && Checkpoint.schedule_of_key (Checkpoint.decision_to_key choice) = Some [ choice ]
+      && Reference.decision_of_key (Checkpoint.decision_to_key choice) = Some choice
+      && Checkpoint.sleep_of_key sk = Some sleep
+      && Reference.sleep_of_key sk = Some sleep
+      && List.for_all
+           (fun x -> Reference.summary_of_key (Checkpoint.summary_to_key x) = Some x)
+           sleep
+      && Checkpoint.item_of_line line = Ok it
+      && Reference.item_of_line line = Ok it)
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -708,6 +1015,10 @@ let () =
       ( "codec",
         [
           QCheck_alcotest.to_alcotest prop_encoders_match_reference;
+          QCheck_alcotest.to_alcotest prop_key_parsers_match_split;
+          QCheck_alcotest.to_alcotest prop_item_lines_match_split;
+          QCheck_alcotest.to_alcotest prop_sidecar_lines_match_split;
+          QCheck_alcotest.to_alcotest prop_round_trip_match_split;
         ] );
       ( "resume",
         List.map

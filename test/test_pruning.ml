@@ -485,6 +485,152 @@ let test_sidecar_previous_format () =
   | None -> Alcotest.fail "finding run missed");
   Alcotest.(check string) "re-saved byte for byte" text (Prefix_cache.to_string c)
 
+(* ---- the sidecar is rewritten only when the cache changed ---- *)
+
+let inode path = (Unix.stat path).Unix.st_ino
+let read path = In_channel.with_open_bin path In_channel.input_all
+let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* The twin workload, cached and checkpointed at [path] as the CLI's
+   [--prefix-cache --checkpoint path --checkpoint-every 0] runs it. *)
+let twin_cached ?(budget = 1 lsl 22) path () =
+  let _, np, state_config, build =
+    List.find (fun (n, _, _, _) -> n = "twin") registry
+  in
+  let config =
+    {
+      (config_of ~state_config ~jobs:1
+         { m_name = "both"; m_prune = true; m_cache = Some budget })
+      with
+      Explorer.robustness =
+        {
+          Explorer.default_robustness with
+          checkpoint = Some { Explorer.path; every = 0; label = "twin" };
+        };
+    }
+  in
+  Explorer.verify ~config ~np (build ())
+
+let counter (r : Report.t) name = Obs.Metrics.counter_value r.Report.metrics name
+
+(* A warm re-verification served wholly from the sidecar leaves the file
+   as it was: the same inode, the same bytes. *)
+let test_warm_run_keeps_sidecar () =
+  with_temp_checkpoint (fun path ->
+      let side = path ^ ".cache" in
+      let cold = twin_cached path () in
+      let bytes = read side and ino = inode side in
+      Sys.remove path;
+      let warm = twin_cached path () in
+      Alcotest.(check int) "no replay missed" 0 (counter warm "cache.misses");
+      Alcotest.(check bool) "same report" true (canonical cold = canonical warm);
+      Alcotest.(check bool) "the sidecar was not replaced" true (inode side = ino);
+      Alcotest.(check string) "the sidecar's bytes are unchanged" bytes (read side))
+
+(* A run whose cache changed rewrites the sidecar: an entry added back, a
+   malformed line, a duplicate line or a foreign label dropped (each time
+   back to the bytes of the cold run), entries evicted under a
+   smaller budget. *)
+let test_changed_cache_rewrites_sidecar () =
+  with_temp_checkpoint (fun path ->
+      let side = path ^ ".cache" in
+      ignore (twin_cached path ());
+      let full = read side in
+      let lines = String.split_on_char '\n' full in
+      let rewritten name ?budget text ~misses =
+        write side text;
+        let ino = inode side in
+        let r = twin_cached ?budget path () in
+        Alcotest.(check bool) (name ^ ": misses") true (misses (counter r "cache.misses"));
+        Alcotest.(check bool) (name ^ ": the sidecar was replaced") true (inode side <> ino);
+        r
+      in
+      (* lines: header, version, label, the least recent entry, ... *)
+      let dropped = String.concat "\n" (List.filteri (fun i _ -> i <> 3) lines) in
+      ignore (rewritten "one entry dropped" dropped ~misses:(( = ) 1));
+      Alcotest.(check string) "one entry dropped: added back" full (read side);
+      ignore (rewritten "malformed line" (full ^ "entry recv:0:x:1 0x0p+0 0 - -\n") ~misses:(( = ) 0));
+      Alcotest.(check string) "malformed line: rewritten clean" full (read side);
+      ignore (rewritten "duplicate line" (full ^ List.nth lines 3 ^ "\n") ~misses:(( = ) 0));
+      Alcotest.(check string) "duplicate line: rewritten clean" full (read side);
+      let foreign =
+        String.concat "\n"
+          (List.mapi (fun i l -> if i = 2 then "label " ^ Checkpoint.enc "other" else l) lines)
+      in
+      ignore (rewritten "foreign label" foreign ~misses:(fun n -> n > 0));
+      Alcotest.(check string) "foreign label: rewritten as the cold run" full (read side);
+      let r = rewritten "small budget" ~budget:(String.length full / 2) full ~misses:(fun _ -> true) in
+      Alcotest.(check bool) "small budget: evicted" true (counter r "cache.evictions" > 0);
+      Alcotest.(check bool) "small budget: the sidecar shrank" true
+        (String.length (read side) < String.length full))
+
+(* A clean cache is saved wherever it has not been saved: the skip is for
+   the file it was loaded from, not for every path. *)
+let test_clean_cache_saves_elsewhere () =
+  with_temp_checkpoint (fun path ->
+      let side = path ^ ".cache" and other = path ^ ".tmp" in
+      ignore (twin_cached path ());
+      let c = Prefix_cache.create ~label:"twin" ~budget_bytes:(1 lsl 22) () in
+      (match Prefix_cache.load c side with Ok () -> () | Error e -> Alcotest.fail e);
+      let ino = inode side in
+      (match Prefix_cache.save c side with
+      | Checkpoint.Written -> ()
+      | Checkpoint.Degraded e -> Alcotest.fail e);
+      Alcotest.(check bool) "the file it came from is kept" true (inode side = ino);
+      (match Prefix_cache.save c other with
+      | Checkpoint.Written -> ()
+      | Checkpoint.Degraded e -> Alcotest.fail e);
+      Alcotest.(check string) "another path gets the same bytes" (read side) (read other);
+      (* A refused load (the file replaced under the cache) unsaves it. *)
+      let c = Prefix_cache.create ~label:"twin" ~budget_bytes:(1 lsl 22) () in
+      ignore (Prefix_cache.load c side);
+      write side "# DAMPI prefix cache\nversion 1\nlabel other\n";
+      Alcotest.(check bool) "foreign label refused" true (Result.is_error (Prefix_cache.load c side));
+      ignore (Prefix_cache.save c side);
+      Alcotest.(check string) "the refused file is rewritten" (read other) (read side))
+
+(* On a miss, [cache.resume_depth] records the longest cached prefix. The
+   cache probes prefixes longest first; the scan it replaced, every prefix
+   bottom-up, is kept here as the reference. *)
+let deepest_prefix_bottom_up c decisions =
+  let key = Checkpoint.schedule_key decisions in
+  let cached k = Prefix_cache.find c ~key:k [] <> None in
+  if key = "-" then 0
+  else begin
+    let best = ref 0 and depth = ref 0 in
+    String.iteri
+      (fun i ch ->
+        if ch = ',' then begin
+          incr depth;
+          if cached (String.sub key 0 i) then best := !depth
+        end)
+      key;
+    if cached key then !depth + 1 else !best
+  end
+
+let prop_deepest_prefix_matches_bottom_up =
+  let d =
+    QCheck.Gen.(
+      map
+        (fun (owner, epoch_id) -> { Decisions.owner; epoch_id; src = 1; kind = Epoch.Wildcard_recv })
+        (pair (0 -- 2) (0 -- 2)))
+  in
+  QCheck.Test.make ~count:500 ~name:"deepest prefix, longest first = bottom-up scan"
+    (QCheck.make
+       QCheck.Gen.(triple (list_size (0 -- 10) d) nat (list_size (0 -- 8) (list_size (0 -- 10) d))))
+    (fun (query, mask, others) ->
+      let c = Prefix_cache.create ~budget_bytes:max_int () in
+      let entry = { Prefix_cache.vtime = 0.0; wildcards = 0; errors = []; epochs = [] } in
+      (* the query's prefixes the mask picks, and other schedules *)
+      for i = 0 to List.length query do
+        if (mask lsr i) land 1 = 1 then
+          Prefix_cache.add c (List.filteri (fun j _ -> j < i) query) entry
+      done;
+      List.iter (fun s -> Prefix_cache.add c s entry) others;
+      List.for_all
+        (fun q -> Prefix_cache.deepest_prefix c q = deepest_prefix_bottom_up c q)
+        (query :: List.init (List.length query) (fun i -> List.filteri (fun j _ -> j <> i) query)))
+
 (* ---- QCheck: the independence layer ---- *)
 
 let gen_decision =
@@ -661,6 +807,13 @@ let () =
              test_sidecar_skips_malformed_lines;
            Alcotest.test_case "sidecar of the previous encoder" `Quick
              test_sidecar_previous_format;
+           Alcotest.test_case "warm run keeps the sidecar" `Quick
+             test_warm_run_keeps_sidecar;
+           Alcotest.test_case "changed cache rewrites the sidecar" `Quick
+             test_changed_cache_rewrites_sidecar;
+           Alcotest.test_case "clean cache saves elsewhere" `Quick
+             test_clean_cache_saves_elsewhere;
+           QCheck_alcotest.to_alcotest prop_deepest_prefix_matches_bottom_up;
          ] );
        ( "independence-properties",
          [

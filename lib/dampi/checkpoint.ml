@@ -1,5 +1,5 @@
 (* On-disk checkpoint of an exploration: canonical counters + findings so
-   far, the set of completed replay schedules, and the outstanding frontier.
+   far, and the outstanding frontier.
    See checkpoint.mli for the resume contract.
 
    The format is line-oriented text, versioned, and self-contained — it is
@@ -8,7 +8,7 @@
    messages, workload labels) is percent-encoded to keep the grammar
    whitespace-delimited. *)
 
-let version = 1
+let version = 2
 
 type item = {
   prefix : Decisions.decision list;
@@ -44,7 +44,6 @@ type t = {
   complete : bool;  (** frontier empty: resuming just re-reports *)
   totals : totals;
   findings : Report.finding list;
-  completed : string list;  (** {!schedule_key}s of counted replays *)
   frontier : item list;
   epoch : int;  (** highest fencing epoch granted (distributed mode; 0
                     when the run was never distributed) *)
@@ -574,12 +573,6 @@ let to_string t =
         (schedule_key f.Report.schedule)
         (error_to_line f.Report.error))
     t.findings;
-  List.iter
-    (fun k ->
-      Buffer.add_string b "done ";
-      Buffer.add_string b k;
-      Buffer.add_char b '\n')
-    t.completed;
   List.iter (add_item_line b) t.frontier;
   Buffer.contents b
 
@@ -596,10 +589,9 @@ let of_string text =
       let seen_version = ref None in
       let doc =
         ref { label = ""; np = 0; complete = false; totals = zero_totals ();
-              findings = []; completed = []; frontier = []; epoch = 0 }
+              findings = []; frontier = []; epoch = 0 }
       in
       let findings = ref [] in
-      let completed = ref [] in
       let frontier = ref [] in
       List.iter
         (fun l ->
@@ -638,7 +630,6 @@ let of_string text =
                               :: !findings
                         | _ -> fail "malformed finding line %S" l)
                     | _ -> fail "malformed finding line %S" l)
-                | "done" -> completed := rest :: !completed
                 | "item" -> (
                     match item_of_line l with
                     | Ok it -> frontier := it :: !frontier
@@ -661,7 +652,6 @@ let of_string text =
             {
               !doc with
               findings = List.rev !findings;
-              completed = List.rev !completed;
               frontier = List.rev !frontier;
             })
   | _ -> Error "not a DAMPI checkpoint file"

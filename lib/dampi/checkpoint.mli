@@ -1,19 +1,19 @@
 (** On-disk checkpoint of an interrupted exploration.
 
     A checkpoint is a consistent cut of the depth-first walk: the canonical
-    counters and findings accumulated over {e completed} replays, the
-    {!schedule_key}s of those replays, and the outstanding frontier (every
-    queued or in-flight fork item at the cut). Resuming replays the frontier
-    under the same configuration; frontier items whose key is already in
-    [completed] are re-run {e expand-only} (their children are regenerated,
-    deterministically identical, but nothing is re-counted), so the resumed
-    exploration provably converges to the same canonical report as an
-    uninterrupted run.
+    counters and findings accumulated over the counted replays, and the
+    outstanding frontier, which holds only uncounted work. The walk is
+    stateless (every interleaving is a full re-execution), so nothing else
+    is needed: resuming runs every frontier item fresh under the same
+    configuration, and the resumed exploration converges to the same
+    canonical report as an uninterrupted run. A cut that catches an item
+    already counted but not yet expanded writes that item's children in its
+    place.
 
     The format is versioned line-oriented text ({!load} rejects any other
     version with a clear error), written atomically (temp file + rename in
-    the same directory), and self-contained: it is the wire format the
-    distributed mode will ship between workers. *)
+    the same directory), and self-contained: its item lines are also the
+    items of the distributed wire protocol. *)
 
 (** One pending guided run, mirroring the explorer's work item. *)
 type item = {
@@ -58,8 +58,7 @@ type t = {
   complete : bool;  (** exploration finished; resuming just re-reports *)
   totals : totals;
   findings : Report.finding list;
-  completed : string list;  (** {!schedule_key}s of counted replays *)
-  frontier : item list;
+  frontier : item list;  (** uncounted items, queued or in flight at the cut *)
   epoch : int;
       (** highest fencing epoch the coordinator granted before the cut
           (distributed mode — see {!Coordinator}); [0] for runs that were

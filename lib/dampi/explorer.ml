@@ -395,11 +395,10 @@ let explore ?(config = default_config) ?resume ?distribute
   let error_found = Atomic.make false in
   let cancel_at = Atomic.make 0.0 in
   let interrupt_requested = Atomic.make false in
-  (* Keys of replays already counted. [resume_completed] is immutable during
-     the run (safe to read from any worker without the lock); newly counted
-     keys accumulate separately under [m] for the next checkpoint write. *)
-  let resume_completed : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let new_completed : string list ref = ref [] in
+  (* Each worker's last counted item, as its key and children, under [m]:
+     the pool counts an item before it publishes the children, and a cut
+     in between writes the children in the item's place. *)
+  let last_counted : (string * item list) option array = Array.make jobs None in
   let completed_since = ref 0 in
   let exec_ref : Executor.t option ref = ref None in
   (* Accumulated worker telemetry from a distributed run, labeled by
@@ -428,17 +427,12 @@ let explore ?(config = default_config) ?resume ?distribute
           match f.Report.error with
           | Report.Deadlock _ | Report.Crash _ -> Atomic.set error_found true
           | _ -> ())
-        c.Checkpoint.findings;
-      List.iter
-        (fun k -> Hashtbl.replace resume_completed k ())
-        c.Checkpoint.completed);
-  (* Warm the cache from the checkpoint's sidecar — on resume (the
-     expand-only re-runs then cost a lookup, not a replay) but also on a
-     fresh start, where a sidecar left by a previous complete run turns the
-     whole re-verification into lookups. The label stored in the sidecar
-     must match the checkpoint label, so a stale file from another workload
-     or config is refused; a missing or corrupt sidecar costs warmth, not
-     correctness. *)
+        c.Checkpoint.findings);
+  (* Warm the cache from the checkpoint's sidecar on any start: a sidecar
+     left by a previous complete run turns the whole re-verification into
+     lookups. The label stored in the sidecar must match the checkpoint
+     label, so a stale file from another workload or config is refused; a
+     missing or corrupt sidecar costs warmth, not correctness. *)
   (match (cache, rb.checkpoint) with
   | Some pc, Some ck when Sys.file_exists (ck.path ^ ".cache") ->
       ignore (Prefix_cache.load pc (ck.path ^ ".cache"))
@@ -545,16 +539,13 @@ let explore ?(config = default_config) ?resume ?distribute
   in
   (* Fold one item's result into the totals, wherever it ran: on a pool
      domain, in the self run, or on a remote worker (from its wire result).
-     One rule on every backend: the attempt counters are host-side events
-     and always move; the run's own contribution — count, virtual time,
-     bounded epochs, suppressed children, findings, completed key — moves
-     only for a fresh item, all at once under [m]. An expand-only re-run of
-     a resume was counted before the cut, its suppressions included.
-     Everything here is a pure function of the run set, so the report is
-     transport-independent. *)
+     One rule on every backend: the attempt counters are host-side events;
+     a completed run also moves its own contribution — count, virtual
+     time, bounded epochs, suppressed children, findings — all at once
+     under [m]. Everything here is a pure function of the run set, so the
+     report is transport-independent. *)
   let ingest ~worker ~schedule (res : Executor.result) =
     let r = res.Executor.run in
-    let fresh = not (Hashtbl.mem resume_completed r.Wire.key) in
     (* Per-worker shards: this domain (or the coordinator's single thread,
        as worker 0) is the only writer. *)
     Obs.Metrics.add timeouts_c.(worker) r.Wire.timeouts;
@@ -569,7 +560,7 @@ let explore ?(config = default_config) ?resume ?distribute
           Obs.Metrics.incr replays_c.(worker);
           Obs.Metrics.observe vtime_h.(worker) p.Wire.vtime
         end;
-        if fresh then Obs.Metrics.add pruned_c.(worker) p.Wire.pruned
+        Obs.Metrics.add pruned_c.(worker) p.Wire.pruned
     | None -> ());
     Mutex.lock m;
     totals.timed_out <- totals.timed_out + r.Wire.timeouts;
@@ -577,7 +568,7 @@ let explore ?(config = default_config) ?resume ?distribute
     totals.crashed <- totals.crashed + r.Wire.transients;
     if res.Executor.poisoned then totals.cancelled <- totals.cancelled + 1;
     (match r.Wire.payload with
-    | Some p when fresh ->
+    | Some p ->
         if schedule = [] then begin
           (* The self run's own figures. *)
           totals.wildcards <- res.Executor.wildcards;
@@ -591,7 +582,7 @@ let explore ?(config = default_config) ?resume ?distribute
         worker_runs.(worker) <- worker_runs.(worker) + 1;
         worker_vtime.(worker) <- worker_vtime.(worker) +. p.Wire.vtime;
         record_findings p.Wire.errors ~run_index:index ~schedule;
-        new_completed := r.Wire.key :: !new_completed;
+        last_counted.(worker) <- Some (r.Wire.key, p.Wire.children);
         incr completed_since;
         if
           List.exists
@@ -606,16 +597,16 @@ let explore ?(config = default_config) ?resume ?distribute
         | Some limit when totals.runs >= limit ->
             Atomic.set interrupt_requested true
         | _ -> ())
-    | _ -> ());
+    | None -> ());
     maybe_progress ();
     Mutex.unlock m
   in
   (* Serialize the current cut. [m] stays held through the file write: the
-     counters, completed set, and frontier must come from one consistent
-     instant (the backend snapshot is itself atomic, and [ingest] moves all
-     of an item's counts at once, while the item is still in flight), and
-     checkpoint writes are rare enough that stalling workers briefly is
-     cheaper than a torn cut. *)
+     counters and the frontier must come from one consistent instant (the
+     backend snapshot is itself atomic, and [ingest] moves all of an item's
+     counts at once, while the item is still in flight), and checkpoint
+     writes are rare enough that stalling workers briefly is cheaper than a
+     torn cut. *)
   (* Injected-ENOSPC stream for persistence writes, from the chaos spec.
      A degraded write must never abort the exploration: the failure is
      classified, counted, and logged loudly, and the run continues on the
@@ -652,13 +643,25 @@ let explore ?(config = default_config) ?resume ?distribute
               | Some e -> e.Executor.snapshot ()
               | None -> !frontier_fallback
             in
+            (* An in-flight item already counted is replaced by its
+               children, so every item of the cut resumes fresh. The
+               coordinator cuts between whole frames and never holds one. *)
+            let uncounted it =
+              let key = Checkpoint.item_key it in
+              match
+                Array.find_map
+                  (function
+                    | Some (k, children) when String.equal k key -> Some children
+                    | _ -> None)
+                  last_counted
+              with
+              | Some children -> children
+              | None -> [ it ]
+            in
+            let frontier = List.concat_map uncounted frontier in
             (match !exec_ref with
             | Some e -> epoch_hi := max !epoch_hi (e.Executor.fence_epoch ())
             | None -> ());
-            let completed =
-              Hashtbl.fold (fun k () acc -> k :: acc) resume_completed []
-              @ !new_completed
-            in
             degraded_write "checkpoint" c.path
               (Checkpoint.save ?fault:fs_fault
                  {
@@ -668,7 +671,6 @@ let explore ?(config = default_config) ?resume ?distribute
                      frontier = [] && not (Atomic.get interrupt_requested);
                    totals;
                    findings = sorted_findings ();
-                   completed;
                    frontier;
                    epoch = !epoch_hi;
                  }
@@ -749,8 +751,8 @@ let explore ?(config = default_config) ?resume ?distribute
             let res = run_item ~worker ~name:"replay" ~sleep:it.sleep schedule in
             (* Ingested while still in flight, before this worker
                considers a checkpoint: a cut that catches the item holds
-               none of its counts (it re-runs fresh) or all of them (it
-               re-runs expand-only). *)
+               none of its counts (it re-runs) or all of them (the cut
+               holds its children instead). *)
             ingest ~worker ~schedule res;
             res
           with
@@ -917,17 +919,8 @@ let explore ?(config = default_config) ?resume ?distribute
         | None -> [])
   in
   frontier_fallback := initial_items;
-  (* Expand-only items don't count against [max_runs] (their runs were
-     already counted before the cut), but they do consume execution claims;
-     widen the claim budget accordingly. *)
-  let claim_budget items =
-    if config.max_runs = max_int then max_int
-    else
-      config.max_runs - totals.runs
-      + List.length
-          (List.filter
-             (fun it -> Hashtbl.mem resume_completed (Checkpoint.item_key it))
-             items)
+  let claim_budget () =
+    if config.max_runs = max_int then max_int else config.max_runs - totals.runs
   in
   let skip =
     initial_items = []
@@ -940,7 +933,7 @@ let explore ?(config = default_config) ?resume ?distribute
      their sockets — so the coordinator backend always drives (with a zero
      claim budget when skipping, which shuts workers down immediately). *)
   if (not skip) || distribute <> None then begin
-    let budget = if skip then 0 else claim_budget initial_items in
+    let budget = if skip then 0 else claim_budget () in
     let exec =
       match distribute with
       | None -> pool_backend initial_items ~budget
@@ -966,7 +959,7 @@ let explore ?(config = default_config) ?resume ?distribute
             (Obs.Metrics.counter
                (Obs.Metrics.shard registry jobs)
                "coordinator.fallbacks");
-          let pool = pool_backend leftover ~budget:(claim_budget leftover) in
+          let pool = pool_backend leftover ~budget:(claim_budget ()) in
           exec_ref := Some pool;
           ignore (pool.Executor.drive ())
         end

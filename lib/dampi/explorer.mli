@@ -69,11 +69,11 @@ type config = {
           how much of the tree was cut. Off by default. *)
   prefix_cache : int option;
       (** memoize each schedule's replay artifact ({!Prefix_cache}) under
-          this LRU byte budget, so re-discovered schedules — chiefly the
-          expand-only re-runs of a resume, warmed from the checkpoint's
-          [.cache] sidecar — skip execution entirely. Replay determinism
-          makes the memoized artifact indistinguishable from re-executing.
-          [None] (default) disables caching. *)
+          this LRU byte budget, persisted as the checkpoint's [.cache]
+          sidecar, so a later re-verification of the same configuration
+          serves its schedules from the sidecar instead of executing them.
+          Replay determinism makes the memoized artifact indistinguishable
+          from re-executing. [None] (default) disables caching. *)
   profile : bool;
       (** the lightweight replay profiler: wall-clock phase-timing
           histograms — [profile.match_loop_s] (runtime match loop),
@@ -183,14 +183,13 @@ val explore :
     every session the dead coordinator had admitted.
 
     [resume] restores a checkpointed cut instead of starting from the self
-    run: counters and findings are seeded from the checkpoint, its frontier
-    becomes the initial work queue, and frontier items already counted
-    before the cut re-run expand-only. An expand-only item moves only the
-    host-side attempt counters (timeouts, retries, transient faults, and a
-    cancellation if poisoned) — its count, findings and suppressed children
-    are already in the checkpoint — on the pool and on a coordinator alike.
-    A resumed exhaustive exploration reaches the same canonical report as
-    an uninterrupted one. *)
+    run: counters and findings are seeded from the checkpoint, and its
+    frontier becomes the initial work queue. The frontier holds only
+    uncounted items (a cut that catches an item counted but not yet
+    expanded writes its children instead), so every resumed item runs
+    fresh, on the pool and on a coordinator alike. A resumed exhaustive
+    exploration reaches the same canonical report as an uninterrupted
+    one. *)
 
 val verify :
   ?config:config ->

@@ -12,9 +12,10 @@
     is recorded as the depth a snapshot-based scheme would have resumed
     from ([cache.resume_depth]).
 
-    The big win is resume: {!Explorer} persists the cache as a sidecar
-    next to the checkpoint, so re-running expand-only work after a restart
-    becomes pure cache hits.
+    The big win is warm re-verification: {!Explorer} persists the cache as
+    a sidecar next to the checkpoint and loads it on any start whose
+    checkpoint label matches, so re-verifying a completed exploration of
+    the same configuration becomes pure cache hits.
 
     Thread-safe (internal mutex); metric writes happen under it, so give
     the cache its own {!Obs.Metrics} shard. *)

@@ -227,12 +227,12 @@ let rows =
          (string_of_int Dampi.Prefix_cache.default_budget_bytes)
          "Memoize each explored schedule's replay artifact under an LRU \
           budget of $(docv) bytes (default 64 MiB when the flag is given \
-          bare). Re-discovered schedules — chiefly the expand-only re-runs of \
-          a $(b,--checkpoint) resume, warmed from the checkpoint's \
-          $(b,.cache) sidecar — then skip execution entirely; replay \
-          determinism keeps the report identical. A submitted job's sidecar \
-          lives in the daemon's state dir, so a repeat submission of the same \
-          configuration starts warm.");
+          bare). With $(b,--checkpoint) the cache persists as the \
+          checkpoint's $(b,.cache) sidecar, and a later re-verification of \
+          the same configuration serves its schedules from it instead of \
+          executing them; replay determinism keeps the report identical. A \
+          submitted job's sidecar lives in the daemon's state dir, so a \
+          repeat submission of the same configuration starts warm.");
     field "max-runs" int_c
       (fun j -> j.max_runs)
       (fun j max_runs -> { j with max_runs })

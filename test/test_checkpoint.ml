@@ -76,7 +76,6 @@ let sample_checkpoint =
           schedule = [ d 7 ];
         };
       ];
-    completed = [ "-"; Checkpoint.schedule_key [ sample_decision 1 ] ];
     frontier =
       [
         { Checkpoint.prefix = []; choice = d 1; sleep = [] };
@@ -125,7 +124,7 @@ let golden_sample =
   String.concat "\n"
     [
       "# DAMPI checkpoint";
-      "version 1";
+      "version 2";
       "label dampi%20adlb%20np%3D6%20clock%3Dlamport%20k%3D0%20dual%3Dfalse";
       "np 6";
       "complete 0";
@@ -149,8 +148,6 @@ let golden_sample =
       "finding 1 recv:4:12:0 reqleak 4:2";
       "finding 2 probe:0:15:1,recv:1:18:2 monitor 0:6:send%20to%202";
       "finding 4 probe:2:21:3 divergence 1";
-      "done -";
-      "done probe:1:3:2";
       "item - probe:1:3:2";
       "item probe:1:3:2,recv:2:6:3 probe:3:9:4 recv:2:9:0:7:1:1:3.4";
       "";
@@ -160,7 +157,7 @@ let golden_zeroes =
   String.concat "\n"
     [
       "# DAMPI checkpoint";
-      "version 1";
+      "version 2";
       "label fig3";
       "np 3";
       "complete 1";
@@ -174,7 +171,6 @@ let golden_zeroes =
       "wildcards 1";
       "first-makespan 0x1.8p-3";
       "total-vtime 0x1.8p-2";
-      "done -";
       "";
     ]
 
@@ -462,9 +458,11 @@ let test_resume_complete () =
 (* A periodic checkpoint can land between a replay's count and its
    expansion: with [every = 1] one is written after every counted replay,
    while that replay is still in flight. Loading the file at the runner's
-   Nth call captures the cut replay N-1 left behind; its item resumes
-   expand-only. Resumed on the pool and on distribute=2, every such cut
-   must reach the uninterrupted report, pruned-run count included. *)
+   Nth call captures the cut replay N-1 left behind; the cut holds that
+   replay's children in its place. Resumed on the pool and on
+   distribute=2, every such cut must reach the uninterrupted report,
+   pruned-run count included, and the pool must replay only the runs the
+   cut had not counted. *)
 let test_resume_between_count_and_expansion () =
   let name, np, state_config, build, prune =
     List.find (fun (n, _, _, _, _) -> n = "twin") registry
@@ -524,12 +522,17 @@ let test_resume_between_count_and_expansion () =
                backend)
             true
             (canonical r = baseline))
-        [ ("pool", pool); ("distribute=2", dist) ])
+        [ ("pool", pool); ("distribute=2", dist) ];
+      let interleavings, _, _, _, _, _ = baseline in
+      Alcotest.(check int)
+        (Printf.sprintf "cut at call %d, pool: replays after the cut" n)
+        (interleavings - c.Checkpoint.totals.runs)
+        (Obs.Metrics.counter_value pool.Report.metrics "explorer.replays"))
     cuts
 
 (* ---- codec identity: the Buffer encoders against the Printf originals ----
 
-   Keys are persisted (checkpoint [done] lines, sidecars) and framed on the
+   Keys are persisted (checkpoint item lines, sidecars) and framed on the
    wire, so the Buffer encoders must print exactly what the Printf ones
    printed. The originals are kept here as the reference. *)
 

@@ -9,9 +9,9 @@
    failures per path is visited (states are deduplicated by value: the
    state is immutable, so branching costs nothing), and on every path:
 
-   - each item is counted exactly once, under the explorer's rule that an
-     item whose key the resumed checkpoint already completed re-runs
-     expand-only;
+   - each item is counted exactly once: an item the resumed cut already
+     counted is never ingested again, because a cut holds only uncounted
+     work;
    - a drained run's totals equal the jobs=1 walk of the tree;
    - no lease is lost: every item is counted or still reachable from the
      coordinator's frontier plus outstanding leases;
@@ -113,8 +113,8 @@ type model = {
   now : float;
   next_conn : int;
   ws : worker list;
-  resumed : string list;  (* completed keys of the checkpoint this life resumed *)
-  counted : string list;  (* keys counted fresh in this life *)
+  resumed : string list;  (* keys counted before the cut this life resumed *)
+  counted : string list;  (* keys counted in this life *)
   totals : totals;
   cut : cut;
   used : fault list;  (* each kind at most once per path *)
@@ -150,7 +150,7 @@ let ingests = List.exists (function Step.Ingest _ -> true | _ -> false)
 let count m ((it : Checkpoint.item), (r : Wire.run_result)) =
   let k = r.Wire.key in
   if key it <> k then violate "run %s paired with item %s" k (key it);
-  if List.mem k m.resumed then m (* expand-only *)
+  if List.mem k m.resumed then violate "item %s counted before the cut, again after" k
   else if List.mem k m.counted then violate "item %s counted twice" k
   else { m with counted = k :: m.counted; totals = add m.totals r }
 

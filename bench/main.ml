@@ -829,24 +829,6 @@ let prune_explore () =
         in
         show "warm re-run" warm warm_wall
           (Printf.sprintf "  (%d cache hits)" (cache_hits warm));
-        let depth =
-          match Obs.Metrics.find warm.Report.metrics "cache.resume_depth" with
-          | Some (Obs.Metrics.Histogram h) ->
-              List.init
-                (Array.length h.Obs.Metrics.counts)
-                (fun i ->
-                  ( (if i < Array.length h.Obs.Metrics.bounds then
-                       Printf.sprintf "%g" h.Obs.Metrics.bounds.(i)
-                     else "+inf"),
-                    h.Obs.Metrics.counts.(i) ))
-              |> List.filter (fun (_, c) -> c > 0)
-          | _ -> []
-        in
-        if depth <> [] then begin
-          pf "%-10s resumed-depth histogram (<=bound: count):" name;
-          List.iter (fun (b, c) -> pf " %s:%d" b c) depth;
-          pf "\n%!"
-        end;
         if
           warm.Report.interleavings <> pruned.Report.interleavings
           || errors_of warm <> errors_of pruned

@@ -56,7 +56,7 @@ type config = {
       (** sleep-set pruning where {!Executor.run} expands an item ({!Prune}) *)
   prefix_cache : int option;
       (** memoize replay artifacts by schedule ({!Prefix_cache}), with this
-          LRU byte budget; persisted as a checkpoint sidecar *)
+          byte budget; persisted as a checkpoint sidecar *)
   profile : bool;
       (** phase-timing histograms ([profile.match_loop_s],
           [profile.clock_merge_s], [profile.sched_wait_s],
@@ -494,7 +494,7 @@ let explore ?(config = default_config) ?resume ?distribute
       match cache with
       | None -> []
       | Some pc ->
-          let hits, misses, bytes, _ = Prefix_cache.stats pc in
+          let hits, misses, bytes = Prefix_cache.stats pc in
           [
             ("cache.hits", string_of_int hits);
             ("cache.misses", string_of_int misses);
@@ -630,7 +630,10 @@ let explore ?(config = default_config) ?resume ?distribute
                the previous on-disk snapshot, if any, is intact"
               what path msg)
   in
-  let write_checkpoint () =
+  (* Every cut writes the checkpoint; only the [final] one also saves the
+     prefix-cache sidecar, so periodic cuts cost the frontier, not the
+     whole cache. *)
+  let write_checkpoint ?(final = false) () =
     match rb.checkpoint with
     | None -> ()
     | Some c ->
@@ -676,10 +679,10 @@ let explore ?(config = default_config) ?resume ?distribute
                  }
                  c.path);
             match cache with
-            | Some pc ->
+            | Some pc when final ->
                 degraded_write "prefix-cache sidecar" (c.path ^ ".cache")
                   (Prefix_cache.save ?fault:fs_fault pc (c.path ^ ".cache"))
-            | None -> ())
+            | _ -> ())
   in
   let maybe_periodic_checkpoint () =
     match rb.checkpoint with
@@ -979,7 +982,7 @@ let explore ?(config = default_config) ?resume ?distribute
   (* Always leave a final checkpoint behind when one was requested: either
      the interrupt cut (resumable) or the completed exploration (resuming
      it is a no-op that just re-reports). *)
-  write_checkpoint ();
+  write_checkpoint ~final:true ();
   let workers =
     match !exec_ref with Some e -> e.Executor.stats () | None -> worker_stats ()
   in

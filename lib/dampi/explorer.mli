@@ -69,7 +69,8 @@ type config = {
           how much of the tree was cut. Off by default. *)
   prefix_cache : int option;
       (** memoize each schedule's replay artifact ({!Prefix_cache}) under
-          this LRU byte budget, persisted as the checkpoint's [.cache]
+          this byte budget (append-only: a full cache refuses new
+          entries), saved with the final cut as the checkpoint's [.cache]
           sidecar, so a later re-verification of the same configuration
           serves its schedules from the sidecar instead of executing them.
           Replay determinism makes the memoized artifact indistinguishable

@@ -1,4 +1,5 @@
-(* Memoized replay artifacts keyed by schedule, with an LRU byte budget.
+(* Memoized replay artifacts keyed by schedule: an append-only table
+   under a byte budget.
    See prefix_cache.mli for the caching model and why whole-schedule
    memoization (not mid-run state snapshots) is what replay determinism
    makes sound. *)
@@ -118,22 +119,12 @@ let entry_at known text i j =
     | _ -> None
   else None
 
-(* ---- LRU ---- *)
-
-type node = {
-  n_key : string;
-  n_entry : entry;
-  n_cost : int;
-  mutable prev : node option;  (* toward most-recent *)
-  mutable next : node option;  (* toward least-recent *)
-}
+(* ---- the table ---- *)
 
 type metrics = {
   shard : Obs.Metrics.shard;
   m_hits : Obs.Metrics.counter;
   m_misses : Obs.Metrics.counter;
-  m_evictions : Obs.Metrics.counter;
-  m_depth : Obs.Metrics.histogram;
 }
 
 type t = {
@@ -142,22 +133,18 @@ type t = {
          decision lists with no workload in them, so a sidecar is only safe
          to warm from when the labels agree *)
   budget : int;
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;  (* most recently used *)
-  mutable tail : node option;  (* least recently used *)
+  tbl : (string, entry) Hashtbl.t;
+  mutable order : (string * entry) list;  (* every entry, newest first *)
   mutable bytes : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   m : Mutex.t;
   line : Buffer.t;  (* [add]'s scratch for sizing an entry, under [m] *)
   metrics : metrics option;
-  mutable changes : int;
-      (* inserts so far; every eviction follows one, so an unchanged count
-         means unchanged contents *)
   mutable synced : (string * int) option;
-      (* the file that holds [to_string] as of that [changes], if any: a
-         save to it would rewrite the same entries, so it is skipped *)
+      (* the file that holds [to_string] as of that many entries, if any:
+         no entry is ever removed, so an unchanged count means unchanged
+         contents, and a save to it would rewrite the same bytes *)
 }
 
 let default_budget_bytes = 64 * 1024 * 1024
@@ -167,15 +154,12 @@ let create ?metrics ?(label = "") ~budget_bytes () =
     label;
     budget = max 0 budget_bytes;
     tbl = Hashtbl.create 256;
-    head = None;
-    tail = None;
+    order = [];
     bytes = 0;
     hits = 0;
     misses = 0;
-    evictions = 0;
     m = Mutex.create ();
     line = Buffer.create 256;
-    changes = 0;
     synced = None;
     metrics =
       (* Resolved eagerly so the series exist even for a run with no
@@ -187,118 +171,40 @@ let create ?metrics ?(label = "") ~budget_bytes () =
             shard;
             m_hits = Obs.Metrics.counter shard "cache.hits";
             m_misses = Obs.Metrics.counter shard "cache.misses";
-            m_evictions = Obs.Metrics.counter shard "cache.evictions";
-            m_depth =
-              Obs.Metrics.histogram shard ~bounds:Obs.Metrics.count_bounds
-                "cache.resume_depth";
           })
         metrics;
   }
-
-(* All list surgery happens with [t.m] held. *)
-
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front t n =
-  n.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
 
 let set_bytes_gauge t =
   match t.metrics with
   | Some ms -> Obs.Metrics.gauge_set ms.shard "cache.bytes" (float_of_int t.bytes)
   | None -> ()
 
-let evict_over_budget t =
-  while t.bytes > t.budget && t.tail <> None do
-    match t.tail with
-    | Some n ->
-        unlink t n;
-        Hashtbl.remove t.tbl n.n_key;
-        t.bytes <- t.bytes - n.n_cost;
-        t.evictions <- t.evictions + 1;
-        (match t.metrics with
-        | Some ms -> Obs.Metrics.incr ms.m_evictions
-        | None -> ())
-    | None -> ()
-  done
-
-(* Depth of the longest cached prefix of the schedule [key] spells: each
-   [,] in a key ends the key of a proper prefix, so the prefixes are cut
-   from [key] without re-encoding a decision and probed longest first; the
-   first hit is the answer. [depth] counts the decisions before [key.[i]]
-   when it is a comma. *)
-let rec probe_prefixes t key i depth =
-  if i < 0 then 0
-  else if String.unsafe_get key i <> ',' then probe_prefixes t key (i - 1) depth
-  else if Hashtbl.mem t.tbl (String.sub key 0 i) then depth
-  else probe_prefixes t key (i - 1) (depth - 1)
-
-let rec commas key i n =
-  if i < 0 then n else commas key (i - 1) (if String.unsafe_get key i = ',' then n + 1 else n)
-
-let deepest_prefix_locked t key =
-  if key = "-" then 0
-  else
-    let last = String.length key - 1 in
-    let n = commas key last 0 + 1 in
-    if Hashtbl.mem t.tbl key then n else probe_prefixes t key last (n - 1)
-
 let find t ?key decisions =
   let key =
     match key with Some k -> k | None -> Checkpoint.schedule_key decisions
   in
   Mutex.lock t.m;
-  let r =
-    match Hashtbl.find_opt t.tbl key with
-    | Some n ->
-        unlink t n;
-        push_front t n;
-        t.hits <- t.hits + 1;
-        (match t.metrics with
-        | Some ms ->
-            Obs.Metrics.incr ms.m_hits;
-            Obs.Metrics.observe ms.m_depth
-              (float_of_int (List.length decisions))
-        | None -> ());
-        Some n.n_entry
-    | None ->
-        t.misses <- t.misses + 1;
-        (match t.metrics with
-        | Some ms ->
-            Obs.Metrics.incr ms.m_misses;
-            (* How deep a cached prefix this guided run shares — the
-               resumed-depth a mid-run snapshot scheme would start from. *)
-            Obs.Metrics.observe ms.m_depth
-              (float_of_int (deepest_prefix_locked t key))
-        | None -> ());
-        None
-  in
+  let r = Hashtbl.find_opt t.tbl key in
+  (match r with
+  | Some _ ->
+      t.hits <- t.hits + 1;
+      Option.iter (fun ms -> Obs.Metrics.incr ms.m_hits) t.metrics
+  | None ->
+      t.misses <- t.misses + 1;
+      Option.iter (fun ms -> Obs.Metrics.incr ms.m_misses) t.metrics);
   Mutex.unlock t.m;
   r
 
-(* Caller holds [t.m]. A present key only refreshes recency: replays are
-   deterministic, so a re-add carries the same artifact. *)
+(* Caller holds [t.m]. A present key is left as it is (replays are
+   deterministic, so a re-add carries the same artifact), and an entry
+   that does not fit in what is left of the budget is refused. *)
 let insert_locked t key entry ~cost =
-  match Hashtbl.find_opt t.tbl key with
-  | Some n ->
-      unlink t n;
-      push_front t n
-  | None ->
-      if cost <= t.budget then begin
-        let n =
-          { n_key = key; n_entry = entry; n_cost = cost; prev = None; next = None }
-        in
-        Hashtbl.replace t.tbl key n;
-        t.changes <- t.changes + 1;
-        push_front t n;
-        t.bytes <- t.bytes + cost;
-        evict_over_budget t
-      end
+  if cost <= t.budget - t.bytes && not (Hashtbl.mem t.tbl key) then begin
+    Hashtbl.add t.tbl key entry;
+    t.order <- (key, entry) :: t.order;
+    t.bytes <- t.bytes + cost
+  end
 
 let add t ?key decisions entry =
   let key =
@@ -311,16 +217,9 @@ let add t ?key decisions entry =
   set_bytes_gauge t;
   Mutex.unlock t.m
 
-let deepest_prefix t decisions =
-  let key = Checkpoint.schedule_key decisions in
-  Mutex.lock t.m;
-  let d = deepest_prefix_locked t key in
-  Mutex.unlock t.m;
-  d
-
 let stats t =
   Mutex.lock t.m;
-  let r = (t.hits, t.misses, t.bytes, t.evictions) in
+  let r = (t.hits, t.misses, t.bytes) in
   Mutex.unlock t.m;
   r
 
@@ -334,15 +233,11 @@ let to_string t =
   let b = Buffer.create (String.length header + String.length label + t.bytes) in
   Buffer.add_string b header;
   Buffer.add_string b label;
-  (* Least-recent first, so re-adding in file order restores recency. *)
-  let rec emit = function
-    | None -> ()
-    | Some n ->
-        add_entry_line b ~key:n.n_key n.n_entry;
-        Buffer.add_char b '\n';
-        emit n.prev
-  in
-  emit t.tail;
+  List.iter
+    (fun (key, e) ->
+      add_entry_line b ~key e;
+      Buffer.add_char b '\n')
+    (List.rev t.order);
   Mutex.unlock t.m;
   Buffer.contents b
 
@@ -351,8 +246,8 @@ let to_string t =
    key and the cost need no re-encoding. A line whose key or entry does
    not parse is skipped. With [path], a load after which [to_string]
    would give the text back marks the cache as saved there: the cache was
-   empty, no line was skipped, refused, evicted or a duplicate, and the
-   last line ends in a newline. *)
+   empty, no line was skipped, refused or a duplicate, and the last line
+   ends in a newline. *)
 let load_lines ?path t text pos =
   let n = String.length text in
   let known = Hashtbl.create 64 in
@@ -374,7 +269,7 @@ let load_lines ?path t text pos =
     && text.[n - 1] = '\n'
   in
   (match path with
-  | Some p when exact -> t.synced <- Some (p, t.changes)
+  | Some p when exact -> t.synced <- Some (p, lines)
   | _ -> ());
   set_bytes_gauge t;
   Mutex.unlock t.m
@@ -411,18 +306,18 @@ let save ?fault t path =
      the same faults whether or not the cache changed. *)
   let fired = match fault with Some f -> f () | None -> false in
   Mutex.lock t.m;
-  let changes = t.changes in
-  let current = t.synced = Some (path, changes) in
+  let entries = Hashtbl.length t.tbl in
+  let current = t.synced = Some (path, entries) in
   Mutex.unlock t.m;
   if current && not fired then Checkpoint.Written
   else
     match Checkpoint.atomic_write ~fault:(fun () -> fired) path (to_string t) with
     | Checkpoint.Written ->
-        (* [changes] as read before [to_string]: an insert in between
+        (* [entries] as read before [to_string]: an insert in between
            leaves the cache newer than the file, and the next save
            writes. *)
         Mutex.lock t.m;
-        t.synced <- Some (path, changes);
+        t.synced <- Some (path, entries);
         Mutex.unlock t.m;
         Checkpoint.Written
     | d -> d

@@ -1,4 +1,5 @@
-(** Memoized replay artifacts keyed by schedule, with an LRU byte budget.
+(** Memoized replay artifacts keyed by schedule: an append-only table
+    under a byte budget.
 
     Ranks are effect-based coroutines ({!Sim.Coroutine}) whose one-shot
     continuations cannot be snapshotted, so "prefix resume" here does not
@@ -8,13 +9,18 @@
     wildcard count — is a pure function of its {!Checkpoint.schedule_key}.
     The cache memoizes those artifacts; a hit skips the replay outright
     (the entry suffices both for counting the run and for expanding its
-    children via {!Prune.expand}), and on a miss the deepest cached prefix
-    is recorded as the depth a snapshot-based scheme would have resumed
-    from ([cache.resume_depth]).
+    children via {!Prune.expand}).
+
+    The walk is depth-first, so the table sees one kind of traffic: a
+    cold walk fills it in DFS order and a re-verification reads it back
+    in the same order. It therefore never evicts: entries stay in
+    insertion order, and a full cache refuses a new entry. Under a tight
+    budget a warm re-walk hits the first part of the walk, where a
+    recency policy would evict each entry just before its turn came.
 
     The big win is warm re-verification: {!Explorer} persists the cache as
-    a sidecar next to the checkpoint and loads it on any start whose
-    checkpoint label matches, so re-verifying a completed exploration of
+    a sidecar next to the checkpoint, once per run with its final cut, and
+    loads it on any start whose checkpoint label matches, so re-verifying a completed exploration of
     the same configuration becomes pure cache hits.
 
     Thread-safe (internal mutex); metric writes happen under it, so give
@@ -40,8 +46,8 @@ val default_budget_bytes : int
 
 val create :
   ?metrics:Obs.Metrics.shard -> ?label:string -> budget_bytes:int -> unit -> t
-(** [metrics] gains [cache.hits], [cache.misses], [cache.evictions],
-    [cache.bytes] (gauge), and the [cache.resume_depth] histogram.
+(** [metrics] gains [cache.hits], [cache.misses] and [cache.bytes]
+    (gauge).
 
     [label] (default [""]) is the workload+config identity — the checkpoint
     label. Schedule keys carry no workload in them, so sidecar loads are
@@ -52,46 +58,42 @@ val find : t -> ?key:string -> Decisions.decision list -> entry option
 (** [find t ~key decisions] looks up the schedule whose
     {!Checkpoint.schedule_key} is [key] (computed from [decisions] when
     omitted); a caller that already holds the key passes it, so a hit is a
-    hash lookup with no encoding. Refreshes LRU recency and records
-    hit/miss plus the resumed-depth observation: the schedule's length on
-    a hit, the deepest cached prefix on a miss (its prefix keys are cut
-    from [key] and probed longest first, stopping at the first hit). *)
+    hash lookup with no encoding. Records a hit or a miss; the table
+    itself is left as it was. *)
 
 val add : t -> ?key:string -> Decisions.decision list -> entry -> unit
-(** Insert (refreshes recency if present — replays are deterministic, so
-    a re-add carries the same artifact). [key] is as for {!find}. An
-    entry's cost is its serialized line length plus the newline
-    ([String.length (entry_line ~key e) + 1]); entries are evicted
-    least-recently-used until the budget holds, and an entry larger than
-    the whole budget is not admitted. *)
+(** Append the entry unless its key is present (replays are
+    deterministic, so a re-add carries the same artifact and is a no-op).
+    [key] is as for {!find}. An entry's cost is its serialized line length
+    plus the newline ([String.length (entry_line ~key e) + 1]); an entry
+    that does not fit in what is left of the budget is refused, and no
+    entry is ever removed. *)
 
-val deepest_prefix : t -> Decisions.decision list -> int
-(** Length of the longest cached prefix of [decisions] (0 when none, the
-    full length when the schedule itself is cached). *)
-
-val stats : t -> int * int * int * int
-(** [(hits, misses, bytes, evictions)]. *)
+val stats : t -> int * int * int
+(** [(hits, misses, bytes)]. *)
 
 (** {1 Sidecar persistence}
 
     A line-oriented text format reusing the {!Checkpoint} codecs.
     {!Explorer} saves it next to the checkpoint (at
-    [checkpoint_path ^ ".cache"]) on every checkpoint write, which rewrites
-    the file only when the cache changed ({!save}), and loads it at the
-    start of every checkpointed run. *)
+    [checkpoint_path ^ ".cache"]) with the run's final cut, finished or
+    interrupted, and loads it at the start of every checkpointed run.
+    Periodic cuts write only the checkpoint: resuming needs none of the
+    sidecar, so a hard-killed run loses warmth, not correctness. *)
 
 val entry_line : key:string -> entry -> string
 (** The sidecar line of one entry, without its newline. *)
 
 val to_string : t -> string
 (** The sidecar text: header, label, then one {!entry_line} per entry,
-    least-recently-used first (so loading it back restores recency). *)
+    in insertion order (so loading it back restores the table as it
+    was). *)
 
 val load_into : t -> string -> (unit, string) result
 (** Insert every entry of a sidecar text. Each line is taken as read: its
     key is the stored key and its cost is the line's own length plus the
     newline — for any line {!to_string} wrote, exactly what {!add} charged,
-    so eviction under a budget is unchanged by a save/load cycle. A line
+    so which entries a budget admits is unchanged by a save/load cycle. A line
     whose key or entry does not parse is skipped; a foreign header or a
     label other than the cache's is refused with [Error].
 
@@ -106,13 +108,12 @@ val load_into : t -> string -> (unit, string) result
 val save : ?fault:(unit -> bool) -> t -> string -> Checkpoint.write_outcome
 (** {!Checkpoint.atomic_write} of {!to_string} (tempfile + fsync + rename,
     write failures classified into [Degraded] rather than raised), made
-    only when the file would change: unless an entry was inserted or
-    evicted since the last successful {!load} from [path] or save to it,
-    [save] returns [Written] and leaves the file as it was. A {!load} that
-    skipped a line, met a duplicate key or evicted, or that was refused,
-    leaves the cache unsaved, so the next save rewrites the file clean.
-    Hits and re-adds only refresh recency: the file keeps the recency
-    order of its last write. [fault] is consulted once per call whether or
+    only when the file would change: unless an entry was appended since
+    the last successful {!load} from [path] or save to it, [save] returns
+    [Written] and leaves the file as it was. A {!load} that skipped a
+    line, met a duplicate key or refused an entry over the budget, or
+    that was refused, leaves the cache unsaved, so the next save rewrites
+    the file clean. [fault] is consulted once per call whether or
     not the cache changed, so a chaos run's draws do not depend on it; a
     fired fault is [Degraded] and the cache stays unsaved. *)
 

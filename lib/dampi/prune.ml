@@ -60,7 +60,9 @@ let expand ~prune ~sleep ~plan_decisions summaries =
   let batches =
     List.mapi
       (fun i (s : Epoch.summary) ->
-        if not s.Epoch.s_expandable then []
+        (* An epoch with no alternatives has no children, so it needs no
+           sleep set: building one scans every deeper epoch. *)
+        if (not s.Epoch.s_expandable) || s.Epoch.s_alternatives = [] then []
         else if prune && List.exists (Epoch.summary_equal s) sleep then begin
           suppressed := !suppressed + List.length s.Epoch.s_alternatives;
           []
@@ -78,10 +80,12 @@ let expand ~prune ~sleep ~plan_decisions summaries =
               kept @ !deeper
             end
           in
+          (* The siblings share one immutable prefix. *)
+          let prefix = plan_decisions @ take i observed in
           List.map
             (fun alt ->
               {
-                Checkpoint.prefix = plan_decisions @ take i observed;
+                Checkpoint.prefix;
                 choice =
                   {
                     Decisions.owner = s.Epoch.s_owner;

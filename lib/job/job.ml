@@ -225,12 +225,13 @@ let rows =
       ~bound:((fun b -> b >= 1), "--prefix-cache needs a positive byte budget")
       (vopt [ "prefix-cache" ] "BYTES"
          (string_of_int Dampi.Prefix_cache.default_budget_bytes)
-         "Memoize each explored schedule's replay artifact under an LRU \
-          budget of $(docv) bytes (default 64 MiB when the flag is given \
-          bare). With $(b,--checkpoint) the cache persists as the \
-          checkpoint's $(b,.cache) sidecar, and a later re-verification of \
-          the same configuration serves its schedules from it instead of \
-          executing them; replay determinism keeps the report identical. A \
+         "Memoize each explored schedule's replay artifact under a budget \
+          of $(docv) bytes (default 64 MiB when the flag is given bare); a \
+          full cache keeps the schedules it holds and admits no more. With \
+          $(b,--checkpoint) the cache persists as the checkpoint's \
+          $(b,.cache) sidecar, and a later re-verification of the same \
+          configuration serves its schedules from it instead of executing \
+          them; replay determinism keeps the report identical. A \
           submitted job's sidecar lives in the daemon's state dir, so a \
           repeat submission of the same configuration starts warm.");
     field "max-runs" int_c

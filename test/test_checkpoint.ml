@@ -969,7 +969,7 @@ let prop_sidecar_lines_match_split =
         "# DAMPI prefix cache\nversion 1\nlabel " ^ Checkpoint.enc label ^ "\n" ^ line ^ "\n"
       in
       let loaded = Prefix_cache.load_into c text = Ok () in
-      let _, _, bytes, _ = Prefix_cache.stats c in
+      let _, _, bytes = Prefix_cache.stats c in
       loaded
       &&
       match Reference.entry_of_line line with

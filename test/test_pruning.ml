@@ -12,7 +12,8 @@
 
    Alongside the matrix: unit tests of the prefix cache (a warm
    re-verification is decision-for-decision identical to a cold one, a
-   tiny-budget cache evicts without losing correctness, the sidecar is
+   tiny-budget cache refuses entries without losing correctness, a full
+   cache keeps what came first, the sidecar is
    label-guarded, faulted explorations are cache-transparent) and QCheck
    properties of the independence layer (commuting decisions share a plan
    normal form and force identically; an epoch that is not structurally
@@ -170,6 +171,40 @@ let test_twin_actually_prunes () =
     "fewer replays executed" true
     (pruned.Report.interleavings < base.Report.interleavings)
 
+(* Expanding a run costs words linear in its epochs: an expandable epoch
+   with no alternatives builds no sleep set (which would scan every deeper
+   epoch). [e] such epochs, pairwise disjoint so every sleep set would be
+   full-length, precede one epoch with an alternative; doubling [e] must
+   not quadruple the words. *)
+let test_expand_is_linear () =
+  let summary ?(alternatives = []) j =
+    {
+      Epoch.s_owner = 2 * j;
+      s_id = j;
+      s_kind = Epoch.Wildcard_recv;
+      s_ctx = 0;
+      s_tag = 0;
+      s_matched = (2 * j) + 1;
+      s_alternatives = alternatives;
+      s_expandable = true;
+    }
+  in
+  let words e =
+    let summaries =
+      List.init e summary @ [ summary ~alternatives:[ (2 * e) + 2 ] e ]
+    in
+    let before = Gc.minor_words () in
+    let x = Prune.expand ~prune:true ~sleep:[] ~plan_decisions:[] summaries in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) (Printf.sprintf "E=%d: one child" e) 1 (List.length x.Prune.items);
+    words
+  in
+  let w1000 = words 1000 and w2000 = words 2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words at E=2000 (%.0f) <= 2.5x those at E=1000 (%.0f)" w2000 w1000)
+    true
+    (w2000 <= 2.5 *. w1000)
+
 (* ---- prefix-cache behavior ---- *)
 
 let with_temp_checkpoint f =
@@ -224,28 +259,36 @@ let test_warm_rerun_equals_cold () =
         "no replay missed" 0
         (Obs.Metrics.counter_value warm.Report.metrics "cache.misses"))
 
-(* A cache too small to hold the exploration must evict, not corrupt: the
-   report equals the uncached one and evictions are observable. *)
-let test_tiny_budget_eviction_soak () =
+(* A cache too small to hold the exploration must refuse, not corrupt: the
+   report equals the uncached one, and the cache holds less than an
+   unbounded one. *)
+let test_tiny_budget_refusal_soak () =
   let _, np, state_config, build =
     List.find (fun (n, _, _, _) -> n = "twin") registry
   in
   let bare = verify_local ~np ~state_config ~jobs:1 (List.hd modes) build in
-  let tiny =
+  let cached budget =
     Explorer.verify
       ~config:
         {
           (config_of ~state_config ~jobs:1 (List.hd modes)) with
-          Explorer.prefix_cache = Some 512;
+          Explorer.prefix_cache = Some budget;
         }
       ~np (build ())
   in
+  let cache_bytes (r : Report.t) =
+    match Obs.Metrics.find r.Report.metrics "cache.bytes" with
+    | Some (Obs.Metrics.Gauge g) -> int_of_float g
+    | _ -> Alcotest.fail "no cache.bytes gauge"
+  in
+  let tiny = cached 512 in
   Alcotest.(check bool)
     "tiny-budget report equals uncached" true
     (canonical bare = canonical tiny);
+  Alcotest.(check bool) "the budget holds" true (cache_bytes tiny <= 512);
   Alcotest.(check bool)
-    "the budget forced evictions" true
-    (Obs.Metrics.counter_value tiny.Report.metrics "cache.evictions" > 0)
+    "the budget refused entries" true
+    (cache_bytes tiny < cache_bytes (cached max_int))
 
 (* Fault injection with the cache on: transients absorbed by retries leave
    no trace, cached or not (the soak's DAMPI_FAULT_SEED contract). *)
@@ -322,41 +365,41 @@ let test_sidecar_label_guard () =
           Alcotest.(check (float 0.0)) "artifact round-trips" 1.5 e.Prefix_cache.vtime
       | None -> Alcotest.fail "matching-label sidecar did not warm")
 
-(* LRU mechanics, directly: recency decides the victim, and deepest_prefix
-   reports the longest cached prefix. *)
-let test_lru_and_deepest_prefix () =
-  let d i =
-    { Decisions.owner = 0; epoch_id = i; src = 1; kind = Epoch.Wildcard_recv }
-  in
+(* The table is append-only: a full cache refuses a new entry and keeps
+   the ones that came first, a re-add changes nothing, and the sidecar
+   lists the entries in insertion order. *)
+let test_full_cache_refuses () =
   let entry =
     { Prefix_cache.vtime = 0.0; wildcards = 0; errors = []; epochs = [] }
   in
-  let schedule n = List.init n d in
-  let cost =
-    (* one entry's serialized footprint, measured via a throwaway cache *)
-    let probe = Prefix_cache.create ~budget_bytes:max_int () in
-    Prefix_cache.add probe (schedule 1) entry;
-    let _, _, bytes, _ = Prefix_cache.stats probe in
-    bytes
+  (* One-decision schedules whose keys, and so costs, are of one width. *)
+  let schedule i =
+    [ { Decisions.owner = 0; epoch_id = i; src = 1; kind = Epoch.Wildcard_recv } ]
   in
-  let t = Prefix_cache.create ~budget_bytes:(2 * cost + cost) () in
-  Prefix_cache.add t (schedule 1) entry;
+  let line i = Prefix_cache.entry_line ~key:(Checkpoint.schedule_key (schedule i)) entry in
+  let cost = String.length (line 1) + 1 in
+  let t = Prefix_cache.create ~label:"refuse" ~budget_bytes:(3 * cost - 1) () in
   Prefix_cache.add t (schedule 2) entry;
-  Alcotest.(check int) "deepest prefix of [d0;d1;d2]" 2
-    (Prefix_cache.deepest_prefix t (schedule 3));
-  (* Touch the older entry, then overflow: the untouched one is evicted. *)
-  ignore (Prefix_cache.find t (schedule 1));
+  Prefix_cache.add t (schedule 1) entry;
   Prefix_cache.add t (schedule 3) entry;
-  Alcotest.(check bool) "recently-used survives" true
+  Prefix_cache.add t (schedule 2) entry;
+  let _, _, bytes = Prefix_cache.stats t in
+  Alcotest.(check int) "two entries charged" (2 * cost) bytes;
+  Alcotest.(check bool) "the first entry stays" true
+    (Prefix_cache.find t (schedule 2) <> None);
+  Alcotest.(check bool) "the second entry stays" true
     (Prefix_cache.find t (schedule 1) <> None);
-  Alcotest.(check bool) "least-recently-used evicted" true
-    (Prefix_cache.find t (schedule 2) = None);
-  let _, _, _, evictions = Prefix_cache.stats t in
-  Alcotest.(check bool) "eviction counted" true (evictions >= 1)
+  Alcotest.(check bool) "the entry past the budget was refused" true
+    (Prefix_cache.find t (schedule 3) = None);
+  Alcotest.(check string) "the sidecar is in insertion order"
+    ("# DAMPI prefix cache\nversion 1\nlabel refuse\n" ^ line 2 ^ "\n" ^ line 1 ^ "\n")
+    (Prefix_cache.to_string t);
+  let hits, misses, _ = Prefix_cache.stats t in
+  Alcotest.(check (pair int int)) "hits and misses" (2, 1) (hits, misses)
 
 (* The sidecar round trip: save, load into a fresh cache, save again —
    byte-identical text, and the loaded cache charges exactly the bytes the
-   original adds did, so a budget evicts the same entries either way. *)
+   original adds did, so a budget admits the same entries either way. *)
 let sidecar_entries =
   List.init 40 (fun i ->
       let schedule =
@@ -408,7 +451,7 @@ let test_sidecar_roundtrip () =
   | Error msg -> Alcotest.fail msg);
   Alcotest.(check string) "save, load, save is byte-identical" text
     (Prefix_cache.to_string b);
-  let bytes c = let _, _, bytes, _ = Prefix_cache.stats c in bytes in
+  let bytes c = let _, _, bytes = Prefix_cache.stats c in bytes in
   Alcotest.(check int) "loaded bytes equal the adds' bytes" (bytes a) (bytes b);
   List.iter
     (fun (d, e) ->
@@ -416,16 +459,13 @@ let test_sidecar_roundtrip () =
         (Checkpoint.schedule_key d ^ " hits with its artifact") true
         (Prefix_cache.find b ~key:(Checkpoint.schedule_key d) d = Some e))
     sidecar_entries;
-  (* A budget a third of the total: loading evicts what adding evicted. *)
+  (* A budget a third of the total: loading refuses what adding refused. *)
   let budget = bytes a / 3 in
   let added = fill budget in
   let loaded = Prefix_cache.create ~label ~budget_bytes:budget () in
   ignore (Prefix_cache.load_into loaded text);
-  let _, _, added_bytes, added_evictions = Prefix_cache.stats added in
-  let _, _, loaded_bytes, loaded_evictions = Prefix_cache.stats loaded in
-  Alcotest.(check (pair int int))
-    "tiny budget: same bytes and evictions" (added_bytes, added_evictions)
-    (loaded_bytes, loaded_evictions);
+  Alcotest.(check bool) "tiny budget: entries refused" true (bytes added < bytes a);
+  Alcotest.(check int) "tiny budget: same bytes" (bytes added) (bytes loaded);
   Alcotest.(check string) "tiny budget: same survivors"
     (Prefix_cache.to_string added) (Prefix_cache.to_string loaded)
 
@@ -454,7 +494,7 @@ let test_sidecar_skips_malformed_lines () =
   (match Prefix_cache.load_into c text with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
-  let _, _, bytes, _ = Prefix_cache.stats c in
+  let _, _, bytes = Prefix_cache.stats c in
   Alcotest.(check int) "only the good line is charged" (String.length good + 1) bytes;
   let d = { Decisions.owner = 0; epoch_id = 1; src = 2; kind = Epoch.Wildcard_recv } in
   Alcotest.(check bool) "the good line hits" true (Prefix_cache.find c [ d ] <> None)
@@ -527,9 +567,9 @@ let test_warm_run_keeps_sidecar () =
       Alcotest.(check bool) "the sidecar was not replaced" true (inode side = ino);
       Alcotest.(check string) "the sidecar's bytes are unchanged" bytes (read side))
 
-(* A run whose cache changed rewrites the sidecar: an entry added back, a
-   malformed line, a duplicate line or a foreign label dropped (each time
-   back to the bytes of the cold run), entries evicted under a
+(* A run whose cache changed rewrites the sidecar: an entry added back (at
+   the end), a malformed line, a duplicate line or a foreign label dropped
+   (each time back to the bytes of the cold run), entries refused under a
    smaller budget. *)
 let test_changed_cache_rewrites_sidecar () =
   with_temp_checkpoint (fun path ->
@@ -545,10 +585,11 @@ let test_changed_cache_rewrites_sidecar () =
         Alcotest.(check bool) (name ^ ": the sidecar was replaced") true (inode side <> ino);
         r
       in
-      (* lines: header, version, label, the least recent entry, ... *)
+      (* lines: header, version, label, the first entry, ..., "" *)
       let dropped = String.concat "\n" (List.filteri (fun i _ -> i <> 3) lines) in
       ignore (rewritten "one entry dropped" dropped ~misses:(( = ) 1));
-      Alcotest.(check string) "one entry dropped: added back" full (read side);
+      Alcotest.(check string) "one entry dropped: added back last"
+        (dropped ^ List.nth lines 3 ^ "\n") (read side);
       ignore (rewritten "malformed line" (full ^ "entry recv:0:x:1 0x0p+0 0 - -\n") ~misses:(( = ) 0));
       Alcotest.(check string) "malformed line: rewritten clean" full (read side);
       ignore (rewritten "duplicate line" (full ^ List.nth lines 3 ^ "\n") ~misses:(( = ) 0));
@@ -559,10 +600,38 @@ let test_changed_cache_rewrites_sidecar () =
       in
       ignore (rewritten "foreign label" foreign ~misses:(fun n -> n > 0));
       Alcotest.(check string) "foreign label: rewritten as the cold run" full (read side);
-      let r = rewritten "small budget" ~budget:(String.length full / 2) full ~misses:(fun _ -> true) in
-      Alcotest.(check bool) "small budget: evicted" true (counter r "cache.evictions" > 0);
+      ignore (rewritten "small budget" ~budget:(String.length full / 2) full ~misses:(( <> ) 0));
+      let first = String.concat "\n" (List.filteri (fun i _ -> i <= 3) lines) in
+      Alcotest.(check bool) "small budget: the first entries kept" true
+        (String.starts_with ~prefix:first (read side));
       Alcotest.(check bool) "small budget: the sidecar shrank" true
         (String.length (read side) < String.length full))
+
+(* Under a third of the full budget, a cold walk keeps the first part of
+   the walk and a warm re-walk, in the same order, hits every entry it
+   loaded and leaves the sidecar as it was. *)
+let test_tight_budget_warm_hits () =
+  with_temp_checkpoint (fun path ->
+      let side = path ^ ".cache" in
+      ignore (twin_cached path ());
+      let budget = String.length (read side) / 3 in
+      Sys.remove path;
+      Sys.remove side;
+      ignore (twin_cached ~budget path ());
+      let bytes = read side and ino = inode side in
+      let loaded =
+        List.length
+          (List.filter
+             (String.starts_with ~prefix:"entry ")
+             (String.split_on_char '\n' bytes))
+      in
+      Sys.remove path;
+      let warm = twin_cached ~budget path () in
+      Alcotest.(check bool) "some entries were kept" true (loaded > 0);
+      Alcotest.(check int) "one hit per entry loaded" loaded (counter warm "cache.hits");
+      Alcotest.(check bool) "the rest missed" true (counter warm "cache.misses" > 0);
+      Alcotest.(check bool) "the sidecar was not replaced" true (inode side = ino);
+      Alcotest.(check string) "the sidecar's bytes are unchanged" bytes (read side))
 
 (* A clean cache is saved wherever it has not been saved: the skip is for
    the file it was loaded from, not for every path. *)
@@ -588,48 +657,6 @@ let test_clean_cache_saves_elsewhere () =
       Alcotest.(check bool) "foreign label refused" true (Result.is_error (Prefix_cache.load c side));
       ignore (Prefix_cache.save c side);
       Alcotest.(check string) "the refused file is rewritten" (read other) (read side))
-
-(* On a miss, [cache.resume_depth] records the longest cached prefix. The
-   cache probes prefixes longest first; the scan it replaced, every prefix
-   bottom-up, is kept here as the reference. *)
-let deepest_prefix_bottom_up c decisions =
-  let key = Checkpoint.schedule_key decisions in
-  let cached k = Prefix_cache.find c ~key:k [] <> None in
-  if key = "-" then 0
-  else begin
-    let best = ref 0 and depth = ref 0 in
-    String.iteri
-      (fun i ch ->
-        if ch = ',' then begin
-          incr depth;
-          if cached (String.sub key 0 i) then best := !depth
-        end)
-      key;
-    if cached key then !depth + 1 else !best
-  end
-
-let prop_deepest_prefix_matches_bottom_up =
-  let d =
-    QCheck.Gen.(
-      map
-        (fun (owner, epoch_id) -> { Decisions.owner; epoch_id; src = 1; kind = Epoch.Wildcard_recv })
-        (pair (0 -- 2) (0 -- 2)))
-  in
-  QCheck.Test.make ~count:500 ~name:"deepest prefix, longest first = bottom-up scan"
-    (QCheck.make
-       QCheck.Gen.(triple (list_size (0 -- 10) d) nat (list_size (0 -- 8) (list_size (0 -- 10) d))))
-    (fun (query, mask, others) ->
-      let c = Prefix_cache.create ~budget_bytes:max_int () in
-      let entry = { Prefix_cache.vtime = 0.0; wildcards = 0; errors = []; epochs = [] } in
-      (* the query's prefixes the mask picks, and other schedules *)
-      for i = 0 to List.length query do
-        if (mask lsr i) land 1 = 1 then
-          Prefix_cache.add c (List.filteri (fun j _ -> j < i) query) entry
-      done;
-      List.iter (fun s -> Prefix_cache.add c s entry) others;
-      List.for_all
-        (fun q -> Prefix_cache.deepest_prefix c q = deepest_prefix_bottom_up c q)
-        (query :: List.init (List.length query) (fun i -> List.filteri (fun j _ -> j <> i) query)))
 
 (* ---- QCheck: the independence layer ---- *)
 
@@ -789,19 +816,22 @@ let () =
              Alcotest.test_case name `Quick (check_matrix case))
            registry );
        ( "pruning-bites",
-         [ Alcotest.test_case "twin workload prunes" `Quick test_twin_actually_prunes ] );
+         [
+           Alcotest.test_case "twin workload prunes" `Quick test_twin_actually_prunes;
+           Alcotest.test_case "expand is linear in epochs" `Quick test_expand_is_linear;
+         ] );
        ( "prefix-cache",
          [
            Alcotest.test_case "warm re-run equals cold" `Quick
              test_warm_rerun_equals_cold;
-           Alcotest.test_case "tiny-budget eviction soak" `Quick
-             test_tiny_budget_eviction_soak;
+           Alcotest.test_case "tiny-budget refusal soak" `Quick
+             test_tiny_budget_refusal_soak;
            Alcotest.test_case "fault soak with cache on" `Quick
              test_fault_soak_with_cache;
            Alcotest.test_case "sidecar label guard" `Quick
              test_sidecar_label_guard;
-           Alcotest.test_case "LRU recency and deepest prefix" `Quick
-             test_lru_and_deepest_prefix;
+           Alcotest.test_case "full cache refuses, keeps the first" `Quick
+             test_full_cache_refuses;
            Alcotest.test_case "sidecar round trip" `Quick test_sidecar_roundtrip;
            Alcotest.test_case "sidecar skips malformed lines" `Quick
              test_sidecar_skips_malformed_lines;
@@ -813,7 +843,8 @@ let () =
              test_changed_cache_rewrites_sidecar;
            Alcotest.test_case "clean cache saves elsewhere" `Quick
              test_clean_cache_saves_elsewhere;
-           QCheck_alcotest.to_alcotest prop_deepest_prefix_matches_bottom_up;
+           Alcotest.test_case "tight-budget warm re-walk hits" `Quick
+             test_tight_budget_warm_hits;
          ] );
        ( "independence-properties",
          [

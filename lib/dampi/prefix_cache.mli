@@ -1,5 +1,5 @@
 (** Memoized replay artifacts keyed by schedule: an append-only table
-    under a byte budget.
+    under a byte budget, stored as its own sidecar lines.
 
     Ranks are effect-based coroutines ({!Sim.Coroutine}) whose one-shot
     continuations cannot be snapshotted, so "prefix resume" here does not
@@ -17,6 +17,14 @@
     insertion order, and a full cache refuses a new entry. Under a tight
     budget a warm re-walk hits the first part of the walk, where a
     recency policy would evict each entry just before its turn came.
+
+    The table is its sidecar. One growable buffer holds the kept entry
+    lines as the sidecar writes them (a loaded file's text, adopted as it
+    was read, then each line {!add} appended); an array holds the parsed
+    entries, and an open-addressing index maps a key's hash to an entry
+    number. A lookup compares the key's bytes in place in the buffer, and
+    only when the stored hash matches. Saving writes the kept lines'
+    bytes back; no entry is encoded twice.
 
     The big win is warm re-verification: {!Explorer} persists the cache as
     a sidecar next to the checkpoint, once per run with its final cut, and
@@ -58,8 +66,8 @@ val find : t -> ?key:string -> Decisions.decision list -> entry option
 (** [find t ~key decisions] looks up the schedule whose
     {!Checkpoint.schedule_key} is [key] (computed from [decisions] when
     omitted); a caller that already holds the key passes it, so a hit is a
-    hash lookup with no encoding. Records a hit or a miss; the table
-    itself is left as it was. *)
+    hash of the key and a probe of the index, with no encoding. Records a
+    hit or a miss; the table itself is left as it was. *)
 
 val add : t -> ?key:string -> Decisions.decision list -> entry -> unit
 (** Append the entry unless its key is present (replays are
@@ -67,7 +75,9 @@ val add : t -> ?key:string -> Decisions.decision list -> entry -> unit
     [key] is as for {!find}. An entry's cost is its serialized line length
     plus the newline ([String.length (entry_line ~key e) + 1]); an entry
     that does not fit in what is left of the budget is refused, and no
-    entry is ever removed. *)
+    entry is ever removed. The line built to charge the cost is the one
+    kept: [add] appends it to the buffer, and {!to_string} writes it as
+    it is. *)
 
 val stats : t -> int * int * int
 (** [(hits, misses, bytes)]. *)
@@ -85,40 +95,50 @@ val entry_line : key:string -> entry -> string
 (** The sidecar line of one entry, without its newline. *)
 
 val to_string : t -> string
-(** The sidecar text: header, label, then one {!entry_line} per entry,
-    in insertion order (so loading it back restores the table as it
-    was). *)
+(** The sidecar text: header, label, then each kept entry's line with a
+    newline, in insertion order (so loading it back restores the table as
+    it was). The lines are copied from the buffer, not re-encoded: an
+    added entry's line is its {!entry_line}, a loaded entry's line is the
+    line as read. A loaded last line that lacked its newline gets one. *)
 
 val load_into : t -> string -> (unit, string) result
 (** Insert every entry of a sidecar text. Each line is taken as read: its
     key is the stored key and its cost is the line's own length plus the
-    newline — for any line {!to_string} wrote, exactly what {!add} charged,
-    so which entries a budget admits is unchanged by a save/load cycle. A line
+    newline (a last line without its newline is charged one too) — for
+    any line {!to_string} wrote, exactly what {!add} charged, so which
+    entries a budget admits is unchanged by a save/load cycle. A line
     whose key or entry does not parse is skipped; a foreign header or a
     label other than the cache's is refused with [Error].
 
-    Cost model: one pass over the text. A line costs a substring for each
-    of its key, float, count and epochs field, one hash lookup of the
-    epochs field and one hash insert. The key is checked in place without
-    building its decisions ({!Checkpoint.is_schedule_key}). Each distinct
-    epochs field is parsed once per load, and the entries that share it
-    share its summaries. An error field other than [-] (a finding's run,
-    rare) takes the slower split parse. *)
+    Cost model: one pass over the text, which becomes the buffer — adopted
+    without a copy into a cache that holds nothing yet, appended to the
+    buffer otherwise. The index is sized from the text's length. A line's
+    fields are found a word at a time, and its key is checked
+    ({!Checkpoint.is_schedule_key}, without building its decisions),
+    hashed once and indexed where it lies: no substring of the key. The
+    float and count fields are cut out and parsed; the epochs field is
+    looked up in place in a per-load memo, so each distinct epochs field
+    is parsed once and the entries that share it share its summaries. An
+    error field other than [-] (a finding's run, rare) takes the slower
+    split parse. Lines the load does not keep stay in the buffer,
+    unreferenced. *)
 
 val save : ?fault:(unit -> bool) -> t -> string -> Checkpoint.write_outcome
 (** {!Checkpoint.atomic_write} of {!to_string} (tempfile + fsync + rename,
-    write failures classified into [Degraded] rather than raised), made
-    only when the file would change: unless an entry was appended since
-    the last successful {!load} from [path] or save to it, [save] returns
-    [Written] and leaves the file as it was. A {!load} that skipped a
-    line, met a duplicate key or refused an entry over the budget, or
-    that was refused, leaves the cache unsaved, so the next save rewrites
-    the file clean. [fault] is consulted once per call whether or
+    write failures classified into [Degraded] rather than raised): the
+    kept lines' bytes, one copy each. It is made only when the file
+    would change: unless an entry was appended since the last successful
+    {!load} from [path] or save to it, [save] returns [Written] and leaves
+    the file as it was. A {!load} that skipped a
+    line, met a duplicate key, refused an entry over the budget or read a
+    last line without its newline, or that was refused, leaves the cache
+    unsaved, so the next save rewrites the file clean. [fault] is consulted once per call whether or
     not the cache changed, so a chaos run's draws do not depend on it; a
     fired fault is [Degraded] and the cache stays unsaved. *)
 
 val load : t -> string -> (unit, string) result
 (** [Error] on unreadable file or foreign format; entries on malformed
     lines are skipped (a corrupt sidecar costs warmth, not correctness).
-    A load into an empty cache that takes every line as written marks the
-    cache as saved at [path] (see {!save}). *)
+    A load into an empty cache that takes every line as written, the last
+    one ending in its newline, marks the cache as saved at [path] (see
+    {!save}). *)

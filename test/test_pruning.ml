@@ -531,6 +531,36 @@ let inode path = (Unix.stat path).Unix.st_ino
 let read path = In_channel.with_open_bin path In_channel.input_all
 let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
 
+(* A sidecar whose last line lost its newline: every entry loads and hits,
+   the last line is still charged its length plus the newline, the text
+   re-saves with the newline, and the file is rewritten on the next save
+   (the load did not take it as written). *)
+let test_sidecar_without_final_newline () =
+  with_temp_checkpoint (fun path ->
+      let label = "roundtrip np=4" in
+      let full = Prefix_cache.create ~label ~budget_bytes:max_int () in
+      List.iter (fun (d, e) -> Prefix_cache.add full d e) sidecar_entries;
+      let text = Prefix_cache.to_string full in
+      let cut = String.sub text 0 (String.length text - 1) in
+      write path cut;
+      let c = Prefix_cache.create ~label ~budget_bytes:max_int () in
+      (match Prefix_cache.load c path with Ok () -> () | Error msg -> Alcotest.fail msg);
+      List.iter
+        (fun (d, e) ->
+          Alcotest.(check bool)
+            (Checkpoint.schedule_key d ^ " hits with its artifact") true
+            (Prefix_cache.find c d = Some e))
+        sidecar_entries;
+      let bytes c = let _, _, bytes = Prefix_cache.stats c in bytes in
+      Alcotest.(check int) "the last line is charged its newline" (bytes full) (bytes c);
+      Alcotest.(check string) "re-saved with the newline" text (Prefix_cache.to_string c);
+      let ino = inode path in
+      (match Prefix_cache.save c path with
+      | Checkpoint.Written -> ()
+      | Checkpoint.Degraded msg -> Alcotest.fail msg);
+      Alcotest.(check bool) "the file was rewritten" true (inode path <> ino);
+      Alcotest.(check string) "the file ends in the newline" text (read path))
+
 (* The twin workload, cached and checkpointed at [path] as the CLI's
    [--prefix-cache --checkpoint path --checkpoint-every 0] runs it. *)
 let twin_cached ?(budget = 1 lsl 22) path () =
@@ -758,6 +788,129 @@ let prop_footprint_disjoint_sane =
       && (not (Prune.footprint_disjoint a a))
       && ((not (Prune.footprint_disjoint a b)) || a.Epoch.s_owner <> b.Epoch.s_owner))
 
+(* ---- QCheck: the prefix cache's index against a list model ---- *)
+
+(* DFS-shaped schedules: siblings differ in their last decision, so keys
+   share long prefixes. *)
+let gen_dfs_schedule =
+  QCheck.Gen.(
+    map
+      (List.mapi (fun i src ->
+           { Decisions.owner = i mod 3; epoch_id = i; src; kind = Epoch.Wildcard_recv }))
+      (list_size (0 -- 9) (0 -- 2)))
+
+(* The artifact a schedule's replay gives: a function of the schedule, as
+   replays are deterministic, so a re-add carries the same entry. Few
+   distinct epoch lists, as in a real sidecar, and now and then a finding. *)
+let model_entry schedule =
+  let n = List.length schedule in
+  {
+    Prefix_cache.vtime = float_of_int n /. 3.0;
+    wildcards = n;
+    errors = (if n = 7 then [ Report.Crash { pid = 1; message = "boom 7%" } ] else []);
+    epochs =
+      (if n mod 3 = 0 then
+         [
+           {
+             Epoch.s_owner = n mod 3;
+             s_id = n;
+             s_kind = Epoch.Wildcard_recv;
+             s_ctx = 0;
+             s_tag = n;
+             s_matched = 1;
+             s_alternatives = [ 2 ];
+             s_expandable = n mod 2 = 0;
+           };
+         ]
+       else []);
+  }
+
+type cache_op = Add of int | Find of int | Reload | Load_self
+
+let show_cache_op = function
+  | Add i -> Printf.sprintf "add %d" i
+  | Find i -> Printf.sprintf "find %d" i
+  | Reload -> "reload"
+  | Load_self -> "load-self"
+
+(* Random runs of [add], [find], a reload into a fresh cache from
+   [to_string] (a warm re-run's start) and a load of the cache's own text
+   (every line a duplicate), under budgets from none to unbounded, against
+   an association list of the kept keys and lines in insertion order. The
+   pools run past the index's first capacity, so it grows both on [add]
+   and during a load. *)
+let prop_cache_matches_model =
+  QCheck.Test.make ~count:300 ~name:"prefix cache: the index behaves as a list model"
+    (QCheck.make
+       ~print:(fun (pool, budget, ops) ->
+         Printf.sprintf "pool %d budget %d ops [%s]" (List.length pool) budget
+           (String.concat "; " (List.map show_cache_op ops)))
+       QCheck.Gen.(
+         list_size (1 -- 300) gen_dfs_schedule >>= fun pool ->
+         let key = 0 -- (List.length pool - 1) in
+         pair (oneofl [ 0; 60; 600; 6_000; 30_000; max_int ])
+           (list_size (0 -- 600)
+              (frequency
+                 [
+                   (6, map (fun i -> Add i) key);
+                   (4, map (fun i -> Find i) key);
+                   (1, return Reload);
+                   (1, return Load_self);
+                 ]))
+         >|= fun (budget, ops) -> (pool, budget, ops)))
+    (fun (pool, budget, ops) ->
+      let pool = Array.of_list pool and label = "model np=3" in
+      let fresh () = Prefix_cache.create ~label ~budget_bytes:budget () in
+      let c = ref (fresh ()) and ok = ref true in
+      (* kept: key and line, newest first *)
+      let kept = ref [] and bytes = ref 0 and hits = ref 0 and misses = ref 0 in
+      let find i =
+        let k = Checkpoint.schedule_key pool.(i) in
+        let expected =
+          if List.mem_assoc k !kept then begin
+            incr hits;
+            Some (model_entry pool.(i))
+          end
+          else begin
+            incr misses;
+            None
+          end
+        in
+        (* every other lookup builds its own key *)
+        let key = if i mod 2 = 0 then Some k else None in
+        if Prefix_cache.find !c ?key pool.(i) <> expected then ok := false
+      in
+      let step = function
+        | Add i ->
+            let k = Checkpoint.schedule_key pool.(i) and e = model_entry pool.(i) in
+            let line = Prefix_cache.entry_line ~key:k e in
+            let cost = String.length line + 1 in
+            if cost <= budget - !bytes && not (List.mem_assoc k !kept) then begin
+              kept := (k, line) :: !kept;
+              bytes := !bytes + cost
+            end;
+            Prefix_cache.add !c pool.(i) e
+        | Find i -> find i
+        | Reload ->
+            let text = Prefix_cache.to_string !c in
+            c := fresh ();
+            hits := 0;
+            misses := 0;
+            if Prefix_cache.load_into !c text <> Ok () then ok := false
+        | Load_self ->
+            if Prefix_cache.load_into !c (Prefix_cache.to_string !c) <> Ok () then
+              ok := false
+      in
+      List.iter step ops;
+      Array.iteri (fun i _ -> find i) pool;
+      let expected_text =
+        "# DAMPI prefix cache\nversion 1\nlabel " ^ Checkpoint.enc label ^ "\n"
+        ^ String.concat "" (List.rev_map (fun (_, line) -> line ^ "\n") !kept)
+      in
+      !ok
+      && Prefix_cache.stats !c = (!hits, !misses, !bytes)
+      && Prefix_cache.to_string !c = expected_text)
+
 (* ---- report merging: signature collisions keep both findings ---- *)
 
 let test_merge_signature_collision () =
@@ -835,6 +988,8 @@ let () =
            Alcotest.test_case "sidecar round trip" `Quick test_sidecar_roundtrip;
            Alcotest.test_case "sidecar skips malformed lines" `Quick
              test_sidecar_skips_malformed_lines;
+           Alcotest.test_case "sidecar without a final newline" `Quick
+             test_sidecar_without_final_newline;
            Alcotest.test_case "sidecar of the previous encoder" `Quick
              test_sidecar_previous_format;
            Alcotest.test_case "warm run keeps the sidecar" `Quick
@@ -845,6 +1000,7 @@ let () =
              test_clean_cache_saves_elsewhere;
            Alcotest.test_case "tight-budget warm re-walk hits" `Quick
              test_tight_budget_warm_hits;
+           QCheck_alcotest.to_alcotest prop_cache_matches_model;
          ] );
        ( "independence-properties",
          [

@@ -13,11 +13,20 @@
     The format is versioned line-oriented text ({!load} rejects any other
     version with a clear error), written atomically (temp file + rename in
     the same directory), and self-contained: its item lines are also the
-    items of the distributed wire protocol. *)
+    items of the distributed wire protocol. Version 3 writes the prefix of
+    a run of consecutive items that share it once (see {!add_item_line}),
+    so a frontier of K siblings under a D-decision prefix costs O(D + K)
+    bytes. *)
 
-(** One pending guided run, mirroring the explorer's work item. *)
-type item = {
+(** One pending guided run, mirroring the explorer's work item. Private:
+    {!make_item} and {!item_of_line} build items, so [prefix_key] is
+    always [schedule_key prefix]. *)
+type item = private {
   prefix : Decisions.decision list;
+  prefix_key : string;
+      (** [schedule_key prefix]. Siblings share this one string as they
+          share [prefix]; every key of the item and of its children grows
+          from it instead of encoding the prefix again. *)
   choice : Decisions.decision;
   sleep : Epoch.summary list;
       (** sleep set inherited from the ancestors that created this item:
@@ -75,8 +84,24 @@ val schedule_key : Decisions.decision list -> string
 val schedule_of_key : string -> Decisions.decision list option
 (** Inverse of {!schedule_key}. *)
 
+val make_item :
+  ?prefix_key:string ->
+  prefix:Decisions.decision list ->
+  choice:Decisions.decision ->
+  sleep:Epoch.summary list ->
+  unit ->
+  item
+(** [prefix_key] defaults to [schedule_key prefix]; a caller that passes it
+    (as {!Prune.expand} does, growing it from the parent's key) must pass
+    exactly that. *)
+
 val item_key : item -> string
-(** [schedule_key (prefix @ [choice])] — the schedule the item would run. *)
+(** [schedule_key (prefix @ [choice])] — the schedule the item would run:
+    [prefix_key] and the choice, with no decision of the prefix encoded. *)
+
+val same_schedule : item -> item -> bool
+(** [item_key a = item_key b], without building either key: the choices
+    first, then the prefix keys (one pointer test for siblings). *)
 
 (** {2 Serialization primitives}
 
@@ -99,6 +124,9 @@ val add_hex_float : Buffer.t -> float -> unit
 
 val decision_to_key : Decisions.decision -> string
 
+val add_decision : Buffer.t -> Decisions.decision -> unit
+(** Append {!decision_to_key}: what a child's key adds to its parent's. *)
+
 val summary_to_key : Epoch.summary -> string
 (** One whitespace-free token per epoch summary (sleep-set element). *)
 
@@ -114,7 +142,10 @@ val sleep_of_key : string -> Epoch.summary list option
 val is_schedule_key : string -> int -> int -> bool
 (** [is_schedule_key s i j]: {!schedule_of_key} of [s.[i .. j-1]] is not
     [None]. Reads the field in place and builds no decision: the check a
-    sidecar load makes on every key.
+    sidecar load makes on every key. It walks the digits directly and
+    hands a key with any field it does not read that way (not an optional
+    [-] and 1 to 18 digits) to the parser, so it accepts the same
+    language.
 
     The key parsers ({!schedule_of_key}, {!sleep_of_key}, {!item_of_line}
     and this one) read in one pass, with no substring per field and no
@@ -123,14 +154,18 @@ val is_schedule_key : string -> int -> int -> bool
     same values: a field of an optional [-] and 1 to 18 decimal digits is
     read directly, any other goes to [int_of_string_opt]. *)
 
-val add_item_line : Buffer.t -> item -> unit
+val add_item_line : ?prev:item -> Buffer.t -> item -> unit
 (** Append [item PREFIX CHOICE [SLEEP]] and a newline: the line that
     carries one pending item in a checkpoint's frontier and in the wire's
-    lease and result frames. [SLEEP] is omitted when the set is empty. *)
+    lease and result frames. [SLEEP] is omitted when the set is empty.
+    PREFIX is [prefix_key], copied. Given the item written just before
+    ([prev], the checkpoint's grouping; the wire never passes it), PREFIX
+    is [=] when the two prefix keys are equal. *)
 
-val item_of_line : string -> (item, string) result
+val item_of_line : ?prev:item -> string -> (item, string) result
 (** Inverse of {!add_item_line} (one line, no newline). A line without the
-    sleep field parses with an empty sleep set. *)
+    sleep field parses with an empty sleep set. A PREFIX of [=] is [prev]'s
+    prefix, shared, and is malformed without [prev]. *)
 
 val error_to_line : Report.error -> string
 (** [tag payload] form, whitespace-safe; parsed back by {!error_of_line}. *)

@@ -26,6 +26,9 @@ let rec take n = function
 
 type expansion = { items : Checkpoint.item list; suppressed : int }
 
+(* The buffer each domain grows its children's prefix keys in. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
 (* The child frontier of a completed replay whose epochs (completion
    order) are [summaries], replayed under [plan_decisions] with inherited
    sleep set [sleep]. With [prune:false] this is exactly the historical
@@ -43,7 +46,7 @@ type expansion = { items : Checkpoint.item list; suppressed : int }
      [e_j] unchanged, [e_j]'s alternatives are covered. Shallower
      siblings are already forced in the child's prefix and can never be
      rediscovered, so carrying them would be dead weight. *)
-let expand ~prune ~sleep ~plan_decisions summaries =
+let expand ?key ~prune ~sleep ~plan_decisions summaries =
   let observed =
     List.map
       (fun (s : Epoch.summary) ->
@@ -57,6 +60,28 @@ let expand ~prune ~sleep ~plan_decisions summaries =
   in
   let arr = Array.of_list summaries in
   let suppressed = ref 0 in
+  (* The key of [plan_decisions @ take i observed], for the batches in
+     ascending [i]: the parent's key, then each observed decision appended
+     once, when a batch first needs it, so a run encodes only what it
+     observed and a batch's key is one copy of the buffer. *)
+  let buf = Domain.DLS.get scratch in
+  Buffer.clear buf;
+  if plan_decisions <> [] then
+    Buffer.add_string buf
+      (match key with Some k -> k | None -> Checkpoint.schedule_key plan_decisions);
+  let pending = ref observed and encoded = ref 0 in
+  let prefix_key i =
+    while !encoded < i do
+      (match !pending with
+      | d :: tl ->
+          if Buffer.length buf > 0 then Buffer.add_char buf ',';
+          Checkpoint.add_decision buf d;
+          pending := tl
+      | [] -> ());
+      incr encoded
+    done;
+    if Buffer.length buf = 0 then "-" else Buffer.contents buf
+  in
   let batches =
     List.mapi
       (fun i (s : Epoch.summary) ->
@@ -80,21 +105,20 @@ let expand ~prune ~sleep ~plan_decisions summaries =
               kept @ !deeper
             end
           in
-          (* The siblings share one immutable prefix. *)
+          (* The siblings share one immutable prefix and its key. *)
           let prefix = plan_decisions @ take i observed in
+          let prefix_key = prefix_key i in
           List.map
             (fun alt ->
-              {
-                Checkpoint.prefix;
-                choice =
+              Checkpoint.make_item ~prefix_key ~prefix
+                ~choice:
                   {
                     Decisions.owner = s.Epoch.s_owner;
                     epoch_id = s.Epoch.s_id;
                     src = alt;
                     kind = s.Epoch.s_kind;
-                  };
-                sleep = child_sleep;
-              })
+                  }
+                ~sleep:child_sleep ())
             s.Epoch.s_alternatives)
       summaries
   in

@@ -40,6 +40,7 @@ type expansion = {
 }
 
 val expand :
+  ?key:string ->
   prune:bool ->
   sleep:Epoch.summary list ->
   plan_decisions:Decisions.decision list ->
@@ -49,7 +50,12 @@ val expand :
     completion order. [prune:false] reproduces the unpruned expansion
     exactly (no suppression, empty child sleep sets). Its one caller is
     {!Executor.run}, for replayed, cached and remote items alike, so cached
-    or remote expansion is bit-identical to local. *)
+    or remote expansion is bit-identical to local.
+
+    [key] is [Checkpoint.schedule_key plan_decisions] (computed when
+    omitted). Each child's [prefix_key] grows from it: the decisions the
+    run observed are appended to one buffer once, and the siblings of a
+    batch share one copy. *)
 
 (** A thread-safe set of schedule keys. The explorer does not use it (see
     {b No duplicates} above); it stays only because the benchmark's traced

@@ -300,7 +300,8 @@ let serve_session ?auth ~sess ?telemetry:tele ~resolve fd =
                          ~prune:rr.prune ~worker:0 ~metrics ~need_poison:true
                          ~external_poison:(heartbeat hb)
                          ~abort_retries:(fun () -> false)
-                         ~np:rr.np ~sleep:it.sleep (it.prefix @ [ it.choice ]))
+                         ~np:rr.np ~key:(Checkpoint.item_key it) ~sleep:it.sleep
+                         (it.prefix @ [ it.choice ]))
                         .Executor.run)
                     items
                 in

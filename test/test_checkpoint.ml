@@ -25,6 +25,7 @@ let sample_decision i =
 
 let sample_checkpoint =
   let d = sample_decision in
+  let prefix = [ d 1; d 2 ] in
   {
     Checkpoint.label = "dampi adlb np=6 clock=lamport k=0 dual=false";
     np = 6;
@@ -78,11 +79,9 @@ let sample_checkpoint =
       ];
     frontier =
       [
-        { Checkpoint.prefix = []; choice = d 1; sleep = [] };
-        {
-          Checkpoint.prefix = [ d 1; d 2 ];
-          choice = d 3;
-          sleep =
+        Checkpoint.make_item ~prefix:[] ~choice:(d 1) ~sleep:[] ();
+        Checkpoint.make_item ~prefix ~choice:(d 3)
+          ~sleep:
             [
               {
                 Dampi.Epoch.s_owner = 2;
@@ -94,8 +93,10 @@ let sample_checkpoint =
                 s_alternatives = [ 3; 4 ];
                 s_expandable = true;
               };
-            ];
-        };
+            ]
+          ();
+        (* a sibling: its line writes [=] for the shared prefix *)
+        Checkpoint.make_item ~prefix ~choice:(d 4) ~sleep:[] ();
       ];
     epoch = 4;
   }
@@ -124,7 +125,7 @@ let golden_sample =
   String.concat "\n"
     [
       "# DAMPI checkpoint";
-      "version 2";
+      "version 3";
       "label dampi%20adlb%20np%3D6%20clock%3Dlamport%20k%3D0%20dual%3Dfalse";
       "np 6";
       "complete 0";
@@ -150,6 +151,7 @@ let golden_sample =
       "finding 4 probe:2:21:3 divergence 1";
       "item - probe:1:3:2";
       "item probe:1:3:2,recv:2:6:3 probe:3:9:4 recv:2:9:0:7:1:1:3.4";
+      "item = recv:4:12:0";
       "";
     ]
 
@@ -157,7 +159,7 @@ let golden_zeroes =
   String.concat "\n"
     [
       "# DAMPI checkpoint";
-      "version 2";
+      "version 3";
       "label fig3";
       "np 3";
       "complete 1";
@@ -268,9 +270,53 @@ let test_load_errors () =
   expect_error "garbage\n" "not a DAMPI checkpoint";
   expect_error "# DAMPI checkpoint\nversion 99\n" "version 99";
   expect_error "# DAMPI checkpoint\nruns 3\n" "version";
+  (* the version-2 format spelled out every prefix; it is refused whole *)
+  expect_error
+    "# DAMPI checkpoint\nversion 2\nitem - recv:1:0:2\n"
+    "checkpoint version 2 not supported (this build reads version 3)";
+  (* [=] names the previous item's prefix; the first item has none *)
+  expect_error "# DAMPI checkpoint\nversion 3\nitem = recv:1:0:2\n" "malformed item line";
   match Checkpoint.load "/nonexistent/path/x.dampi" with
   | Ok _ -> Alcotest.fail "loading a missing file should fail"
   | Error _ -> ()
+
+(* K siblings under a D-decision prefix, as [Prune.expand] makes them
+   (one epoch with K alternatives after a D-decision plan), write their
+   prefix once: O(D + K) bytes. Doubling both D and K doubles the file; a
+   writer that spells every item's prefix out (O(D K)) quadruples it. *)
+let test_grouped_frontier_is_linear () =
+  let bytes ~d ~k =
+    let plan_decisions = List.init d sample_decision in
+    let epoch =
+      {
+        Dampi.Epoch.s_owner = 0;
+        s_id = 3 * d;
+        s_kind = Dampi.Epoch.Wildcard_recv;
+        s_ctx = 0;
+        s_tag = 0;
+        s_matched = 1;
+        s_alternatives = List.init k (fun i -> i + 2);
+        s_expandable = true;
+      }
+    in
+    let exp =
+      Dampi.Prune.expand ~prune:false ~sleep:[] ~plan_decisions [ epoch ]
+    in
+    Alcotest.(check int) "K siblings" k (List.length exp.Dampi.Prune.items);
+    let ck =
+      { sample_checkpoint with Checkpoint.findings = []; frontier = exp.Dampi.Prune.items }
+    in
+    let text = Checkpoint.to_string ck in
+    (match Checkpoint.of_string text with
+    | Ok back -> Alcotest.(check bool) "round trip" true (back = ck)
+    | Error e -> Alcotest.failf "re-parse failed: %s" e);
+    String.length text
+  in
+  let small = bytes ~d:400 ~k:400 and large = bytes ~d:800 ~k:800 in
+  let ratio = float_of_int large /. float_of_int small in
+  Alcotest.(check bool)
+    (Printf.sprintf "bytes at D = K = 800 <= 2.5x those at 400 (%d / %d = %.2f)" large small ratio)
+    true (ratio <= 2.5)
 
 (* ---- interrupted exploration resumes to the uninterrupted report ---- *)
 
@@ -680,7 +726,7 @@ module Reference = struct
     | None -> Error (Printf.sprintf "malformed item line %S" line)
     | Some (prefix, choice, sleep) -> (
         match (schedule_of_key prefix, decision_of_key choice, sleep_of_key sleep) with
-        | Some prefix, Some choice, Some sleep -> Ok { Checkpoint.prefix; choice; sleep }
+        | Some prefix, Some choice, Some sleep -> Ok (Checkpoint.make_item ~prefix ~choice ~sleep ())
         | _ -> Error (Printf.sprintf "malformed item line %S" line))
 
   (* A sidecar line, and the key check the load made on it. *)
@@ -789,7 +835,7 @@ let prop_encoders_match_reference =
        QCheck.Gen.(
          quad gen_schedule gen_decision (list_size (0 -- 5) gen_summary) gen_entry))
     (fun (ds, choice, sleep, entry) ->
-      let it = { Checkpoint.prefix = ds; choice; sleep } in
+      let it = Checkpoint.make_item ~prefix:ds ~choice ~sleep () in
       let key = Checkpoint.schedule_key ds in
       key = Reference.schedule_key ds
       && Checkpoint.item_key it = Reference.item_key it
@@ -912,11 +958,47 @@ let prop_key_parsers_match_split =
       && Checkpoint.is_schedule_key t 0 n = (schedule <> None)
       && Checkpoint.is_schedule_key embedded 2 (n + 2) = (schedule <> None))
 
+(* One of the [:] and [,] delimiters of [s] replaced by another character. *)
+let gen_delim_swap s =
+  let at = List.filter (fun i -> s.[i] = ':' || s.[i] = ',') (List.init (String.length s) Fun.id) in
+  QCheck.Gen.(
+    if at = [] then return s
+    else
+      map2
+        (fun i c -> String.mapi (fun j x -> if j = i then c else x) s)
+        (oneofl at)
+        (oneofl (List.of_seq (String.to_seq alphabet))))
+
+(* Keys for the digit walk: canonical keys (its fast path), each with one
+   character replaced, dropped or doubled or one delimiter swapped, keys
+   whose numbers are spelled as only [int_of_string_opt] reads them (its
+   fallback), and random text; checked in place inside a longer string. *)
+let prop_key_walk_matches_parser =
+  QCheck.Test.make ~count:4000
+    ~name:"is_schedule_key: the digit walk accepts what schedule_of_key accepts"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         oneof
+           [
+             map Checkpoint.schedule_key gen_schedule;
+             (gen_schedule >>= fun ds -> gen_mutation (Checkpoint.schedule_key ds));
+             (gen_schedule >>= fun ds ->
+              gen_mutation (Checkpoint.schedule_key ds) >>= gen_mutation);
+             (gen_schedule >>= fun ds -> gen_delim_swap (Checkpoint.schedule_key ds));
+             (gen_schedule >>= gen_spelled spell_decision ",");
+             gen_key_text;
+           ]))
+    (fun t ->
+      let n = String.length t in
+      let accepted = Checkpoint.schedule_of_key t <> None in
+      Checkpoint.is_schedule_key t 0 n = accepted
+      && Checkpoint.is_schedule_key ("recv:1:2:3," ^ t ^ " x") 11 (n + 11) = accepted)
+
 let gen_item_line =
   QCheck.Gen.(
     let item ds choice sleep =
       let b = Buffer.create 64 in
-      Checkpoint.add_item_line b { Checkpoint.prefix = ds; choice; sleep };
+      Checkpoint.add_item_line b (Checkpoint.make_item ~prefix:ds ~choice ~sleep ());
       Buffer.sub b 0 (Buffer.length b - 1)
     in
     oneof
@@ -926,10 +1008,87 @@ let gen_item_line =
           gen_key_text gen_key_text
           (oneof [ return []; map (fun s -> [ s ]) gen_key_text; map (fun (a, b) -> [ a; b ]) (pair gen_key_text gen_key_text) ]);
         map (fun t -> "item " ^ t) gen_key_text;
+        (* a prefix spelled as only [int_of_string_opt] reads it, before a
+           well-formed choice: its key is still [schedule_key prefix] *)
+        map2
+          (fun p c -> "item " ^ p ^ " " ^ Checkpoint.decision_to_key c)
+          (oneof
+             [
+               gen_schedule >>= gen_spelled spell_decision ",";
+               (* numbers at the edge of the canonical spelling *)
+               (let edge = oneofl [ "0"; "-0"; "00"; "01"; "1"; "-1"; "10"; "-10"; "+1" ] in
+                map (String.concat ",")
+                  (list_size (1 -- 4)
+                     (map3
+                        (fun k (o, e) s -> String.concat ":" [ k; o; e; s ])
+                        (oneofl [ "recv"; "probe" ]) (pair edge edge) edge)));
+             ])
+          gen_decision;
         oneofl [ ""; "item"; "item "; "item - recv:0:1:2"; "items - recv:0:1:2"; " item - recv:0:1:2" ];
         (triple gen_schedule gen_decision (list_size (0 -- 3) gen_summary) >>= fun (ds, c, ss) ->
          oneof [ return (item ds c ss); gen_mutation (item ds c ss) ]);
       ])
+
+(* [prefix_key] is [schedule_key prefix] on every item, however it was
+   made: by [Prune.expand] (prune on and off, the parent's key passed or
+   not; the sleep set holds copies of some epochs so that some are
+   suppressed), by [item_of_line] on any line it accepts, and after a
+   version-3 checkpoint round trip of the expanded frontier. *)
+let key_invariant (it : Checkpoint.item) =
+  it.Checkpoint.prefix_key = Reference.schedule_key it.Checkpoint.prefix
+  && Checkpoint.item_key it = Reference.item_key it
+
+let prop_prefix_key_invariant =
+  QCheck.Test.make ~count:1000
+    ~name:"prefix_key is schedule_key prefix: expand, item lines, version-3 round trip"
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad gen_schedule (list_size (0 -- 8) gen_summary) bool (list_size (0 -- 8) bool))
+           (pair (list_size (0 -- 2) gen_summary) (list_size (0 -- 4) gen_item_line))))
+    (fun ((plan_decisions, summaries, prune, picks), (extra_sleep, lines)) ->
+      let sleep =
+        extra_sleep
+        @ List.filteri (fun i _ -> List.nth_opt picks i = Some true) summaries
+      in
+      let expand ?key () = Dampi.Prune.expand ?key ~prune ~sleep ~plan_decisions summaries in
+      let exp = expand () in
+      let keyed = expand ~key:(Checkpoint.schedule_key plan_decisions) () in
+      let items = exp.Dampi.Prune.items in
+      let ck = { sample_checkpoint with Checkpoint.frontier = items } in
+      List.for_all key_invariant items
+      && keyed = exp
+      && (match Checkpoint.of_string (Checkpoint.to_string ck) with
+         | Ok back ->
+             back = ck && List.for_all key_invariant back.Checkpoint.frontier
+         | Error _ -> false)
+      && List.for_all
+           (fun line ->
+             match Checkpoint.item_of_line line with
+             | Ok it -> key_invariant it
+             | Error _ -> true)
+           lines)
+
+(* The cut's in-flight test, [same_schedule], agrees with comparing keys;
+   decisions from a tiny domain make equal choices under unequal prefixes
+   common. *)
+let prop_same_schedule_is_key_equality =
+  let tiny =
+    QCheck.Gen.(
+      map3
+        (fun owner epoch_id (src, kind) -> { Decisions.owner; epoch_id; src; kind })
+        (0 -- 1) (0 -- 1) (pair (0 -- 1) gen_kind))
+  in
+  let item =
+    QCheck.Gen.(
+      map2
+        (fun prefix choice -> Checkpoint.make_item ~prefix ~choice ~sleep:[] ())
+        (list_size (0 -- 2) tiny) tiny)
+  in
+  QCheck.Test.make ~count:2000 ~name:"same_schedule: item keys are equal"
+    (QCheck.make QCheck.Gen.(pair item item))
+    (fun (a, b) ->
+      Checkpoint.same_schedule a b = (Checkpoint.item_key a = Checkpoint.item_key b))
 
 let prop_item_lines_match_split =
   QCheck.Test.make ~count:3000 ~name:"item_of_line: equal to the split parser"
@@ -986,7 +1145,7 @@ let prop_round_trip_match_split =
     (QCheck.make
        QCheck.Gen.(triple gen_schedule gen_decision (list_size (0 -- 5) gen_summary)))
     (fun (ds, choice, sleep) ->
-      let it = { Checkpoint.prefix = ds; choice; sleep } in
+      let it = Checkpoint.make_item ~prefix:ds ~choice ~sleep () in
       let b = Buffer.create 64 in
       Checkpoint.add_item_line b it;
       let line = Buffer.sub b 0 (Buffer.length b - 1) in
@@ -1014,11 +1173,16 @@ let () =
             test_hostile_text_roundtrip;
           Alcotest.test_case "atomic save/load" `Quick test_save_load;
           Alcotest.test_case "load errors" `Quick test_load_errors;
+          Alcotest.test_case "grouped frontier is linear" `Quick
+            test_grouped_frontier_is_linear;
         ] );
       ( "codec",
         [
           QCheck_alcotest.to_alcotest prop_encoders_match_reference;
           QCheck_alcotest.to_alcotest prop_key_parsers_match_split;
+          QCheck_alcotest.to_alcotest prop_key_walk_matches_parser;
+          QCheck_alcotest.to_alcotest prop_prefix_key_invariant;
+          QCheck_alcotest.to_alcotest prop_same_schedule_is_key_equality;
           QCheck_alcotest.to_alcotest prop_item_lines_match_split;
           QCheck_alcotest.to_alcotest prop_sidecar_lines_match_split;
           QCheck_alcotest.to_alcotest prop_round_trip_match_split;

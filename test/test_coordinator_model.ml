@@ -36,7 +36,7 @@ let item ?parent i =
   let choice =
     { Dampi.Decisions.owner = 0; epoch_id = i; src = 1; kind = Dampi.Epoch.Wildcard_recv }
   in
-  { Checkpoint.prefix; choice; sleep = [] }
+  Checkpoint.make_item ~prefix ~choice ~sleep:[] ()
 
 let id_of (it : Checkpoint.item) = it.Checkpoint.choice.Dampi.Decisions.epoch_id
 

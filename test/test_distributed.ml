@@ -545,11 +545,9 @@ let test_zombie_fenced () =
    snapshot, so a resume would re-lease them. *)
 let test_results_must_match_lease () =
   let item src =
-    {
-      Checkpoint.prefix = [];
-      choice = { Decisions.owner = 0; epoch_id = 1; src; kind = Dampi.Epoch.Wildcard_recv };
-      sleep = [];
-    }
+    Checkpoint.make_item ~prefix:[]
+      ~choice:{ Decisions.owner = 0; epoch_id = 1; src; kind = Dampi.Epoch.Wildcard_recv }
+      ~sleep:[] ()
   in
   let items = [ item 1; item 2 ] in
   let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -712,8 +710,8 @@ let test_addr_parsing () =
    possible framing — and check structural equality. *)
 let test_assembler_byte_at_a_time () =
   let item =
-    {
-      Checkpoint.prefix =
+    Checkpoint.make_item
+      ~prefix:
         [
           {
             Decisions.owner = 0;
@@ -721,15 +719,15 @@ let test_assembler_byte_at_a_time () =
             src = 2;
             kind = Dampi.Epoch.Wildcard_recv;
           };
-        ];
-      choice =
+        ]
+      ~choice:
         {
           Decisions.owner = 1;
           epoch_id = 3;
           src = 0;
           kind = Dampi.Epoch.Wildcard_probe;
-        };
-      sleep =
+        }
+      ~sleep:
         [
           {
             Dampi.Epoch.s_owner = 2;
@@ -741,8 +739,8 @@ let test_assembler_byte_at_a_time () =
             s_alternatives = [ 0; 1 ];
             s_expandable = true;
           };
-        ];
-    }
+        ]
+      ()
   in
   let msgs =
     [

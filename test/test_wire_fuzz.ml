@@ -64,7 +64,7 @@ let gen_item =
      2-field form in the mix *)
   QCheck.Gen.(
     map
-      (fun (prefix, choice, sleep) -> { Checkpoint.prefix; choice; sleep })
+      (fun (prefix, choice, sleep) -> Checkpoint.make_item ~prefix ~choice ~sleep ())
       (triple (list_size (0 -- 3) gen_decision) gen_decision
          (list_size (0 -- 2) gen_summary)))
 
@@ -415,17 +415,15 @@ let dec owner epoch_id src kind =
   { Decisions.owner; epoch_id; src; kind }
 
 let golden_item1 =
-  {
-    Checkpoint.prefix = [ dec 0 1 2 Dampi.Epoch.Wildcard_recv ];
-    choice = dec 1 3 0 Dampi.Epoch.Wildcard_probe;
-    sleep = [];
-  }
+  Checkpoint.make_item
+    ~prefix:[ dec 0 1 2 Dampi.Epoch.Wildcard_recv ]
+    ~choice:(dec 1 3 0 Dampi.Epoch.Wildcard_probe)
+    ~sleep:[] ()
 
 let golden_item2 =
-  {
-    Checkpoint.prefix = [];
-    choice = dec 2 0 1 Dampi.Epoch.Wildcard_recv;
-    sleep =
+  Checkpoint.make_item ~prefix:[]
+    ~choice:(dec 2 0 1 Dampi.Epoch.Wildcard_recv)
+    ~sleep:
       [
         {
           Dampi.Epoch.s_owner = 3;
@@ -437,8 +435,8 @@ let golden_item2 =
           s_alternatives = [ 0; 5 ];
           s_expandable = true;
         };
-      ];
-  }
+      ]
+    ()
 
 (* Every field off its default, so [to_params] emits every key. *)
 let golden_job =

@@ -1163,6 +1163,8 @@ let hotpath_gate () =
 
 (* ---- Bechamel microbenchmarks of the substrate ---- *)
 
+let sidecar_lines = 2_000
+
 let micro () =
   heading "Microbenchmarks (Bechamel) -- substrate throughput";
   let open Bechamel in
@@ -1231,6 +1233,30 @@ let micro () =
          (Staged.stage (fun () ->
               let key = Dampi.Checkpoint.schedule_key probe in
               ignore (Dampi.Prefix_cache.find pc ~key probe))));
+      (* A sidecar load, per line: [sidecar_lines] lines in DFS order (14
+         decisions each, the early ones varying slowest, so neighbours
+         share most of their key, as a walk's do) over 90 distinct result
+         tails (adlb2: 2,934 over 32,118 lines). *)
+      (let text =
+         let b = Buffer.create (sidecar_lines * 200) in
+         Buffer.add_string b "# DAMPI prefix cache\nversion 1\nlabel micro\n";
+         for i = 0 to sidecar_lines - 1 do
+           Buffer.add_string b "entry ";
+           for d = 0 to 13 do
+             if d > 0 then Buffer.add_char b ',';
+             Printf.bprintf b "recv:%d:%d:%d" (d mod 2) (d / 2)
+               (i / int_of_float (3.0 ** float_of_int (13 - d)) mod 3)
+           done;
+           let r = i mod 90 in
+           Printf.bprintf b " 0x1.%xp-12 %d recv:0:%d:0:-1:2:1:4;recv:1:%d:0:-1:3:1:5 -\n" r
+             (r mod 7) r (r mod 5)
+         done;
+         Buffer.contents b
+       in
+       Test.make ~name:"sidecar load per line"
+         (Staged.stage (fun () ->
+              let pc = Dampi.Prefix_cache.create ~label:"micro" ~budget_bytes:max_int () in
+              ignore (Dampi.Prefix_cache.load_into pc text))));
       Test.make ~name:"lamport tick+merge x1000"
         (Staged.stage (fun () ->
              let c = ref (Clocks.Lamport.make ~np:64) in
@@ -1260,8 +1286,10 @@ let micro () =
   in
   List.iter
     (fun (name, ols) ->
+      (* the sidecar row times [sidecar_lines] lines and reports one *)
+      let per = if String.ends_with ~suffix:"per line" name then float_of_int sidecar_lines else 1.0 in
       match Analyze.OLS.estimates ols with
-      | Some [ est ] -> pf "%-52s %14.1f ns/run\n%!" name est
+      | Some [ est ] -> pf "%-52s %14.1f ns/run\n%!" name (est /. per)
       | Some _ | None -> pf "%-52s (no estimate)\n%!" name)
     rows
 

@@ -433,10 +433,15 @@ let explore ?(config = default_config) ?resume ?distribute
      left by a previous complete run turns the whole re-verification into
      lookups. The label stored in the sidecar must match the checkpoint
      label, so a stale file from another workload or config is refused; a
-     missing or corrupt sidecar costs warmth, not correctness. *)
+     missing or corrupt sidecar costs warmth, not correctness, and a
+     refused one is named on stderr. *)
   (match (cache, rb.checkpoint) with
-  | Some pc, Some ck when Sys.file_exists (ck.path ^ ".cache") ->
-      ignore (Prefix_cache.load pc (ck.path ^ ".cache"))
+  | Some pc, Some ck when Sys.file_exists (ck.path ^ ".cache") -> (
+      let path = ck.path ^ ".cache" in
+      match Prefix_cache.load pc path with
+      | Ok () -> ()
+      | Error msg ->
+          Log.warn (fun m -> m "prefix-cache sidecar %s not loaded: %s" path msg))
   | _ -> ());
   let need_poison =
     config.stop_on_first_error || rb.checkpoint <> None

@@ -124,58 +124,59 @@ let rec equal_span a i b j n =
     n = 0
     || (String.unsafe_get a i = String.unsafe_get b j && equal_span a (i + 1) b (j + 1) (n - 1))
 
-(* The epochs of the field [text.[i .. j-1]], parsed once per distinct
-   field of a load: a sidecar repeats few epoch lists (adlb2: 1,445
-   distinct over 32,118 entries), and entries that share one share its
-   summaries in memory. [known] holds the parsed fields by hash; only a
-   field met for the first time is cut out of the text. *)
-let epochs_at known text i j =
-  let h = hash_span text i j in
-  let bucket = Option.value (Hashtbl.find_opt known h) ~default:[] in
-  let n = j - i in
-  match
-    List.find_opt
-      (fun (field, _) -> String.length field = n && equal_span field 0 text i n)
-      bucket
-  with
-  | Some (_, epochs) -> epochs
-  | None ->
-      let field = String.sub text i n in
-      let epochs = Checkpoint.sleep_of_key field in
-      Hashtbl.replace known h ((field, epochs) :: bucket);
-      epochs
-
-(* The entry on the line [text.[i .. j-1]]:
-   [entry KEY VTIME WILDCARDS EPOCHS ERRORS], read in place, with the end
-   of its key: the fields are found on the line, the key is checked where
-   it lies, and only the two number fields are cut out. *)
-let entry_at known text i j =
-  let f1 = i + key_start in
-  let s2 = find_char text ' ' f1 j in
-  let s3 = find_char text ' ' (s2 + 1) j in
+(* The entry whose result tail [VTIME WILDCARDS EPOCHS ERRORS] is
+   [text.[i .. j-1]], or [None] if the tail does not parse: the fields are
+   found on the line, and only the fields themselves are cut out. *)
+let result_of_tail text i j =
+  let s3 = find_char text ' ' i j in
   let s4 = find_char text ' ' (s3 + 1) j in
   let s5 = find_char text ' ' (s4 + 1) j in
-  if
-    j - i > key_start
-    && holds text i "entry " 0
-    && s5 < j
-    && find_char text ' ' (s5 + 1) j = j
-    && Checkpoint.is_schedule_key text f1 s2
-  then
+  if s5 < j && find_char text ' ' (s5 + 1) j = j then
     let errors =
       if s5 + 2 = j && text.[s5 + 1] = '-' then Some []
       else parse_errors (String.sub text (s5 + 1) (j - s5 - 1))
     in
     match
-      ( float_of_string_opt (String.sub text (s2 + 1) (s3 - s2 - 1)),
+      ( float_of_string_opt (String.sub text i (s3 - i)),
         int_of_string_opt (String.sub text (s3 + 1) (s4 - s3 - 1)),
-        epochs_at known text (s4 + 1) s5,
+        Checkpoint.sleep_of_key (String.sub text (s4 + 1) (s5 - s4 - 1)),
         errors )
     with
     | Some vtime, Some wildcards, Some epochs, Some errors ->
-        Some (s2, { vtime; wildcards; errors; epochs })
+        Some { vtime; wildcards; errors; epochs }
     | _ -> None
   else None
+
+(* ---- keys: what a line shares with the previous one ---- *)
+
+(* The length of the common prefix of [s.[i .. i+n-1]] and
+   [s.[j .. j+n-1]], a word at a time. *)
+let rec shared s i j k n =
+  if k + 8 <= n && (get64u s (i + k) : int64) = get64u s (j + k) then shared s i j (k + 8) n
+  else shared_bytes s i j k n
+
+and shared_bytes s i j k n =
+  if k < n && String.unsafe_get s (i + k) = String.unsafe_get s (j + k) then
+    shared_bytes s i j (k + 1) n
+  else k
+
+(* The last [,] in [s.[i .. j-1]], or -1. *)
+let rec last_comma s i j =
+  if j <= i then -1 else if String.unsafe_get s (j - 1) = ',' then j - 1 else last_comma s i (j - 1)
+
+(* [s.[i .. j-1]] is [,]-joined decisions: a schedule key other than the
+   empty schedule's [-]. *)
+let decisions_ok s i j =
+  not (j = i + 1 && String.unsafe_get s i = '-') && Checkpoint.is_schedule_key s i j
+
+(* [s.[i .. j-1]] is a schedule key, given that its first [d] bytes are
+   those of the checked key at [p] ([p < 0] when there is none). A key is
+   [-] or [,]-joined decisions, each checked on its own, so the decisions
+   before the last [,] of the shared bytes were checked with the previous
+   key, and only the ones after it are read. *)
+let key_ok s i j ~p ~d =
+  let c = if p < 0 then -1 else last_comma s i (i + d) in
+  if c < 0 then Checkpoint.is_schedule_key s i j else decisions_ok s (c + 1) j
 
 (* ---- the table ---- *)
 
@@ -188,12 +189,19 @@ type metrics = {
 (* The store is the sidecar's own bytes. [buf.[0 .. used-1]] holds the
    kept entry lines, each as the sidecar writes it: a loaded file's text
    as read (its header and any line the load did not keep are there too,
-   unreferenced), then the lines [add] appended. Entry [i] is [ents.(i)];
-   [spans] holds, per entry, its line's start and length (without the
-   newline), its key's length and its key's hash. [slots] is an
-   open-addressing index, a power of two long and at most half full: a
-   slot holds an entry number plus one, 0 when empty. A probe compares a
-   key's bytes only when the stored hash matches. *)
+   unreferenced), then the lines [add] appended. A line is
+   [entry KEY TAIL]; its tail, [VTIME WILDCARDS EPOCHS ERRORS], is the
+   entry's result, and a sidecar repeats few of them (adlb2: 2,934
+   distinct over 32,118 lines). Result [r] is [results.(r)], parsed once;
+   [rspans] holds, per result, its tail's first occurrence in [buf]:
+   start, length and hash. [spans] holds, per entry, its line's start,
+   its key's length and hash, and its result: the line is
+   [key_start + key length + 1 + tail length] bytes long. [slots] and
+   [rslots] are open-addressing indexes over the keys and the tails, each
+   a power of two long and at most half full: a slot holds an entry (a
+   result) number plus one, 0 when empty. A probe compares bytes only
+   when the stored hash matches, so equal hashes never merge two keys or
+   two tails. *)
 type t = {
   label : string;
       (* workload+config identity (the checkpoint label); schedule keys are
@@ -203,10 +211,13 @@ type t = {
   mutable buf : Bytes.t;
       (* never written below [used]: an adopted text stays as it was read *)
   mutable used : int;
-  mutable ents : entry array;
   mutable spans : int array;
   mutable count : int;
   mutable slots : int array;
+  mutable results : entry array;
+  mutable rspans : int array;
+  mutable rcount : int;
+  mutable rslots : int array;
   mutable bytes : int;
   mutable hits : int;
   mutable misses : int;
@@ -221,12 +232,17 @@ type t = {
 
 let default_budget_bytes = 64 * 1024 * 1024
 
-(* Fields of an entry in [spans]. *)
+(* Fields of an entry in [spans] and of a result in [rspans]. *)
 let stride = 4
 let line_off t e = Array.unsafe_get t.spans (stride * e)
-let line_len t e = Array.unsafe_get t.spans ((stride * e) + 1)
-let key_len t e = Array.unsafe_get t.spans ((stride * e) + 2)
-let key_hash t e = Array.unsafe_get t.spans ((stride * e) + 3)
+let key_len t e = Array.unsafe_get t.spans ((stride * e) + 1)
+let key_hash t e = Array.unsafe_get t.spans ((stride * e) + 2)
+let result t e = Array.unsafe_get t.spans ((stride * e) + 3)
+let rstride = 3
+let tail_off t r = Array.unsafe_get t.rspans (rstride * r)
+let tail_len t r = Array.unsafe_get t.rspans ((rstride * r) + 1)
+let tail_hash t r = Array.unsafe_get t.rspans ((rstride * r) + 2)
+let line_len t e = key_start + key_len t e + 1 + tail_len t (result t e)
 
 let no_entry = { vtime = 0.0; wildcards = 0; errors = []; epochs = [] }
 
@@ -236,10 +252,13 @@ let create ?metrics ?(label = "") ~budget_bytes () =
     budget = max 0 budget_bytes;
     buf = Bytes.empty;
     used = 0;
-    ents = Array.make 16 no_entry;
     spans = Array.make (stride * 16) 0;
     count = 0;
     slots = Array.make 32 0;
+    results = Array.make 16 no_entry;
+    rspans = Array.make (rstride * 16) 0;
+    rcount = 0;
+    rslots = Array.make 32 0;
     bytes = 0;
     hits = 0;
     misses = 0;
@@ -280,23 +299,47 @@ let rec probe t text h s i j p =
 let lookup t h s i j =
   probe t (Bytes.unsafe_to_string t.buf) h s i j (h land (Array.length t.slots - 1))
 
-(* Put entry [e] in the first free slot from [p]. *)
+(* The result whose tail is [text.[i .. j-1]], of hash [h], probing from
+   slot [p], or -1. [text] is [buf]'s bytes. *)
+let rec rprobe t text h i j p =
+  let r = Array.unsafe_get t.rslots p - 1 in
+  if r < 0 then -1
+  else if
+    tail_hash t r = h
+    && tail_len t r = j - i
+    && equal_span text (tail_off t r) text i (j - i)
+  then r
+  else rprobe t text h i j ((p + 1) land (Array.length t.rslots - 1))
+
+(* Put number [e] in the first free slot from [p]. *)
 let rec place slots e p =
   if Array.unsafe_get slots p = 0 then Array.unsafe_set slots p (e + 1)
   else place slots e ((p + 1) land (Array.length slots - 1))
 
-(* Room in the index for [n] entries at most half full. *)
+(* An index at most half full with [n] numbers, holding numbers
+   [0 .. have-1] of hashes [hash]. *)
+let regrow slots n have hash =
+  let cap = ref (Array.length slots) in
+  while 2 * n > !cap do
+    cap := 2 * !cap
+  done;
+  let grown = Array.make !cap 0 in
+  for e = 0 to have - 1 do
+    place grown e (hash e land (!cap - 1))
+  done;
+  grown
+
+(* Room in the key index for [n] entries. *)
 let reserve_index t n =
-  if 2 * n > Array.length t.slots then begin
-    let cap = ref (Array.length t.slots) in
-    while 2 * n > !cap do
-      cap := 2 * !cap
-    done;
-    let slots = Array.make !cap 0 in
-    for e = 0 to t.count - 1 do
-      place slots e (key_hash t e land (!cap - 1))
-    done;
-    t.slots <- slots
+  if 2 * n > Array.length t.slots then t.slots <- regrow t.slots n t.count (key_hash t)
+
+(* [a] grown to [2 * have] records of [width] words if it is full. *)
+let grow_array a ~width ~have fill =
+  if width * have < Array.length a then a
+  else begin
+    let grown = Array.make (2 * width * have) fill in
+    Array.blit a 0 grown 0 (width * have);
+    grown
   end
 
 (* Room in [buf] for [n] more bytes. *)
@@ -307,25 +350,43 @@ let reserve_buf t n =
     t.buf <- buf
   end
 
+(* The result whose tail is [buf.[i .. j-1]], added (as [e], or parsed
+   from the tail when [e] is [None]) if no earlier tail has these bytes;
+   -1 if the tail does not parse. *)
+let result_at t ?e i j =
+  let text = Bytes.unsafe_to_string t.buf in
+  let h = hash_span text i j in
+  let r = rprobe t text h i j (h land (Array.length t.rslots - 1)) in
+  if r >= 0 then r
+  else
+    match if Option.is_some e then e else result_of_tail text i j with
+    | None -> -1
+    | Some e ->
+        let r = t.rcount in
+        t.results <- grow_array t.results ~width:1 ~have:r no_entry;
+        t.rspans <- grow_array t.rspans ~width:rstride ~have:r 0;
+        t.results.(r) <- e;
+        t.rspans.(rstride * r) <- i;
+        t.rspans.((rstride * r) + 1) <- j - i;
+        t.rspans.((rstride * r) + 2) <- h;
+        if 2 * (r + 1) > Array.length t.rslots then
+          t.rslots <- regrow t.rslots (r + 1) r (tail_hash t);
+        place t.rslots r (h land (Array.length t.rslots - 1));
+        t.rcount <- r + 1;
+        r
+
 (* Caller holds [t.m] and has checked the key absent and the cost within
-   the budget: entry [count] is [e], its line at [off] of [len] bytes. *)
-let insert t e ~off ~len ~klen ~h =
-  if t.count = Array.length t.ents then begin
-    let cap = 2 * t.count in
-    let ents = Array.make cap no_entry and spans = Array.make (stride * cap) 0 in
-    Array.blit t.ents 0 ents 0 t.count;
-    Array.blit t.spans 0 spans 0 (stride * t.count);
-    t.ents <- ents;
-    t.spans <- spans
-  end;
+   the budget: entry [count] has result [r], its line at [off] of [len]
+   bytes. *)
+let insert t r ~off ~len ~klen ~h =
+  t.spans <- grow_array t.spans ~width:stride ~have:t.count 0;
   reserve_index t (t.count + 1);
   let n = t.count in
-  t.ents.(n) <- e;
   let s = stride * n in
   t.spans.(s) <- off;
-  t.spans.(s + 1) <- len;
-  t.spans.(s + 2) <- klen;
-  t.spans.(s + 3) <- h;
+  t.spans.(s + 1) <- klen;
+  t.spans.(s + 2) <- h;
+  t.spans.(s + 3) <- r;
   place t.slots n (h land (Array.length t.slots - 1));
   t.count <- n + 1;
   t.bytes <- t.bytes + len + 1
@@ -342,7 +403,7 @@ let find t ?key decisions =
     if e >= 0 then begin
       t.hits <- t.hits + 1;
       Option.iter (fun ms -> Obs.Metrics.incr ms.m_hits) t.metrics;
-      Some t.ents.(e)
+      Some t.results.(result t e)
     end
     else begin
       t.misses <- t.misses + 1;
@@ -355,7 +416,8 @@ let find t ?key decisions =
 
 (* A present key is left as it is (replays are deterministic, so a re-add
    carries the same artifact), and an entry that does not fit in what is
-   left of the budget is refused; a kept line is appended to [buf]. *)
+   left of the budget is refused; a kept line is appended to [buf], and
+   its result is the one of the first tail with its bytes. *)
 let add t ?key decisions entry =
   let key =
     match key with Some k -> k | None -> Checkpoint.schedule_key decisions
@@ -372,7 +434,8 @@ let add t ?key decisions entry =
     Buffer.blit t.line 0 t.buf off len;
     Bytes.unsafe_set t.buf (off + len) '\n';
     t.used <- off + len + 1;
-    insert t entry ~off ~len ~klen ~h
+    let r = result_at t ~e:entry (off + key_start + klen + 1) (off + len) in
+    insert t r ~off ~len ~klen ~h
   end;
   set_bytes_gauge t;
   Mutex.unlock t.m
@@ -410,9 +473,13 @@ let to_string t =
    after what it holds otherwise. Each line is taken as read: a line this
    code wrote costs exactly what [add] charged for it ([entry_line]'s
    length plus the newline), so the key and the cost need no re-encoding.
-   A line whose key or entry does not parse is skipped. With [path], a
-   load after which [to_string] would give the text back marks the cache
-   as saved there: the cache was empty, no line was skipped, refused or a
+   A line pays for what it does not share with the line before: its key
+   is compared with the previous line's, if that one was checked, and
+   only the decisions past their last shared [,] are checked; its tail is
+   looked up among the tails met so far and parsed only when new. A line
+   whose key or tail does not parse is skipped. With [path], a load
+   after which [to_string] would give the text back marks the cache as
+   saved there: the cache was empty, no line was skipped, refused or a
    duplicate, and the last line ends in a newline. *)
 let load_lines ?path t src pos =
   let n = String.length src in
@@ -436,21 +503,29 @@ let load_lines ?path t src pos =
   (* Sized for a line per 128 bytes (adlb2's average 245); shorter lines
      grow the index as they come. *)
   reserve_index t (t.count + ((stop - pos) / 128));
-  let known = Hashtbl.create 64 in
-  let rec go pos lines skipped =
+  (* [p], [plen]: the previous line's key, if it was checked, else -1. *)
+  let rec go pos p plen lines skipped =
     if pos >= stop then (lines, skipped)
+    else if not (pos + key_start <= stop && holds text pos "entry " 0) then
+      go (find_char text '\n' pos stop + 1) (-1) 0 lines true
     else
-      let eol = find_char text '\n' pos stop in
-      match entry_at known text pos eol with
-      | Some (key_end, e) ->
-          let ks = pos + key_start in
-          let h = hash_span text ks key_end in
-          if eol - pos + 1 <= t.budget - t.bytes && lookup t h text ks key_end < 0
-          then insert t e ~off:pos ~len:(eol - pos) ~klen:(key_end - ks) ~h;
-          go (eol + 1) (lines + 1) skipped
-      | None -> go (eol + 1) lines true
+      let ks = pos + key_start in
+      (* The shared bytes hold no space or newline: the previous key's. *)
+      let d = if p < 0 then 0 else shared text p ks 0 (min plen (stop - ks)) in
+      let eol = find_char text '\n' (ks + d) stop in
+      let ke = find_char text ' ' (ks + d) eol in
+      if not (ke < eol && key_ok text ks ke ~p ~d) then go (eol + 1) (-1) 0 lines true
+      else
+        let r = result_at t (ke + 1) eol in
+        if r < 0 then go (eol + 1) ks (ke - ks) lines true
+        else begin
+          let h = hash_span text ks ke in
+          if eol - pos + 1 <= t.budget - t.bytes && lookup t h text ks ke < 0 then
+            insert t r ~off:pos ~len:(eol - pos) ~klen:(ke - ks) ~h;
+          go (eol + 1) ks (ke - ks) (lines + 1) skipped
+        end
   in
-  let lines, skipped = go pos 0 false in
+  let lines, skipped = go pos (-1) 0 0 false in
   let exact =
     empty && (not skipped) && t.count = lines && src.[n - 1] = '\n'
   in

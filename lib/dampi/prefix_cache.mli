@@ -20,11 +20,15 @@
 
     The table is its sidecar. One growable buffer holds the kept entry
     lines as the sidecar writes them (a loaded file's text, adopted as it
-    was read, then each line {!add} appended); an array holds the parsed
-    entries, and an open-addressing index maps a key's hash to an entry
-    number. A lookup compares the key's bytes in place in the buffer, and
-    only when the stored hash matches. Saving writes the kept lines'
-    bytes back; no entry is encoded twice.
+    was read, then each line {!add} appended). A line is the key and its
+    result tail ([VTIME WILDCARDS EPOCHS ERRORS]); a walk repeats few
+    results (adlb2: 2,934 distinct tails over 32,118 lines), so each
+    distinct tail is parsed into one shared {!entry} and a line records
+    only the number of its tail's entry. Two open-addressing indexes map
+    a key's hash to a line and a tail's hash to its entry. A lookup
+    compares bytes in place in the buffer, and only when the stored hash
+    matches, so equal hashes never merge two keys or two tails. Saving
+    writes the kept lines' bytes back; no entry is encoded twice.
 
     The big win is warm re-verification: {!Explorer} persists the cache as
     a sidecar next to the checkpoint, once per run with its final cut, and
@@ -77,7 +81,9 @@ val add : t -> ?key:string -> Decisions.decision list -> entry -> unit
     that does not fit in what is left of the budget is refused, and no
     entry is ever removed. The line built to charge the cost is the one
     kept: [add] appends it to the buffer, and {!to_string} writes it as
-    it is. *)
+    it is. Its result tail goes through the table of distinct tails, so
+    {!find} returns the entry first kept with the same tail bytes — the
+    same artifact, since the tail encodes every field. *)
 
 val stats : t -> int * int * int
 (** [(hits, misses, bytes)]. *)
@@ -112,15 +118,26 @@ val load_into : t -> string -> (unit, string) result
 
     Cost model: one pass over the text, which becomes the buffer — adopted
     without a copy into a cache that holds nothing yet, appended to the
-    buffer otherwise. The index is sized from the text's length. A line's
-    fields are found a word at a time, and its key is checked
-    ({!Checkpoint.is_schedule_key}, without building its decisions),
-    hashed once and indexed where it lies: no substring of the key. The
-    float and count fields are cut out and parsed; the epochs field is
-    looked up in place in a per-load memo, so each distinct epochs field
-    is parsed once and the entries that share it share its summaries. An
-    error field other than [-] (a finding's run, rare) takes the slower
-    split parse. Lines the load does not keep stay in the buffer,
+    buffer otherwise. The key index is sized from the text's length. A
+    line pays for the bytes it adds to the line before it, not for its
+    length:
+    - {b Key.} The key is compared a word at a time with the previous
+      line's key. If that key passed the check, only the decisions after
+      the last [,] before the first differing byte are checked
+      ({!Checkpoint.is_schedule_key}, without building them): a key is
+      [-] or [,]-joined decisions, each valid on its own, so the shared
+      ones were checked with the previous key. After the first line, a
+      line that is not an entry or a key that failed, the whole key is
+      checked. A DFS walk's consecutive keys share most of their bytes
+      (adlb2: 91%). The key is then hashed once and indexed where it
+      lies: no substring of the key.
+    - {b Result.} The tail is hashed and looked up among the tails met so
+      far, comparing bytes in place. Only a tail met for the first time
+      is parsed: its fields are cut out and parsed (an error field other
+      than [-], a finding's run, takes the slower split parse), and its
+      entry is shared by every line with the same tail.
+    Indexing a line allocates nothing in the minor heap; the tables grow
+    by doubling. Lines the load does not keep stay in the buffer,
     unreferenced. *)
 
 val save : ?fault:(unit -> bool) -> t -> string -> Checkpoint.write_outcome

@@ -911,6 +911,308 @@ let prop_cache_matches_model =
       && Prefix_cache.stats !c = (!hits, !misses, !bytes)
       && Prefix_cache.to_string !c = expected_text)
 
+(* ---- the sidecar load against a full-check reference ----
+
+   The load checks a key only past the decisions it shares with the
+   previous line's key, and parses each distinct result tail once. The
+   reference below is the line reader it replaced: every line's key
+   checked whole ([Checkpoint.is_schedule_key]), every line's fields
+   found and parsed on their own. *)
+
+let ref_find text c p j =
+  let rec go p = if p >= j || text.[p] = c then p else go (p + 1) in
+  go p
+
+let ref_parse_errors field =
+  let parse_err s =
+    let l = Checkpoint.dec s in
+    match String.index_opt l ' ' with
+    | Some i ->
+        Checkpoint.error_of_line (String.sub l 0 i)
+          (String.sub l (i + 1) (String.length l - i - 1))
+    | None -> Checkpoint.error_of_line l ""
+  in
+  let parts = List.map parse_err (String.split_on_char ';' field) in
+  if List.exists Option.is_none parts then None
+  else Some (List.filter_map Fun.id parts)
+
+(* The key and entry of the line [text.[i .. j-1]], if it is one. *)
+let ref_entry_at text i j =
+  let f1 = i + 6 in
+  let s2 = ref_find text ' ' f1 j in
+  let s3 = ref_find text ' ' (s2 + 1) j in
+  let s4 = ref_find text ' ' (s3 + 1) j in
+  let s5 = ref_find text ' ' (s4 + 1) j in
+  if
+    j - i > 6
+    && String.sub text i 6 = "entry "
+    && s5 < j
+    && ref_find text ' ' (s5 + 1) j = j
+    && Checkpoint.is_schedule_key text f1 s2
+  then
+    let errors =
+      if s5 + 2 = j && text.[s5 + 1] = '-' then Some []
+      else ref_parse_errors (String.sub text (s5 + 1) (j - s5 - 1))
+    in
+    match
+      ( float_of_string_opt (String.sub text (s2 + 1) (s3 - s2 - 1)),
+        int_of_string_opt (String.sub text (s3 + 1) (s4 - s3 - 1)),
+        Checkpoint.sleep_of_key (String.sub text (s4 + 1) (s5 - s4 - 1)),
+        errors )
+    with
+    | Some vtime, Some wildcards, Some epochs, Some errors ->
+        Some (String.sub text f1 (s2 - f1), { Prefix_cache.vtime; wildcards; errors; epochs })
+    | _ -> None
+  else None
+
+let sidecar_head label = "# DAMPI prefix cache\nversion 1\nlabel " ^ Checkpoint.enc label ^ "\n"
+
+(* The reference load of [body] (the lines after the label) under
+   [budget]: the kept key -> entry table, the kept lines in order, the
+   bytes charged, and whether the file reads back as written (every line
+   kept, the last one with its newline), which is when a save skips. *)
+let ref_load ~budget body =
+  let n = String.length body in
+  let kept = Hashtbl.create 16 and lines = ref [] and bytes = ref 0 in
+  let entries = ref 0 and skipped = ref false in
+  let rec go pos =
+    if pos < n then begin
+      let eol = ref_find body '\n' pos n in
+      (match ref_entry_at body pos eol with
+      | Some (key, e) ->
+          incr entries;
+          if eol - pos + 1 <= budget - !bytes && not (Hashtbl.mem kept key) then begin
+            Hashtbl.replace kept key e;
+            lines := String.sub body pos (eol - pos) :: !lines;
+            bytes := !bytes + eol - pos + 1
+          end
+      | None -> skipped := true);
+      go (eol + 1)
+    end
+  in
+  go 0;
+  let exact =
+    (not !skipped) && Hashtbl.length kept = !entries && (n = 0 || body.[n - 1] = '\n')
+  in
+  (kept, List.rev !lines, !bytes, exact)
+
+(* The text between [entry ] and the first space of each line. *)
+let line_keys body =
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix:"entry " l then
+        let k = String.sub l 6 (String.length l - 6) in
+        Some (match String.index_opt k ' ' with Some i -> String.sub k 0 i | None -> k)
+      else None)
+    (String.split_on_char '\n' body)
+
+(* [body] loaded from a file at [path] under [budget] gives the
+   reference's table, bytes and text, and a save to [path] skips exactly
+   when the reference reads the file back as written. A mismatch is
+   returned as a message. *)
+let load_matches_reference ~path ~budget body =
+  let label = "reference np=6" in
+  let kept, lines, bytes, exact = ref_load ~budget body in
+  write path (sidecar_head label ^ body);
+  let c = Prefix_cache.create ~label ~budget_bytes:budget () in
+  let fail fmt = Printf.ksprintf (fun s -> Some s) fmt in
+  match Prefix_cache.load c path with
+  | Error e -> fail "refused: %s" e
+  | Ok () -> (
+      let _, _, cbytes = Prefix_cache.stats c in
+      let text = sidecar_head label ^ String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+      match
+        List.find_opt
+          (fun k -> compare (Prefix_cache.find c ~key:k []) (Hashtbl.find_opt kept k) <> 0)
+          (line_keys body)
+      with
+      | Some k -> fail "key %S: the entry differs" k
+      | None when cbytes <> bytes -> fail "bytes %d, reference %d" cbytes bytes
+      | None when Prefix_cache.to_string c <> text -> fail "kept lines differ"
+      | None ->
+          let ino = inode path in
+          ignore (Prefix_cache.save c path);
+          if (inode path = ino) <> exact then
+            fail "save %s, reference %s" (if inode path = ino then "skipped" else "wrote")
+              (if exact then "skips" else "writes")
+          else None)
+
+let tail_ok = "0x1p-3 1 - -"
+let tail_epochs = "0x1.8p+0 2 recv:0:1:0:-1:2:1:4;recv:0:2:0:-1:4:1:1.2 -"
+let tail_crash = "0x1p-15 3 probe:1:0:0:5:2:0:~ crash%201%3Aboom"
+
+(* Two tails that differ in one byte but hash alike: the byte is the last
+   of the tail's third 8-byte word ([0x1p-3 1 - crash%201%3A] is 23 bytes
+   long), and the two differ only in its top bit, which the word hash
+   drops. Only a comparison of the bytes tells them apart. *)
+let tail_twin_a = "0x1p-3 1 - crash%201%3AAtwin"
+let tail_twin_b = "0x1p-3 1 - crash%201%3A\xc1twin"
+
+let bad_tails =
+  [ "0x1p-3 zz - -"; "0x1p-3 1 -"; "0x1p-3 1 - - extra"; "0x1p-3 1 recv:0:1 -";
+    "0x1p-3 1 - %ZZbogus"; "" ]
+
+(* Hand-picked texts: each names what it holds. *)
+let reference_cases =
+  let e key tail = "entry " ^ key ^ " " ^ tail in
+  let a = "recv:1:2:3" and b = "recv:0:4:1" in
+  [
+    ("diverge inside a decision",
+     [ e a tail_ok; e "recv:1:2:35" tail_ok; e (a ^ "," ^ b) tail_ok; e "recv:1:2:3x" tail_ok ]);
+    ("invalid key, then one sharing its prefix",
+     [ e (a ^ ",recv:0:x:1") tail_ok; e (a ^ ",recv:0:x:1," ^ b) tail_ok; e (a ^ ",recv:0:4") tail_ok;
+       e ("recv:0:x:1," ^ a) tail_ok; e ("recv:0:x:1," ^ a ^ "," ^ b) tail_ok ]);
+    ("byte changed in the shared part",
+     [ e (a ^ "," ^ b) tail_ok; e ("recv:1:2:" ^ "," ^ b ^ ",recv:1:1:1") tail_ok;
+       e ("recv:1;2:3," ^ b ^ ",recv:1:1:2") tail_ok ]);
+    ("byte changed past the shared part",
+     [ e (a ^ "," ^ b) tail_ok; e (a ^ "," ^ b ^ ",recv:2:2:x") tail_ok;
+       e (a ^ "," ^ b ^ ",recx:2:2:2") tail_ok ]);
+    ("a divergence on a comma",
+     [ e a tail_ok; e "recv:1:2:,recv:1:1:1" tail_ok; e "recv:1:2:" tail_ok ]);
+    ("dash keys",
+     [ e "-" tail_ok; e (a ^ ",-") tail_ok; e (a ^ "," ^ b) tail_ok; e (a ^ ",-") tail_ok;
+       e "-,recv:1:2:3" tail_ok; e (a ^ ",") tail_ok;
+       e a tail_ok; e "-" tail_epochs; e "--" tail_ok ]);
+    ("duplicate keys", [ e a tail_ok; e a tail_epochs; e (a ^ "," ^ b) tail_crash; e a tail_ok ]);
+    ("bad tails after good keys",
+     List.concat_map (fun t -> [ e a t; e (a ^ "," ^ b) tail_ok; e (a ^ ",recv:9:9:9") t ]) bad_tails);
+    ("tails that hash alike",
+     [ e a tail_twin_a; e (a ^ "," ^ b) tail_twin_b; e b tail_twin_a; e "recv:5:5:5" tail_twin_b ]);
+    ("other lines in between",
+     [ e a tail_ok; ""; e (a ^ "," ^ b) tail_ok; "# note"; "entry"; "entry "; e b tail_ok ]);
+  ]
+
+let budgets body = [ 0; 1; String.length body / 3; String.length body / 2; max_int ]
+
+let test_load_matches_reference () =
+  with_temp_checkpoint (fun path ->
+      List.iter
+        (fun (name, lines) ->
+          List.iter
+            (fun final ->
+              let body = String.concat "\n" lines ^ final in
+              List.iter
+                (fun budget ->
+                  match load_matches_reference ~path ~budget body with
+                  | None -> ()
+                  | Some msg -> Alcotest.failf "%s (budget %d): %s" name budget msg)
+                (budgets body))
+            [ "\n"; "" ])
+        reference_cases)
+
+(* Sidecar bodies with DFS-shaped keys: each key keeps a prefix of the
+   previous key's decisions and adds a few, with numbers that extend one
+   another ([3], [35]), and some keys are broken by a changed byte inside
+   or past the part they share with the key before, by a [-] or an empty
+   last decision. Half the time the keys after a broken one inherit the
+   break in the prefix they keep. *)
+let gen_sidecar_body =
+  let open QCheck.Gen in
+  let num = oneofl [ "0"; "1"; "2"; "3"; "35"; "12"; "-1"; "123" ] in
+  let decision =
+    map3 (fun k (o, e) s -> String.concat ":" [ k; o; e; s ]) (oneofl [ "recv"; "recv"; "probe" ])
+      (pair num num) num
+  in
+  let spell ds = if ds = [] then "-" else String.concat "," ds in
+  let shared a b =
+    let n = min (String.length a) (String.length b) in
+    let rec go k = if k < n && a.[k] = b.[k] then go (k + 1) else k in
+    go 0
+  in
+  let mutate prev key =
+    let n = String.length key and s = shared prev key in
+    let set k c = String.mapi (fun i x -> if i = k then c else x) key in
+    let ch = oneofl [ ':'; ','; 'x'; '0'; '5'; '-'; 'e'; ' ' ] in
+    frequency
+      [
+        (8, return key);
+        (2, if s > 0 then map2 set (0 -- (s - 1)) ch else return key);
+        (2, if s < n then map2 set (s -- (n - 1)) ch else return key);
+        (1, return
+              (match String.rindex_opt key ',' with
+              | Some i -> String.sub key 0 (i + 1) ^ "-"
+              | None -> "-"));
+        (1, return (key ^ ","));
+      ]
+  in
+  let tail =
+    frequency
+      [
+        (10, oneofl [ tail_ok; tail_epochs; tail_crash; tail_twin_a; tail_twin_b ]);
+        (1, oneofl bad_tails);
+      ]
+  in
+  let line = frequency [ (30, return `Entry); (1, oneofl [ `Raw ""; `Raw "# x"; `Raw "entry" ]) ] in
+  list_size (0 -- 60) (triple line (pair (0 -- 8) (list_size (0 -- 3) decision)) (pair tail bool))
+  >>= fun steps ->
+  let rec build prev prev_key acc = function
+    | [] -> return (List.rev acc)
+    | (`Raw l, _, _) :: rest -> build prev prev_key (l :: acc) rest
+    | (`Entry, (drop, added), (tail, dup)) :: rest ->
+        let ds =
+          if dup then prev
+          else List.filteri (fun i _ -> i < List.length prev - drop) prev @ added
+        in
+        let key = spell ds in
+        pair (mutate prev_key key) bool >>= fun (shown, keep_break) ->
+        let ds = if keep_break && shown <> "-" then String.split_on_char ',' shown else ds in
+        build ds shown (("entry " ^ shown ^ " " ^ tail) :: acc) rest
+  in
+  build [] "" [] steps
+
+let prop_load_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"sidecar load: the same table, bytes and save skip as a full-check reference"
+    (QCheck.make
+       ~print:(fun (lines, final, b) ->
+         Printf.sprintf "budget choice %d, final newline %b:\n%s" b final
+           (String.concat "\n" lines))
+       QCheck.Gen.(triple gen_sidecar_body bool (0 -- 4)))
+    (fun (lines, final, b) ->
+      let body = String.concat "\n" lines ^ if final then "\n" else "" in
+      let budget = List.nth (budgets body) b in
+      match with_temp_checkpoint (fun path -> load_matches_reference ~path ~budget body) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "budget %d: %s" budget msg)
+
+(* The load allocates per distinct result, not per line: [n] lines that
+   share [k] tails cost a fixed budget per tail and about a word per line
+   in the minor heap (the tables themselves are large arrays, allocated in
+   the major heap). The budget sits about twice above the measured cost
+   of a tail (its fields cut out and parsed, its summaries built). *)
+let alloc_words_per_tail = 200.0
+
+let test_load_allocates_per_tail () =
+  let label = "alloc np=6" in
+  let n = 20_000 and k = 40 in
+  let tail i =
+    Printf.sprintf "0x1.%xp-12 %d recv:0:%d:0:-1:2:1:4;recv:1:%d:0:-1:3:1:5.2 -" (i + 1) i i i
+  in
+  let key i =
+    String.concat ","
+      (List.init 12 (fun d -> Printf.sprintf "recv:%d:%d:%d" (d mod 2) d ((i lsr (22 - (2 * d))) land 3)))
+  in
+  let text =
+    sidecar_head label
+    ^ String.concat "" (List.init n (fun i -> "entry " ^ key i ^ " " ^ tail (i mod k) ^ "\n"))
+  in
+  let load () =
+    let c = Prefix_cache.create ~label ~budget_bytes:max_int () in
+    let before = Gc.minor_words () in
+    (match Prefix_cache.load_into c text with Ok () -> () | Error e -> Alcotest.fail e);
+    let words = Gc.minor_words () -. before in
+    let _, _, bytes = Prefix_cache.stats c in
+    Alcotest.(check int) "every line kept" (String.length text - String.length (sidecar_head label)) bytes;
+    words
+  in
+  ignore (load ());
+  let words = load () in
+  let budget = (alloc_words_per_tail *. float_of_int k) +. float_of_int n +. 1_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d lines of %d tails, within %.0f" words n k budget)
+    true (words <= budget)
+
 (* ---- report merging: signature collisions keep both findings ---- *)
 
 let test_merge_signature_collision () =
@@ -1001,6 +1303,11 @@ let () =
            Alcotest.test_case "tight-budget warm re-walk hits" `Quick
              test_tight_budget_warm_hits;
            QCheck_alcotest.to_alcotest prop_cache_matches_model;
+           Alcotest.test_case "sidecar load equals the full-check reference" `Quick
+             test_load_matches_reference;
+           QCheck_alcotest.to_alcotest prop_load_matches_reference;
+           Alcotest.test_case "sidecar load allocates per distinct result" `Quick
+             test_load_allocates_per_tail;
          ] );
        ( "independence-properties",
          [

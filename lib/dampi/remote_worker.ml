@@ -178,8 +178,6 @@ let serve_session ?auth ~sess ?telemetry:tele ~resolve fd =
       | Ok Wire.Shutdown -> `Shutdown
       | Ok _ -> drain ()
       | Error _ -> `Disconnected
-      | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) ->
-          `Disconnected
     in
     drain ()
   in

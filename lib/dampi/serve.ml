@@ -102,62 +102,65 @@ let event_to_string ev =
 
 (* ---- client side ---- *)
 
-let read_event ic =
-  match Wire.read_line_opt ic with
-  | None -> Error "connection closed"
-  | Some line -> (
-      let id_of tok = Wire.int_field "id" (Wire.kv_fields [ tok ]) in
-      match Wire.fields line with
-      | [ "accepted"; idkv ] -> (
-          match id_of idkv with
-          | Some id -> Ok (Accepted id)
-          | None -> Error (Printf.sprintf "malformed accepted %S" line))
-      | "reject" :: rest -> Ok (Rejected (String.concat " " rest))
-      | "error" :: protokv :: rest -> (
-          match Wire.int_field "proto" (Wire.kv_fields [ protokv ]) with
-          | Some proto ->
-              Ok
-                (Errored
-                   { proto; reason = Checkpoint.dec (String.concat " " rest) })
-          | None -> Error (Printf.sprintf "malformed error %S" line))
-      | "progress" :: idkv :: rest -> (
-          match id_of idkv with
-          | Some id -> Ok (Progress (id, Wire.kv_fields rest))
-          | None -> Error (Printf.sprintf "malformed progress %S" line))
-      | [ "pending"; idkv; statekv ] -> (
-          match
-            (id_of idkv, List.assoc_opt "state" (Wire.kv_fields [ statekv ]))
-          with
-          | Some id, Some state -> Ok (Pending { id; state })
-          | _ -> Error (Printf.sprintf "malformed pending %S" line))
-      | [ "report"; idkv; n ] -> (
-          match id_of idkv with
-          | Some id ->
-              Wire.read_block ic ~what:"report" n (fun l ->
-                  match Wire.fields l with
-                  | [ "l"; e ] -> Ok (Checkpoint.dec e)
-                  | _ -> Error (Printf.sprintf "malformed report line %S" l))
-              |> Result.map (fun ls -> Report (id, ls))
-          | None -> Error (Printf.sprintf "malformed report header %S" line))
-      | "done" :: rest -> (
-          let kvs = Wire.kv_fields rest in
-          let text k = Option.value (List.assoc_opt k kvs) ~default:"" in
-          match
-            (Wire.int_field "id" kvs, List.assoc_opt "status" kvs,
-             Wire.int_field "code" kvs)
-          with
-          | Some id, Some status, Some code ->
-              Ok
-                (Done
-                   {
-                     id;
-                     status;
-                     code;
-                     msg = text "msg";
-                     backtrace = text "backtrace";
-                   })
-          | _ -> Error (Printf.sprintf "malformed done %S" line))
-      | _ -> Error (Printf.sprintf "unexpected daemon line %S" line))
+let events = [ ("report", Wire.Verbs [ "l" ]) ]
+
+let event_of_frame (line, body) =
+  let id_of tok = Wire.int_field "id" (Wire.kv_fields [ tok ]) in
+  match Wire.fields line with
+  | [ "accepted"; idkv ] -> (
+      match id_of idkv with
+      | Some id -> Ok (Accepted id)
+      | None -> Error (Printf.sprintf "malformed accepted %S" line))
+  | "reject" :: rest -> Ok (Rejected (String.concat " " rest))
+  | "error" :: protokv :: rest -> (
+      match Wire.int_field "proto" (Wire.kv_fields [ protokv ]) with
+      | Some proto ->
+          Ok
+            (Errored
+               { proto; reason = Checkpoint.dec (String.concat " " rest) })
+      | None -> Error (Printf.sprintf "malformed error %S" line))
+  | "progress" :: idkv :: rest -> (
+      match id_of idkv with
+      | Some id -> Ok (Progress (id, Wire.kv_fields rest))
+      | None -> Error (Printf.sprintf "malformed progress %S" line))
+  | [ "pending"; idkv; statekv ] -> (
+      match
+        (id_of idkv, List.assoc_opt "state" (Wire.kv_fields [ statekv ]))
+      with
+      | Some id, Some state -> Ok (Pending { id; state })
+      | _ -> Error (Printf.sprintf "malformed pending %S" line))
+  | [ "report"; idkv; n ] -> (
+      match id_of idkv with
+      | Some id ->
+          Wire.counted ~what:"report" n
+            (fun l ->
+              match Wire.fields l with
+              | [ "l"; e ] -> Ok (Checkpoint.dec e)
+              | _ -> Error (Printf.sprintf "malformed report line %S" l))
+            body
+          |> Result.map (fun ls -> Report (id, ls))
+      | None -> Error (Printf.sprintf "malformed report header %S" line))
+  | "done" :: rest -> (
+      let kvs = Wire.kv_fields rest in
+      let text k = Option.value (List.assoc_opt k kvs) ~default:"" in
+      match
+        (Wire.int_field "id" kvs, List.assoc_opt "status" kvs,
+         Wire.int_field "code" kvs)
+      with
+      | Some id, Some status, Some code ->
+          Ok
+            (Done
+               {
+                 id;
+                 status;
+                 code;
+                 msg = text "msg";
+                 backtrace = text "backtrace";
+               })
+      | _ -> Error (Printf.sprintf "malformed done %S" line))
+  | _ -> Error (Printf.sprintf "unexpected daemon line %S" line)
+
+let read_event ic = Result.bind (Wire.read_frame events ic) event_of_frame
 
 (* ---- daemon state ---- *)
 

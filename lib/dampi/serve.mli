@@ -158,5 +158,6 @@ val event_to_string : event -> string
     the [report] frame's lines. *)
 
 val read_event : in_channel -> (event, string) result
-(** Blocking read of one daemon frame: the inverse of {!event_to_string}.
-    [Error] on EOF or malformed input. *)
+(** Blocking read of one daemon frame through {!Wire.read_frame}: the
+    inverse of {!event_to_string}. [Error] on EOF, malformed input or a
+    line past {!Wire.default_max_line} bytes. *)

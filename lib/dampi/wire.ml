@@ -269,25 +269,6 @@ let kvs_line kvs =
 
 let int_field k kvs = Option.bind (List.assoc_opt k kvs) int_of_string_opt
 
-(* A SIGKILLed peer surfaces as ECONNRESET ([Sys_error] through the
-   channel layer), not a clean EOF; both just mean the session is over. *)
-let read_line_opt ic =
-  try Some (input_line ic)
-  with End_of_file | Sys_error _ -> None
-
-let read_block ic ~what count line =
-  let rec go acc k =
-    match read_line_opt ic with
-    | None -> Error ("connection closed mid-" ^ what)
-    | Some "end" when k = 0 -> Ok (List.rev acc)
-    | Some _ when k = 0 -> Error (what ^ " frame not closed by end")
-    | Some l -> (
-        match line l with Ok x -> go (x :: acc) (k - 1) | Error e -> Error e)
-  in
-  match int_of_string_opt count with
-  | Some n when n >= 0 -> go [] n
-  | _ -> Error (Printf.sprintf "bad %s count %S" what count)
-
 (* ---- line building ---- *)
 
 (* Frames are serialized to strings before hitting the socket so the
@@ -391,7 +372,163 @@ let write_to_coord oc msg =
   output_string oc (to_coord_string msg);
   flush oc
 
-(* ---- parsing helpers ---- *)
+(* ---- line splitting ---- *)
+
+(* Cap on the bytes a single line may buffer, on every reading side. A
+   peer that streams data without ever sending '\n' would otherwise grow
+   the reader without bound; reads arrive in chunks no larger than a read
+   buffer, so peak memory stays near [limit] + one chunk. *)
+let default_max_line = 65536
+
+let over_cap limit = Printf.sprintf "line exceeds %d bytes" limit
+
+module Lines = struct
+  type t = { buf : Buffer.t; limit : int; mutable dead : bool }
+
+  let create ?(limit = default_max_line) () =
+    { buf = Buffer.create 256; limit = max 1 limit; dead = false }
+
+  let feed t bytes n =
+    if t.dead then ([], false)
+    else begin
+      Buffer.add_subbytes t.buf bytes 0 n;
+      let rest, lines =
+        match List.rev (String.split_on_char '\n' (Buffer.contents t.buf)) with
+        | rest :: lines -> (rest, List.rev lines)
+        | [] -> ("", [])
+      in
+      Buffer.clear t.buf;
+      if String.length rest > t.limit then t.dead <- true
+      else Buffer.add_string t.buf rest;
+      (lines, t.dead)
+    end
+end
+
+(* The channel primitive under [Stdlib.input_line]: the length of the next
+   line in the channel's buffer, newline included, refilling it as needed;
+   minus the bytes buffered when it holds no newline (full, or at end of
+   input); 0 at end of input. *)
+external scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
+(* [input_line] under [limit]: the line is copied out a buffer at a time,
+   so an over-cap line is refused after at most [limit] + one buffer of
+   bytes. A SIGKILLed peer surfaces as ECONNRESET ([Sys_error]), not a
+   clean EOF; both just mean the session is over. *)
+let input_line_capped ic limit =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match scan_line ic with
+    | 0 -> if Buffer.length b = 0 then `Closed else `Line (Buffer.contents b)
+    | n when n > 0 ->
+        Buffer.add_channel b ic (n - 1);
+        ignore (input_char ic);
+        if Buffer.length b > limit then `Over else `Line (Buffer.contents b)
+    | n ->
+        Buffer.add_channel b ic (-n);
+        if Buffer.length b > limit then `Over else go ()
+  in
+  try go () with End_of_file | Sys_error _ -> `Closed
+
+(* ---- frames ----
+
+   Each direction of each protocol has one frame grammar. A frame is one
+   line, or a block: a header line whose verb opens it, body lines, and
+   [end]. The collector only groups lines into frames; each direction's
+   decoder reads a frame whole. *)
+
+type body = Verbs of string list | Advisory of string list
+type grammar = (string * body) list
+
+let verb line =
+  match String.index_opt line ' ' with
+  | Some i -> String.sub line 0 i
+  | None -> line
+
+(* An advisory block keeps at most this many body lines and skips the
+   rest, as surplus samples are skipped, so a peer cannot grow it without
+   bound. *)
+let max_advisory_lines = 4096
+
+(* The open block's header, body lines (reversed) and their count, if
+   any. *)
+type collector = {
+  grammar : grammar;
+  mutable block : (string * string list * int) option;
+}
+
+let collector grammar = { grammar; block = None }
+
+(* The frame [line] completes: its header and body lines, without the
+   closing [end] (a one-line frame has no body). A [Verbs] block ends at a
+   line of none of its verbs, which stays its last line for the decoder to
+   report; an [Advisory] block keeps any line but one of its cut verbs,
+   which drops the block unread and is read afresh. *)
+let rec push c line =
+  match c.block with
+  | None ->
+      if List.mem_assoc (verb line) c.grammar then begin
+        c.block <- Some (line, [], 0);
+        None
+      end
+      else Some (line, [])
+  | Some (header, body, n) -> (
+      let close body =
+        c.block <- None;
+        Some (header, List.rev body)
+      in
+      let keep () =
+        c.block <- Some (header, line :: body, n + 1);
+        None
+      in
+      if line = "end" then close body
+      else
+        match List.assoc (verb header) c.grammar with
+        | Verbs vs -> if List.mem (verb line) vs then keep () else close (line :: body)
+        | Advisory cuts ->
+            if List.mem (verb line) cuts then begin
+              c.block <- None;
+              push c line
+            end
+            else if n < max_advisory_lines then keep ()
+            else None)
+
+let read_frame grammar ic =
+  let c = collector grammar in
+  let rec go () =
+    match input_line_capped ic default_max_line with
+    | `Line line -> ( match push c line with Some frame -> Ok frame | None -> go ())
+    | `Over -> Error (over_cap default_max_line)
+    | `Closed -> (
+        match c.block with
+        | None -> Error "connection closed"
+        | Some (header, _, _) -> Error ("connection closed mid-" ^ verb header))
+  in
+  go ()
+
+(* ---- decoders: one pure function per direction, from a whole frame ---- *)
+
+let ( let* ) = Result.bind
+
+(* [n] lines off the front of [lines], each decoded by [f]. *)
+let rec take ~what n f acc lines =
+  if n = 0 then Ok (List.rev acc, lines)
+  else
+    match lines with
+    | [] -> Error (what ^ " frame shorter than its header says")
+    | l :: rest ->
+        let* x = f l in
+        take ~what (n - 1) f (x :: acc) rest
+
+(* A block's body: exactly the [count] lines its header declares, each
+   decoded by [f]. *)
+let counted ~what count f body =
+  match int_of_string_opt count with
+  | Some n when n >= 0 -> (
+      match take ~what n f [] body with
+      | Ok (xs, []) -> Ok xs
+      | Ok (_, l :: _) -> Error (Printf.sprintf "%s frame not closed by end: %S" what l)
+      | Error e -> Error e)
+  | _ -> Error (Printf.sprintf "bad %s count %S" what count)
 
 let parse_job rest =
   let kvs = kv_fields rest in
@@ -409,359 +546,164 @@ let parse_job rest =
       | _ -> Error (Printf.sprintf "bad job np %S" np_s))
   | _ -> Error "job line missing workload/np"
 
+let to_worker_grammar = [ ("lease", Verbs [ "item" ]); ("top", Verbs [ "s" ]) ]
+
+let to_worker_of_frame (line, body) =
+  match fields line with
+  | [ "challenge"; nonce ] -> Ok (Challenge (Checkpoint.dec nonce))
+  | "welcome" :: rest -> (
+      match int_field "epoch" (kv_fields rest) with
+      | Some epoch -> Ok (Welcome { epoch })
+      | None -> Error (Printf.sprintf "malformed welcome %S" line))
+  | [ "reject"; proto_kv; reason ] -> (
+      match int_field "proto" (kv_fields [ proto_kv ]) with
+      | Some proto -> Ok (Reject { proto; reason = Checkpoint.dec reason })
+      | None -> Error (Printf.sprintf "malformed reject %S" line))
+  | "job" :: rest -> parse_job rest |> Result.map (fun j -> Job j)
+  | [ "lease"; id; n ] -> (
+      match int_of_string_opt id with
+      | Some lease_id ->
+          counted ~what:"lease" n Checkpoint.item_of_line body
+          |> Result.map (fun items -> Lease { lease_id; items })
+      | None -> Error (Printf.sprintf "malformed lease line %S" line))
+  | [ "top"; n ] ->
+      counted ~what:"top" n
+        (fun l ->
+          match fields l with
+          | [ "s"; key; v ] -> Ok (Checkpoint.dec key, Checkpoint.dec v)
+          | _ -> Error (Printf.sprintf "malformed top line %S" l))
+        body
+      |> Result.map (fun kvs -> Progress kvs)
+  | [ "detach" ] -> Ok Detach
+  | [ "shutdown" ] -> Ok Shutdown
+  | _ -> Error (Printf.sprintf "unexpected coordinator line %S" line)
+
 (* "err <tag> <payload>" | "err <tag>" (empty payload) *)
 let parse_err_line line =
-  let body = String.sub line 4 (String.length line - 4) in
-  let tag, payload =
-    match String.index_opt body ' ' with
-    | Some i ->
-        ( String.sub body 0 i,
-          String.sub body (i + 1) (String.length body - i - 1) )
-    | None -> (body, "")
-  in
-  match Checkpoint.error_of_line tag payload with
-  | Some e -> Ok e
-  | None -> Error (Printf.sprintf "malformed err line %S" line)
+  match fields line with
+  | "err" :: tag :: payload -> (
+      match Checkpoint.error_of_line tag (String.concat " " payload) with
+      | Some e -> Ok e
+      | None -> Error (Printf.sprintf "malformed err line %S" line))
+  | _ -> Error (Printf.sprintf "malformed err line %S" line)
 
-(* First line of a run group; returns the header plus how many err/child
-   lines follow it. *)
-type run_header = { hdr : run_result; nerr : int; nchild : int }
-
+(* First line of a run group: the run, and how many err and item lines
+   follow it. *)
 let parse_run_line line =
+  let malformed = Error (Printf.sprintf "malformed run line %S" line) in
   match fields line with
   | [ "run"; key; "counted"; vtime; bounded; pruned; timeouts; retries;
       transients; nerr; nchild ] -> (
       match
         ( float_of_string_opt vtime,
-          int_of_string_opt bounded,
-          int_of_string_opt pruned,
-          int_of_string_opt timeouts,
-          int_of_string_opt retries,
-          int_of_string_opt transients,
-          int_of_string_opt nerr,
-          int_of_string_opt nchild )
+          List.map int_of_string_opt
+            [ bounded; pruned; timeouts; retries; transients; nerr; nchild ] )
       with
-      | Some vtime, Some bounded, Some pruned, Some timeouts, Some retries,
-        Some transients, Some nerr, Some nchild
+      | Some vtime,
+        [ Some bounded; Some pruned; Some timeouts; Some retries;
+          Some transients; Some nerr; Some nchild ]
         when nerr >= 0 && nchild >= 0 ->
-          Ok
-            {
-              hdr =
-                {
-                  key;
-                  payload =
-                    Some { vtime; bounded; pruned; errors = []; children = [] };
-                  timeouts;
-                  retries;
-                  transients;
-                };
-              nerr;
-              nchild;
-            }
-      | _ -> Error (Printf.sprintf "malformed run line %S" line))
+          let payload = { vtime; bounded; pruned; errors = []; children = [] } in
+          Ok ({ key; payload = Some payload; timeouts; retries; transients }, nerr, nchild)
+      | _ -> malformed)
   | [ "run"; key; "gaveup"; timeouts; retries; transients ] -> (
-      match
-        ( int_of_string_opt timeouts,
-          int_of_string_opt retries,
-          int_of_string_opt transients )
-      with
-      | Some timeouts, Some retries, Some transients ->
-          Ok
-            {
-              hdr = { key; payload = None; timeouts; retries; transients };
-              nerr = 0;
-              nchild = 0;
-            }
-      | _ -> Error (Printf.sprintf "malformed run line %S" line))
-  | _ -> Error (Printf.sprintf "malformed run line %S" line)
+      match List.map int_of_string_opt [ timeouts; retries; transients ] with
+      | [ Some timeouts; Some retries; Some transients ] ->
+          Ok ({ key; payload = None; timeouts; retries; transients }, 0, 0)
+      | _ -> malformed)
+  | _ -> malformed
 
-(* ---- worker side: blocking frame reads ---- *)
+(* A results body: run groups, each a run line then its err and item
+   lines, in that order. *)
+let rec run_groups acc = function
+  | [] -> Ok (List.rev acc)
+  | line :: rest ->
+      let* run, nerr, nchild = parse_run_line line in
+      let* errors, rest = take ~what:"results" nerr parse_err_line [] rest in
+      let* children, rest =
+        take ~what:"results" nchild Checkpoint.item_of_line [] rest
+      in
+      let payload = Option.map (fun p -> { p with errors; children }) run.payload in
+      run_groups ({ run with payload } :: acc) rest
+
+let to_coord_grammar =
+  [
+    ("results", Verbs [ "run"; "err"; "item" ]);
+    ( "telemetry",
+      Advisory [ "hello"; "auth"; "ready"; "hb"; "fail"; "results"; "telemetry" ] );
+  ]
+
+(* [None] for a telemetry frame with a bad header: telemetry is advisory,
+   so such a frame is dropped, and a bad sample in a good one skipped. *)
+let to_coord_of_frame (line, body) =
+  match fields line with
+  | "hello" :: rest -> (
+      let kvs = kv_fields rest in
+      match (int_field "proto" kvs, List.assoc_opt "id" kvs) with
+      | Some proto, Some id ->
+          (* session/epoch/pending are proto>=2 fields; a proto=1 hello
+             still parses so the coordinator can answer with a versioned
+             rejection instead of dropping the connection silently. *)
+          let session =
+            Option.value (List.assoc_opt "session" kvs) ~default:""
+          in
+          let epoch = Option.value (int_field "epoch" kvs) ~default:0 in
+          let pending = int_field "pending" kvs in
+          let role = List.assoc_opt "role" kvs in
+          Some (Ok (Hello { proto; id; session; epoch; pending; role }))
+      | _ -> Some (Error (Printf.sprintf "malformed hello %S" line)))
+  | [ "auth"; mac ] -> Some (Ok (Auth (Checkpoint.dec mac)))
+  | [ "ready" ] -> Some (Ok Ready)
+  | [ "hb" ] -> Some (Ok Heartbeat)
+  | [ "fail"; reason ] -> Some (Ok (Failed (Checkpoint.dec reason)))
+  | [ "results"; epoch; id; n ] ->
+      Some
+        (match
+           (int_of_string_opt epoch, int_of_string_opt id, int_of_string_opt n)
+         with
+        | Some epoch, Some lease_id, Some n when n >= 0 ->
+            let* runs = run_groups [] body in
+            if List.length runs = n then Ok (Results { epoch; lease_id; runs })
+            else
+              Error
+                (Printf.sprintf "results frame holds %d run groups, not %d"
+                   (List.length runs) n)
+        | _ -> Error (Printf.sprintf "malformed results line %S" line))
+  | [ "telemetry"; n ] -> (
+      match int_of_string_opt n with
+      | Some n when n >= 0 ->
+          let samples =
+            List.filter_map
+              (fun l ->
+                match fields l with
+                | [ "t"; name; token ] -> Some (name, token)
+                | _ -> None)
+              body
+            |> List.filteri (fun i _ -> i < n)
+            |> List.filter_map (fun (name, token) ->
+                   Option.map
+                     (fun s -> (Checkpoint.dec name, s))
+                     (Obs.Metrics.sample_of_wire token))
+          in
+          Some (Ok (Telemetry samples))
+      | _ -> None)
+  | "telemetry" :: _ -> None
+  | _ -> Some (Error (Printf.sprintf "unexpected worker line %S" line))
+
+(* ---- drivers: bytes to frames to messages ---- *)
 
 let read_to_worker ic =
-  match read_line_opt ic with
-  | None -> Error "connection closed"
-  | Some line -> (
-      match fields line with
-      | [ "challenge"; nonce ] -> Ok (Challenge (Checkpoint.dec nonce))
-      | "welcome" :: rest -> (
-          match int_field "epoch" (kv_fields rest) with
-          | Some epoch -> Ok (Welcome { epoch })
-          | None -> Error (Printf.sprintf "malformed welcome %S" line))
-      | [ "reject"; proto_kv; reason ] -> (
-          match int_field "proto" (kv_fields [ proto_kv ]) with
-          | Some proto -> Ok (Reject { proto; reason = Checkpoint.dec reason })
-          | None -> Error (Printf.sprintf "malformed reject %S" line))
-      | "job" :: rest -> parse_job rest |> Result.map (fun j -> Job j)
-      | [ "lease"; id; n ] -> (
-          match int_of_string_opt id with
-          | Some lease_id ->
-              read_block ic ~what:"lease" n Checkpoint.item_of_line
-              |> Result.map (fun items -> Lease { lease_id; items })
-          | None -> Error (Printf.sprintf "malformed lease line %S" line))
-      | [ "top"; n ] ->
-          read_block ic ~what:"top" n (fun l ->
-              match fields l with
-              | [ "s"; key; v ] -> Ok (Checkpoint.dec key, Checkpoint.dec v)
-              | _ -> Error (Printf.sprintf "malformed top line %S" l))
-          |> Result.map (fun kvs -> Progress kvs)
-      | [ "detach" ] -> Ok Detach
-      | [ "shutdown" ] -> Ok Shutdown
-      | _ -> Error (Printf.sprintf "unexpected coordinator line %S" line))
+  Result.bind (read_frame to_worker_grammar ic) to_worker_of_frame
 
-(* ---- incremental line splitting ---- *)
+type assembler = { lines : Lines.t; frames : collector }
 
-(* Cap on the bytes a single unterminated line may buffer. A peer that
-   streams data without ever sending '\n' would otherwise grow the
-   assembler without bound; reads arrive in chunks no larger than the
-   caller's read buffer, so peak memory stays near [limit] + one chunk. *)
-let default_max_line = 65536
-
-module Lines = struct
-  type t = { buf : Buffer.t; limit : int; mutable dead : bool }
-
-  let create ?(limit = default_max_line) () =
-    { buf = Buffer.create 256; limit = max 1 limit; dead = false }
-
-  let limit t = t.limit
-
-  let feed t bytes n =
-    if t.dead then ([], true)
-    else begin
-      Buffer.add_subbytes t.buf bytes 0 n;
-      let s = Buffer.contents t.buf in
-      let lines = ref [] in
-      let start = ref 0 in
-      (try
-         while true do
-           let i = String.index_from s !start '\n' in
-           lines := String.sub s !start (i - !start) :: !lines;
-           start := i + 1
-         done
-       with Not_found -> ());
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s !start (String.length s - !start);
-      if Buffer.length t.buf > t.limit then begin
-        t.dead <- true;
-        Buffer.clear t.buf;
-        (List.rev !lines, true)
-      end
-      else (List.rev !lines, false)
-    end
-end
-
-(* ---- coordinator side: incremental assembly ---- *)
-
-(* Mid-frame state of a results frame being assembled. *)
-type partial = {
-  p_epoch : int;
-  p_lease_id : int;
-  mutable p_want : int;  (* run groups still expected *)
-  mutable p_runs : run_result list;  (* completed groups, reversed *)
-  mutable p_cur : run_header option;  (* group whose err/child lines follow *)
-  mutable p_errs : Report.error list;
-  mutable p_children : Checkpoint.item list;
-}
-
-(* Mid-frame state of a telemetry frame. Unlike results frames, telemetry
-   is advisory: malformed samples are skipped and a corrupt or truncated
-   frame is dropped whole — it never poisons the connection. *)
-type tpartial = {
-  mutable t_want : int;
-  mutable t_series : (string * Obs.Metrics.sample) list;  (* reversed *)
-}
-
-type frame_state = F_results of partial | F_telemetry of tpartial
-
-type assembler = {
-  lines : Lines.t;
-  mutable frame : frame_state option;
-  mutable overflowed : bool;
-}
-
-let assembler () =
-  { lines = Lines.create (); frame = None; overflowed = false }
-
-(* Bound what a single telemetry frame may claim, so a hostile header
-   cannot make the assembler loop forever waiting for samples. *)
-let max_telemetry_series = 4096
-
-let close_group p (h : run_header) =
-  let hdr = h.hdr in
-  let payload =
-    Option.map
-      (fun pl ->
-        {
-          pl with
-          errors = List.rev p.p_errs;
-          children = List.rev p.p_children;
-        })
-      hdr.payload
-  in
-  p.p_runs <- { hdr with payload } :: p.p_runs;
-  p.p_cur <- None;
-  p.p_errs <- [];
-  p.p_children <- [];
-  p.p_want <- p.p_want - 1
-
-(* One complete line, inside or outside a frame. *)
-let rec line_msg a line =
-  match a.frame with
-  | Some (F_telemetry tp) -> (
-      match fields line with
-      | [ "end" ] ->
-          a.frame <- None;
-          Some (Ok (Telemetry (List.rev tp.t_series)))
-      | "t" :: rest ->
-          (match rest with
-          | [ name; token ] when tp.t_want > 0 -> (
-              tp.t_want <- tp.t_want - 1;
-              match Obs.Metrics.sample_of_wire token with
-              | Some s -> tp.t_series <- (Checkpoint.dec name, s) :: tp.t_series
-              | None -> () (* malformed sample: skip it *))
-          | _ -> () (* malformed or surplus sample: skip it *));
-          None
-      | ("hello" | "auth" | "ready" | "hb" | "fail" | "results" | "telemetry")
-        :: _ ->
-          (* The frame was truncated: drop it whole and let this line be
-             whatever it claims to be at the top level. *)
-          a.frame <- None;
-          line_msg a line
-      | _ -> None (* corrupt telemetry content: skip the line *))
-  | Some (F_results p) -> (
-      (* Inside a results frame: run headers, their err/child lines, end. *)
-      let fill_cur () =
-        match p.p_cur with
-        | Some h
-          when List.length p.p_errs >= h.nerr
-               && List.length p.p_children >= h.nchild ->
-            close_group p h
-        | _ -> ()
-      in
-      match fields line with
-      | "run" :: _ -> (
-          match p.p_cur with
-          | Some _ -> Some (Error "run group not completed before next run")
-          | None -> (
-              match parse_run_line line with
-              | Error e -> Some (Error e)
-              | Ok h ->
-                  if h.nerr = 0 && h.nchild = 0 then begin
-                    p.p_runs <- h.hdr :: p.p_runs;
-                    p.p_want <- p.p_want - 1;
-                    None
-                  end
-                  else begin
-                    p.p_cur <- Some h;
-                    None
-                  end))
-      | "err" :: _ -> (
-          match p.p_cur with
-          | None -> Some (Error "err line outside a run group")
-          | Some _ -> (
-              match parse_err_line line with
-              | Error e -> Some (Error e)
-              | Ok e ->
-                  p.p_errs <- e :: p.p_errs;
-                  fill_cur ();
-                  None))
-      | "item" :: _ -> (
-          match p.p_cur with
-          | None -> Some (Error "item line outside a run group")
-          | Some _ -> (
-              match Checkpoint.item_of_line line with
-              | Error e -> Some (Error e)
-              | Ok it ->
-                  p.p_children <- it :: p.p_children;
-                  fill_cur ();
-                  None))
-      | [ "end" ] ->
-          a.frame <- None;
-          if p.p_want = 0 && p.p_cur = None then
-            Some
-              (Ok
-                 (Results
-                    {
-                      epoch = p.p_epoch;
-                      lease_id = p.p_lease_id;
-                      runs = List.rev p.p_runs;
-                    }))
-          else Some (Error "results frame closed with groups missing")
-      | _ -> Some (Error (Printf.sprintf "unexpected line in results %S" line))
-      )
-  | None -> (
-      match fields line with
-      | "hello" :: rest -> (
-          let kvs = kv_fields rest in
-          match (int_field "proto" kvs, List.assoc_opt "id" kvs) with
-          | Some proto, Some id ->
-              (* session/epoch/pending are proto>=2 fields; a proto=1 hello
-                 still parses so the coordinator can answer with a versioned
-                 rejection instead of dropping the connection silently. *)
-              let session =
-                Option.value (List.assoc_opt "session" kvs) ~default:""
-              in
-              let epoch = Option.value (int_field "epoch" kvs) ~default:0 in
-              let pending = int_field "pending" kvs in
-              let role = List.assoc_opt "role" kvs in
-              Some (Ok (Hello { proto; id; session; epoch; pending; role }))
-          | _ -> Some (Error (Printf.sprintf "malformed hello %S" line)))
-      | [ "auth"; mac ] -> Some (Ok (Auth (Checkpoint.dec mac)))
-      | [ "ready" ] -> Some (Ok Ready)
-      | [ "hb" ] -> Some (Ok Heartbeat)
-      | [ "fail"; reason ] -> Some (Ok (Failed (Checkpoint.dec reason)))
-      | [ "results"; epoch; id; n ] -> (
-          match
-            (int_of_string_opt epoch, int_of_string_opt id, int_of_string_opt n)
-          with
-          | Some epoch, Some lease_id, Some n when n >= 0 ->
-              (* Even an empty frame closes with "end": enter frame state
-                 unconditionally so the closing line is consumed there. *)
-              a.frame <-
-                Some
-                  (F_results
-                     {
-                       p_epoch = epoch;
-                       p_lease_id = lease_id;
-                       p_want = n;
-                       p_runs = [];
-                       p_cur = None;
-                       p_errs = [];
-                       p_children = [];
-                     });
-              None
-          | _ -> Some (Error (Printf.sprintf "malformed results line %S" line)))
-      | "telemetry" :: rest -> (
-          (* Telemetry is best-effort: a malformed header is dropped
-             silently rather than poisoning the connection. *)
-          match rest with
-          | [ n ] -> (
-              match int_of_string_opt n with
-              | Some n when n >= 0 && n <= max_telemetry_series ->
-                  a.frame <- Some (F_telemetry { t_want = n; t_series = [] });
-                  None
-              | _ -> None)
-          | _ -> None)
-      | _ -> Some (Error (Printf.sprintf "unexpected worker line %S" line)))
-
-let line_msg a line =
-  match line_msg a line with
-  | Some (Error _ as e) ->
-      (* A protocol error poisons the connection; stop assembling. *)
-      a.frame <- None;
-      Some e
-  | r -> r
+let assembler () = { lines = Lines.create (); frames = collector to_coord_grammar }
 
 let feed a buf n =
   let lines, overflow = Lines.feed a.lines buf n in
-  let msgs = List.filter_map (line_msg a) lines in
-  if overflow && not a.overflowed then begin
-    a.overflowed <- true;
-    a.frame <- None;
-    msgs
-    @ [
-        Error
-          (Printf.sprintf "unterminated line exceeds %d bytes"
-             (Lines.limit a.lines));
-      ]
-  end
-  else msgs
+  let msgs =
+    List.filter_map
+      (fun line -> Option.bind (push a.frames line) to_coord_of_frame)
+      lines
+  in
+  if overflow then msgs @ [ Error (over_cap default_max_line) ] else msgs

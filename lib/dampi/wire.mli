@@ -3,16 +3,27 @@
 
     {b Transport.} The coordinator, the workers, the serve daemon and the
     CLI open every socket, wait on select and handle SIGPIPE through
-    here; the {!Lines} splitter and the line codec serve proto=2 and the
-    serve daemon's proto=1 ({!Serve}) alike.
+    here; the {!Lines} splitter, the frame collector and the line codec
+    serve proto=2 and the serve daemon's proto=1 ({!Serve}) alike.
+
+    {b Frames.} A frame is one line of whitespace-delimited fields —
+    free-form text travels percent-encoded via {!Checkpoint.enc} — or a
+    block: a header line whose verb opens it and declares a count, body
+    lines, and [end]. Each direction has one {!grammar}: the block verbs
+    are [lease]/[top] towards a worker, [results]/[telemetry] towards the
+    coordinator and [report] towards a serve client. One collector groups
+    lines into frames and one pure decoder per direction reads a frame
+    whole, for blocking ({!read_to_worker}, {!Serve.read_event}) and
+    select-fed ({!feed}) readers alike. A line of none of its block's
+    verbs poisons the connection with an [Error], except in the advisory
+    [telemetry] block (see {!to_coord.Telemetry}). Every reader caps a
+    line at {!default_max_line} bytes: an over-cap line is one [Error]
+    naming the cap. Leases and results reuse {!Checkpoint}'s item,
+    schedule, and error encodings verbatim.
 
     {b Proto=2.} A coordinator (the process running {!Explorer.explore})
     speaks to worker processes ({!Remote_worker}) over Unix-domain or TCP
-    sockets. Every message is one line of whitespace-delimited fields —
-    free-form text travels percent-encoded via {!Checkpoint.enc} — except
-    leases and result deltas, which are multi-line frames with a declared
-    element count and a closing [end] line, reusing {!Checkpoint}'s item,
-    schedule, and error encodings verbatim.
+    sockets.
 
     Conversation, worker-initiated after connect:
     {v
@@ -115,16 +126,6 @@ val kvs_line : (string * string) list -> string
 (** The inverse of {!kv_fields}. *)
 
 val int_field : string -> (string * string) list -> int option
-val read_line_opt : in_channel -> string option
-
-val read_block :
-  in_channel ->
-  what:string ->
-  string ->
-  (string -> ('a, string) result) ->
-  ('a list, string) result
-(** [read_block ic ~what count line]: the [count] lines of a counted
-    frame, each parsed by [line], then its closing [end]. *)
 
 (** {2 Authentication}
 
@@ -213,10 +214,10 @@ type to_coord =
   | Heartbeat
   | Telemetry of (string * Obs.Metrics.sample) list
       (** metric deltas ({!Obs.Metrics.to_delta}) shipped piggybacked on
-          heartbeats and ahead of results frames. Advisory: malformed
-          samples are skipped and corrupt or truncated frames dropped
-          whole by the assembler — telemetry never poisons a
-          connection. *)
+          heartbeats and ahead of results frames. Advisory: a malformed
+          sample is skipped, a frame with a bad header is dropped, and a
+          frame cut short by a top-level verb is dropped and that line
+          read at top level — telemetry never poisons a connection. *)
   | Results of { epoch : int; lease_id : int; runs : run_result list }
   | Failed of string
 
@@ -240,13 +241,12 @@ val write_to_coord : out_channel -> to_coord -> unit
     The worker side blocks on a single coordinator connection and reads
     whole frames. The coordinator side is select-driven, so it feeds raw
     bytes into a per-connection assembler that yields complete messages as
-    they close. *)
+    they close. Both put lines through the same collector and decoders. *)
 
 val default_max_line : int
-(** Default cap on the bytes a single unterminated line may buffer
-    (65536). A peer that streams data without a ['\n'] is cut off once
-    its partial line passes this bound instead of growing the assembler
-    without limit. *)
+(** Cap on the bytes of a single line, on every reading side (65536). A
+    peer that streams data without a ['\n'] is cut off once its partial
+    line passes this bound instead of growing the reader without limit. *)
 
 (** Incremental, bounded line splitting — the byte-level layer under
     {!assembler}, exposed so other line-oriented select loops
@@ -261,15 +261,41 @@ module Lines : sig
   val feed : t -> bytes -> int -> string list * bool
   (** [feed t buf n] consumes [n] bytes and returns the lines they
       complete (without ['\n']), in order, plus an overflow flag. The
-      flag is [true] once the buffered unterminated remainder exceeds
-      the cap: the splitter is then dead — its buffer is dropped and
-      every later feed yields [([], true)]. Callers should answer with
-      one error and close the connection. *)
+      flag is [true] on the feed whose buffered unterminated remainder
+      exceeds the cap: the splitter is then dead — its buffer is dropped
+      and every later feed yields [([], false)]. Callers should answer
+      with one error and close the connection. *)
 end
 
+(** What a block's body may hold. *)
+type body =
+  | Verbs of string list
+      (** lines of these verbs; any other line ends the block as its last
+          line, for the decoder to report *)
+  | Advisory of string list
+      (** any line but one of these verbs, which drops the block unread
+          and is read afresh; the block keeps its first 4096 lines *)
+
+type grammar = (string * body) list
+(** A direction's block verbs; any other verb is a one-line frame. *)
+
+val read_frame : grammar -> in_channel -> (string * string list, string) result
+(** Blocking read of one frame: its header and body lines, without [end].
+    [Error "connection closed"] at end of input between frames, [Error
+    "connection closed mid-VERB"] inside a block. *)
+
+val counted :
+  what:string ->
+  string ->
+  (string -> ('a, string) result) ->
+  string list ->
+  ('a list, string) result
+(** [counted ~what count line body]: a block's body, exactly the [count]
+    lines its header declares, each decoded by [line]. *)
+
 val read_to_worker : in_channel -> (to_worker, string) result
-(** Blocking read of one coordinator frame. [Error] on malformed input or
-    EOF. *)
+(** Blocking read of one coordinator frame. [Error] on malformed input,
+    an over-cap line, or EOF. *)
 
 type assembler
 

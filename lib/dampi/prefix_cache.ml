@@ -20,8 +20,9 @@ let entry_of_record (r : Report.run_record) =
   }
 
 let bounded e =
-  List.length
-    (List.filter (fun (s : Epoch.summary) -> not s.Epoch.s_expandable) e.epochs)
+  List.fold_left
+    (fun n (s : Epoch.summary) -> if s.Epoch.s_expandable then n else n + 1)
+    0 e.epochs
 
 (* ---- serialization (the checkpoint sidecar) ----
 
@@ -116,6 +117,17 @@ and hash_tail s h w p j =
 let hash_span s i j =
   let h = hash_words s (j - i) i j * 0x2545F4914F6CDD1D in
   h lxor (h lsr 32)
+
+(* A key's hash mixes its words from a fixed seed and its length last,
+   so the state after a key's first [w] words depends on those words
+   alone: a load carries it over from the previous key (see
+   [load_lines]). [key_final h n] is the hash of an [n]-byte key whose
+   last (partial) word is mixed into [h]. *)
+let key_final h n =
+  let h = mix h n * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
+
+let hash_key s i j = key_final (hash_words s 0 i j) (j - i)
 
 (* [a.[i .. i+n-1]] = [b.[j .. j+n-1]] (both in bounds). *)
 let rec equal_span a i b j n =
@@ -223,6 +235,9 @@ type t = {
   mutable misses : int;
   m : Mutex.t;
   line : Buffer.t;  (* [add]'s scratch for the entry line, under [m] *)
+  mutable cursor : int;
+      (* the entry after the last hit: a walk in the sidecar's order asks
+         for it next *)
   metrics : metrics option;
   mutable synced : (string * int) option;
       (* the file that holds [to_string] as of that many entries, if any:
@@ -264,6 +279,7 @@ let create ?metrics ?(label = "") ~budget_bytes () =
     misses = 0;
     m = Mutex.create ();
     line = Buffer.create 256;
+    cursor = 0;
     synced = None;
     metrics =
       (* Resolved eagerly so the series exist even for a run with no
@@ -391,16 +407,26 @@ let insert t r ~off ~len ~klen ~h =
   t.count <- n + 1;
   t.bytes <- t.bytes + len + 1
 
+(* The entry at the cursor if its key is [key], else the index's: keys
+   are unique, so the two agree whenever the cursor's key matches. *)
+let entry_of_key t key =
+  let n = String.length key and c = t.cursor in
+  if
+    c < t.count
+    && key_len t c = n
+    && equal_span (Bytes.unsafe_to_string t.buf) (line_off t c + key_start) key 0 n
+  then c
+  else lookup t (hash_key key 0 n) key 0 n
+
 let find t ?key decisions =
   let key =
     match key with Some k -> k | None -> Checkpoint.schedule_key decisions
   in
-  let n = String.length key in
-  let h = hash_span key 0 n in
   Mutex.lock t.m;
-  let e = lookup t h key 0 n in
+  let e = entry_of_key t key in
   let r =
     if e >= 0 then begin
+      t.cursor <- e + 1;
       t.hits <- t.hits + 1;
       Option.iter (fun ms -> Obs.Metrics.incr ms.m_hits) t.metrics;
       Some t.results.(result t e)
@@ -423,7 +449,7 @@ let add t ?key decisions entry =
     match key with Some k -> k | None -> Checkpoint.schedule_key decisions
   in
   let klen = String.length key in
-  let h = hash_span key 0 klen in
+  let h = hash_key key 0 klen in
   Mutex.lock t.m;
   Buffer.clear t.line;
   add_entry_line t.line ~key entry;
@@ -474,8 +500,9 @@ let to_string t =
    code wrote costs exactly what [add] charged for it ([entry_line]'s
    length plus the newline), so the key and the cost need no re-encoding.
    A line pays for what it does not share with the line before: its key
-   is compared with the previous line's, if that one was checked, and
-   only the decisions past their last shared [,] are checked; its tail is
+   is compared with the previous line's, if that one was checked, only
+   the decisions past their last shared [,] are checked, and its hash
+   goes on from the state after the whole words they share; its tail is
    looked up among the tails met so far and parsed only when new. A line
    whose key or tail does not parse is skipped. With [path], a load
    after which [to_string] would give the text back marks the cache as
@@ -503,6 +530,25 @@ let load_lines ?path t src pos =
   (* Sized for a line per 128 bytes (adlb2's average 245); shorter lines
      grow the index as they come. *)
   reserve_index t (t.count + ((stop - pos) / 128));
+  (* [states.(w)]: the key hash's state after the previous checked key's
+     first [w] words ([states.(0)], the seed, is 0). *)
+  let states = ref (Array.make 32 0) in
+  (* The hash of the key [text.[ks .. ke-1]], hashed on at [p] from the
+     state [h] after its first [w] words, recording the state after each
+     further whole word. *)
+  let rec hash_on ks ke h p w =
+    if p + 8 > ke then key_final (hash_tail text h 0 p ke) (ke - ks)
+    else begin
+      let h = mix h (Int64.to_int (get64u text p)) in
+      if w + 1 = Array.length !states then begin
+        let grown = Array.make (2 * (w + 1)) 0 in
+        Array.blit !states 0 grown 0 (w + 1);
+        states := grown
+      end;
+      Array.unsafe_set !states (w + 1) h;
+      hash_on ks ke h (p + 8) (w + 1)
+    end
+  in
   (* [p], [plen]: the previous line's key, if it was checked, else -1. *)
   let rec go pos p plen lines skipped =
     if pos >= stop then (lines, skipped)
@@ -516,10 +562,13 @@ let load_lines ?path t src pos =
       let ke = find_char text ' ' (ks + d) eol in
       if not (ke < eol && key_ok text ks ke ~p ~d) then go (eol + 1) (-1) 0 lines true
       else
+        (* The words the key shares whole with the previous checked key
+           have its states. *)
+        let w = if p < 0 then 0 else d / 8 in
+        let h = hash_on ks ke (Array.unsafe_get !states w) (ks + (8 * w)) w in
         let r = result_at t (ke + 1) eol in
         if r < 0 then go (eol + 1) ks (ke - ks) lines true
         else begin
-          let h = hash_span text ks ke in
           if eol - pos + 1 <= t.budget - t.bytes && lookup t h text ks ke < 0 then
             insert t r ~off:pos ~len:(eol - pos) ~klen:(ke - ks) ~h;
           go (eol + 1) ks (ke - ks) (lines + 1) skipped
@@ -583,7 +632,13 @@ let save ?fault t path =
         Checkpoint.Written
     | d -> d
 
+(* The file's bytes in one read of the length it has when opened. *)
+let read_sidecar path =
+  In_channel.with_open_bin path (fun ic ->
+      In_channel.really_input_string ic (Int64.to_int (In_channel.length ic)))
+
 let load t path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> load_text ~path t text
+  match read_sidecar path with
+  | Some text -> load_text ~path t text
+  | None -> refuse t (path ^ ": shorter than its length")
   | exception Sys_error msg -> refuse t msg

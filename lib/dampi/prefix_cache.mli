@@ -25,10 +25,13 @@
     results (adlb2: 2,934 distinct tails over 32,118 lines), so each
     distinct tail is parsed into one shared {!entry} and a line records
     only the number of its tail's entry. Two open-addressing indexes map
-    a key's hash to a line and a tail's hash to its entry. A lookup
+    a key's hash to a line and a tail's hash to its entry. A probe
     compares bytes in place in the buffer, and only when the stored hash
-    matches, so equal hashes never merge two keys or two tails. Saving
-    writes the kept lines' bytes back; no entry is encoded twice.
+    matches, so equal hashes never merge two keys or two tails. A lookup
+    tries the entry after the last hit first, and probes only when its
+    key differs: a warm walk asks for the entries in the order a cold
+    walk of the same configuration added them. Saving writes the kept
+    lines' bytes back; no entry is encoded twice.
 
     The big win is warm re-verification: {!Explorer} persists the cache as
     a sidecar next to the checkpoint, once per run with its final cut, and
@@ -69,9 +72,14 @@ val create :
 val find : t -> ?key:string -> Decisions.decision list -> entry option
 (** [find t ~key decisions] looks up the schedule whose
     {!Checkpoint.schedule_key} is [key] (computed from [decisions] when
-    omitted); a caller that already holds the key passes it, so a hit is a
-    hash of the key and a probe of the index, with no encoding. Records a
-    hit or a miss; the table itself is left as it was. *)
+    omitted); a caller that already holds the key passes it, so a lookup
+    encodes nothing. The key is first compared, in place, with the key of
+    the entry after the last hit (length, then bytes): if they are equal,
+    that entry is the hit, with no hash and no probe. Otherwise the key is
+    hashed and the index probed, and a hit there moves the cursor to the
+    entry after it. Keys are unique in the table, so both ways give the
+    same answer in any call order. Records a hit or a miss; the entries
+    are left as they were. *)
 
 val add : t -> ?key:string -> Decisions.decision list -> entry -> unit
 (** Append the entry unless its key is present (replays are
@@ -129,8 +137,11 @@ val load_into : t -> string -> (unit, string) result
       ones were checked with the previous key. After the first line, a
       line that is not an entry or a key that failed, the whole key is
       checked. A DFS walk's consecutive keys share most of their bytes
-      (adlb2: 91%). The key is then hashed once and indexed where it
-      lies: no substring of the key.
+      (adlb2: 91%). The key is then hashed where it lies, with no
+      substring of it: a key's hash mixes its words from a fixed seed and
+      its length last, so the hash goes on from the previous key's state
+      after the whole words the two share, and reads only the words
+      after them.
     - {b Result.} The tail is hashed and looked up among the tails met so
       far, comparing bytes in place. Only a tail met for the first time
       is parsed: its fields are cut out and parsed (an error field other
@@ -154,8 +165,9 @@ val save : ?fault:(unit -> bool) -> t -> string -> Checkpoint.write_outcome
     fired fault is [Degraded] and the cache stays unsaved. *)
 
 val load : t -> string -> (unit, string) result
-(** [Error] on unreadable file or foreign format; entries on malformed
-    lines are skipped (a corrupt sidecar costs warmth, not correctness).
-    A load into an empty cache that takes every line as written, the last
-    one ending in its newline, marks the cache as saved at [path] (see
-    {!save}). *)
+(** {!load_into} of the file, read with one read of the length it has
+    when opened. [Error] on unreadable file or foreign format; entries on
+    malformed lines are skipped (a corrupt sidecar costs warmth, not
+    correctness). A load into an empty cache that takes every line as
+    written, the last one ending in its newline, marks the cache as saved
+    at [path] (see {!save}). *)

@@ -373,12 +373,15 @@ let done_event id f =
     { id; status = f.f_status; code = f.f_code; msg = f.f_msg;
       backtrace = f.f_bt }
 
+(* A report's lines, without the text's final newline. *)
+let report_lines text =
+  let lines = String.split_on_char '\n' text in
+  match List.rev lines with "" :: r -> List.rev r | _ -> lines
+
 (* A job's report and terminal line; the report frame carries the text's
-   lines without its final newline. *)
+   lines. *)
 let send_final t c id f =
-  let lines = String.split_on_char '\n' f.f_report in
-  let lines = match List.rev lines with "" :: r -> List.rev r | _ -> lines in
-  (f.f_report = "" || send t c (Report (id, lines)))
+  (f.f_report = "" || send t c (Report (id, report_lines f.f_report)))
   && send t c (done_event id f)
 
 (* ---- parked reports ---- *)
@@ -434,6 +437,11 @@ let pick_next t =
         | Some b when load (okey b) <= load (okey j) -> best
         | _ -> Some j)
     None t.queue
+
+(* The cap on a line from a job runner: its [done] line carries the
+   whole report. Trusted pipe, but still bounded: a runaway report cannot
+   balloon the daemon. *)
+let max_child_line = 1 lsl 20
 
 let start t job =
   let rfd, wfd = Unix.pipe () in
@@ -494,9 +502,7 @@ let start t job =
           {
             pid;
             rfd;
-            (* trusted pipe, but still bounded: a runaway report cannot
-               balloon the daemon *)
-            plines = Wire.Lines.create ~limit:(1 lsl 20) ();
+            plines = Wire.Lines.create ~limit:max_child_line ();
             final = None;
             live = true;
             started = Unix.gettimeofday ();
@@ -506,6 +512,11 @@ let start t job =
       gauge t;
       Log.info (fun m -> m "job %d started (pid %d): %s" job.jid pid job.label)
 
+(* A job that finished with a report its client could not read whole
+   ends with a message naming the cap the report passed. *)
+let over_cap msg =
+  { f_status = "crashed"; f_code = 2; f_report = ""; f_msg = msg; f_bt = "" }
+
 let handle_child_line t job line =
   match Wire.fields line with
   | "p" :: rest -> (
@@ -514,7 +525,17 @@ let handle_child_line t job line =
       | None -> ())
   | "done" :: rest -> (
       match running_child job with
-      | Some ch -> ch.final <- Some (final_of_kvs (Wire.kv_fields rest))
+      | Some ch ->
+          let f = final_of_kvs (Wire.kv_fields rest) in
+          let n = List.length (report_lines f.f_report) in
+          ch.final <-
+            Some
+              (if n <= Wire.max_block_lines then f
+               else
+                 over_cap
+                   (Printf.sprintf
+                      "job report exceeds %d lines, the cap on a report frame"
+                      Wire.max_block_lines))
       | None -> ())
   | _ -> Log.debug (fun m -> m "job %d: stray pipe line %S" job.jid line)
 
@@ -730,14 +751,23 @@ let read_client t c =
           client_gone t c
         end
 
+(* Past an over-cap line the splitter is dead: the pipe is drained to
+   its end, and the job ends with the cap's message. *)
 let read_child t job ch =
   if ch.live then
     match Unix.read ch.rfd t.rbuf 0 (Bytes.length t.rbuf) with
     | 0 -> settle t job ch
     | exception Unix.Unix_error _ -> settle t job ch
     | n ->
-        let lines, _ = Wire.Lines.feed ch.plines t.rbuf n in
-        List.iter (handle_child_line t job) lines
+        let lines, overflow = Wire.Lines.feed ch.plines t.rbuf n in
+        List.iter (handle_child_line t job) lines;
+        if overflow then
+          ch.final <-
+            Some
+              (over_cap
+                 (Printf.sprintf
+                    "job report exceeds %d bytes, the cap on a job runner's line"
+                    max_child_line))
 
 let drive t =
   let rec loop () =

@@ -34,7 +34,10 @@
     Terminal statuses: [completed] (code 0 clean, 1 findings),
     [checkpointed] (code 3: daemon drained; the job is journaled and will
     resume on restart), [crashed] (code 1 or 2: classified failure, [msg]
-    and [backtrace] carry the cause), [cancelled].
+    and [backtrace] carry the cause), [cancelled]. A report the client
+    could not read whole — past 1 MiB on the child's pipe, whose [done]
+    line carries it, or past {!Wire.max_block_lines} lines — ends its job
+    [crashed] (code 2) with a [msg] naming the cap, and no report.
 
     {b Admission control.} The queue is bounded in jobs and bytes and
     each client has an in-flight cap; a submit past any bound gets a
@@ -69,8 +72,9 @@ val on_disconnect_of_string : string -> (on_disconnect, string) result
 (** What a job run produced, as reported by the child. *)
 type outcome =
   | Completed of { report : string; code : int }
-      (** rendered report text (what the client receives line by line)
-          plus the exit code a standalone [dampi verify] would use *)
+      (** rendered report text (what the client receives line by line,
+          up to 1 MiB and {!Wire.max_block_lines} lines) plus the exit
+          code a standalone [dampi verify] would use *)
   | Checkpointed
       (** the run was interrupted (daemon drain) and snapshotted; the
           job stays journaled for the next daemon instance *)

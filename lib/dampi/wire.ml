@@ -449,6 +449,20 @@ let verb line =
    bound. *)
 let max_advisory_lines = 4096
 
+(* A [Verbs] block's body closes as a malformed frame past this many
+   lines, so a peer that opens a block and never ends it cannot grow the
+   reader without bound. Sized from the largest block the product sends:
+   a results frame answers a lease of at most 4 items (the coordinator's
+   lease size) with a run line, its errors and its children each. Its
+   children grow with the ranks: adlb with unbounded mixing measured 380
+   lines at np=96 and 764 at np=192, about 4 per rank, so the cap holds
+   np=1024 (the paper's largest) with over ten times to spare. A lease
+   holds 4 items, and a top frame a few progress fields and one per
+   worker session. A serve report frame is a job's report, which the
+   daemon ends with a message naming this cap rather than send past
+   it. *)
+let max_block_lines = 65536
+
 (* The open block's header, body lines (reversed) and their count, if
    any. *)
 type collector = {
@@ -461,8 +475,9 @@ let collector grammar = { grammar; block = None }
 (* The frame [line] completes: its header and body lines, without the
    closing [end] (a one-line frame has no body). A [Verbs] block ends at a
    line of none of its verbs, which stays its last line for the decoder to
-   report; an [Advisory] block keeps any line but one of its cut verbs,
-   which drops the block unread and is read afresh. *)
+   report, and is an [Error] at its line past {!max_block_lines}; an
+   [Advisory] block keeps any line but one of its cut verbs, which drops
+   the block unread and is read afresh. *)
 let rec push c line =
   match c.block with
   | None ->
@@ -470,11 +485,11 @@ let rec push c line =
         c.block <- Some (line, [], 0);
         None
       end
-      else Some (line, [])
+      else Some (Ok (line, []))
   | Some (header, body, n) -> (
       let close body =
         c.block <- None;
-        Some (header, List.rev body)
+        Some (Ok (header, List.rev body))
       in
       let keep () =
         c.block <- Some (header, line :: body, n + 1);
@@ -483,7 +498,16 @@ let rec push c line =
       if line = "end" then close body
       else
         match List.assoc (verb header) c.grammar with
-        | Verbs vs -> if List.mem (verb line) vs then keep () else close (line :: body)
+        | Verbs vs ->
+            if not (List.mem (verb line) vs) then close (line :: body)
+            else if n < max_block_lines then keep ()
+            else begin
+              c.block <- None;
+              Some
+                (Error
+                   (Printf.sprintf "%s frame exceeds %d lines" (verb header)
+                      max_block_lines))
+            end
         | Advisory cuts ->
             if List.mem (verb line) cuts then begin
               c.block <- None;
@@ -496,7 +520,7 @@ let read_frame grammar ic =
   let c = collector grammar in
   let rec go () =
     match input_line_capped ic default_max_line with
-    | `Line line -> ( match push c line with Some frame -> Ok frame | None -> go ())
+    | `Line line -> ( match push c line with Some frame -> frame | None -> go ())
     | `Over -> Error (over_cap default_max_line)
     | `Closed -> (
         match c.block with
@@ -703,7 +727,10 @@ let feed a buf n =
   let lines, overflow = Lines.feed a.lines buf n in
   let msgs =
     List.filter_map
-      (fun line -> Option.bind (push a.frames line) to_coord_of_frame)
+      (fun line ->
+        Option.bind (push a.frames line) (function
+          | Ok frame -> to_coord_of_frame frame
+          | Error e -> Some (Error e)))
       lines
   in
   if overflow then msgs @ [ Error (over_cap default_max_line) ] else msgs

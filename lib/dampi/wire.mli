@@ -17,9 +17,10 @@
     select-fed ({!feed}) readers alike. A line of none of its block's
     verbs poisons the connection with an [Error], except in the advisory
     [telemetry] block (see {!to_coord.Telemetry}). Every reader caps a
-    line at {!default_max_line} bytes: an over-cap line is one [Error]
-    naming the cap. Leases and results reuse {!Checkpoint}'s item,
-    schedule, and error encodings verbatim.
+    line at {!default_max_line} bytes and a block at {!max_block_lines}
+    lines: an over-cap line or block is one [Error] naming the cap.
+    Leases and results reuse {!Checkpoint}'s item, schedule, and error
+    encodings verbatim.
 
     {b Proto=2.} A coordinator (the process running {!Explorer.explore})
     speaks to worker processes ({!Remote_worker}) over Unix-domain or TCP
@@ -271,7 +272,8 @@ end
 type body =
   | Verbs of string list
       (** lines of these verbs; any other line ends the block as its last
-          line, for the decoder to report *)
+          line, for the decoder to report. Past {!max_block_lines} lines
+          the block is a malformed frame. *)
   | Advisory of string list
       (** any line but one of these verbs, which drops the block unread
           and is read afresh; the block keeps its first 4096 lines *)
@@ -279,10 +281,18 @@ type body =
 type grammar = (string * body) list
 (** A direction's block verbs; any other verb is a one-line frame. *)
 
+val max_block_lines : int
+(** The most body lines a [Verbs] block may hold (65536; the largest
+    block the product sends is a results frame of about 4 lines per
+    rank, 764 at np=192). The next line
+    closes the block as an [Error] naming the cap, so a peer that opens a
+    block and never ends it cannot grow the reader without bound. *)
+
 val read_frame : grammar -> in_channel -> (string * string list, string) result
 (** Blocking read of one frame: its header and body lines, without [end].
     [Error "connection closed"] at end of input between frames, [Error
-    "connection closed mid-VERB"] inside a block. *)
+    "connection closed mid-VERB"] inside a block, [Error] naming the cap
+    for a block past {!max_block_lines} lines. *)
 
 val counted :
   what:string ->
@@ -304,7 +314,8 @@ val assembler : unit -> assembler
 val feed : assembler -> bytes -> int -> (to_coord, string) result list
 (** [feed a buf n] consumes [n] bytes read from a worker's socket and
     returns every message completed by them, in order. A malformed line or
-    frame yields [Error] (the coordinator drops the worker) — except
+    frame, or a block past {!max_block_lines} lines, yields [Error] (the
+    coordinator drops the worker) — except
     telemetry, which is dropped silently (see {!to_coord.Telemetry}). An
     unterminated line past {!default_max_line} bytes yields a final
     [Error] after any completed messages; the assembler is dead from then

@@ -1176,6 +1176,142 @@ let prop_load_matches_reference =
       | None -> true
       | Some msg -> QCheck.Test.fail_reportf "budget %d: %s" budget msg)
 
+(* Keys that hash alike: they differ only in the top bit of a word's
+   last byte ([recv:1:A] against [recv:1:\xc1], [recv:0:] against
+   [recv:0\xba]), which the word hash drops. Only a comparison of the
+   bytes tells them apart, at the cursor and in the index alike. *)
+let test_key_twins () =
+  let tail = "recv:0:4:1,recv:2:1:0" in
+  let a = "recv:1:A,recv:0:" ^ tail
+  and b = "recv:1:\xc1,recv:0:" ^ tail
+  and absent = "recv:1:A,recv:0\xba" ^ tail in
+  let entry n =
+    { Prefix_cache.vtime = float_of_int n; wildcards = n; errors = []; epochs = [] }
+  in
+  let c = Prefix_cache.create ~label:"twins np=3" ~budget_bytes:max_int () in
+  Prefix_cache.add c ~key:a [] (entry 1);
+  Prefix_cache.add c ~key:b [] (entry 2);
+  Prefix_cache.add c ~key:a [] (entry 3);
+  let find k =
+    Option.map
+      (fun (e : Prefix_cache.entry) -> e.Prefix_cache.wildcards)
+      (Prefix_cache.find c ~key:k [])
+  in
+  (* in insertion order (cursor hits), out of it (probes), and absent *)
+  List.iteri
+    (fun i (k, want) ->
+      Alcotest.(check (option int)) (Printf.sprintf "lookup %d" i) want (find k))
+    [ (a, Some 1); (b, Some 2); (b, Some 2); (a, Some 1); (absent, None); (b, Some 2);
+      (absent, None) ];
+  let hits, misses, _ = Prefix_cache.stats c in
+  Alcotest.(check (pair int int)) "hits and misses" (5, 2) (hits, misses);
+  Alcotest.(check string) "both lines kept, in order"
+    (sidecar_head "twins np=3" ^ Prefix_cache.entry_line ~key:a (entry 1) ^ "\n"
+    ^ Prefix_cache.entry_line ~key:b (entry 2) ^ "\n")
+    (Prefix_cache.to_string c)
+
+(* ---- the lookup cursor against the reference table ----
+
+   [find] first compares its key with the entry after the last hit, and
+   probes the index only when they differ. The calls below follow the
+   file's order (every lookup a cursor hit), a shuffle of it (mostly
+   probes), and either with repeated keys, keys the file does not hold,
+   and [add]s in between; each answer, and the final stats, text and save
+   skip, must be the reference table's under [add]'s rule. *)
+
+type cursor_call = Lookup of string | Insert of string * Prefix_cache.entry
+
+let show_cursor_call = function
+  | Lookup k -> Printf.sprintf "find %S" k
+  | Insert (k, _) -> Printf.sprintf "add %S" k
+
+let gen_cursor_calls keys =
+  let open QCheck.Gen in
+  let other = map (fun s -> (Checkpoint.schedule_key s, model_entry s)) gen_dfs_schedule in
+  let around k =
+    frequency
+      [
+        (6, return [ Lookup k ]);
+        (1, return [ Lookup k; Lookup k ]);
+        (1, map (fun (a, _) -> [ Lookup a; Lookup k ]) other);
+        (1, map (fun (a, e) -> [ Insert (a, e); Lookup k; Lookup a ]) other);
+        (1, map (fun (_, e) -> [ Insert (k, e); Lookup k ]) other);
+      ]
+  in
+  oneof [ return keys; shuffle_l keys ] >>= fun order ->
+  map List.concat (flatten_l (List.map around order))
+
+(* [calls] on [body] loaded from [path] under [budget], against
+   [ref_load]'s table: a mismatch is returned as a message. *)
+let cursor_matches_reference ~path ~budget body calls =
+  let label = "cursor np=6" in
+  let kept, lines, bytes, exact = ref_load ~budget body in
+  write path (sidecar_head label ^ body);
+  let c = Prefix_cache.create ~label ~budget_bytes:budget () in
+  let fail fmt = Printf.ksprintf (fun s -> Some s) fmt in
+  match Prefix_cache.load c path with
+  | Error e -> fail "refused: %s" e
+  | Ok () -> (
+      let lines = ref (List.rev lines) and bytes = ref bytes and added = ref false in
+      let hits = ref 0 and misses = ref 0 in
+      let call = function
+        | Lookup k ->
+            let expected = Hashtbl.find_opt kept k in
+            if expected = None then incr misses else incr hits;
+            if compare (Prefix_cache.find c ~key:k []) expected <> 0 then
+              fail "find %S: the entry differs" k
+            else None
+        | Insert (k, e) ->
+            let line = Prefix_cache.entry_line ~key:k e in
+            let cost = String.length line + 1 in
+            if cost <= budget - !bytes && not (Hashtbl.mem kept k) then begin
+              Hashtbl.replace kept k e;
+              lines := line :: !lines;
+              bytes := !bytes + cost;
+              added := true
+            end;
+            Prefix_cache.add c ~key:k [] e;
+            None
+      in
+      let text () =
+        sidecar_head label ^ String.concat "" (List.rev_map (fun l -> l ^ "\n") !lines)
+      in
+      match List.find_map call calls with
+      | Some msg -> Some msg
+      | None when Prefix_cache.stats c <> (!hits, !misses, !bytes) ->
+          let h, m, b = Prefix_cache.stats c in
+          fail "stats (%d, %d, %d), reference (%d, %d, %d)" h m b !hits !misses !bytes
+      | None when Prefix_cache.to_string c <> text () -> fail "kept lines differ"
+      | None ->
+          let ino = inode path and skips = exact && not !added in
+          ignore (Prefix_cache.save c path);
+          if (inode path = ino) <> skips then
+            fail "save %s, reference %s" (if inode path = ino then "skipped" else "wrote")
+              (if skips then "skips" else "writes")
+          else None)
+
+let prop_cursor_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"cache lookups: the cursor answers as the reference table, in any order"
+    (QCheck.make
+       ~print:(fun ((lines, final, b), calls) ->
+         Printf.sprintf "budget choice %d, final newline %b:\n%s\ncalls: %s" b final
+           (String.concat "\n" lines)
+           (String.concat "; " (List.map show_cursor_call calls)))
+       QCheck.Gen.(
+         triple gen_sidecar_body bool (0 -- 4) >>= fun ((lines, final, _) as s) ->
+         let body = String.concat "\n" lines ^ if final then "\n" else "" in
+         map (fun calls -> (s, calls)) (gen_cursor_calls (line_keys body))))
+    (fun ((lines, final, b), calls) ->
+      let body = String.concat "\n" lines ^ if final then "\n" else "" in
+      let budget = List.nth (budgets body) b in
+      match
+        with_temp_checkpoint (fun path ->
+            cursor_matches_reference ~path ~budget body calls)
+      with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "budget %d: %s" budget msg)
+
 (* The load allocates per distinct result, not per line: [n] lines that
    share [k] tails cost a fixed budget per tail and about a word per line
    in the minor heap (the tables themselves are large arrays, allocated in
@@ -1306,6 +1442,8 @@ let () =
            Alcotest.test_case "sidecar load equals the full-check reference" `Quick
              test_load_matches_reference;
            QCheck_alcotest.to_alcotest prop_load_matches_reference;
+           QCheck_alcotest.to_alcotest prop_cursor_matches_reference;
+           Alcotest.test_case "keys that hash alike stay apart" `Quick test_key_twins;
            Alcotest.test_case "sidecar load allocates per distinct result" `Quick
              test_load_allocates_per_tail;
          ] );

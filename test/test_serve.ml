@@ -28,7 +28,7 @@ let workload = function
   | "fig4" -> Some (4, fun () -> Workloads.Patterns.fig4)
   | _ -> None
 
-let known = [ "fig3"; "fig4"; "boom"; "slow"; "park" ]
+let known = [ "fig3"; "fig4"; "boom"; "slow"; "park"; "huge"; "long" ]
 
 let test_validate params =
   match List.assoc_opt "workload" params with
@@ -59,6 +59,18 @@ let explore name =
 let test_run ~ckpt ~label:_ ~params ~progress =
   match Option.value (List.assoc_opt "workload" params) ~default:"" with
   | "boom" -> failwith "boom exploded"
+  | "huge" ->
+      (* 40,000 lines of 50 bytes: about 2 MB, twice the runner's line cap *)
+      let line i = Printf.sprintf "finding %05d: a report line of fifty bytes.....\n" i in
+      Serve.Completed { report = String.concat "" (List.init 40_000 line); code = 0 }
+  | "long" ->
+      (* short lines, more of them than a report frame may hold, in well
+         under the runner's line cap *)
+      Serve.Completed
+        {
+          report = String.concat "" (List.init (Wire.max_block_lines + 1) (fun _ -> "x\n"));
+          code = 0;
+        }
   | "slow" ->
       progress [ ("phase", "sleep") ];
       Unix.sleepf 1.2;
@@ -550,6 +562,44 @@ let test_submitted_job_reports_as_verify () =
               (without_host_time (report_text f)))
         [ true; false ])
 
+(* A report the client could not read whole ends its job with a message
+   naming the cap it passed, never as a runner that exited before
+   reporting; the daemon serves the next job. *)
+let test_oversized_report_names_cap () =
+  let state_dir = fresh_dir () in
+  let pid, sock = start_daemon ~state_dir () in
+  Fun.protect
+    ~finally:(fun () -> ignore (stop_daemon pid))
+    (fun () ->
+      List.iter
+        (fun (workload, cap) ->
+          let c = connect sock in
+          submit c [ ("workload", workload) ];
+          let f = await_done c in
+          disconnect c;
+          Alcotest.(check string) (workload ^ " status") "crashed" f.status;
+          Alcotest.(check (list string)) (workload ^ " sends no report") [] f.report;
+          let has s sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s message %S names the cap %s" workload f.msg cap)
+            true
+            (has f.msg cap && not (has f.msg "before reporting")))
+        [
+          ("huge", "1048576 bytes");
+          ("long", string_of_int Wire.max_block_lines ^ " lines");
+        ];
+      let c = connect sock in
+      submit c [ ("workload", "fig3") ];
+      let f = await_done c in
+      disconnect c;
+      Alcotest.(check string) "next job" "completed" f.status)
+
 (* A journal written before the job spec existed (sparse submit params,
    no engine key) is re-admitted under the label earlier builds gave it:
    the job's cache sidecar lands at that label's path. *)
@@ -595,6 +645,8 @@ let () =
             test_detach_and_fetch;
           Alcotest.test_case "drain journals, restart recovers" `Quick
             test_drain_and_recovery;
+          Alcotest.test_case "an oversized report names its cap" `Quick
+            test_oversized_report_names_cap;
         ] );
       ( "job spec",
         [

@@ -967,6 +967,72 @@ let test_advisory_block_bounded () =
         (got = List.filteri (fun i _ -> i < 4096) series)
   | out -> Alcotest.failf "expected telemetry then hb, got %d result(s)" (List.length out)
 
+(* A peer that opens a results block and never ends it: 200,000 run lines,
+   fed as socket reads of 64 KiB. The block is an Error naming the cap at
+   its line past [Wire.max_block_lines], and the assembler never holds
+   more than that many lines (it held all 200,000 before the cap). *)
+let test_unended_block_bounded () =
+  let run = "run - gaveup 0 0 0" in
+  let raw =
+    "results 0 0 1\n" ^ String.concat "" (List.init 200_000 (fun _ -> run ^ "\n"))
+  in
+  let cap = Printf.sprintf "exceeds %d lines" Wire.max_block_lines in
+  let names_cap e =
+    let n = String.length cap in
+    let rec mem i = i + n <= String.length e && (String.sub e i n = cap || mem (i + 1)) in
+    mem 0
+  in
+  let a = Wire.assembler () in
+  let first_error = ref None and held = ref 0 in
+  let chunk = 65536 in
+  let rec go pos =
+    if pos < String.length raw then begin
+      let n = min chunk (String.length raw - pos) in
+      List.iter
+        (function
+          | Error e when !first_error = None -> first_error := Some e
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "a line of the unended block read as a message")
+        (Wire.feed a (Bytes.of_string (String.sub raw pos n)) n);
+      held := max !held (Obj.reachable_words (Obj.repr a));
+      go (pos + n)
+    end
+  in
+  go 0;
+  (match !first_error with
+  | Some e when names_cap e -> ()
+  | Some e -> Alcotest.failf "the error does not name the cap: %S" e
+  | None -> Alcotest.fail "200,000 lines of one block gave no Error");
+  (* a held line is a list cell and a fresh string, as the splitter cuts
+     it; the splitter's buffer holds a read's bytes *)
+  let line_words = 3 + Obj.reachable_words (Obj.repr (Bytes.to_string (Bytes.of_string run))) in
+  let bound = ((Wire.max_block_lines + 1) * line_words) + (2 * chunk / 8) + 1024 in
+  Alcotest.(check bool)
+    (Printf.sprintf "held at most %d words (held %d)" bound !held)
+    true (!held <= bound);
+  (* the blocking readers: a worker's lease and a client's report *)
+  let blocking name read header body =
+    let path = Filename.temp_file "dampi-block" ".txt" in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc header;
+        for _ = 0 to Wire.max_block_lines do
+          output_string oc body
+        done;
+        output_string oc "end\n");
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        Sys.remove path)
+      (fun () ->
+        match read ic with
+        | Error e when names_cap e -> ()
+        | Error e -> Alcotest.failf "%s: the error does not name the cap: %S" name e
+        | Ok _ -> Alcotest.failf "%s: the over-cap block read as a frame" name)
+  in
+  blocking "read_to_worker" Wire.read_to_worker "lease 1 65537\n" "item -\n";
+  blocking "read_event" Serve.read_event "report id=1 65537\n" "l x\n"
+
 (* A newline-less flood past the cap, after one good frame: the blocking
    readers return the frame, then one Error naming the cap. *)
 let test_blocking_flood_capped () =
@@ -1093,6 +1159,8 @@ let () =
               `Quick test_bare_err_line;
             Alcotest.test_case "a telemetry block keeps its first 4096 lines"
               `Quick test_advisory_block_bounded;
+            Alcotest.test_case "an unended results block is an Error, bounded"
+              `Quick test_unended_block_bounded;
           ] );
       ("to-worker", direction_props to_worker);
       ("events", direction_props serve_events);
